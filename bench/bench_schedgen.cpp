@@ -136,8 +136,9 @@ void BM_Decompose(benchmark::State& state) {
 }
 BENCHMARK(BM_Decompose)->Arg(32)->Arg(128);
 
-// Large-scale construction on fat trees: flat Figure-4 assignment vs
-// the hierarchical twin (arg 1: 0 = flat, 1 = hierarchical). Both paths
+// Large-scale construction on fat trees: the flat Figure-4 assignment
+// (the reference tests compare against) vs the hierarchical path that
+// build_aapc_schedule runs (arg 1: 0 = flat, 1 = hierarchical). Both
 // produce bit-identical schedules; the comparison isolates the cost of
 // the task decomposition itself. bench_schedgen_scale drives the
 // 2048/4096-rank points with the wall-clock gate.

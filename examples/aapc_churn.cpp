@@ -15,7 +15,8 @@
 // Every response for the fabric topology is timestamped with its
 // (epoch, stale) marking, and — with --verify, default on — its
 // schedule artifact is parsed and checked contention-free against the
-// caller's topology, so a mis-patched repair fails loudly.
+// caller's topology, so a schedule that does not fit the caller's tree
+// fails loudly.
 //
 // Exits nonzero when chaos gates fail:
 //   1  integrity failure (a served schedule was not contention-free)

@@ -28,9 +28,12 @@ struct AssignmentOptions {
   Step6Pattern step6 = Step6Pattern::kBroadcast;
 };
 
-/// Runs Figure 4 over a decomposition. All construction-time invariants
-/// (span tiling, receiver alignment, local coverage) are AAPC_CHECKed;
-/// use core::verify_schedule for the independent end-to-end check.
+/// Runs Figure 4 over a decomposition in one sequential pass. This is
+/// the reference that tests hold assign_messages_hierarchical (the path
+/// build_aapc_schedule and the service run) to, bit for bit. All
+/// construction-time invariants (span tiling, receiver alignment, local
+/// coverage) are AAPC_CHECKed; use core::verify_schedule for the
+/// independent end-to-end check.
 Schedule assign_messages(const Decomposition& dec,
                          const AssignmentOptions& options = {});
 

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "aapc/common/error.hpp"
+#include "aapc/core/weighted.hpp"
 
 namespace aapc::core {
 
@@ -82,61 +83,38 @@ Pattern neighbor_exchange_pattern(const topology::Topology& topo,
 
 Schedule greedy_schedule(const topology::Topology& topo,
                          const Pattern& pattern,
-                         const GreedyOptions& options) {
+                         const LinkRates& link_rate) {
   AAPC_REQUIRE(topo.finalized(), "topology must be finalized");
+  if (!link_rate.empty()) require_link_rates(topo, link_rate);
   const std::int32_t machines = topo.machine_count();
 
-  // Precompute paths and validate.
+  // Precompute paths and slownesses, and validate.
   std::vector<std::vector<topology::EdgeId>> paths;
+  std::vector<double> slowness(pattern.size(), 1.0);
   paths.reserve(pattern.size());
-  for (const Message& m : pattern) {
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    const Message& m = pattern[i];
     AAPC_REQUIRE(m.src >= 0 && m.src < machines && m.dst >= 0 &&
                      m.dst < machines,
                  "message rank out of range");
     AAPC_REQUIRE(m.src != m.dst, "self message " << m.src << "->" << m.dst);
     paths.push_back(
         topo.path(topo.machine_node(m.src), topo.machine_node(m.dst)));
-  }
-
-  // Placement order.
-  std::vector<std::size_t> order(pattern.size());
-  std::iota(order.begin(), order.end(), 0);
-  switch (options.order) {
-    case GreedyOptions::Order::kInput:
-      break;
-    case GreedyOptions::Order::kLongestPathFirst:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return paths[a].size() > paths[b].size();
-                       });
-      break;
-    case GreedyOptions::Order::kBottleneckFirst: {
-      // Messages whose path includes the globally most-loaded edge go
-      // first, then by descending path length.
-      std::vector<std::int64_t> edge_load(
-          static_cast<std::size_t>(topo.directed_edge_count()), 0);
-      for (const auto& path : paths) {
-        for (const topology::EdgeId e : path) {
-          edge_load[static_cast<std::size_t>(e)] += 1;
-        }
-      }
-      auto hottest = [&](std::size_t index) {
-        std::int64_t hot = 0;
-        for (const topology::EdgeId e : paths[index]) {
-          hot = std::max(hot, edge_load[static_cast<std::size_t>(e)]);
-        }
-        return hot;
-      };
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         const std::int64_t ha = hottest(a);
-                         const std::int64_t hb = hottest(b);
-                         if (ha != hb) return ha > hb;
-                         return paths[a].size() > paths[b].size();
-                       });
-      break;
+    if (!link_rate.empty()) {
+      slowness[i] = path_slowness(paths.back(), link_rate);
     }
   }
+
+  // Placement order: slowest, then longest path, then input order.
+  std::vector<std::size_t> order(pattern.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (slowness[a] != slowness[b]) {
+                       return slowness[a] > slowness[b];
+                     }
+                     return paths[a].size() > paths[b].size();
+                   });
 
   // First-fit: per phase, a bitmap of used directed edges.
   std::vector<std::vector<char>> phase_edges;  // [phase][edge]
@@ -165,7 +143,7 @@ Schedule greedy_schedule(const topology::Topology& topo,
     assigned_phase[index] = static_cast<std::int32_t>(phase);
   }
 
-  // Stage in input order so each phase keeps input order, as before.
+  // Stage in input order so each phase keeps input order.
   ScheduleBuilder builder;
   builder.reserve(static_cast<std::int64_t>(pattern.size()));
   for (std::size_t index = 0; index < pattern.size(); ++index) {

@@ -17,12 +17,8 @@ Schedule build_aapc_schedule(const topology::Topology& topo,
     builder.add(0, 1, 0, MessageScope::kGlobal);
     return std::move(builder).build(1);
   }
-  const Decomposition dec = decompose(topo);
-  if (options.hierarchical) {
-    return assign_messages_hierarchical(dec, options.assignment,
-                                        options.runner);
-  }
-  return assign_messages(dec, options.assignment);
+  return assign_messages_hierarchical(decompose(topo), options.assignment,
+                                      options.runner);
 }
 
 }  // namespace aapc::core

@@ -12,13 +12,9 @@ namespace aapc::core {
 struct SchedulerOptions {
   AssignmentOptions assignment;
 
-  /// Use the hierarchical assignment (per-subtree emission units merged
-  /// across the root). Output is bit-identical to the flat path; the
-  /// units can additionally run on `runner`'s threads.
-  bool hierarchical = false;
-
-  /// Executes hierarchical emission units; nullptr means run inline on
-  /// the calling thread. The service installs its CompilerPool here.
+  /// Executes the Figure-4 emission units (core/hierarchical.hpp);
+  /// nullptr means run inline on the calling thread. The schedule is
+  /// the same either way.
   TaskRunner runner = nullptr;
 };
 

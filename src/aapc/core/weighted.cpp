@@ -1,16 +1,14 @@
 #include "aapc/core/weighted.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "aapc/common/error.hpp"
 #include "aapc/core/scheduler.hpp"
 
 namespace aapc::core {
 
-namespace {
-
-void require_rates(const topology::Topology& topo, const LinkRates& link_rate) {
+void require_link_rates(const topology::Topology& topo,
+                        const LinkRates& link_rate) {
   AAPC_REQUIRE(static_cast<std::int32_t>(link_rate.size()) ==
                    topo.link_count(),
                "link_rate covers " << link_rate.size()
@@ -34,8 +32,6 @@ double path_slowness(const std::vector<topology::EdgeId>& path,
   return 1.0 / min_rate;
 }
 
-}  // namespace
-
 bool uniform_rates(const LinkRates& link_rate) {
   for (const double rate : link_rate) {
     if (rate != link_rate.front()) return false;
@@ -46,7 +42,7 @@ bool uniform_rates(const LinkRates& link_rate) {
 double weighted_pattern_load(const topology::Topology& topo,
                              const Pattern& pattern,
                              const LinkRates& link_rate) {
-  require_rates(topo, link_rate);
+  require_link_rates(topo, link_rate);
   std::vector<std::int64_t> edge_load(
       static_cast<std::size_t>(topo.directed_edge_count()), 0);
   for (const Message& m : pattern) {
@@ -65,7 +61,7 @@ double weighted_pattern_load(const topology::Topology& topo,
 
 double message_slowness(const topology::Topology& topo, const Message& message,
                         const LinkRates& link_rate) {
-  require_rates(topo, link_rate);
+  require_link_rates(topo, link_rate);
   return path_slowness(topo.path(topo.machine_node(message.src),
                                  topo.machine_node(message.dst)),
                        link_rate);
@@ -74,7 +70,7 @@ double message_slowness(const topology::Topology& topo, const Message& message,
 double weighted_schedule_cost(const topology::Topology& topo,
                               const Schedule& schedule,
                               const LinkRates& link_rate) {
-  require_rates(topo, link_rate);
+  require_link_rates(topo, link_rate);
   double cost = 0;
   std::vector<topology::EdgeId> path;
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
@@ -89,86 +85,15 @@ double weighted_schedule_cost(const topology::Topology& topo,
   return cost;
 }
 
-Schedule weighted_greedy_schedule(const topology::Topology& topo,
-                                  const Pattern& pattern,
-                                  const LinkRates& link_rate) {
-  AAPC_REQUIRE(topo.finalized(), "topology must be finalized");
-  require_rates(topo, link_rate);
-  const std::int32_t machines = topo.machine_count();
-
-  std::vector<std::vector<topology::EdgeId>> paths;
-  std::vector<double> slowness(pattern.size(), 1.0);
-  paths.reserve(pattern.size());
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    const Message& m = pattern[i];
-    AAPC_REQUIRE(m.src >= 0 && m.src < machines && m.dst >= 0 &&
-                     m.dst < machines,
-                 "message rank out of range");
-    AAPC_REQUIRE(m.src != m.dst, "self message " << m.src << "->" << m.dst);
-    paths.push_back(
-        topo.path(topo.machine_node(m.src), topo.machine_node(m.dst)));
-    slowness[i] = path_slowness(paths.back(), link_rate);
-  }
-
-  // Slowest first (longest path breaks ties): every phase is opened by
-  // the slowest message it will ever hold, so later placements are free
-  // and the schedule's cost telescopes to the openers' slownesses.
-  std::vector<std::size_t> order(pattern.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (slowness[a] != slowness[b]) {
-                       return slowness[a] > slowness[b];
-                     }
-                     return paths[a].size() > paths[b].size();
-                   });
-
-  std::vector<std::vector<char>> phase_edges;  // [phase][directed edge]
-  std::vector<std::int32_t> assigned_phase(pattern.size(), -1);
-  for (const std::size_t index : order) {
-    const auto& path = paths[index];
-    std::size_t phase = 0;
-    for (;; ++phase) {
-      if (phase == phase_edges.size()) {
-        phase_edges.emplace_back(
-            static_cast<std::size_t>(topo.directed_edge_count()), 0);
-        break;
-      }
-      bool free = true;
-      for (const topology::EdgeId e : path) {
-        if (phase_edges[phase][static_cast<std::size_t>(e)]) {
-          free = false;
-          break;
-        }
-      }
-      if (free) break;
-    }
-    for (const topology::EdgeId e : path) {
-      phase_edges[phase][static_cast<std::size_t>(e)] = 1;
-    }
-    assigned_phase[index] = static_cast<std::int32_t>(phase);
-  }
-
-  ScheduleBuilder builder;
-  builder.reserve(static_cast<std::int64_t>(pattern.size()));
-  for (std::size_t index = 0; index < pattern.size(); ++index) {
-    builder.add(assigned_phase[index], pattern[index].src, pattern[index].dst,
-                MessageScope::kGlobal);
-  }
-  return std::move(builder)
-      .build(static_cast<std::int64_t>(phase_edges.size()));
-}
-
 Schedule build_aapc_schedule_weighted(const topology::Topology& topo,
                                       const LinkRates& link_rate) {
   AAPC_REQUIRE(topo.finalized(), "topology must be finalized");
-  require_rates(topo, link_rate);
+  require_link_rates(topo, link_rate);
   if (uniform_rates(link_rate)) return build_aapc_schedule(topo);
 
   Schedule optimal = build_aapc_schedule(topo);
   if (topo.machine_count() <= 1) return optimal;
-  Schedule weighted =
-      weighted_greedy_schedule(topo, aapc_pattern(topo), link_rate);
+  Schedule weighted = greedy_schedule(topo, aapc_pattern(topo), link_rate);
   // Strictly-less comparison: ties keep the paper's schedule, whose
   // phase count is optimal (fewer synchronization rounds at equal cost).
   const double optimal_cost =

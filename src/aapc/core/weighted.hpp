@@ -20,9 +20,10 @@
 // build_aapc_schedule_weighted() is the drop-in scheduler for degraded
 // trees: on uniform rates it returns exactly the paper's optimal
 // schedule; otherwise it races the rate-blind optimal schedule against
-// a slowest-first greedy (which aligns messages of degraded links into
-// shared slow phases instead of paying for each separately) and keeps
-// whichever costs less — so it is never worse than scheduling blind.
+// the slowest-first greedy (core::greedy_schedule at the given rates,
+// which aligns messages of degraded links into shared slow phases
+// instead of paying for each separately) and keeps whichever costs
+// less — so it is never worse than scheduling blind.
 #pragma once
 
 #include <vector>
@@ -33,11 +34,10 @@
 
 namespace aapc::core {
 
-/// Relative capacity per physical link, in (0, 1] with 1 = nominal
-/// (the shape faults::link_factors_at produces). Size must equal
-/// topo.link_count(); every entry must be > 0 — a down link cannot
-/// carry a schedule, re-elect the tree first (faults::elect_residual).
-using LinkRates = std::vector<double>;
+/// Throws InvalidArgument unless `link_rate` holds one rate > 0 per
+/// link of `topo` (LinkRates, core/greedy.hpp).
+void require_link_rates(const topology::Topology& topo,
+                        const LinkRates& link_rate);
 
 /// True when every rate equals the first (the uniform special case all
 /// weighted entry points reduce to the unweighted model for).
@@ -54,6 +54,11 @@ double weighted_pattern_load(const topology::Topology& topo,
 double message_slowness(const topology::Topology& topo, const Message& message,
                         const LinkRates& link_rate);
 
+/// Slowness of a message routed over `path` (directed edges of a
+/// topology `link_rate` was validated against): 1 / min rate along it.
+double path_slowness(const std::vector<topology::EdgeId>& path,
+                     const LinkRates& link_rate);
+
 /// Cost of `schedule` at `link_rate`: sum over phases of the largest
 /// message slowness (empty phases cost 0). Uniform nominal rates make
 /// this exactly the phase count.
@@ -61,22 +66,10 @@ double weighted_schedule_cost(const topology::Topology& topo,
                               const Schedule& schedule,
                               const LinkRates& link_rate);
 
-/// Slowest-first first-fit: messages sorted by descending slowness
-/// (path length, then input order, as tie-breaks), placed greedily into
-/// the first phase with their path's directed edges free. Because
-/// placement order is monotone in slowness, a message never raises the
-/// cost of the phase it joins — the schedule's cost is the sum of the
-/// phase-opening messages' slownesses, which is what packs the traffic
-/// of several degraded links into *shared* slow phases. Contention-free
-/// by construction; phase count is not optimized.
-Schedule weighted_greedy_schedule(const topology::Topology& topo,
-                                  const Pattern& pattern,
-                                  const LinkRates& link_rate);
-
 /// AAPC schedule for a tree with heterogeneous link rates. Uniform
 /// rates return build_aapc_schedule(topo) verbatim (bit-identical).
-/// Otherwise both the rate-blind optimal schedule and the weighted
-/// greedy are built and the one with the lower weighted cost wins
+/// Otherwise both the rate-blind optimal schedule and the greedy at
+/// `link_rate` are built and the one with the lower weighted cost wins
 /// (ties keep the optimal-phase-count schedule). The result is always
 /// contention-free and never costs more than the paper's schedule at
 /// the given rates.

@@ -33,27 +33,23 @@ std::string ChurnReport::to_string() const {
      << format_size(msize) << "B)\n";
   os << "  completion ms: healthy "
      << format_double(to_milliseconds(healthy_completion), 2) << " | stale "
-     << format_double(to_milliseconds(stale_completion), 2) << " | patched "
-     << format_double(to_milliseconds(patched_completion), 2)
+     << format_double(to_milliseconds(stale_completion), 2)
      << " | revalidated "
      << format_double(to_milliseconds(revalidated_completion), 2) << "\n";
   os << "  achieved Mbps: healthy " << format_double(healthy_mbps, 1)
-     << " | stale " << format_double(stale_mbps, 1) << " | patched "
-     << format_double(patched_mbps, 1) << " | revalidated "
+     << " | stale " << format_double(stale_mbps, 1) << " | revalidated "
      << format_double(revalidated_mbps, 1) << "\n";
-  os << "  phases: healthy " << healthy_phases << " | patched "
-     << patched_phases << " | revalidated " << revalidated_phases
+  os << "  phases: healthy " << healthy_phases << " | revalidated "
+     << revalidated_phases
      << (weighted_schedule_won ? " (weighted greedy won)"
                                : " (rate-blind optimal kept)")
      << "\n";
   os << "  weighted cost: stale " << format_double(stale_cost, 2)
-     << " | patched " << format_double(patched_cost, 2) << " | revalidated "
-     << format_double(revalidated_cost, 2) << " | load bound "
-     << format_double(weighted_load, 2) << "\n";
+     << " | revalidated " << format_double(revalidated_cost, 2)
+     << " | load bound " << format_double(weighted_load, 2) << "\n";
   os << "  peak Mbps: healthy " << format_double(healthy_peak_mbps, 1)
      << " | degraded " << format_double(degraded_peak_mbps, 1)
-     << "; revalidated/patched "
-     << format_double(revalidated_over_patched(), 3)
+     << "; revalidated/stale " << format_double(revalidated_over_stale(), 3)
      << ", revalidated/degraded-peak "
      << format_double(revalidated_peak_ratio(), 3) << "\n";
   return os.str();
@@ -125,18 +121,7 @@ ChurnReport run_churn(const stp::BridgeNetwork& network,
       run_programs(topo, degraded_net, scenario.exec, healthy_programs);
   report.stale_mbps = mbps_of(payload, report.stale_completion);
 
-  // Leg 3: the SWR inline patch — rate-blind greedy, exactly what
-  // ScheduleService::patch_stale_entry serves with stale=true.
-  const core::Pattern pattern = core::aapc_pattern(topo);
-  const core::Schedule patched = core::greedy_schedule(topo, pattern);
-  report.patched_phases = patched.phase_count();
-  report.patched_completion = run_programs(
-      topo, degraded_net, scenario.exec,
-      lowering::lower_schedule(topo, patched, scenario.msize,
-                               scenario.lowering));
-  report.patched_mbps = mbps_of(payload, report.patched_completion);
-
-  // Leg 4: the background revalidation — weighted scheduling at the
+  // Leg 3: the background revalidation — weighted scheduling at the
   // degraded rates.
   const core::Schedule revalidated =
       core::build_aapc_schedule_weighted(topo, rates);
@@ -148,9 +133,9 @@ ChurnReport run_churn(const stp::BridgeNetwork& network,
   report.revalidated_mbps = mbps_of(payload, report.revalidated_completion);
 
   // Weighted cost model.
-  report.weighted_load = core::weighted_pattern_load(topo, pattern, rates);
+  report.weighted_load =
+      core::weighted_pattern_load(topo, core::aapc_pattern(topo), rates);
   report.stale_cost = core::weighted_schedule_cost(topo, healthy, rates);
-  report.patched_cost = core::weighted_schedule_cost(topo, patched, rates);
   report.revalidated_cost =
       core::weighted_schedule_cost(topo, revalidated, rates);
   report.weighted_schedule_won =

@@ -125,9 +125,9 @@ struct ResponseFrame {
   bool cache_hit = false;
   bool coalesced = false;
   /// The artifact predates the last topology event on its links: it is
-  /// the greedy-patched repair served stale-while-revalidate; a
-  /// follow-up request returns the recompiled schedule once the
-  /// background refresh lands (docs/SERVICE.md §churn).
+  /// the schedule the service already held, served stale-while-
+  /// revalidate; a follow-up request returns the recompiled schedule
+  /// once the background refresh lands (docs/SERVICE.md §churn).
   bool stale = false;
   /// Backend shard (canonical hash % shard count) that served this.
   std::uint32_t shard = 0;

@@ -98,10 +98,6 @@ struct CompiledEntry {
   /// introduced (or for never-bound topologies) carry 0 and stay fresh
   /// forever unless their links take an event.
   std::uint64_t epoch = 0;
-  /// True for the greedy-patched artifacts served stale-while-revalidate
-  /// (never stored in this cache — they live in the service's patch
-  /// side-buffer until revalidation replaces them).
-  bool stale = false;
   /// Residual link rates (canonical link space) the schedule was built
   /// for; empty when compiled rate-blind at nominal rates.
   core::LinkRates link_rates;

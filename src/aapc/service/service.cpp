@@ -7,7 +7,6 @@
 
 #include "aapc/common/log.hpp"
 #include "aapc/core/collectives.hpp"
-#include "aapc/core/greedy.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
 #include "aapc/core/weighted.hpp"
@@ -23,8 +22,7 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::uint32_t fingerprint_options(const lowering::LoweringOptions& opts,
-                                  bool verify_compiled) {
+std::uint32_t fingerprint_options(const lowering::LoweringOptions& opts) {
   // Pack every knob that changes the compiled artifact, then mix. Two
   // services configured differently must never share cache entries.
   std::uint64_t h = 0;
@@ -33,7 +31,6 @@ std::uint32_t fingerprint_options(const lowering::LoweringOptions& opts,
   h = h * 0x100000001b3ull + (opts.reduce_redundant_syncs ? 1 : 0);
   h = h * 0x100000001b3ull + (opts.include_self_copy ? 1 : 0);
   h = h * 0x100000001b3ull + (opts.verify_schedule ? 1 : 0);
-  h = h * 0x100000001b3ull + (verify_compiled ? 1 : 0);
   h ^= h >> 32;
   return static_cast<std::uint32_t>(h);
 }
@@ -73,9 +70,13 @@ Bytes ScheduleService::size_class_bytes(std::uint32_t size_class) {
 
 ScheduleService::ScheduleService(const ServiceOptions& options)
     : options_(options),
-      options_fingerprint_(
-          fingerprint_options(options.lowering, options.verify_compiled)),
+      options_fingerprint_(fingerprint_options(options.lowering)),
       cache_(options.cache_capacity, options.cache_shards),
+      cache_hits_(registry_.counter("aapc_service_cache_hits_total",
+                                    "Requests served from the schedule cache")),
+      cache_misses_(registry_.counter(
+          "aapc_service_cache_misses_total",
+          "Requests whose key was absent from the cache")),
       coalesced_waits_(registry_.counter(
           "aapc_service_coalesced_waits_total",
           "Requests that waited on a concurrent compilation of their key")),
@@ -107,18 +108,12 @@ ScheduleService::ScheduleService(const ServiceOptions& options)
           "aapc_service_stale_hits_total",
           "Cache hits on entries invalidated by a topology event, served "
           "stale-while-revalidate")),
-      patches_(registry_.counter(
-          "aapc_service_patches_total",
-          "Greedy repair patches computed for stale entries")),
       revalidations_(registry_.counter(
           "aapc_service_revalidations_total",
           "Background recompilations that refreshed an invalidated entry")),
       revalidation_failures_(registry_.counter(
           "aapc_service_revalidation_failures_total",
           "Background recompilations that threw instead of publishing")),
-      patch_seconds_(registry_.histogram(
-          "aapc_service_patch_seconds",
-          "Inline greedy-repair latency on the stale-hit path")),
       revalidation_seconds_(registry_.histogram(
           "aapc_service_revalidation_seconds",
           "Background revalidation latency (weighted recompilation)")),
@@ -190,18 +185,14 @@ CompiledEntryPtr ScheduleService::compile_entry(
     const core::Decomposition dec = core::decompose(topo);
     stage_decompose_seconds_.observe(seconds_since(stage));
     stage = Clock::now();
-    if (options_.parallel_assignment) {
-      // Emission tasks fan out to whatever pool workers are idle; this
-      // thread participates, so saturation degrades to sequential
-      // instead of deadlocking. The result is bit-identical either way.
-      entry->schedule = core::assign_messages_hierarchical(
-          dec, core::AssignmentOptions{},
-          [this](const std::vector<core::Task>& tasks) {
-            pool_.run_tasks(tasks);
-          });
-    } else {
-      entry->schedule = core::assign_messages(dec);
-    }
+    // Emission tasks fan out to whatever pool workers are idle; this
+    // thread participates, so saturation degrades to sequential
+    // instead of deadlocking. The result is bit-identical either way.
+    entry->schedule = core::assign_messages_hierarchical(
+        dec, core::AssignmentOptions{},
+        [this](const std::vector<core::Task>& tasks) {
+          pool_.run_tasks(tasks);
+        });
   } else {
     // Degenerate sizes (|M| <= 2) have no decomposition; the whole
     // build is charged to the assign stage.
@@ -209,26 +200,24 @@ CompiledEntryPtr ScheduleService::compile_entry(
   }
   stage_assign_seconds_.observe(seconds_since(stage));
 
-  if (options_.verify_compiled) {
-    if (kind == core::CollectiveKind::kAlltoall) {
-      // Weighted schedules trade extra phases for a lower weighted
-      // cost, so only contention-freeness and coverage apply.
-      core::VerifyOptions verify_options;
-      verify_options.require_optimal_phase_count = !weighted;
-      const core::VerifyReport report =
-          core::verify_schedule(topo, entry->schedule, verify_options);
-      AAPC_CHECK_MSG(report.ok, "compiled schedule failed verification:\n"
-                                    << report.summary());
-    } else {
-      // Per-kind pattern coverage + contention freedom, with the
-      // bandwidth-optimality bound enforced for the ring pipelines.
-      const core::VerifyReport report =
-          core::verify_collective_schedule(topo, entry->schedule, neighbors);
-      AAPC_CHECK_MSG(report.ok,
-                     "compiled " << core::collective_kind_name(kind)
-                                 << " schedule failed verification:\n"
-                                 << report.summary());
-    }
+  if (kind == core::CollectiveKind::kAlltoall) {
+    // Weighted schedules trade extra phases for a lower weighted
+    // cost, so only contention-freeness and coverage apply.
+    core::VerifyOptions verify_options;
+    verify_options.require_optimal_phase_count = !weighted;
+    const core::VerifyReport report =
+        core::verify_schedule(topo, entry->schedule, verify_options);
+    AAPC_CHECK_MSG(report.ok, "compiled schedule failed verification:\n"
+                                  << report.summary());
+  } else {
+    // Per-kind pattern coverage + contention freedom, with the
+    // bandwidth-optimality bound enforced for the ring pipelines.
+    const core::VerifyReport report =
+        core::verify_collective_schedule(topo, entry->schedule, neighbors);
+    AAPC_CHECK_MSG(report.ok,
+                   "compiled " << core::collective_kind_name(kind)
+                               << " schedule failed verification:\n"
+                               << report.summary());
   }
 
   stage = Clock::now();
@@ -258,63 +247,6 @@ CompiledEntryPtr ScheduleService::compile_entry(
   return entry;
 }
 
-CompiledEntryPtr ScheduleService::patch_stale_entry(
-    const CacheKey& key, const CompiledEntryPtr& stale_entry,
-    const TopologyEpochs::View& view) {
-  {
-    const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-    const auto it = patched_.find(key);
-    if (it != patched_.end() && it->second.first == view.invalidated_at) {
-      return it->second.second;
-    }
-  }
-  // The same rate-blind greedy repair the fault layer splices into
-  // running schedules (faults/repair.hpp): reschedule the full pattern
-  // first-fit, ignoring rates. Cheap and always valid, but it smears
-  // slow-link traffic across phases — the background weighted
-  // recompilation exists to beat it.
-  const Clock::time_point start = Clock::now();
-  const topology::Topology& topo = stale_entry->canonical_topo;
-  auto patched = std::make_shared<CompiledEntry>();
-  patched->canonical_form = stale_entry->canonical_form;
-  patched->canonical_topo = topo;
-  patched->class_bytes = stale_entry->class_bytes;
-  patched->epoch = stale_entry->epoch;  // still pre-event: stays stale
-  patched->stale = true;
-  patched->link_rates = view.rates;
-  patched->kind = stale_entry->kind;
-  patched->neighbors = stale_entry->neighbors;
-  patched->schedule = core::greedy_schedule(
-      topo, core::collective_pattern(topo, stale_entry->kind,
-                                     stale_entry->neighbors));
-  patched->schedule.kind = stale_entry->kind;
-  if (options_.verify_compiled) {
-    core::require_contention_free(topo, patched->schedule);
-  }
-  sync::SyncPlanOptions plan_options;
-  plan_options.remove_redundant = options_.lowering.reduce_redundant_syncs;
-  patched->sync_plan =
-      sync::build_sync_plan(topo, patched->schedule, plan_options);
-  lowering::LoweringOptions lower_options = options_.lowering;
-  if (lower_options.sync == lowering::SyncMode::kPairwise) {
-    lower_options.precomputed_plan = &patched->sync_plan;
-  }
-  patched->programs =
-      lowering::lower_schedule(topo, patched->schedule, patched->class_bytes,
-                               lower_options, &patched->info);
-  patched->compile_seconds = seconds_since(start);
-  patches_.inc();
-  patch_seconds_.observe(patched->compile_seconds);
-  CompiledEntryPtr result = patched;
-  {
-    // Concurrent stale hits may race here; the patch is deterministic,
-    // so last-writer-wins is benign.
-    const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-    patched_[key] = {view.invalidated_at, result};
-  }
-  return result;
-}
-
 void ScheduleService::schedule_revalidation(
     const CacheKey& key, const std::string& canonical_form, Bytes class_bytes,
     std::uint64_t hash, core::CollectiveKind kind,
@@ -340,7 +272,6 @@ void ScheduleService::schedule_revalidation(
     }
     const std::lock_guard<std::mutex> lock(in_flight_mutex_);
     revalidating_.erase(key);
-    patched_.erase(key);
   };
   if (!pool_.try_submit_background(std::move(task))) {
     // Lane full: drop silently (pool counts it); the marker goes away
@@ -352,7 +283,8 @@ void ScheduleService::schedule_revalidation(
 
 CompiledRoutine ScheduleService::finish(const Canonicalization& canon,
                                         CompiledEntryPtr entry, bool cache_hit,
-                                        bool coalesced, std::uint64_t epoch,
+                                        bool coalesced, bool stale,
+                                        std::uint64_t epoch,
                                         Clock::time_point start) const {
   CompiledRoutine routine;
   const std::vector<topology::Rank> from_canonical =
@@ -360,11 +292,11 @@ CompiledRoutine ScheduleService::finish(const Canonicalization& canon,
   routine.schedule = core::relabel_schedule(entry->schedule, from_canonical);
   routine.programs = mpisim::relabel_program_set(entry->programs,
                                                  from_canonical);
-  routine.stale = entry->stale;
   routine.entry = std::move(entry);
   routine.to_canonical = canon.to_canonical;
   routine.cache_hit = cache_hit;
   routine.coalesced = coalesced;
+  routine.stale = stale;
   routine.epoch = epoch;
   routine.service_seconds = seconds_since(start);
   return routine;
@@ -454,23 +386,28 @@ CompiledRoutine ScheduleService::compile(
   const Bytes class_bytes = size_class_bytes(key.size_class);
   const TopologyEpochs::View view = epochs_.view(canon.hash);
 
+  // A cached entry that predates a topology event on its links is
+  // served as held, stamped stale, while a weighted recompilation
+  // refreshes the cache in the background. A rate-only event leaves the
+  // canonical tree unchanged, so the held schedule is still
+  // contention-free and peak-bound; a tree move rebinds to a new hash.
+  // Invalidation is this lazy check — nothing was evicted, and hashes
+  // on untouched links never take the stale branch.
+  auto serve_hit = [&](CompiledEntryPtr entry) {
+    cache_hits_.inc();
+    const bool stale = entry->epoch < view.invalidated_at;
+    if (stale) {
+      stale_hits_.inc();
+      schedule_revalidation(key, canon.canonical_form, class_bytes,
+                            canon.hash, kind, canonical_neighbors);
+    }
+    return finish(canon, std::move(entry), /*cache_hit=*/true,
+                  /*coalesced=*/false, stale, view.epoch, start);
+  };
+
   if (CompiledEntryPtr entry =
           cache_.get(key, canon.canonical_form, &canonical_neighbors)) {
-    if (entry->epoch >= view.invalidated_at) {
-      return finish(canon, std::move(entry), /*cache_hit=*/true,
-                    /*coalesced=*/false, view.epoch, start);
-    }
-    // The entry predates a topology event on its links. Availability
-    // first: answer right now with a greedy-patched repair (stamped
-    // stale), and refresh the cache with a weighted recompilation in
-    // the background. Invalidation is this lazy check — nothing was
-    // evicted, and hashes on untouched links never reach this branch.
-    stale_hits_.inc();
-    CompiledEntryPtr patched = patch_stale_entry(key, entry, view);
-    schedule_revalidation(key, canon.canonical_form, class_bytes, canon.hash,
-                          kind, canonical_neighbors);
-    return finish(canon, std::move(patched), /*cache_hit=*/true,
-                  /*coalesced=*/false, view.epoch, start);
+    return serve_hit(std::move(entry));
   }
 
   // Miss: coalesce with an in-flight compilation of the same key, or
@@ -503,18 +440,8 @@ CompiledRoutine ScheduleService::compile(
       }
     }
   }
-  if (late_hit != nullptr) {
-    if (late_hit->epoch >= view.invalidated_at) {
-      return finish(canon, std::move(late_hit), /*cache_hit=*/true,
-                    /*coalesced=*/false, view.epoch, start);
-    }
-    stale_hits_.inc();
-    CompiledEntryPtr patched = patch_stale_entry(key, late_hit, view);
-    schedule_revalidation(key, canon.canonical_form, class_bytes, canon.hash,
-                          kind, canonical_neighbors);
-    return finish(canon, std::move(patched), /*cache_hit=*/true,
-                  /*coalesced=*/false, view.epoch, start);
-  }
+  if (late_hit != nullptr) return serve_hit(std::move(late_hit));
+  cache_misses_.inc();
 
   if (leader) {
     // The task owns the promise: it publishes to the cache, resolves
@@ -569,19 +496,11 @@ CompiledRoutine ScheduleService::compile(
                           canonical_neighbors);
   }
   return finish(canon, std::move(entry), /*cache_hit=*/false, !leader,
-                view.epoch, start);
+                /*stale=*/false, view.epoch, start);
 }
 
 void ScheduleService::sync_mirrors() const {
   const CacheStats cache = cache_.stats();
-  registry_
-      .counter("aapc_service_cache_hits_total",
-               "Requests served from the schedule cache")
-      .set_total(cache.hits);
-  registry_
-      .counter("aapc_service_cache_misses_total",
-               "Requests whose key was absent from the cache")
-      .set_total(cache.misses);
   registry_
       .counter("aapc_service_cache_evictions_total",
                "Entries displaced by the shard LRU policy")
@@ -631,85 +550,5 @@ obs::RegistrySnapshot ScheduleService::metrics_snapshot() const {
   sync_mirrors();
   return registry_.snapshot();
 }
-
-MetricsSnapshot ScheduleService::metrics() const {
-  const obs::RegistrySnapshot snap = metrics_snapshot();
-  auto count = [&snap](std::string_view name) {
-    const obs::SeriesSnapshot* series = snap.find(name);
-    return series != nullptr ? series->counter : 0;
-  };
-  MetricsSnapshot snapshot;
-  // requests is labeled per collective kind; sum the series.
-  snapshot.requests = static_cast<std::int64_t>(
-      snap.total("aapc_service_requests_total"));
-  snapshot.coalesced_waits = count("aapc_service_coalesced_waits_total");
-  snapshot.rejected = count("aapc_service_rejected_total");
-  snapshot.hash_collisions = count("aapc_service_hash_collisions_total");
-  snapshot.cache_hits = count("aapc_service_cache_hits_total");
-  snapshot.cache_misses = count("aapc_service_cache_misses_total");
-  snapshot.cache_evictions = count("aapc_service_cache_evictions_total");
-  snapshot.cache_entries =
-      static_cast<std::int64_t>(snap.value("aapc_service_cache_entries"));
-  snapshot.queue_depth =
-      static_cast<std::int64_t>(snap.value("aapc_service_queue_depth"));
-  snapshot.peak_queue_depth =
-      static_cast<std::int64_t>(snap.value("aapc_service_peak_queue_depth"));
-  snapshot.stale_hits = count("aapc_service_stale_hits_total");
-  snapshot.patches = count("aapc_service_patches_total");
-  snapshot.revalidations = count("aapc_service_revalidations_total");
-  snapshot.revalidation_failures =
-      count("aapc_service_revalidation_failures_total");
-  snapshot.revalidations_dropped =
-      count("aapc_service_revalidations_dropped_total");
-  snapshot.epoch = static_cast<std::int64_t>(snap.value("aapc_service_epoch"));
-  snapshot.link_events = count("aapc_service_link_events_total");
-  snapshot.invalidations = count("aapc_service_invalidations_total");
-  if (const obs::SeriesSnapshot* compile =
-          snap.find("aapc_service_compile_seconds")) {
-    snapshot.compilations = compile->histogram.count;
-    snapshot.compile_p50_seconds = compile->histogram.quantile(0.5);
-    snapshot.compile_p95_seconds = compile->histogram.quantile(0.95);
-    snapshot.compile_max_seconds = compile->histogram.max;
-  }
-  return snapshot;
-}
-
-TextTable MetricsSnapshot::table() const {
-  TextTable table;
-  table.set_header({"metric", "value"});
-  auto add = [&](const std::string& name, const std::string& value) {
-    table.add_row({name, value});
-  };
-  add("requests", std::to_string(requests));
-  add("cache hits", std::to_string(cache_hits));
-  add("cache misses", std::to_string(cache_misses));
-  {
-    std::ostringstream os;
-    os << hit_rate() * 100.0 << " %";
-    add("hit rate", os.str());
-  }
-  add("coalesced waits", std::to_string(coalesced_waits));
-  add("compilations", std::to_string(compilations));
-  add("rejected (backpressure)", std::to_string(rejected));
-  add("hash collisions", std::to_string(hash_collisions));
-  add("cache entries", std::to_string(cache_entries));
-  add("cache evictions", std::to_string(cache_evictions));
-  add("queue depth", std::to_string(queue_depth));
-  add("peak queue depth", std::to_string(peak_queue_depth));
-  add("topology epoch", std::to_string(epoch));
-  add("link events", std::to_string(link_events));
-  add("invalidations", std::to_string(invalidations));
-  add("stale hits", std::to_string(stale_hits));
-  add("patches", std::to_string(patches));
-  add("revalidations", std::to_string(revalidations));
-  add("revalidation failures", std::to_string(revalidation_failures));
-  add("revalidations dropped", std::to_string(revalidations_dropped));
-  add("compile p50", format_seconds(compile_p50_seconds));
-  add("compile p95", format_seconds(compile_p95_seconds));
-  add("compile max", format_seconds(compile_max_seconds));
-  return table;
-}
-
-std::string MetricsSnapshot::to_string() const { return table().render(); }
 
 }  // namespace aapc::service

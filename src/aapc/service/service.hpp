@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "aapc/common/error.hpp"
-#include "aapc/common/table.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/lowering/lower.hpp"
 #include "aapc/obs/metrics.hpp"
@@ -74,15 +73,6 @@ struct ServiceOptions {
   /// Lowering configuration applied to every compilation (part of the
   /// cache key, so services with different options never share entries).
   lowering::LoweringOptions lowering;
-  /// Run the full independent verifier (core::verify_schedule) on every
-  /// compiled schedule before publishing it to the cache.
-  bool verify_compiled = true;
-  /// Build schedules through the hierarchical assignment, distributing
-  /// emission tasks across idle pool workers (the compiling thread
-  /// always participates, so this is deadlock-free even when every
-  /// worker is itself compiling). Output is bit-identical to the
-  /// sequential path, so this is not part of the cache key.
-  bool parallel_assignment = true;
 };
 
 /// A served routine, rewritten into the caller's rank labeling.
@@ -100,51 +90,13 @@ struct CompiledRoutine {
   /// Waited on a compilation started by a concurrent request.
   bool coalesced = false;
   /// The artifact predates the last topology event on its links: it is
-  /// a greedy-patched repair served immediately while a weighted
-  /// recompilation refreshes the cache in the background.
+  /// the held entry, served as is while a weighted recompilation
+  /// refreshes the cache in the background.
   bool stale = false;
   /// Global topology epoch at serve time (see service/epochs.hpp).
   std::uint64_t epoch = 0;
   /// End-to-end wall-clock latency of this request.
   double service_seconds = 0;
-};
-
-/// Point-in-time service counters (monotonic unless noted). Assembled
-/// from the service's obs::Registry — the aapc_service_* series are
-/// the source of truth and this struct is a typed view over them
-/// (metrics_snapshot() exposes the raw registry for exporters).
-struct MetricsSnapshot {
-  std::int64_t requests = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
-  std::int64_t coalesced_waits = 0;
-  std::int64_t compilations = 0;
-  std::int64_t rejected = 0;
-  std::int64_t hash_collisions = 0;
-  std::int64_t cache_entries = 0;    // current
-  std::int64_t cache_evictions = 0;
-  std::int64_t queue_depth = 0;      // current
-  std::int64_t peak_queue_depth = 0;
-  std::int64_t stale_hits = 0;
-  std::int64_t patches = 0;
-  std::int64_t revalidations = 0;
-  std::int64_t revalidation_failures = 0;
-  std::int64_t revalidations_dropped = 0;
-  std::int64_t epoch = 0;            // current
-  std::int64_t link_events = 0;
-  std::int64_t invalidations = 0;
-  double compile_p50_seconds = 0;
-  double compile_p95_seconds = 0;
-  double compile_max_seconds = 0;
-
-  double hit_rate() const {
-    return requests > 0 ? static_cast<double>(cache_hits) /
-                              static_cast<double>(requests)
-                        : 0.0;
-  }
-  /// Metric/value table (the aapc_serviced CLI prints this).
-  TextTable table() const;
-  std::string to_string() const;
 };
 
 class ScheduleService {
@@ -181,10 +133,10 @@ class ScheduleService {
                           core::CollectiveKind kind,
                           const core::SparseNeighbors& neighbors = {});
 
-  MetricsSnapshot metrics() const;
-  /// Raw registry snapshot behind metrics(), with the cache/pool
-  /// mirrors freshly synced — feed this to obs::to_prometheus_text /
-  /// obs::to_json (the aapc_serviced --metrics-out path).
+  /// Snapshot of every aapc_service_* series, with the cache/pool
+  /// mirrors freshly synced. Read series with value/total/find, or feed
+  /// it to obs::to_prometheus_text / obs::to_json (the aapc_serviced
+  /// --metrics-out path).
   obs::RegistrySnapshot metrics_snapshot() const;
   const ServiceOptions& options() const { return options_; }
 
@@ -222,12 +174,6 @@ class ScheduleService {
                                  const TopologyEpochs::View& view,
                                  core::CollectiveKind kind,
                                  const core::SparseNeighbors& neighbors);
-  /// Greedy-patched (rate-blind) repair of a stale entry, answered
-  /// inline on a stale hit. Memoized per (key, invalidation epoch) in
-  /// patched_ so concurrent stale hits do not recompute it.
-  CompiledEntryPtr patch_stale_entry(const CacheKey& key,
-                                     const CompiledEntryPtr& stale_entry,
-                                     const TopologyEpochs::View& view);
   /// Enqueues one background weighted recompilation for `key` (no-op
   /// when one is already pending — in-flight coalescing for the
   /// revalidation path).
@@ -237,7 +183,8 @@ class ScheduleService {
                              core::CollectiveKind kind,
                              const core::SparseNeighbors& neighbors);
   CompiledRoutine finish(const Canonicalization& canon, CompiledEntryPtr entry,
-                         bool cache_hit, bool coalesced, std::uint64_t epoch,
+                         bool cache_hit, bool coalesced, bool stale,
+                         std::uint64_t epoch,
                          std::chrono::steady_clock::time_point start) const;
   double retry_after_hint() const;
   void record_compile_latency(double seconds);
@@ -256,13 +203,6 @@ class ScheduleService {
   /// Keys with a pending background revalidation (guarded by
   /// in_flight_mutex_): at most one revalidation per key at a time.
   std::unordered_set<CacheKey, CacheKeyHash> revalidating_;
-  /// Patched stale artifacts by key -> (invalidation epoch, entry),
-  /// guarded by in_flight_mutex_. Erased when the revalidated entry
-  /// lands in the cache, so the buffer is bounded by the number of
-  /// simultaneously-stale keys.
-  std::unordered_map<CacheKey, std::pair<std::uint64_t, CompiledEntryPtr>,
-                     CacheKeyHash>
-      patched_;
 
   /// Link-churn feed. Background revalidation tasks read it, so it is
   /// declared before pool_ (destroyed after the pool joins).
@@ -277,6 +217,11 @@ class ScheduleService {
   /// kind, indexed by the kind's wire byte. Registered in the
   /// constructor body (the registry hands out stable references).
   std::array<obs::Counter*, 4> requests_{};
+  /// One of these two per request past validation, so hits + misses
+  /// equals requests: a hit found the key cached (fresh or stale), a
+  /// miss waited on a compilation (its own or a coalesced one).
+  obs::Counter& cache_hits_;
+  obs::Counter& cache_misses_;
   obs::Counter& coalesced_waits_;
   obs::Counter& rejected_;
   obs::Counter& hash_collisions_;
@@ -292,10 +237,8 @@ class ScheduleService {
   obs::Gauge& compile_ranks_;
   /// Churn / stale-while-revalidate instrumentation.
   obs::Counter& stale_hits_;
-  obs::Counter& patches_;
   obs::Counter& revalidations_;
   obs::Counter& revalidation_failures_;
-  obs::Histogram& patch_seconds_;
   obs::Histogram& revalidation_seconds_;
 
   /// Bounded ring of recent compile latencies (retry_after_hint's

@@ -144,12 +144,13 @@ TEST(HierarchicalTest, PeakBoundHoldsOnHierarchicalSchedules) {
   }
 }
 
-TEST(HierarchicalTest, SchedulerOptionsRouteThroughHierarchicalPath) {
+TEST(HierarchicalTest, BuildAapcScheduleEqualsFlatAssignment) {
   const Topology topo = topology::make_chain({5, 4, 3});
+  const Decomposition dec = decompose(topo);
   SchedulerOptions options;
-  options.hierarchical = true;
   options.runner = threaded_runner;
-  expect_bit_identical(build_aapc_schedule(topo),
+  expect_bit_identical(assign_messages(dec), build_aapc_schedule(topo));
+  expect_bit_identical(assign_messages(dec),
                        build_aapc_schedule(topo, options));
 }
 

@@ -458,13 +458,15 @@ TEST(NetdChurnTest, DegradeServesStaleThenRevalidatesOverTheWire) {
   EXPECT_EQ(ack.invalidated, 1u);
   EXPECT_FALSE(ack.reelected);  // a degraded trunk still forwards
 
-  // The invalidated entry answers immediately — patched, flagged stale,
-  // stamped with the new epoch — while the weighted recompilation runs.
+  // The invalidated entry answers immediately — the schedule already
+  // held, flagged stale, stamped with the new epoch — while the
+  // weighted recompilation runs.
   const ResponseFrame stale = client.compile(elected, 8_KiB);
   EXPECT_TRUE(stale.stale);
   EXPECT_TRUE(stale.cache_hit);
   EXPECT_EQ(stale.epoch, 1u);
   EXPECT_EQ(stale.canonical_hash, healthy.canonical_hash);
+  EXPECT_EQ(stale.schedule_json, healthy.schedule_json);
 
   const ResponseFrame fresh = compile_until_fresh(client, elected, 8_KiB);
   EXPECT_FALSE(fresh.stale);

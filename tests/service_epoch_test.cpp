@@ -2,8 +2,8 @@
 // invalidation accounting (only hashes bound to the event's link are
 // stamped, nothing is evicted), concurrent event/reader hammering (run
 // under TSan in CI), and the end-to-end serving contract — a stale hit
-// answers immediately with a greedy-patched artifact and a background
-// weighted recompilation refreshes the entry exactly once.
+// answers immediately with the schedule the service already holds and
+// a background weighted recompilation refreshes the entry exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "aapc/common/rng.hpp"
-#include "aapc/core/greedy.hpp"
 #include "aapc/core/verify.hpp"
 #include "aapc/core/weighted.hpp"
 #include "aapc/service/epochs.hpp"
@@ -194,10 +193,10 @@ TEST(ScheduleServiceChurnTest, StaleHitAnswersImmediatelyThenRefreshes) {
   EXPECT_TRUE(stale.stale);
   EXPECT_TRUE(stale.cache_hit);
   EXPECT_EQ(stale.epoch, 1u);
-  // The patched schedule is a complete, contention-free AAPC schedule.
-  const core::VerifyReport report = core::verify_schedule_pattern(
-      topo, stale.schedule, core::aapc_pattern(topo),
-      core::VerifyOptions{.require_optimal_phase_count = false});
+  // The held schedule is still a complete, contention-free,
+  // peak-bound AAPC schedule: the event changed a rate, not the tree.
+  const core::VerifyReport report =
+      core::verify_schedule(topo, stale.schedule);
   EXPECT_TRUE(report.ok) << report.summary();
 
   // The background revalidation replaces the entry with a weighted
@@ -216,13 +215,48 @@ TEST(ScheduleServiceChurnTest, StaleHitAnswersImmediatelyThenRefreshes) {
   EXPECT_DOUBLE_EQ(
       fresh.entry->link_rates[static_cast<std::size_t>(canonical_link)], 0.25);
 
-  const MetricsSnapshot metrics = service.metrics();
-  EXPECT_GE(metrics.stale_hits, 1);
-  EXPECT_GE(metrics.patches, 1);
-  EXPECT_GE(metrics.revalidations, 1);
-  EXPECT_EQ(metrics.revalidation_failures, 0);
-  EXPECT_EQ(metrics.epoch, 1);
-  EXPECT_EQ(metrics.invalidations, 1);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_GE(metrics.value("aapc_service_stale_hits_total"), 1.0);
+  EXPECT_GE(metrics.value("aapc_service_revalidations_total"), 1.0);
+  EXPECT_EQ(metrics.value("aapc_service_revalidation_failures_total"), 0.0);
+  EXPECT_EQ(metrics.value("aapc_service_epoch"), 1.0);
+  EXPECT_EQ(metrics.value("aapc_service_invalidations_total"), 1.0);
+}
+
+TEST(ScheduleServiceChurnTest, StaleHitServesTheHeldSchedule) {
+  // The bench_churn edge star: an empty hub, one machine behind the
+  // trunk under test, four behind each of two full-rate trunks. The
+  // held schedule meets the peak bound (20 phases); a rate-only degrade
+  // of the one-machine trunk leaves the tree unchanged, so the stale
+  // hit must serve that schedule as is, not a rescheduled one.
+  ScheduleService service;
+  const Topology topo = topology::make_star({0, 1, 4, 4});
+  prime_and_bind(service, topo, 64_KiB);
+  const CompiledRoutine healthy = service.compile(topo, 64_KiB);
+  ASSERT_FALSE(healthy.stale);
+
+  const topology::NodeId slow_switch = topo.parent(topo.machine_node(0));
+  LinkId trunk = -1;
+  for (LinkId l = 0; l < topo.link_count(); ++l) {
+    const auto [a, b] = topo.link_endpoints(l);
+    if ((a == slow_switch || b == slow_switch) && !topo.is_machine(a) &&
+        !topo.is_machine(b)) {
+      trunk = l;
+    }
+  }
+  ASSERT_GE(trunk, 0);
+  service.epochs().link_event(trunk, 0.5);
+
+  const CompiledRoutine stale = service.compile(topo, 64_KiB);
+  EXPECT_TRUE(stale.stale);
+  EXPECT_TRUE(stale.cache_hit);
+  EXPECT_EQ(stale.schedule.phase_begin, healthy.schedule.phase_begin);
+  EXPECT_EQ(stale.schedule.messages, healthy.schedule.messages);
+  const core::VerifyReport report =
+      core::verify_schedule(topo, stale.schedule);
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(stale.schedule.phase_count(), topo.aapc_load());
+  EXPECT_EQ(topo.aapc_load(), 20);
 }
 
 TEST(ScheduleServiceChurnTest, UntouchedTopologiesKeepTheirEntries) {
@@ -245,7 +279,9 @@ TEST(ScheduleServiceChurnTest, UntouchedTopologiesKeepTheirEntries) {
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_FALSE(hit.stale);
   EXPECT_EQ(hit.epoch, 1u);  // the global epoch still advanced
-  EXPECT_EQ(service.metrics().invalidations, 1);
+  EXPECT_EQ(
+      service.metrics_snapshot().value("aapc_service_invalidations_total"),
+      1.0);
 }
 
 TEST(ScheduleServiceChurnTest, StaleHitsCoalesceIntoOneRevalidation) {
@@ -274,13 +310,13 @@ TEST(ScheduleServiceChurnTest, StaleHitsCoalesceIntoOneRevalidation) {
     EXPECT_TRUE(routine.stale);
   }
   blocked.join();
-  // Counters at this point: the 16 loop hits, exactly one memoized
-  // patch, and at most one (possibly not yet executed) revalidation.
-  // Captured before the freshness polling below, which adds stale hits
-  // of its own while the revalidation drains.
-  const MetricsSnapshot during = service.metrics();
-  EXPECT_EQ(during.stale_hits, 16);
-  EXPECT_EQ(during.patches, 1);
+  // Counters at this point: the 16 loop hits and at most one (possibly
+  // not yet executed) revalidation. Captured before the freshness
+  // polling below, which adds stale hits of its own while the
+  // revalidation drains.
+  EXPECT_EQ(
+      service.metrics_snapshot().value("aapc_service_stale_hits_total"),
+      16.0);
 
   CompiledRoutine fresh = service.compile(topo, 2048);
   for (int i = 0; i < 2000 && fresh.stale; ++i) {
@@ -288,10 +324,9 @@ TEST(ScheduleServiceChurnTest, StaleHitsCoalesceIntoOneRevalidation) {
     fresh = service.compile(topo, 2048);
   }
   ASSERT_FALSE(fresh.stale);
-  const MetricsSnapshot metrics = service.metrics();
-  EXPECT_EQ(metrics.patches, 1);
-  EXPECT_EQ(metrics.revalidations, 1);
-  EXPECT_EQ(metrics.revalidations_dropped, 0);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(metrics.value("aapc_service_revalidations_total"), 1.0);
+  EXPECT_EQ(metrics.value("aapc_service_revalidations_dropped_total"), 0.0);
 }
 
 TEST(ScheduleServiceChurnTest, MissAfterInvalidationCompilesWeightedDirectly) {

@@ -24,6 +24,14 @@ using topology::NodeId;
 using topology::Rank;
 using topology::Topology;
 
+/// Compilations the service ran: the sample count of its compile
+/// latency histogram.
+std::int64_t compilations(const obs::RegistrySnapshot& metrics) {
+  const obs::SeriesSnapshot* compile =
+      metrics.find("aapc_service_compile_seconds");
+  return compile != nullptr ? compile->histogram.count : 0;
+}
+
 /// Node-order relabeling of `topo` (same tree, fresh labels/ranks).
 Topology shuffled_copy(const Topology& topo, Rng& rng) {
   const std::int32_t n = topo.node_count();
@@ -52,10 +60,10 @@ TEST(ScheduleServiceTest, ColdThenWarm) {
   EXPECT_FALSE(cold.cache_hit);
   const CompiledRoutine warm = service.compile(topo, 64_KiB);
   EXPECT_TRUE(warm.cache_hit);
-  const MetricsSnapshot metrics = service.metrics();
-  EXPECT_EQ(metrics.requests, 2);
-  EXPECT_EQ(metrics.cache_hits, 1);
-  EXPECT_EQ(metrics.compilations, 1);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(metrics.total("aapc_service_requests_total"), 2.0);
+  EXPECT_EQ(metrics.value("aapc_service_cache_hits_total"), 1.0);
+  EXPECT_EQ(compilations(metrics), 1);
   EXPECT_EQ(warm.schedule.phase_count(), topo.aapc_load());
 }
 
@@ -69,7 +77,7 @@ TEST(ScheduleServiceTest, SizeClassesShareScheduleNotEntry) {
   EXPECT_TRUE(at_64k.cache_hit);  // same class
   const CompiledRoutine at_128k = service.compile(topo, 128_KiB);
   EXPECT_FALSE(at_128k.cache_hit);  // next class compiles anew
-  EXPECT_EQ(service.metrics().compilations, 2);
+  EXPECT_EQ(compilations(service.metrics_snapshot()), 2);
 }
 
 TEST(ScheduleServiceTest, IsomorphicRelabelingsHitOneEntry) {
@@ -90,9 +98,9 @@ TEST(ScheduleServiceTest, IsomorphicRelabelingsHitOneEntry) {
     EXPECT_TRUE(report.ok) << report.summary();
     EXPECT_EQ(served.schedule.phase_count(), relabeled.aapc_load());
   }
-  const MetricsSnapshot metrics = service.metrics();
-  EXPECT_EQ(metrics.compilations, 1);
-  EXPECT_EQ(metrics.cache_hits, 6);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(compilations(metrics), 1);
+  EXPECT_EQ(metrics.value("aapc_service_cache_hits_total"), 6.0);
 }
 
 TEST(ScheduleServiceTest, RewrittenProgramsExecuteOnCallerTopology) {
@@ -138,11 +146,18 @@ TEST(ScheduleServiceTest, CoalescingCompilesExactlyOnce) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  const MetricsSnapshot metrics = service.metrics();
-  EXPECT_EQ(metrics.requests, kRequests);
-  EXPECT_EQ(metrics.compilations, 1);
-  EXPECT_EQ(metrics.cache_hits + metrics.coalesced_waits + 1, kRequests);
-  EXPECT_EQ(metrics.rejected, 0);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(metrics.total("aapc_service_requests_total"), kRequests);
+  EXPECT_EQ(compilations(metrics), 1);
+  EXPECT_EQ(metrics.value("aapc_service_cache_hits_total") +
+                metrics.value("aapc_service_coalesced_waits_total") + 1,
+            kRequests);
+  // Each request counts once: as a hit, or as a miss (the leader and
+  // every coalesced waiter).
+  EXPECT_EQ(metrics.value("aapc_service_cache_hits_total") +
+                metrics.value("aapc_service_cache_misses_total"),
+            kRequests);
+  EXPECT_EQ(metrics.value("aapc_service_rejected_total"), 0.0);
 }
 
 TEST(ScheduleServiceTest, ManyTopologiesConcurrently) {
@@ -180,9 +195,10 @@ TEST(ScheduleServiceTest, ManyTopologiesConcurrently) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  const MetricsSnapshot metrics = service.metrics();
-  EXPECT_EQ(metrics.requests, kThreads * kIterations);
-  EXPECT_LE(metrics.compilations, 4);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(metrics.total("aapc_service_requests_total"),
+            kThreads * kIterations);
+  EXPECT_LE(compilations(metrics), 4);
 }
 
 TEST(ScheduleServiceTest, BackpressureRejectsWithRetryAfter) {
@@ -216,7 +232,8 @@ TEST(ScheduleServiceTest, BackpressureRejectsWithRetryAfter) {
   // With 13 concurrent compilations against 1 worker + 1 queue slot,
   // some must be rejected — and the metrics must agree.
   EXPECT_GT(rejected.load(), 0);
-  EXPECT_EQ(service.metrics().rejected, rejected.load());
+  EXPECT_EQ(service.metrics_snapshot().value("aapc_service_rejected_total"),
+            rejected.load());
   // Rejected keys retry successfully once the backlog drains.
   for (const Topology& topo : topologies) {
     for (;;) {
@@ -228,7 +245,9 @@ TEST(ScheduleServiceTest, BackpressureRejectsWithRetryAfter) {
       }
     }
   }
-  EXPECT_EQ(service.metrics().hash_collisions, 0);
+  EXPECT_EQ(
+      service.metrics_snapshot().value("aapc_service_hash_collisions_total"),
+      0.0);
 }
 
 TEST(ScheduleServiceTest, SizeClassMath) {
@@ -317,14 +336,14 @@ TEST(ScheduleServiceTest, CompileLatencyReservoirStaysBounded) {
   // The tiny cache can hold 2 of 6 topologies: most requests recompile,
   // yet the reservoir never exceeds its capacity while the metrics
   // histogram still counts every compilation.
-  EXPECT_GT(service.metrics().compilations, 6);
+  const std::int64_t compiled = compilations(service.metrics_snapshot());
+  EXPECT_GT(compiled, 6);
   EXPECT_EQ(service.latency_reservoir_size(),
-            std::min<std::size_t>(
-                static_cast<std::size_t>(service.metrics().compilations),
-                ScheduleService::kLatencyReservoirCapacity));
+            std::min<std::size_t>(static_cast<std::size_t>(compiled),
+                                  ScheduleService::kLatencyReservoirCapacity));
 }
 
-TEST(ScheduleServiceTest, MetricsSnapshotExposesRegistrySeries) {
+TEST(ScheduleServiceTest, MetricsExposeRegistrySeries) {
   ScheduleService service;
   service.compile(topology::make_paper_figure1(), 8_KiB);
   service.compile(topology::make_paper_figure1(), 8_KiB);  // cache hit
@@ -338,28 +357,17 @@ TEST(ScheduleServiceTest, MetricsSnapshotExposesRegistrySeries) {
   EXPECT_EQ(snap.value("aapc_service_requests_total",
                        obs::Labels{{"kind", "allgather"}}),
             0.0);
-  EXPECT_GE(snap.value("aapc_service_cache_hits_total"), 1.0);
-  // 2, not 1: the compiling request re-checks the cache after winning
-  // the in-flight race (the "late hit" path), and that lookup counts.
-  EXPECT_EQ(snap.value("aapc_service_cache_misses_total"), 2.0);
+  // One outcome per request: the cold request is one miss (its
+  // late-hit recheck under the in-flight lock does not count again),
+  // the warm one a hit.
+  EXPECT_EQ(snap.value("aapc_service_cache_hits_total"), 1.0);
+  EXPECT_EQ(snap.value("aapc_service_cache_misses_total"), 1.0);
   EXPECT_EQ(snap.value("aapc_service_cache_entries"), 1.0);
   const obs::SeriesSnapshot* compile =
       snap.find("aapc_service_compile_seconds");
   ASSERT_NE(compile, nullptr);
   EXPECT_EQ(compile->histogram.count, 1);
-  // The typed MetricsSnapshot is a view over the same registry.
-  const MetricsSnapshot metrics = service.metrics();
-  EXPECT_EQ(metrics.requests, 2);
-  EXPECT_EQ(metrics.compilations, 1);
-  EXPECT_EQ(metrics.compile_max_seconds, compile->histogram.max);
-}
-
-TEST(ScheduleServiceTest, MetricsTableRenders) {
-  ScheduleService service;
-  service.compile(topology::make_paper_figure1(), 8_KiB);
-  const std::string rendered = service.metrics().to_string();
-  EXPECT_NE(rendered.find("requests"), std::string::npos);
-  EXPECT_NE(rendered.find("compile p95"), std::string::npos);
+  EXPECT_GT(compile->histogram.max, 0.0);
 }
 
 }  // namespace
