@@ -24,8 +24,7 @@ class ByteWriter {
   void u64(std::uint64_t v) { append_le(v, 8); }
   /// u32 byte length followed by the raw bytes.
   void str(std::string_view v);
-  /// Raw bytes, no length prefix.
-  void raw(std::string_view v) { out_.append(v); }
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   const std::string& bytes() const { return out_; }
   std::string take() { return std::move(out_); }

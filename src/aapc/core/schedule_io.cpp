@@ -1,7 +1,7 @@
 #include "aapc/core/schedule_io.hpp"
 
 #include <cctype>
-#include <sstream>
+#include <charconv>
 
 #include "aapc/common/error.hpp"
 
@@ -9,27 +9,47 @@ namespace aapc::core {
 
 std::string schedule_to_json(const Schedule& schedule,
                              std::int32_t machine_count) {
-  std::ostringstream os;
-  os << "{\"machines\":" << machine_count;
+  char machines[16];
+  const std::size_t width = static_cast<std::size_t>(
+      std::to_chars(machines, machines + sizeof machines, machine_count).ptr -
+      machines);
+  // Served ranks lie in [0, machine_count) (the reader enforces it), so
+  // none is wider than machine_count and a message takes at most
+  // ",[src,dst]". 64 covers the header, the kind and the closing "]}".
+  // A schedule breaking that range still serializes, with a regrowth.
+  std::string out;
+  out.reserve(64 + 3 * static_cast<std::size_t>(schedule.phase_count()) +
+              (2 * width + 4) * schedule.messages.size());
+  out.append("{\"machines\":");
+  out.append(machines, width);
   // Alltoall is implicit so pre-kind schedule JSON stays byte-identical
   // (determinism goldens, netd loadgen byte-compare).
   if (schedule.kind != CollectiveKind::kAlltoall) {
-    os << ",\"kind\":\"" << collective_kind_name(schedule.kind) << '"';
+    out.append(",\"kind\":\"");
+    out.append(collective_kind_name(schedule.kind));
+    out.push_back('"');
   }
-  os << ",\"phases\":[";
+  out.append(",\"phases\":[");
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
-    if (p > 0) os << ',';
-    os << '[';
-    bool first = true;
-    for (const ScheduledMessage& sm : schedule.phase(p)) {
-      if (!first) os << ',';
-      first = false;
-      os << '[' << sm.message.src << ',' << sm.message.dst << ']';
+    if (p > 0) out.push_back(',');
+    out.push_back('[');
+    const PhaseSpan phase = schedule.phase(p);
+    for (std::size_t i = 0; i < phase.size(); ++i) {
+      constexpr std::ptrdiff_t kRankChars = 11;  // "-2147483648"
+      char text[2 * kRankChars + 4];
+      char* end = text;
+      if (i > 0) *end++ = ',';
+      *end++ = '[';
+      end = std::to_chars(end, end + kRankChars, phase[i].message.src).ptr;
+      *end++ = ',';
+      end = std::to_chars(end, end + kRankChars, phase[i].message.dst).ptr;
+      *end++ = ']';
+      out.append(text, static_cast<std::size_t>(end - text));
     }
-    os << ']';
+    out.push_back(']');
   }
-  os << "]}";
-  return os.str();
+  out.append("]}");
+  return out;
 }
 
 namespace {

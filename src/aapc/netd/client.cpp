@@ -116,7 +116,9 @@ void Client::send_raw(std::string_view bytes) {
 Frame Client::read_frame() {
   AAPC_REQUIRE(fd_ >= 0, "client is not connected");
   while (true) {
-    if (std::optional<Frame> frame = decoder_.next()) return *frame;
+    if (std::optional<Frame> frame = decoder_.next()) {
+      return std::move(*frame);
+    }
     char buf[64 * 1024];
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {

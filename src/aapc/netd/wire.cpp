@@ -16,21 +16,31 @@ namespace {
 /// corrupt count fails with a clear message instead of a truncation.
 constexpr std::uint32_t kMaxRanks = 1u << 20;
 
-std::string finish_frame(FrameType type, std::uint64_t request_id,
-                         std::string payload,
-                         std::uint8_t version = kLegacyProtocolVersion) {
-  AAPC_REQUIRE(payload.size() <= kMaxPayload,
-               "frame payload of " << payload.size()
-                                   << " bytes exceeds kMaxPayload");
+/// A frame header with payload_length 0. The encoder writes the payload
+/// into the same buffer and finish_frame patches the length, so the
+/// payload is never copied from a buffer of its own into the frame.
+ByteWriter begin_frame(FrameType type, std::uint64_t request_id,
+                       std::uint8_t version = kLegacyProtocolVersion) {
   ByteWriter w;
   w.u32(kMagic);
   w.u8(version);
   w.u8(static_cast<std::uint8_t>(type));
   w.u16(0);  // reserved
   w.u64(request_id);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.raw(payload);
-  return w.take();
+  w.u32(0);  // payload_length, patched by finish_frame
+  return w;
+}
+
+std::string finish_frame(ByteWriter w) {
+  std::string frame = w.take();
+  const std::size_t payload = frame.size() - kHeaderSize;
+  AAPC_REQUIRE(payload <= kMaxPayload,
+               "frame payload of " << payload << " bytes exceeds kMaxPayload");
+  // payload_length is the header's last field, little-endian.
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[kHeaderSize - 4 + i] = static_cast<char>((payload >> (8 * i)) & 0xff);
+  }
+  return frame;
 }
 
 /// Re-throws payload parse failures as ProtocolError with context, so
@@ -81,7 +91,8 @@ std::string encode_request(const RequestFrame& request) {
   AAPC_REQUIRE(request.kind == core::CollectiveKind::kSparseAlltoall ||
                    request.neighbors.empty(),
                "neighbor sets are only meaningful for sparse_alltoall");
-  ByteWriter w;
+  ByteWriter w =
+      begin_frame(FrameType::kRequest, request.request_id, kProtocolVersion);
   w.u64(request.message_bytes);
   w.str(request.tenant);
   w.str(request.topology_text);
@@ -96,24 +107,27 @@ std::string encode_request(const RequestFrame& request) {
       w.u32(static_cast<std::uint32_t>(v));
     }
   }
-  return finish_frame(FrameType::kRequest, request.request_id, w.take(),
-                      kProtocolVersion);
+  return finish_frame(std::move(w));
 }
 
 std::string encode_request_v2(const RequestFrame& request) {
   AAPC_REQUIRE(request.kind == core::CollectiveKind::kAlltoall &&
                    request.neighbors.empty(),
                "the v2 request layout can only express alltoall");
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kRequest, request.request_id,
+                             kLegacyProtocolVersion);
   w.u64(request.message_bytes);
   w.str(request.tenant);
   w.str(request.topology_text);
-  return finish_frame(FrameType::kRequest, request.request_id, w.take(),
-                      kLegacyProtocolVersion);
+  return finish_frame(std::move(w));
 }
 
 std::string encode_response(const ResponseFrame& response) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kResponse, response.request_id);
+  // The whole frame: fixed fields, to_canonical, the JSON string. With
+  // it reserved, the JSON, most of a large response, is copied once.
+  w.reserve(kHeaderSize + 32 + 4 * response.to_canonical.size() +
+            response.schedule_json.size());
   w.u8(response.cache_hit ? 1 : 0);
   w.u8(response.coalesced ? 1 : 0);
   w.u8(response.stale ? 1 : 0);
@@ -126,26 +140,26 @@ std::string encode_response(const ResponseFrame& response) {
     w.u32(static_cast<std::uint32_t>(rank));
   }
   w.str(response.schedule_json);
-  return finish_frame(FrameType::kResponse, response.request_id, w.take());
+  return finish_frame(std::move(w));
 }
 
 std::string encode_error(const ErrorFrame& error) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kError, error.request_id);
   w.u32(static_cast<std::uint32_t>(error.code));
   w.u32(error.retry_after_ms);
   w.str(error.message);
-  return finish_frame(FrameType::kError, error.request_id, w.take());
+  return finish_frame(std::move(w));
 }
 
 std::string encode_metrics_request(std::uint64_t request_id) {
-  return finish_frame(FrameType::kMetricsRequest, request_id, std::string());
+  return finish_frame(begin_frame(FrameType::kMetricsRequest, request_id));
 }
 
 std::string encode_metrics_response(std::uint64_t request_id,
                                     std::string_view json) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kMetricsResponse, request_id);
   w.str(json);
-  return finish_frame(FrameType::kMetricsResponse, request_id, w.take());
+  return finish_frame(std::move(w));
 }
 
 RequestFrame decode_request(const Frame& frame) {
@@ -257,22 +271,22 @@ ErrorFrame decode_error(const Frame& frame) {
 }
 
 std::string encode_churn_event(const ChurnEventFrame& event) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kChurnEvent, event.request_id);
   w.u8(static_cast<std::uint8_t>(event.kind));
   w.u8(0);  // reserved
   w.u16(0);
   w.u32(static_cast<std::uint32_t>(event.link));
   // f64 crosses the wire as its IEEE-754 bit pattern in a u64.
   w.u64(std::bit_cast<std::uint64_t>(event.factor));
-  return finish_frame(FrameType::kChurnEvent, event.request_id, w.take());
+  return finish_frame(std::move(w));
 }
 
 std::string encode_churn_ack(const ChurnAckFrame& ack) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kChurnAck, ack.request_id);
   w.u64(ack.epoch);
   w.u64(ack.invalidated);
   w.u8(ack.reelected ? 1 : 0);
-  return finish_frame(FrameType::kChurnAck, ack.request_id, w.take());
+  return finish_frame(std::move(w));
 }
 
 ChurnEventFrame decode_churn_event(const Frame& frame) {

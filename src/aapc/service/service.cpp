@@ -49,6 +49,11 @@ std::string format_seconds(double seconds) {
 
 }  // namespace
 
+mpisim::ProgramSet CompiledRoutine::caller_programs() const {
+  return mpisim::relabel_program_set(entry->programs,
+                                     core::invert_permutation(to_canonical));
+}
+
 std::uint32_t ScheduleService::size_class(Bytes msize) {
   AAPC_REQUIRE(msize >= 1, "message size must be >= 1 byte");
   // Reject the upper bound here, at request entry: without this, a
@@ -287,11 +292,8 @@ CompiledRoutine ScheduleService::finish(const Canonicalization& canon,
                                         std::uint64_t epoch,
                                         Clock::time_point start) const {
   CompiledRoutine routine;
-  const std::vector<topology::Rank> from_canonical =
-      core::invert_permutation(canon.to_canonical);
-  routine.schedule = core::relabel_schedule(entry->schedule, from_canonical);
-  routine.programs = mpisim::relabel_program_set(entry->programs,
-                                                 from_canonical);
+  routine.schedule = core::relabel_schedule(
+      entry->schedule, core::invert_permutation(canon.to_canonical));
   routine.entry = std::move(entry);
   routine.to_canonical = canon.to_canonical;
   routine.cache_hit = cache_hit;

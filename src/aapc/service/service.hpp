@@ -7,8 +7,8 @@
 //   request (topology, msize)
 //     -> canonicalize            relabeling-invariant identity + rank
 //                                permutation (service/canonical.hpp)
-//     -> sharded LRU cache       hit: rewrite cached artifact into the
-//                                caller's labeling, done
+//     -> sharded LRU cache       hit: rewrite the cached schedule into
+//                                the caller's labeling, done
 //     -> in-flight coalescing    N concurrent misses on one canonical
 //                                key trigger exactly one compilation;
 //                                the rest wait on its shared future
@@ -17,11 +17,12 @@
 //                                hint instead of queueing unboundedly
 //
 // Compiled artifacts live in canonical rank labeling and are immutable;
-// every response rewrites a shared artifact through the caller's rank
-// permutation (core::relabel_schedule, mpisim::relabel_program_set),
-// which preserves contention-freeness because the permutation comes
-// from a tree isomorphism. See docs/SERVICE.md for the architecture,
-// cache-key definition, and backpressure contract.
+// every response rewrites the shared schedule through the caller's rank
+// permutation (core::relabel_schedule), which preserves
+// contention-freeness because the permutation comes from a tree
+// isomorphism. The lowered programs are rewritten only for a caller
+// that asks (CompiledRoutine::caller_programs). See docs/SERVICE.md for
+// the architecture, cache-key definition, and backpressure contract.
 #pragma once
 
 #include <array>
@@ -81,8 +82,6 @@ struct CompiledRoutine {
   CompiledEntryPtr entry;
   /// Phase schedule in the caller's ranks.
   core::Schedule schedule;
-  /// Lowered per-rank programs in the caller's ranks.
-  mpisim::ProgramSet programs;
   /// caller rank -> canonical rank (entry->schedule labeling).
   std::vector<topology::Rank> to_canonical;
   /// Served straight from the cache (no compilation waited on).
@@ -97,6 +96,11 @@ struct CompiledRoutine {
   std::uint64_t epoch = 0;
   /// End-to-end wall-clock latency of this request.
   double service_seconds = 0;
+
+  /// The lowered per-rank programs in the caller's ranks, rewritten
+  /// from entry->programs on each call (O(ops)). The service itself
+  /// never calls this: serving a schedule needs no programs.
+  mpisim::ProgramSet caller_programs() const;
 };
 
 class ScheduleService {

@@ -86,6 +86,72 @@ TEST(NetdServerTest, LoopbackResponsesBitIdenticalToInProcessService) {
   }
 }
 
+TEST(NetdServerTest, PipelinedLargeResponsesBitIdenticalToInProcessService) {
+  // Twelve requests pipelined on one connection, alternating two kinds
+  // on a relabeled 256-rank fat tree: ~0.6 MB per response, ~7 MB in
+  // all, more than loopback socket buffers take (~4 MB) while the
+  // client reads nothing. The server queues frames behind a partially
+  // sent one, hits EAGAIN, and compacts its output buffer as the
+  // client drains it.
+  const auto server = start_server();
+  Client client("127.0.0.1", server->port());
+  Rng rng(41);
+  const Topology topo = shuffled_copy(topology::make_fat_tree(8, 4, 8), rng);
+  ASSERT_EQ(topo.machine_count(), 256);
+  service::ScheduleService reference;
+  const core::CollectiveKind kinds[] = {core::CollectiveKind::kAlltoall,
+                                        core::CollectiveKind::kAllgather};
+  std::string expected_json[2];
+  std::vector<topology::Rank> to_canonical;
+  for (int k = 0; k < 2; ++k) {
+    const service::CompiledRoutine in_process =
+        reference.compile(topo, 64_KiB, kinds[k]);
+    expected_json[k] =
+        core::schedule_to_json(in_process.schedule, topo.machine_count());
+    ASSERT_GT(expected_json[k].size(), 500'000u);
+    to_canonical = in_process.to_canonical;
+  }
+
+  constexpr std::uint64_t kRequests = 12;
+  RequestFrame request;
+  request.message_bytes = 64_KiB;
+  request.tenant = "pipeline";
+  request.topology_text = topology::serialize_topology(topo);
+  std::string pipelined;
+  for (std::uint64_t id = 0; id < kRequests; ++id) {
+    request.request_id = id;
+    request.kind = kinds[id % 2];
+    pipelined += encode_request(request);
+  }
+  client.send_raw(pipelined);
+  // Read nothing until the server has encoded every response, so the
+  // socket buffers fill first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const obs::RegistrySnapshot snapshot = server->metrics_snapshot();
+    const obs::SeriesSnapshot* frames =
+        snapshot.find("aapc_netd_response_frame_bytes");
+    if (frames != nullptr &&
+        frames->histogram.count >= static_cast<std::int64_t>(kRequests)) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  std::vector<bool> answered(kRequests, false);
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const ResponseFrame response = decode_response(client.read_frame());
+    ASSERT_LT(response.request_id, kRequests);
+    EXPECT_FALSE(answered[response.request_id])
+        << "request " << response.request_id << " answered twice";
+    answered[response.request_id] = true;
+    EXPECT_EQ(response.schedule_json, expected_json[response.request_id % 2])
+        << "request " << response.request_id;
+    EXPECT_EQ(response.to_canonical, to_canonical);
+  }
+}
+
 TEST(NetdServerTest, CacheHitAndCoalesceFlagsTravelTheWire) {
   const auto server = start_server();
   Client client("127.0.0.1", server->port());

@@ -1,7 +1,12 @@
 // Tests for the JSON schedule serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+
 #include "aapc/common/error.hpp"
+#include "aapc/core/collectives.hpp"
 #include "aapc/core/schedule_io.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
@@ -97,6 +102,38 @@ TEST(ScheduleIoTest, LargeScheduleRoundTrip) {
       schedule_to_json(original, 16), 16);
   EXPECT_EQ(loaded.message_count(), original.message_count());
   EXPECT_TRUE(verify_schedule(topo, loaded).ok);
+}
+
+/// FNV-1a over the bytes of a serialized schedule.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The served wire bytes are this JSON. The digests were computed with
+// the ostringstream writer the to_chars writer replaced, so these pin
+// the format byte for byte on schedules of served size.
+TEST(ScheduleIoTest, GoldenDigests) {
+  const Topology fat_tree = topology::make_fat_tree(8, 4, 8);
+  ASSERT_EQ(fat_tree.machine_count(), 256);
+  const Topology figure1 = make_paper_figure1();
+  const std::string alltoall =
+      schedule_to_json(build_aapc_schedule(fat_tree), 256);
+  const std::string allgather =
+      schedule_to_json(build_allgather_schedule(fat_tree), 256);
+  const std::string paper = schedule_to_json(build_aapc_schedule(figure1),
+                                             figure1.machine_count());
+  ASSERT_NE(allgather.find("\"kind\":\"allgather\""), std::string::npos);
+  EXPECT_EQ(alltoall.size(), 611063u);
+  EXPECT_EQ(fnv1a(alltoall), 0xa9985392983222c6ull);
+  EXPECT_EQ(allgather.size(), 597256u);
+  EXPECT_EQ(fnv1a(allgather), 0x6d1b8137ed62f492ull);
+  EXPECT_EQ(paper.size(), 223u);
+  EXPECT_EQ(fnv1a(paper), 0x5f4904bd511b08c1ull);
 }
 
 }  // namespace

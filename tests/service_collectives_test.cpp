@@ -143,7 +143,7 @@ TEST(ServiceCollectivesTest, RingKindsServeOptimalSchedulesInCallerRanks) {
     const core::VerifyReport report =
         core::verify_collective_schedule(topo, routine.schedule);
     EXPECT_TRUE(report.ok) << report.summary();
-    EXPECT_EQ(static_cast<std::int64_t>(routine.programs.programs.size()), n);
+    EXPECT_EQ(routine.caller_programs().rank_count(), n);
   }
 }
 

@@ -111,12 +111,25 @@ TEST(ScheduleServiceTest, RewrittenProgramsExecuteOnCallerTopology) {
   const Topology relabeled = shuffled_copy(base, rng);
   const CompiledRoutine served = service.compile(relabeled, 16_KiB);
   EXPECT_TRUE(served.cache_hit);
+  const mpisim::ProgramSet programs = served.caller_programs();
+  // The accessor is the canonical programs rewritten through the
+  // caller's permutation, nothing more.
+  const mpisim::ProgramSet expected = mpisim::relabel_program_set(
+      served.entry->programs, core::invert_permutation(served.to_canonical));
+  EXPECT_EQ(programs.name, expected.name);
+  ASSERT_EQ(programs.rank_count(), relabeled.machine_count());
+  ASSERT_EQ(programs.rank_count(), expected.rank_count());
+  for (std::size_t r = 0; r < programs.programs.size(); ++r) {
+    EXPECT_EQ(programs.programs[r].to_string(),
+              expected.programs[r].to_string())
+        << "rank " << r;
+  }
   // The relabeled program set runs to completion on the caller's
   // topology with exactly-once delivery (the executor's integrity
   // ledger throws otherwise).
   mpisim::Executor executor(relabeled, simnet::NetworkParams{},
                             mpisim::ExecutorParams{});
-  const mpisim::ExecutionResult result = executor.run(served.programs);
+  const mpisim::ExecutionResult result = executor.run(programs);
   EXPECT_GT(result.completion_time, 0);
   EXPECT_TRUE(result.integrity.ok());
 }
