@@ -7,8 +7,12 @@
 
 namespace aapc::core {
 
-std::string schedule_to_json(const Schedule& schedule,
-                             std::int32_t machine_count) {
+namespace {
+
+/// The one writer: `label(r)` is the rank written for schedule rank r.
+template <class Label>
+std::string write_json(const Schedule& schedule, std::int32_t machine_count,
+                       const Label& label) {
   char machines[16];
   const std::size_t width = static_cast<std::size_t>(
       std::to_chars(machines, machines + sizeof machines, machine_count).ptr -
@@ -40,9 +44,11 @@ std::string schedule_to_json(const Schedule& schedule,
       char* end = text;
       if (i > 0) *end++ = ',';
       *end++ = '[';
-      end = std::to_chars(end, end + kRankChars, phase[i].message.src).ptr;
+      end = std::to_chars(end, end + kRankChars, label(phase[i].message.src))
+                .ptr;
       *end++ = ',';
-      end = std::to_chars(end, end + kRankChars, phase[i].message.dst).ptr;
+      end = std::to_chars(end, end + kRankChars, label(phase[i].message.dst))
+                .ptr;
       *end++ = ']';
       out.append(text, static_cast<std::size_t>(end - text));
     }
@@ -50,6 +56,25 @@ std::string schedule_to_json(const Schedule& schedule,
   }
   out.append("]}");
   return out;
+}
+
+}  // namespace
+
+std::string schedule_to_json(const Schedule& schedule,
+                             std::int32_t machine_count) {
+  return write_json(schedule, machine_count, [](Rank r) { return r; });
+}
+
+std::string schedule_to_json(const Schedule& schedule,
+                             std::int32_t machine_count,
+                             std::span<const Rank> rank_map) {
+  const auto n = static_cast<Rank>(rank_map.size());
+  return write_json(schedule, machine_count, [&](Rank r) {
+    AAPC_REQUIRE(r >= 0 && r < n, "schedule rank " << r
+                                      << " not covered by the rank map (size "
+                                      << n << ")");
+    return rank_map[static_cast<std::size_t>(r)];
+  });
 }
 
 namespace {

@@ -18,6 +18,7 @@
 // lowering derive everything else from the topology).
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -29,6 +30,13 @@ namespace aapc::core {
 /// whitespace dependence for parsing).
 std::string schedule_to_json(const Schedule& schedule,
                              std::int32_t machine_count);
+
+/// Same, writing rank r as rank_map[r]: the JSON of
+/// relabel_schedule(schedule, rank_map) without building that schedule.
+/// Throws InvalidArgument for a rank outside the map.
+std::string schedule_to_json(const Schedule& schedule,
+                             std::int32_t machine_count,
+                             std::span<const Rank> rank_map);
 
 /// Parse a schedule from JSON; throws InvalidArgument on malformed
 /// input or ranks outside [0, machines). The embedded machine count

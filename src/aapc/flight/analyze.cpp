@@ -411,7 +411,9 @@ AnalysisReport analyze(const FlightDump& dump,
         end = static_cast<std::int32_t>(i);
       }
       double ready = kUnobserved;
-      for (const std::int32_t pred : adjacency.in[i]) {
+      for (const std::int32_t edge : adjacency.in(i)) {
+        const std::int32_t pred =
+            plan->edges[static_cast<std::size_t>(edge)].from;
         ready = std::max(ready, completion[static_cast<std::size_t>(pred)]);
       }
       if (ready == kUnobserved) continue;
@@ -428,8 +430,10 @@ AnalysisReport analyze(const FlightDump& dump,
     while (cursor >= 0) {
       report.critical_path.push_back(cursor);
       std::int32_t next = -1;
-      for (const std::int32_t pred :
-           adjacency.in[static_cast<std::size_t>(cursor)]) {
+      for (const std::int32_t edge :
+           adjacency.in(static_cast<std::size_t>(cursor))) {
+        const std::int32_t pred =
+            plan->edges[static_cast<std::size_t>(edge)].from;
         if (completion[static_cast<std::size_t>(pred)] == kUnobserved) {
           continue;
         }

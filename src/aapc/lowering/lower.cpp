@@ -1,7 +1,8 @@
 #include "aapc/lowering/lower.hpp"
 
-#include <algorithm>
-#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/strings.hpp"
@@ -20,7 +21,8 @@ namespace {
 constexpr Tag kDataTag = 0;
 
 /// Emit helper tracking request ids per rank (requests are numbered in
-/// posting order, mirroring the executor's bookkeeping).
+/// posting order, mirroring the executor's bookkeeping). The caller
+/// reserves the exact op count, so each list is allocated once.
 struct RankEmitter {
   Program program;
   RequestId next_request = 0;
@@ -39,24 +41,53 @@ struct RankEmitter {
   void copy(Bytes bytes) { program.ops.push_back(Op::copy(bytes)); }
 };
 
-/// Size of the data message src -> dst (diagonal = self-copy size).
-using SizeFn = std::function<Bytes(core::Rank, core::Rank)>;
+/// One emitter per rank, each reserved to `op_count[rank]` ops.
+std::vector<RankEmitter> make_emitters(
+    const std::vector<std::size_t>& op_count) {
+  std::vector<RankEmitter> emit(op_count.size());
+  for (std::size_t r = 0; r < emit.size(); ++r) {
+    emit[r].program.ops.reserve(op_count[r]);
+  }
+  return emit;
+}
 
+ProgramSet finish_set(std::string name, std::vector<RankEmitter>& emit) {
+  ProgramSet set;
+  set.name = std::move(name);
+  set.programs.reserve(emit.size());
+  for (auto& e : emit) set.programs.push_back(std::move(e.program));
+  return set;
+}
+
+/// `bytes_for(src, dst)` is the size of the data message src -> dst
+/// (diagonal = self-copy size).
+template <class SizeFn>
 ProgramSet lower_barrier_mode(const topology::Topology& topo,
                               const core::Schedule& schedule,
                               const SizeFn& bytes_for,
                               const LoweringOptions& options,
                               LoweringInfo* info) {
   const std::int32_t ranks = topo.machine_count();
-  std::vector<RankEmitter> emit(static_cast<std::size_t>(ranks));
+  // Per rank: the copy, a barrier per phase, and a post + wait for each
+  // message it sends or receives.
+  std::vector<std::size_t> op_count(
+      static_cast<std::size_t>(ranks),
+      (options.include_self_copy ? 1 : 0) +
+          static_cast<std::size_t>(schedule.phase_count()));
+  for (const core::ScheduledMessage& sm : schedule.messages) {
+    op_count[sm.message.src] += 2;
+    op_count[sm.message.dst] += 2;
+  }
+  std::vector<RankEmitter> emit = make_emitters(op_count);
   if (options.include_self_copy) {
     for (core::Rank r = 0; r < ranks; ++r) {
       emit[r].copy(bytes_for(r, r));
     }
   }
+  std::vector<std::pair<core::Rank, RequestId>> to_wait;
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
     // Post this phase's operations, wait them, then a global barrier.
-    std::vector<std::pair<core::Rank, RequestId>> to_wait;
+    to_wait.clear();
     for (const core::ScheduledMessage& sm : schedule.phase(p)) {
       const core::Message& m = sm.message;
       const Bytes bytes = bytes_for(m.src, m.dst);
@@ -71,12 +102,10 @@ ProgramSet lower_barrier_mode(const topology::Topology& topo,
     }
     for (auto& e : emit) e.barrier();
   }
-  ProgramSet set;
-  set.name = "ours-barrier";
-  for (auto& e : emit) set.programs.push_back(std::move(e.program));
-  return set;
+  return finish_set("ours-barrier", emit);
 }
 
+template <class SizeFn>
 ProgramSet lower_with_sizes(const topology::Topology& topo,
                             const core::Schedule& schedule,
                             const SizeFn& bytes_for,
@@ -100,14 +129,22 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
   const auto n = static_cast<std::size_t>(schedule.messages.size());
 
   // Synchronization plan (empty in kNone mode). A caller that already
-  // built the plan (the compilation service does, for its cache entry)
-  // passes it through `precomputed_plan` instead of paying for a second
-  // construction over the same schedule.
+  // built the plan (the compilation service does) passes it through
+  // `precomputed_plan` instead of paying for a second construction over
+  // the same schedule. Its edge positions are the token tags, so it
+  // must be strictly sorted like the plans build_sync_plan returns.
   sync::SyncPlan plan;
   const sync::SyncPlan* active_plan = &plan;
   if (options.sync == SyncMode::kPairwise) {
     if (options.precomputed_plan != nullptr) {
       active_plan = options.precomputed_plan;
+      const std::vector<sync::SyncEdge>& edges = active_plan->edges;
+      for (std::size_t k = 1; k < edges.size(); ++k) {
+        AAPC_REQUIRE(edges[k - 1] < edges[k],
+                     "precomputed sync plan is not strictly sorted by "
+                     "(from, to) at edge "
+                         << k);
+      }
     } else {
       sync::SyncPlanOptions plan_options;
       plan_options.remove_redundant = options.reduce_redundant_syncs;
@@ -117,15 +154,43 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
   if (info != nullptr) {
     info->sync_edges_before_reduction = active_plan->edges_before_reduction;
   }
+  const std::vector<sync::SyncEdge>& edges = active_plan->edges;
 
-  // Incoming sync edges per message, and outgoing per message (the
-  // same adjacency flight::analyze() rebuilds over a dump).
-  const sync::PlanAdjacency adjacency = sync::build_adjacency(
-      *active_plan, static_cast<std::int64_t>(n));
-  const std::vector<std::vector<std::int32_t>>& in_edges = adjacency.in;
-  const std::vector<std::vector<std::int32_t>>& out_edges = adjacency.out;
+  // Incoming and outgoing sync edges per message (the same adjacency
+  // flight::analyze() rebuilds over a dump); validates every edge.
+  const sync::PlanAdjacency adjacency =
+      sync::build_adjacency(*active_plan, static_cast<std::int64_t>(n));
 
-  std::vector<RankEmitter> emit(static_cast<std::size_t>(ranks));
+  auto sender_of = [&](std::int32_t message) {
+    return schedule.messages[static_cast<std::size_t>(message)].message.src;
+  };
+  // Per rank: the copy, a prepost and a send per data message, the final
+  // waitall; per sync edge a local wait (same sender) or a token irecv +
+  // wait at the later sender and a token isend at the earlier one; and
+  // one wait per message that has a cross-node dependent. Edges are
+  // sorted by source, so a source's edges are consecutive.
+  std::vector<std::size_t> op_count(static_cast<std::size_t>(ranks),
+                                    options.include_self_copy ? 2 : 1);
+  for (const core::ScheduledMessage& sm : schedule.messages) {
+    ++op_count[sm.message.src];
+    ++op_count[sm.message.dst];
+  }
+  std::int32_t waited_source = -1;
+  for (const sync::SyncEdge& e : edges) {
+    const core::Rank earlier = sender_of(e.from);
+    const core::Rank later = sender_of(e.to);
+    if (earlier == later) {
+      ++op_count[later];
+      continue;
+    }
+    op_count[later] += 2;
+    ++op_count[earlier];
+    if (waited_source != e.from) {
+      ++op_count[earlier];
+      waited_source = e.from;
+    }
+  }
+  std::vector<RankEmitter> emit = make_emitters(op_count);
   if (options.include_self_copy) {
     for (core::Rank r = 0; r < ranks; ++r) {
       emit[r].copy(bytes_for(r, r));
@@ -140,30 +205,21 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
     if (info != nullptr) ++info->data_messages;
   }
 
-  // Data send request id per message (assigned when emitted).
+  // Data send request id per message (assigned when emitted). Each sync
+  // edge's token carries a unique tag: kSyncTag + its plan position.
   std::vector<RequestId> send_request(n, -1);
-  // Unique token tag per sync edge: index into plan.edges.
-  auto sync_tag = [&](std::size_t edge_index) -> Tag {
-    return mpisim::kSyncTag + static_cast<Tag>(edge_index);
-  };
-  // Map (from, to) -> edge index for tag lookup.
-  auto edge_index_of = [&](std::int32_t from, std::int32_t to) {
-    const auto it =
-        std::lower_bound(active_plan->edges.begin(), active_plan->edges.end(),
-                         sync::SyncEdge{from, to});
-    AAPC_CHECK(it != active_plan->edges.end() && it->from == from &&
-               it->to == to);
-    return static_cast<std::size_t>(it - active_plan->edges.begin());
+  auto sync_tag = [](std::int32_t edge) -> Tag {
+    return mpisim::kSyncTag + static_cast<Tag>(edge);
   };
 
   for (std::size_t i = 0; i < n; ++i) {
     const core::Message& m = schedule.messages[i].message;
     RankEmitter& sender = emit[m.src];
     // Incoming dependencies: my predecessors must complete first.
-    for (const std::int32_t from : in_edges[i]) {
-      const core::Message& prev =
-          schedule.messages[static_cast<std::size_t>(from)].message;
-      if (prev.src == m.src) {
+    for (const std::int32_t edge : adjacency.in(i)) {
+      const std::int32_t from = edges[static_cast<std::size_t>(edge)].from;
+      const core::Rank prev_src = sender_of(from);
+      if (prev_src == m.src) {
         // Same sender: program order + a local wait suffice.
         AAPC_CHECK(send_request[static_cast<std::size_t>(from)] >= 0);
         sender.wait(send_request[static_cast<std::size_t>(from)]);
@@ -171,9 +227,8 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
       } else {
         // Pair-wise synchronization: wait for the token from prev's
         // sender.
-        const std::size_t edge = edge_index_of(from, static_cast<std::int32_t>(i));
         const RequestId token = sender.irecv(
-            prev.src, options.sync_message_bytes, sync_tag(edge));
+            prev_src, options.sync_message_bytes, sync_tag(edge));
         sender.wait(token);
       }
     }
@@ -181,26 +236,23 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
     // Outgoing cross-node dependencies: complete my message, then send
     // one token per dependent sender.
     bool waited = false;
-    for (const std::int32_t to : out_edges[i]) {
-      const core::Message& next =
-          schedule.messages[static_cast<std::size_t>(to)].message;
-      if (next.src == m.src) continue;  // lowered as their local wait
+    for (const std::int32_t edge : adjacency.out(i)) {
+      const core::Rank next_src =
+          sender_of(edges[static_cast<std::size_t>(edge)].to);
+      if (next_src == m.src) continue;  // lowered as their local wait
       if (!waited) {
         sender.wait(send_request[i]);
         waited = true;
       }
-      const std::size_t edge = edge_index_of(static_cast<std::int32_t>(i), to);
-      sender.isend(next.src, options.sync_message_bytes, sync_tag(edge));
+      sender.isend(next_src, options.sync_message_bytes, sync_tag(edge));
       if (info != nullptr) ++info->sync_messages;
     }
   }
 
   for (auto& e : emit) e.wait_all();
 
-  ProgramSet set;
-  set.name = options.sync == SyncMode::kPairwise ? "ours" : "ours-nosync";
-  for (auto& e : emit) set.programs.push_back(std::move(e.program));
-  return set;
+  return finish_set(
+      options.sync == SyncMode::kPairwise ? "ours" : "ours-nosync", emit);
 }
 
 }  // namespace

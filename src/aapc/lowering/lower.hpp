@@ -52,9 +52,12 @@ struct LoweringOptions {
   bool verify_schedule = true;
   /// A sync plan already built for exactly this schedule (kPairwise
   /// only). Non-null skips the internal build_sync_plan call — the
-  /// compilation service builds the plan once for its cache entry and
-  /// reuses it here. Must outlive the lowering call; must come from the
-  /// same schedule, or the emitted token pattern is wrong.
+  /// compilation service builds the plan itself, to time the sync stage
+  /// on its own, and passes it here. Must outlive the lowering call; must
+  /// come from the same schedule, or the emitted token pattern is wrong.
+  /// Its edges must be strictly sorted by (from, to), as build_sync_plan
+  /// returns them (an edge's position is its token tag); InvalidArgument
+  /// otherwise.
   const sync::SyncPlan* precomputed_plan = nullptr;
 };
 

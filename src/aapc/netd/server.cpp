@@ -898,20 +898,23 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
       canon.hash % static_cast<std::uint64_t>(services.size()));
   shard_requests[shard]->inc();
   try {
-    const service::CompiledRoutine routine =
-        services[shard]->compile(topo, request.message_bytes, canon,
-                                 request.kind, request.neighbors);
+    // The caller-labeled JSON is written straight from the canonical
+    // entry through the permutation; no relabeled schedule is built.
+    service::ServedEntry served =
+        services[shard]->lookup(topo, request.message_bytes, canon,
+                                request.kind, request.neighbors);
     ResponseFrame response;
     response.request_id = request.request_id;
-    response.cache_hit = routine.cache_hit;
-    response.coalesced = routine.coalesced;
-    response.stale = routine.stale;
-    response.epoch = routine.epoch;
+    response.cache_hit = served.cache_hit;
+    response.coalesced = served.coalesced;
+    response.stale = served.stale;
+    response.epoch = served.epoch;
     response.shard = shard;
     response.canonical_hash = canon.hash;
-    response.to_canonical = routine.to_canonical;
-    response.schedule_json =
-        core::schedule_to_json(routine.schedule, topo.machine_count());
+    response.schedule_json = core::schedule_to_json(
+        served.entry->schedule, topo.machine_count(),
+        core::invert_permutation(served.to_canonical));
+    response.to_canonical = std::move(served.to_canonical);
     std::string bytes = encode_response(response);
     request_frame_bytes.observe(
         static_cast<double>(item.request_frame_bytes));

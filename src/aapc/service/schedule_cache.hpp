@@ -1,9 +1,9 @@
 // Sharded LRU cache of compiled schedules.
 //
-// The unit of caching is one *canonical* compilation: the phase schedule,
-// synchronization plan, and lowered per-rank programs produced for a
-// canonical topology (service/canonical.hpp) at one message-size class
-// under one set of lowering options. Entries are immutable and shared
+// The unit of caching is one *canonical* compilation: the phase schedule
+// and the lowered per-rank programs produced for a canonical topology
+// (service/canonical.hpp) at one message-size class under one set of
+// lowering options. Entries are immutable and shared
 // (shared_ptr<const CompiledEntry>), so a hit hands out the artifact
 // without copying and eviction never invalidates a routine already
 // served.
@@ -28,7 +28,6 @@
 #include "aapc/core/weighted.hpp"
 #include "aapc/lowering/lower.hpp"
 #include "aapc/mpisim/program.hpp"
-#include "aapc/sync/sync_plan.hpp"
 #include "aapc/topology/topology.hpp"
 
 namespace aapc::service {
@@ -83,8 +82,6 @@ struct CompiledEntry {
   topology::Topology canonical_topo;
   /// Phase schedule in canonical ranks.
   core::Schedule schedule;
-  /// Pair-wise synchronization plan for `schedule`.
-  sync::SyncPlan sync_plan;
   /// Lowered per-rank programs at `class_bytes`, canonical ranks.
   mpisim::ProgramSet programs;
   lowering::LoweringInfo info;

@@ -226,18 +226,20 @@ CompiledEntryPtr ScheduleService::compile_entry(
   }
 
   stage = Clock::now();
-  // The cached plan must match the programs lowered from it, so it
-  // follows the service's reduction knob rather than the plan default.
+  // The plan is built here, outside the lowering, so the sync stage is
+  // timed on its own. It follows the service's reduction knob, as the
+  // lowering's own plan would; nothing reads it after the lowering, so
+  // the entry does not keep it.
   sync::SyncPlanOptions plan_options;
   plan_options.remove_redundant = options_.lowering.reduce_redundant_syncs;
-  entry->sync_plan = sync::build_sync_plan(topo, entry->schedule,
-                                           plan_options);
+  const sync::SyncPlan plan =
+      sync::build_sync_plan(topo, entry->schedule, plan_options);
   stage_sync_seconds_.observe(seconds_since(stage));
 
   stage = Clock::now();
   lowering::LoweringOptions lower_options = options_.lowering;
   if (lower_options.sync == lowering::SyncMode::kPairwise) {
-    lower_options.precomputed_plan = &entry->sync_plan;
+    lower_options.precomputed_plan = &plan;
   }
   entry->programs = lowering::lower_schedule(topo, entry->schedule,
                                              class_bytes, lower_options,
@@ -286,22 +288,20 @@ void ScheduleService::schedule_revalidation(
   }
 }
 
-CompiledRoutine ScheduleService::finish(const Canonicalization& canon,
-                                        CompiledEntryPtr entry, bool cache_hit,
-                                        bool coalesced, bool stale,
-                                        std::uint64_t epoch,
-                                        Clock::time_point start) const {
-  CompiledRoutine routine;
-  routine.schedule = core::relabel_schedule(
-      entry->schedule, core::invert_permutation(canon.to_canonical));
-  routine.entry = std::move(entry);
-  routine.to_canonical = canon.to_canonical;
-  routine.cache_hit = cache_hit;
-  routine.coalesced = coalesced;
-  routine.stale = stale;
-  routine.epoch = epoch;
-  routine.service_seconds = seconds_since(start);
-  return routine;
+ServedEntry ScheduleService::finish(const Canonicalization& canon,
+                                    CompiledEntryPtr entry, bool cache_hit,
+                                    bool coalesced, bool stale,
+                                    std::uint64_t epoch,
+                                    Clock::time_point start) const {
+  ServedEntry served;
+  served.entry = std::move(entry);
+  served.to_canonical = canon.to_canonical;
+  served.cache_hit = cache_hit;
+  served.coalesced = coalesced;
+  served.stale = stale;
+  served.epoch = epoch;
+  served.service_seconds = seconds_since(start);
+  return served;
 }
 
 double ScheduleService::retry_after_hint() const {
@@ -364,6 +364,18 @@ CompiledRoutine ScheduleService::compile(
 CompiledRoutine ScheduleService::compile(
     const topology::Topology& topo, Bytes msize, const Canonicalization& canon,
     core::CollectiveKind kind, const core::SparseNeighbors& neighbors) {
+  const Clock::time_point start = Clock::now();
+  CompiledRoutine routine{lookup(topo, msize, canon, kind, neighbors), {}};
+  routine.schedule = core::relabel_schedule(
+      routine.entry->schedule, core::invert_permutation(routine.to_canonical));
+  routine.service_seconds = seconds_since(start);
+  return routine;
+}
+
+ServedEntry ScheduleService::lookup(const topology::Topology& topo,
+                                    Bytes msize, const Canonicalization& canon,
+                                    core::CollectiveKind kind,
+                                    const core::SparseNeighbors& neighbors) {
   const Clock::time_point start = Clock::now();
   AAPC_REQUIRE(static_cast<std::int32_t>(canon.to_canonical.size()) ==
                    topo.machine_count(),

@@ -7,8 +7,8 @@
 //   request (topology, msize)
 //     -> canonicalize            relabeling-invariant identity + rank
 //                                permutation (service/canonical.hpp)
-//     -> sharded LRU cache       hit: rewrite the cached schedule into
-//                                the caller's labeling, done
+//     -> sharded LRU cache       hit: hand out the cached canonical
+//                                entry and the caller's permutation
 //     -> in-flight coalescing    N concurrent misses on one canonical
 //                                key trigger exactly one compilation;
 //                                the rest wait on its shared future
@@ -16,13 +16,15 @@
 //                                request is rejected with a retry-after
 //                                hint instead of queueing unboundedly
 //
-// Compiled artifacts live in canonical rank labeling and are immutable;
-// every response rewrites the shared schedule through the caller's rank
-// permutation (core::relabel_schedule), which preserves
-// contention-freeness because the permutation comes from a tree
-// isomorphism. The lowered programs are rewritten only for a caller
-// that asks (CompiledRoutine::caller_programs). See docs/SERVICE.md for
-// the architecture, cache-key definition, and backpressure contract.
+// Compiled artifacts live in canonical rank labeling and are immutable.
+// A response maps the shared schedule through the caller's rank
+// permutation, which preserves contention-freeness because the
+// permutation comes from a tree isomorphism: netd writes the JSON
+// through it (ScheduleService::lookup), in-process callers get a
+// relabeled copy (compile, core::relabel_schedule). The lowered programs
+// are rewritten only for a caller that asks
+// (CompiledRoutine::caller_programs). See docs/SERVICE.md for the
+// architecture, cache-key definition, and backpressure contract.
 #pragma once
 
 #include <array>
@@ -76,12 +78,12 @@ struct ServiceOptions {
   lowering::LoweringOptions lowering;
 };
 
-/// A served routine, rewritten into the caller's rank labeling.
-struct CompiledRoutine {
-  /// The shared canonical artifact (schedule, sync plan, programs).
+/// The canonical artifact that serves one request, with the permutation
+/// that labels it for the caller. Nothing is rewritten yet: netd writes
+/// the response straight from entry->schedule through the permutation.
+struct ServedEntry {
+  /// The shared canonical artifact (schedule and lowered programs).
   CompiledEntryPtr entry;
-  /// Phase schedule in the caller's ranks.
-  core::Schedule schedule;
   /// caller rank -> canonical rank (entry->schedule labeling).
   std::vector<topology::Rank> to_canonical;
   /// Served straight from the cache (no compilation waited on).
@@ -96,6 +98,12 @@ struct CompiledRoutine {
   std::uint64_t epoch = 0;
   /// End-to-end wall-clock latency of this request.
   double service_seconds = 0;
+};
+
+/// A served routine, rewritten into the caller's rank labeling.
+struct CompiledRoutine : ServedEntry {
+  /// Phase schedule in the caller's ranks.
+  core::Schedule schedule;
 
   /// The lowered per-rank programs in the caller's ranks, rewritten
   /// from entry->programs on each call (O(ops)). The service itself
@@ -136,6 +144,15 @@ class ScheduleService {
                           const Canonicalization& canon,
                           core::CollectiveKind kind,
                           const core::SparseNeighbors& neighbors = {});
+
+  /// The request path under compile(): cache lookup, in-flight
+  /// coalescing or compilation, and the stale-while-revalidate check,
+  /// with the same throws. Returns the canonical entry and the caller's
+  /// permutation without rewriting the schedule; compile() adds that
+  /// rewrite for in-process callers that read CompiledRoutine::schedule.
+  ServedEntry lookup(const topology::Topology& topo, Bytes msize,
+                     const Canonicalization& canon, core::CollectiveKind kind,
+                     const core::SparseNeighbors& neighbors = {});
 
   /// Snapshot of every aapc_service_* series, with the cache/pool
   /// mirrors freshly synced. Read series with value/total/find, or feed
@@ -186,10 +203,10 @@ class ScheduleService {
                              Bytes class_bytes, std::uint64_t hash,
                              core::CollectiveKind kind,
                              const core::SparseNeighbors& neighbors);
-  CompiledRoutine finish(const Canonicalization& canon, CompiledEntryPtr entry,
-                         bool cache_hit, bool coalesced, bool stale,
-                         std::uint64_t epoch,
-                         std::chrono::steady_clock::time_point start) const;
+  ServedEntry finish(const Canonicalization& canon, CompiledEntryPtr entry,
+                     bool cache_hit, bool coalesced, bool stale,
+                     std::uint64_t epoch,
+                     std::chrono::steady_clock::time_point start) const;
   double retry_after_hint() const;
   void record_compile_latency(double seconds);
   /// Mirrors the cache/pool counters (owned by those components) into

@@ -1,6 +1,8 @@
 #include "aapc/sync/sync_plan.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "aapc/common/error.hpp"
 
@@ -47,6 +49,32 @@ class BitRows {
   std::vector<std::uint64_t> data_;
 };
 
+/// Stable counting sort of `count` items into CSR rows over `rows` keys:
+/// place(position, k) puts item k at its sorted position. Returns the
+/// rows + 1 row offsets. Items keep their relative order within a row.
+template <class Key, class Place>
+std::vector<std::int32_t> counting_sort(std::size_t count, std::size_t rows,
+                                        Key key, Place place) {
+  AAPC_REQUIRE(count <= static_cast<std::size_t>(
+                            std::numeric_limits<std::int32_t>::max()),
+               "sync plan of " << count << " edges is too large to index");
+  // begin[r] counts row r, then (prefix sums) ends it; the backward
+  // scatter leaves it at the row's start, and begin[rows] at the total.
+  std::vector<std::int32_t> begin(rows + 1, 0);
+  for (std::size_t k = 0; k < count; ++k) ++begin[key(k)];
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  for (std::size_t k = count; k-- > 0;) {
+    place(static_cast<std::size_t>(--begin[key(k)]), k);
+  }
+  return begin;
+}
+
+void require_edge_in_range(const SyncEdge& e, std::int64_t message_count) {
+  AAPC_REQUIRE(e.from >= 0 && e.to >= 0 && e.from < message_count &&
+                   e.to < message_count && e.from < e.to,
+               "plan edge out of range or not forward");
+}
+
 }  // namespace
 
 SyncPlan build_sync_plan(const topology::Topology& topo,
@@ -64,9 +92,10 @@ SyncPlan build_sync_plan(const topology::Topology& topo,
       (options.construction == SyncPlanOptions::Construction::kAuto &&
        n <= 4000);
 
-  std::vector<std::vector<std::int32_t>> succ(n);
+  // The full dependence graph, staged in one pass. Both constructions
+  // emit an edge (i, j) at most once and always with i < j.
+  std::vector<SyncEdge> staged;
   std::vector<topology::EdgeId> path;
-  SyncPlan plan;
   if (all_pairs) {
     // Path bitmask per message over directed edges. Built only on this
     // branch: at n messages and E directed edges it costs n*E bits —
@@ -91,23 +120,26 @@ SyncPlan build_sync_plan(const topology::Topology& topo,
           continue;
         }
         if (paths.rows_intersect(i, j)) {
-          succ[i].push_back(static_cast<std::int32_t>(j));
-          ++plan.edges_before_reduction;
+          staged.push_back(SyncEdge{static_cast<std::int32_t>(i),
+                                    static_cast<std::int32_t>(j)});
         }
       }
     }
   } else {
     // Scalable construction: per directed edge, chain consecutive users
     // in message (= phase) order. Orders exactly the same pairs
-    // transitively as the all-pairs graph. Deduplicate edges arising
-    // from multiple shared links.
+    // transitively as the all-pairs graph. A message's predecessors
+    // come from its own path, so deduplicating edges that arise from
+    // several shared links needs only a path-length buffer.
     std::vector<std::int32_t> last_user(
         static_cast<std::size_t>(topo.directed_edge_count()), -1);
-    std::vector<std::vector<std::int32_t>> pred_dedupe(n);
+    std::vector<std::int32_t> preds;
+    staged.reserve(n);
     for (std::size_t j = 0; j < n; ++j) {
       const core::Message& m = schedule.messages[j].message;
       topo.path_into(topo.machine_node(m.src), topo.machine_node(m.dst),
                      path);
+      preds.clear();
       for (const topology::EdgeId e : path) {
         const std::int32_t i = last_user[static_cast<std::size_t>(e)];
         last_user[static_cast<std::size_t>(e)] =
@@ -117,60 +149,65 @@ SyncPlan build_sync_plan(const topology::Topology& topo,
             schedule.messages[j].phase) {
           continue;
         }
-        auto& preds = pred_dedupe[j];
         if (std::find(preds.begin(), preds.end(), i) == preds.end()) {
           preds.push_back(i);
-          succ[static_cast<std::size_t>(i)].push_back(
-              static_cast<std::int32_t>(j));
-          ++plan.edges_before_reduction;
+          staged.push_back(SyncEdge{i, static_cast<std::int32_t>(j)});
         }
       }
     }
-    for (auto& successors : succ) {
-      std::sort(successors.begin(), successors.end());
-    }
   }
+  SyncPlan plan;
+  plan.edges_before_reduction = static_cast<std::int64_t>(staged.size());
+
+  // Group by source into CSR successor rows. Each construction stages a
+  // source's edges in ascending target order, so the stable sort leaves
+  // the whole graph sorted by (from, to).
+  std::vector<SyncEdge> graph(staged.size());
+  const std::vector<std::int32_t> succ_begin = counting_sort(
+      staged.size(), n,
+      [&](std::size_t k) { return static_cast<std::size_t>(staged[k].from); },
+      [&](std::size_t position, std::size_t k) {
+        graph[position] = staged[k];
+      });
+  staged = {};
 
   // The bitset reduction is O(n^2) bits of memory; for very large
   // schedules the edge-chain construction is already near-minimal, so
   // skip the reduction there rather than allocating gigabytes.
   const bool reduce = options.remove_redundant && n > 0 && n <= 20000;
   if (reduce) {
+    auto successors = [&](std::size_t i) {
+      return std::span<const SyncEdge>(graph.data() + succ_begin[i],
+                                       graph.data() + succ_begin[i + 1]);
+    };
     // reach[i] = vertices reachable from i via >= 1 edge. Processing in
     // reverse index order works because all edges go forward in index.
     BitRows reach(n, n);
     for (std::size_t i = n; i-- > 0;) {
-      for (const std::int32_t j : succ[i]) {
-        reach.set(i, static_cast<std::size_t>(j));
-        reach.merge_into(i, static_cast<std::size_t>(j));
+      for (const SyncEdge& e : successors(i)) {
+        reach.set(i, static_cast<std::size_t>(e.to));
+        reach.merge_into(i, static_cast<std::size_t>(e.to));
       }
     }
     // Edge (i, j) is redundant iff some other direct successor v of i
     // reaches j (then i -> v -> ... -> j orders the pair without it).
     for (std::size_t i = 0; i < n; ++i) {
-      for (const std::int32_t j : succ[i]) {
+      for (const SyncEdge& e : successors(i)) {
         bool redundant = false;
-        for (const std::int32_t v : succ[i]) {
-          if (v != j && reach.test(static_cast<std::size_t>(v),
-                                   static_cast<std::size_t>(j))) {
+        for (const SyncEdge& v : successors(i)) {
+          if (v.to != e.to && reach.test(static_cast<std::size_t>(v.to),
+                                         static_cast<std::size_t>(e.to))) {
             redundant = true;
             break;
           }
         }
-        if (!redundant) {
-          plan.edges.push_back(SyncEdge{static_cast<std::int32_t>(i), j});
-        }
+        if (!redundant) plan.edges.push_back(e);
       }
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const std::int32_t j : succ[i]) {
-        plan.edges.push_back(SyncEdge{static_cast<std::int32_t>(i), j});
-      }
-    }
+    plan.edges = std::move(graph);
   }
 
-  std::sort(plan.edges.begin(), plan.edges.end());
   for (const SyncEdge& e : plan.edges) {
     if (schedule.messages[static_cast<std::size_t>(e.from)].message.src !=
         schedule.messages[static_cast<std::size_t>(e.to)].message.src) {
@@ -191,10 +228,7 @@ PlanAnalysis analyze_plan(const SyncPlan& plan,
   // dynamic programming over edges sorted by source suffices.
   std::vector<std::int32_t> depth(n, 1);
   for (const SyncEdge& e : plan.edges) {
-    AAPC_REQUIRE(e.from >= 0 && e.to >= 0 &&
-                     e.from < message_count && e.to < message_count &&
-                     e.from < e.to,
-                 "plan edge out of range or not forward");
+    require_edge_in_range(e, message_count);
     ++out_degree[static_cast<std::size_t>(e.from)];
     ++in_degree[static_cast<std::size_t>(e.to)];
   }
@@ -218,18 +252,26 @@ PlanAnalysis analyze_plan(const SyncPlan& plan,
 PlanAdjacency build_adjacency(const SyncPlan& plan,
                               std::int64_t message_count) {
   AAPC_REQUIRE(message_count >= 0, "negative message count");
-  PlanAdjacency adjacency;
-  const auto n = static_cast<std::size_t>(message_count);
-  adjacency.in.resize(n);
-  adjacency.out.resize(n);
   for (const SyncEdge& e : plan.edges) {
-    AAPC_REQUIRE(e.from >= 0 && e.to >= 0 &&
-                     e.from < message_count && e.to < message_count &&
-                     e.from < e.to,
-                 "plan edge out of range or not forward");
-    adjacency.in[static_cast<std::size_t>(e.to)].push_back(e.from);
-    adjacency.out[static_cast<std::size_t>(e.from)].push_back(e.to);
+    require_edge_in_range(e, message_count);
   }
+  const std::vector<SyncEdge>& edges = plan.edges;
+  const auto n = static_cast<std::size_t>(message_count);
+  PlanAdjacency adjacency;
+  adjacency.in_edges.resize(edges.size());
+  adjacency.out_edges.resize(edges.size());
+  adjacency.in_begin = counting_sort(
+      edges.size(), n,
+      [&](std::size_t k) { return static_cast<std::size_t>(edges[k].to); },
+      [&](std::size_t position, std::size_t k) {
+        adjacency.in_edges[position] = static_cast<std::int32_t>(k);
+      });
+  adjacency.out_begin = counting_sort(
+      edges.size(), n,
+      [&](std::size_t k) { return static_cast<std::size_t>(edges[k].from); },
+      [&](std::size_t position, std::size_t k) {
+        adjacency.out_edges[position] = static_cast<std::int32_t>(k);
+      });
   return adjacency;
 }
 

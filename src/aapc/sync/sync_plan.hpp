@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aapc/core/schedule.hpp"
@@ -82,16 +83,32 @@ struct PlanAnalysis {
 /// Analyzes `plan` for a schedule of `message_count` messages.
 PlanAnalysis analyze_plan(const SyncPlan& plan, std::int64_t message_count);
 
-/// In/out neighbor lists of the dependence graph, indexed by message.
-/// Shared by the lowering (which walks predecessors/successors to emit
-/// waits and tokens) and flight::analyze() (which replays the graph to
-/// compute ready times and slack from recorded completions).
+/// The dependence graph in compressed sparse rows, indexed by message.
+/// Entries are positions in SyncPlan::edges, so walking a message's
+/// edges also yields each edge's index (the lowering's token tag); the
+/// neighbor is plan.edges[position].from for in(), .to for out(). Both
+/// lists keep plan order. Shared by the lowering (which walks
+/// predecessors/successors to emit waits and tokens) and
+/// flight::analyze() (which replays the graph to compute ready times and
+/// slack from recorded completions).
 struct PlanAdjacency {
-  std::vector<std::vector<std::int32_t>> in;
-  std::vector<std::vector<std::int32_t>> out;
+  /// message_count + 1 offsets into in_edges / out_edges.
+  std::vector<std::int32_t> in_begin;
+  std::vector<std::int32_t> in_edges;
+  std::vector<std::int32_t> out_begin;
+  std::vector<std::int32_t> out_edges;
+
+  std::span<const std::int32_t> in(std::size_t message) const {
+    return {in_edges.data() + in_begin[message],
+            in_edges.data() + in_begin[message + 1]};
+  }
+  std::span<const std::int32_t> out(std::size_t message) const {
+    return {out_edges.data() + out_begin[message],
+            out_edges.data() + out_begin[message + 1]};
+  }
 };
 
-/// Builds the adjacency lists of `plan` over `message_count` messages;
+/// Builds the adjacency of `plan` over `message_count` messages;
 /// validates that every edge is forward and in range.
 PlanAdjacency build_adjacency(const SyncPlan& plan,
                               std::int64_t message_count);

@@ -5,6 +5,7 @@
 // localization — including from a partially overwritten ring.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -370,9 +371,20 @@ TEST(SyncPlanTest, BuildAdjacencyListsAndValidates) {
   sync::SyncPlan plan;
   plan.edges = {{0, 1}, {0, 2}, {1, 2}};
   const sync::PlanAdjacency adjacency = sync::build_adjacency(plan, 3);
-  EXPECT_EQ(adjacency.out[0], (std::vector<std::int32_t>{1, 2}));
-  EXPECT_EQ(adjacency.in[2], (std::vector<std::int32_t>{0, 1}));
-  EXPECT_TRUE(adjacency.in[0].empty());
+  // Rows hold plan positions; map them to the neighbor messages.
+  auto neighbors = [&](std::span<const std::int32_t> row,
+                       std::int32_t sync::SyncEdge::*end) {
+    std::vector<std::int32_t> out;
+    for (const std::int32_t edge : row) {
+      out.push_back(plan.edges[static_cast<std::size_t>(edge)].*end);
+    }
+    return out;
+  };
+  EXPECT_EQ(neighbors(adjacency.out(0), &sync::SyncEdge::to),
+            (std::vector<std::int32_t>{1, 2}));
+  EXPECT_EQ(neighbors(adjacency.in(2), &sync::SyncEdge::from),
+            (std::vector<std::int32_t>{0, 1}));
+  EXPECT_TRUE(adjacency.in(0).empty());
 
   sync::SyncPlan backward;
   backward.edges = {{2, 1}};

@@ -2,7 +2,9 @@
 // three sync modes, and end-to-end execution on the simulator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aapc/common/error.hpp"
@@ -191,6 +193,30 @@ TEST(LoweringTest, CorruptedScheduleFailsContentionCheck) {
   EXPECT_NO_THROW(lower_schedule(topo, schedule, 8_KiB, lax));
 }
 
+TEST(LoweringTest, PrecomputedPlanMustBeStrictlySorted) {
+  // Token tags are plan positions, so a precomputed plan must be sorted
+  // by (from, to) without repeats, as build_sync_plan returns it.
+  const Topology topo = make_paper_figure1();
+  const core::Schedule schedule = core::build_aapc_schedule(topo);
+  const sync::SyncPlan plan = sync::build_sync_plan(topo, schedule);
+  ASSERT_GE(plan.edges.size(), 2u);
+  LoweringOptions options;
+  options.precomputed_plan = &plan;
+  EXPECT_NO_THROW(lower_schedule(topo, schedule, 8_KiB, options));
+
+  sync::SyncPlan unsorted = plan;
+  std::swap(unsorted.edges[0], unsorted.edges[1]);
+  options.precomputed_plan = &unsorted;
+  EXPECT_THROW(lower_schedule(topo, schedule, 8_KiB, options),
+               aapc::InvalidArgument);
+
+  sync::SyncPlan duplicate = plan;
+  duplicate.edges.insert(duplicate.edges.begin() + 1, duplicate.edges[0]);
+  options.precomputed_plan = &duplicate;
+  EXPECT_THROW(lower_schedule(topo, schedule, 8_KiB, options),
+               aapc::InvalidArgument);
+}
+
 // Irregular lowering over sparse-alltoall schedules
 // (core::build_sparse_alltoall_schedule): the schedules only carry the
 // induced message set, so the irregular path is the natural lowering —
@@ -272,6 +298,199 @@ TEST(LoweringSparseTest, FullyDenseLowersBitIdenticallyToAapc) {
     EXPECT_EQ(from_sparse.programs[static_cast<std::size_t>(r)].to_string(),
               from_aapc.programs[static_cast<std::size_t>(r)].to_string())
         << "rank " << r;
+  }
+}
+
+
+// Golden digests. The sync plan and the lowering are linear CSR passes
+// whose output must equal, bit for bit, that of the vector-of-vectors
+// plan and lower_bound tag lookup they replaced: the digests below were
+// computed with those. The cases cover both plan constructions with and
+// without the transitive reduction, every sync mode, the irregular
+// lowering and the self-copy toggle.
+
+/// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void mix(std::int64_t value) {
+    h_ ^= static_cast<std::uint64_t>(value);
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Every edge, then both counts.
+std::uint64_t plan_digest(const sync::SyncPlan& plan) {
+  Digest d;
+  d.mix(static_cast<std::int64_t>(plan.edges.size()));
+  for (const sync::SyncEdge& e : plan.edges) {
+    d.mix(e.from);
+    d.mix(e.to);
+  }
+  d.mix(plan.edges_before_reduction);
+  d.mix(plan.cross_node_edges);
+  return d.value();
+}
+
+/// The set name, every field of every op, then the LoweringInfo fields.
+std::uint64_t programs_digest(const mpisim::ProgramSet& set,
+                              const LoweringInfo& info) {
+  Digest d;
+  for (const char c : set.name) d.mix(c);
+  d.mix(set.rank_count());
+  for (const mpisim::Program& program : set.programs) {
+    d.mix(static_cast<std::int64_t>(program.ops.size()));
+    for (const Op& op : program.ops) {
+      d.mix(static_cast<std::int64_t>(op.kind));
+      d.mix(op.peer);
+      d.mix(static_cast<std::int64_t>(op.bytes));
+      d.mix(op.tag);
+      d.mix(op.request);
+    }
+  }
+  d.mix(info.data_messages);
+  d.mix(info.sync_messages);
+  d.mix(info.local_wait_dependencies);
+  d.mix(info.sync_edges_before_reduction);
+  return d.value();
+}
+
+/// Radius-2 ring neighborhood (the halo-exchange shape).
+core::SparseNeighbors ring_radius2(std::int32_t n) {
+  core::SparseNeighbors neighbors(static_cast<std::size_t>(n));
+  for (topology::Rank r = 0; r < n; ++r) {
+    neighbors[static_cast<std::size_t>(r)] = {(r + 1) % n, (r + 2) % n,
+                                              (r + n - 1) % n,
+                                              (r + n - 2) % n};
+  }
+  return neighbors;
+}
+
+struct GoldenInputs {
+  Topology fat256 = topology::make_fat_tree(8, 4, 8);
+  Topology tree128 = topology::make_fat_tree(4, 4, 8);
+  Topology paper_b = topology::make_paper_topology_b();
+  Topology paper_c = topology::make_paper_topology_c();
+  Topology fabric256 = topology::make_switch_fabric({4, 4}, 16);
+  core::Schedule fat256_alltoall = core::build_aapc_schedule(fat256);
+  core::Schedule fat256_allgather = core::build_allgather_schedule(fat256);
+  core::Schedule tree128_alltoall = core::build_aapc_schedule(tree128);
+  core::Schedule paper_b_alltoall = core::build_aapc_schedule(paper_b);
+  core::Schedule paper_c_alltoall = core::build_aapc_schedule(paper_c);
+  core::Schedule fabric256_sparse = core::build_sparse_alltoall_schedule(
+      fabric256, core::normalize_neighbors(256, ring_radius2(256)));
+};
+
+const GoldenInputs& golden_inputs() {
+  static const GoldenInputs inputs;
+  return inputs;
+}
+
+TEST(LoweringGoldenTest, SyncPlansAreBitIdentical) {
+  const GoldenInputs& in = golden_inputs();
+  ASSERT_EQ(in.fat256.machine_count(), 256);
+  ASSERT_EQ(in.tree128.machine_count(), 128);
+  ASSERT_EQ(in.tree128_alltoall.message_count(), 16256);
+  ASSERT_EQ(in.fabric256.machine_count(), 256);
+  sync::SyncPlanOptions unreduced;
+  unreduced.remove_redundant = false;
+  sync::SyncPlanOptions chains;
+  chains.construction = sync::SyncPlanOptions::Construction::kEdgeChains;
+  struct Case {
+    const Topology* topo;
+    const core::Schedule* schedule;
+    sync::SyncPlanOptions options;
+    std::uint64_t golden;
+  };
+  const std::vector<Case> cases = {
+      // Edge chains, too many messages for the reduction.
+      {&in.fat256, &in.fat256_alltoall, {}, 0xe6990f0b86d543feull},
+      {&in.fat256, &in.fat256_allgather, {}, 0x56a880a1fbb4abb7ull},
+      // Edge chains with the reduction, and without it.
+      {&in.tree128, &in.tree128_alltoall, {}, 0x63e3045f9ffe747full},
+      {&in.tree128, &in.tree128_alltoall, unreduced, 0x70eb84b62de7b8deull},
+      {&in.paper_c, &in.paper_c_alltoall, chains, 0x5d024de5a2beb87dull},
+      // All pairs with the reduction, and without it.
+      {&in.paper_b, &in.paper_b_alltoall, {}, 0x651642610e2a968eull},
+      {&in.paper_b, &in.paper_b_alltoall, unreduced, 0xe291713ac0c7e877ull},
+      {&in.paper_c, &in.paper_c_alltoall, {}, 0x082acdea73ac43d4ull},
+      {&in.fabric256, &in.fabric256_sparse, {}, 0x12c0f9f842fba7a7ull},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const sync::SyncPlan plan =
+        sync::build_sync_plan(*c.topo, *c.schedule, c.options);
+    EXPECT_EQ(plan_digest(plan), c.golden)
+        << "case " << i << ": 0x" << std::hex << plan_digest(plan);
+  }
+}
+
+TEST(LoweringGoldenTest, ProgramsAreBitIdentical) {
+  const GoldenInputs& in = golden_inputs();
+  LoweringOptions unreduced;
+  unreduced.reduce_redundant_syncs = false;
+  LoweringOptions barrier;
+  barrier.sync = SyncMode::kBarrier;
+  LoweringOptions no_sync;
+  no_sync.sync = SyncMode::kNone;
+  LoweringOptions no_copy;
+  no_copy.include_self_copy = false;
+  // The service's path: a plan built once and passed in.
+  const sync::SyncPlan fat256_plan =
+      sync::build_sync_plan(in.fat256, in.fat256_alltoall);
+  LoweringOptions precomputed;
+  precomputed.precomputed_plan = &fat256_plan;
+  // Irregular sizes with zero-byte pairs (lowered as 1-byte messages).
+  auto size_matrix = [](std::int32_t n) {
+    std::vector<Bytes> matrix(static_cast<std::size_t>(n) *
+                              static_cast<std::size_t>(n));
+    for (std::size_t k = 0; k < matrix.size(); ++k) {
+      matrix[k] = static_cast<Bytes>((k * 7) % 5) * 1_KiB;
+    }
+    return matrix;
+  };
+  struct Case {
+    const Topology* topo;
+    const core::Schedule* schedule;
+    LoweringOptions options;
+    bool irregular;
+    std::uint64_t golden;
+  };
+  const std::vector<Case> cases = {
+      {&in.fat256, &in.fat256_alltoall, {}, false, 0x885fd3841795b8eaull},
+      {&in.fat256, &in.fat256_alltoall, precomputed, false,
+       0x885fd3841795b8eaull},
+      {&in.fat256, &in.fat256_allgather, {}, false, 0x04991821b2f9041aull},
+      {&in.tree128, &in.tree128_alltoall, {}, false, 0x500f911d9d0f6d15ull},
+      {&in.tree128, &in.tree128_alltoall, unreduced, false,
+       0x3b871ad9e9f3ab4aull},
+      {&in.paper_b, &in.paper_b_alltoall, {}, false, 0x170603761bb28bb5ull},
+      {&in.paper_b, &in.paper_b_alltoall, unreduced, false,
+       0x8598b8a2512cba08ull},
+      {&in.paper_b, &in.paper_b_alltoall, barrier, false,
+       0x3b7d81bb427d3ee0ull},
+      {&in.paper_b, &in.paper_b_alltoall, no_sync, false,
+       0x5e78a7ce55323997ull},
+      {&in.paper_b, &in.paper_b_alltoall, {}, true, 0x4678a4a8bafccf18ull},
+      {&in.paper_c, &in.paper_c_alltoall, no_copy, false,
+       0x4e84b94f7cb481a9ull},
+      {&in.paper_c, &in.paper_c_alltoall, barrier, true, 0xc78413eb48d50673ull},
+      {&in.fabric256, &in.fabric256_sparse, {}, true, 0xf251a18dfc23e08aull},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    LoweringInfo info;
+    const mpisim::ProgramSet set =
+        c.irregular
+            ? lower_schedule_irregular(*c.topo, *c.schedule,
+                                       size_matrix(c.topo->machine_count()),
+                                       c.options, &info)
+            : lower_schedule(*c.topo, *c.schedule, 64_KiB, c.options, &info);
+    EXPECT_EQ(programs_digest(set, info), c.golden)
+        << "case " << i << ": 0x" << std::hex << programs_digest(set, info);
   }
 }
 

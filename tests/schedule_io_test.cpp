@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/rng.hpp"
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/schedule_io.hpp"
 #include "aapc/core/scheduler.hpp"
@@ -134,6 +137,44 @@ TEST(ScheduleIoTest, GoldenDigests) {
   EXPECT_EQ(fnv1a(allgather), 0x6d1b8137ed62f492ull);
   EXPECT_EQ(paper.size(), 223u);
   EXPECT_EQ(fnv1a(paper), 0x5f4904bd511b08c1ull);
+}
+
+// netd writes the caller-labeled JSON straight from the canonical entry
+// through a rank map; it must equal the JSON of the relabeled schedule.
+TEST(ScheduleIoTest, RankMapJsonEqualsRelabeledScheduleJson) {
+  const Topology fat_tree = topology::make_fat_tree(4, 2, 4);
+  const Topology figure1 = make_paper_figure1();
+  const std::vector<std::pair<const Topology*, Schedule>> cases = {
+      {&fat_tree, build_aapc_schedule(fat_tree)},
+      {&fat_tree, build_allgather_schedule(fat_tree)},
+      {&figure1, build_aapc_schedule(figure1)},
+      {&figure1, build_allgather_schedule(figure1)},
+  };
+  Rng rng(2005);
+  for (const auto& [topo, schedule] : cases) {
+    const std::int32_t n = topo->machine_count();
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<Rank> perm(static_cast<std::size_t>(n));
+      for (Rank r = 0; r < n; ++r) perm[static_cast<std::size_t>(r)] = r;
+      rng.shuffle(perm);
+      EXPECT_EQ(schedule_to_json(schedule, n, perm),
+                schedule_to_json(relabel_schedule(schedule, perm), n))
+          << collective_kind_name(schedule.kind) << " on " << n
+          << " ranks, trial " << trial;
+    }
+    // The identity map is the two-argument writer.
+    std::vector<Rank> identity(static_cast<std::size_t>(n));
+    for (Rank r = 0; r < n; ++r) identity[static_cast<std::size_t>(r)] = r;
+    EXPECT_EQ(schedule_to_json(schedule, n, identity),
+              schedule_to_json(schedule, n));
+  }
+}
+
+TEST(ScheduleIoTest, RankMapMustCoverEveryRank) {
+  const Schedule schedule =
+      Schedule::from_phase_lists({{Message{0, 1}}, {Message{2, 0}}});
+  const std::vector<Rank> short_map = {1, 0};
+  EXPECT_THROW(schedule_to_json(schedule, 3, short_map), InvalidArgument);
 }
 
 }  // namespace
