@@ -193,7 +193,8 @@ namespace {
 /// Hamiltonian cycle), then contention-freeness and coverage against
 /// the ring the schedule itself implies.
 VerifyReport verify_ring_pipeline(const topology::Topology& topo,
-                                  const Schedule& schedule) {
+                                  const Schedule& schedule,
+                                  const TaskRunner& runner) {
   VerifyReport report;
   const auto n = static_cast<std::int64_t>(topo.machine_count());
   const auto fail = [&](std::string msg) {
@@ -263,7 +264,7 @@ VerifyReport verify_ring_pipeline(const topology::Topology& topo,
   VerifyOptions options;
   options.require_optimal_phase_count = false;
   VerifyReport inner = verify_schedule_pattern(topo, schedule, expected,
-                                               options);
+                                               options, runner);
   report.ok = report.ok && inner.ok;
   report.max_edge_multiplicity = inner.max_edge_multiplicity;
   report.violations.insert(report.violations.end(),
@@ -275,20 +276,21 @@ VerifyReport verify_ring_pipeline(const topology::Topology& topo,
 
 VerifyReport verify_collective_schedule(const topology::Topology& topo,
                                         const Schedule& schedule,
-                                        const SparseNeighbors& neighbors) {
+                                        const SparseNeighbors& neighbors,
+                                        const TaskRunner& runner) {
   if (schedule.kind == CollectiveKind::kAllgather ||
       schedule.kind == CollectiveKind::kReduceScatter) {
-    return verify_ring_pipeline(topo, schedule);
+    return verify_ring_pipeline(topo, schedule, runner);
   }
   VerifyOptions options;
   options.require_optimal_phase_count =
       schedule.kind != CollectiveKind::kSparseAlltoall;
   if (schedule.kind == CollectiveKind::kAlltoall) {
-    return verify_schedule(topo, schedule, options);
+    return verify_schedule(topo, schedule, options, runner);
   }
   return verify_schedule_pattern(
       topo, schedule, collective_pattern(topo, schedule.kind, neighbors),
-      options);
+      options, runner);
 }
 
 std::uint64_t sparse_pattern_hash(const SparseNeighbors& normalized) {

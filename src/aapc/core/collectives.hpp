@@ -94,10 +94,11 @@ std::int64_t collective_phase_lower_bound(
 /// kinds accept ANY single Hamiltonian ring over the machines in n-1
 /// phases — the service rewrites cached canonical artifacts through a
 /// tree isomorphism, so a served ring need not match this topology's
-/// own dfs_machine_order.
+/// own dfs_machine_order. `runner` reaches the condition-(2) kernel
+/// (core/verify.hpp); the report is the same without it.
 VerifyReport verify_collective_schedule(
     const topology::Topology& topo, const Schedule& schedule,
-    const SparseNeighbors& neighbors = {});
+    const SparseNeighbors& neighbors = {}, const TaskRunner& runner = nullptr);
 
 /// Order-insensitive FNV-1a digest of normalized neighbor sets, for
 /// cache keying. Zero-cost convention: empty input hashes to the FNV

@@ -1,11 +1,9 @@
 #include "aapc/core/hierarchical.hpp"
 
 #include <algorithm>
-#include <string>
-#include <utility>
+#include <vector>
 
 #include "aapc/common/error.hpp"
-#include "aapc/common/strings.hpp"
 #include "aapc/core/global_schedule.hpp"
 #include "aapc/core/patterns.hpp"
 
@@ -24,7 +22,7 @@ enum class Step : std::int8_t {
 };
 
 /// A contiguous run of whole emission units within one step, plus its
-/// precomputed slice [offset, offset + count) of the staged arena.
+/// position [offset, offset + count) in the flat staging order.
 struct TaskDesc {
   Step step;
   std::int32_t i = 0;  // unit cursor: subtree (steps 1,2,5) or pair (i,j)
@@ -52,16 +50,46 @@ Rank rank_at(const Context& ctx, std::int32_t subtree, std::int32_t index) {
                           [static_cast<std::size_t>(index)];
 }
 
-void emit(ScheduledMessage* out, std::int64_t at, Rank src, Rank dst,
+/// Phases per settle block: small enough that a block sorts in cache,
+/// large enough that the per-(task, block) cursors stay few.
+constexpr std::int64_t kPhaseBlock = 4096;
+
+template <typename Sink>
+void emit(Sink& sink, std::int64_t& at, Rank src, Rank dst,
           std::int64_t phase, MessageScope scope) {
-  out[at] = ScheduledMessage{Message{src, dst},
-                             static_cast<std::int32_t>(phase), scope};
+  sink(ScheduledMessage{Message{src, dst}, static_cast<std::int32_t>(phase),
+                        scope},
+       phase);
+  ++at;
 }
+
+/// Count pass: messages per phase block. Every emitted phase must lie
+/// in [0, P); the scatter pass relies on it.
+struct CountSink {
+  std::int64_t* per_block;
+  std::int64_t phases;
+  void operator()(const ScheduledMessage&, std::int64_t phase) {
+    AAPC_REQUIRE(phase >= 0 && phase < phases,
+                 "emitted message phase " << phase << " out of range [0,"
+                                          << phases << ")");
+    ++per_block[phase / kPhaseBlock];
+  }
+};
+
+/// Scatter pass: each message to its block's next slot for this task.
+struct ScatterSink {
+  ScheduledMessage* arena;
+  std::int64_t* cursor;  // one per block
+  void operator()(const ScheduledMessage& message, std::int64_t phase) {
+    arena[cursor[phase / kPhaseBlock]++] = message;
+  }
+};
 
 // ---- per-unit emission (canonical order within each unit) ----
 
-std::int64_t emit_root_sends(const Context& ctx, std::int32_t j,
-                             ScheduledMessage* out, std::int64_t at) {
+template <typename Sink>
+std::int64_t emit_root_sends(const Context& ctx, std::int32_t j, Sink& sink,
+                             std::int64_t at) {
   const std::int64_t start = ctx.global->group_start(0, j);
   const std::int64_t length = ctx.global->group_length(0, j);
   const std::int32_t mj = (*ctx.sizes)[static_cast<std::size_t>(j)];
@@ -69,27 +97,29 @@ std::int64_t emit_root_sends(const Context& ctx, std::int32_t j,
     const std::int64_t p = start + q;
     const std::int32_t sender = ctx.t0_sender[static_cast<std::size_t>(p)];
     const auto receiver = static_cast<std::int32_t>(positive_mod(p - ctx.P, mj));
-    emit(out, at++, rank_at(ctx, 0, sender), rank_at(ctx, j, receiver), p,
+    emit(sink, at, rank_at(ctx, 0, sender), rank_at(ctx, j, receiver), p,
          MessageScope::kGlobal);
   }
   return at;
 }
 
+template <typename Sink>
 std::int64_t emit_sends_into_root(const Context& ctx, std::int32_t i,
-                                  ScheduledMessage* out, std::int64_t at) {
+                                  Sink& sink, std::int64_t at) {
   const std::int64_t start = ctx.global->group_start(i, 0);
   const std::int64_t length = ctx.global->group_length(i, 0);
   for (std::int64_t q = 0; q < length; ++q) {
     const std::int64_t p = start + q;
     const auto sender = static_cast<std::int32_t>(q / ctx.m0);  // broadcast
     const std::int32_t receiver = ctx.t0_receiver[static_cast<std::size_t>(p)];
-    emit(out, at++, rank_at(ctx, i, sender), rank_at(ctx, 0, receiver), p,
+    emit(sink, at, rank_at(ctx, i, sender), rank_at(ctx, 0, receiver), p,
          MessageScope::kGlobal);
   }
   return at;
 }
 
-std::int64_t emit_root_locals(const Context& ctx, ScheduledMessage* out,
+template <typename Sink>
+std::int64_t emit_root_locals(const Context& ctx, Sink& sink,
                               std::int64_t at) {
   const std::int32_t m0 = ctx.m0;
   std::vector<char> done(static_cast<std::size_t>(m0) * m0, 0);
@@ -102,29 +132,30 @@ std::int64_t emit_root_locals(const Context& ctx, ScheduledMessage* out,
     char& seen = done[static_cast<std::size_t>(src) * m0 + dst];
     AAPC_CHECK_MSG(!seen, "duplicate t0 local " << src << "->" << dst);
     seen = 1;
-    emit(out, at++, rank_at(ctx, 0, src), rank_at(ctx, 0, dst), p,
+    emit(sink, at, rank_at(ctx, 0, src), rank_at(ctx, 0, dst), p,
          MessageScope::kLocal);
   }
   return at;
 }
 
+template <typename Sink>
 std::int64_t emit_down_pair(const Context& ctx, std::int32_t i,
-                            std::int32_t j, ScheduledMessage* out,
-                            std::int64_t at) {
+                            std::int32_t j, Sink& sink, std::int64_t at) {
   const std::int64_t start = ctx.global->group_start(i, j);
   const std::int64_t length = ctx.global->group_length(i, j);
   const std::int32_t mj = (*ctx.sizes)[static_cast<std::size_t>(j)];
   for (std::int64_t q = 0; q < length; ++q) {
     const auto sender = static_cast<std::int32_t>(q / mj);
     const auto receiver = static_cast<std::int32_t>(q % mj);
-    emit(out, at++, rank_at(ctx, i, sender), rank_at(ctx, j, receiver),
+    emit(sink, at, rank_at(ctx, i, sender), rank_at(ctx, j, receiver),
          start + q, MessageScope::kGlobal);
   }
   return at;
 }
 
+template <typename Sink>
 std::int64_t emit_subtree_locals(const Context& ctx, std::int32_t i,
-                                 ScheduledMessage* out, std::int64_t at) {
+                                 Sink& sink, std::int64_t at) {
   const std::int32_t mi = (*ctx.sizes)[static_cast<std::size_t>(i)];
   if (mi <= 1) return at;
   const std::int32_t mprev = (*ctx.sizes)[static_cast<std::size_t>(i - 1)];
@@ -142,7 +173,7 @@ std::int64_t emit_subtree_locals(const Context& ctx, std::int32_t i,
     if (seen) continue;
     seen = 1;
     ++scheduled;
-    emit(out, at++, rank_at(ctx, i, drecv), rank_at(ctx, i, gsend), p,
+    emit(sink, at, rank_at(ctx, i, drecv), rank_at(ctx, i, gsend), p,
          MessageScope::kLocal);
   }
   AAPC_CHECK_MSG(scheduled == mi * (mi - 1),
@@ -151,8 +182,9 @@ std::int64_t emit_subtree_locals(const Context& ctx, std::int32_t i,
   return at;
 }
 
+template <typename Sink>
 std::int64_t emit_up_pair(const Context& ctx, std::int32_t i, std::int32_t j,
-                          ScheduledMessage* out, std::int64_t at) {
+                          Sink& sink, std::int64_t at) {
   const std::int64_t start = ctx.global->group_start(i, j);
   const std::int32_t mi = (*ctx.sizes)[static_cast<std::size_t>(i)];
   const std::int32_t mj = (*ctx.sizes)[static_cast<std::size_t>(j)];
@@ -163,7 +195,7 @@ std::int64_t emit_up_pair(const Context& ctx, std::int32_t i, std::int32_t j,
         ctx.broadcast_step6 ? static_cast<std::int32_t>(q / mj)
                             : rotate_sender_at(mi, mj, q);
     const auto receiver = static_cast<std::int32_t>(q % mj);
-    emit(out, at++, rank_at(ctx, i, sender), rank_at(ctx, j, receiver),
+    emit(sink, at, rank_at(ctx, i, sender), rank_at(ctx, j, receiver),
          start + q, MessageScope::kGlobal);
   }
   return at;
@@ -244,11 +276,11 @@ bool first_unit(const Context& ctx, Step step, std::int32_t& i,
   return false;
 }
 
-/// Runs one task: emits its run of units into the shared staged arena at
-/// the precomputed slice. Throws on internal inconsistency (caught by
-/// the task wrapper and rethrown after the join).
-void run_task(const Context& ctx, const TaskDesc& task,
-              ScheduledMessage* staged) {
+/// Runs one task: emits its run of units, in staging order, into
+/// `sink`. Throws on internal inconsistency (captured by run_jobs and
+/// rethrown after the join).
+template <typename Sink>
+void run_task(const Context& ctx, const TaskDesc& task, Sink& sink) {
   std::int64_t at = task.offset;
   const std::int64_t end = task.offset + task.count;
   std::int32_t i = task.i;
@@ -256,31 +288,31 @@ void run_task(const Context& ctx, const TaskDesc& task,
   while (at < end) {
     switch (task.step) {
       case Step::kRootSends:
-        at = emit_root_sends(ctx, j, staged, at);
+        at = emit_root_sends(ctx, j, sink, at);
         break;
       case Step::kSendsIntoRoot:
-        at = emit_sends_into_root(ctx, i, staged, at);
+        at = emit_sends_into_root(ctx, i, sink, at);
         break;
       case Step::kRootLocals:
-        at = emit_root_locals(ctx, staged, at);
+        at = emit_root_locals(ctx, sink, at);
         break;
       case Step::kDownPairs:
-        at = emit_down_pair(ctx, i, j, staged, at);
+        at = emit_down_pair(ctx, i, j, sink, at);
         break;
       case Step::kSubtreeLocals:
-        at = emit_subtree_locals(ctx, i, staged, at);
+        at = emit_subtree_locals(ctx, i, sink, at);
         break;
       case Step::kUpPairs:
-        at = emit_up_pair(ctx, i, j, staged, at);
+        at = emit_up_pair(ctx, i, j, sink, at);
         break;
     }
     if (at < end) {
       AAPC_CHECK_MSG(advance(ctx, task.step, i, j),
                      "task ran out of units with "
-                         << end - at << " staged messages still to emit");
+                         << end - at << " messages still to emit");
     }
   }
-  AAPC_CHECK_MSG(at == end, "task overran its staged slice by " << at - end);
+  AAPC_CHECK_MSG(at == end, "task overran its slice by " << at - end);
 }
 
 }  // namespace
@@ -340,14 +372,13 @@ Schedule assign_messages_hierarchical(const Decomposition& dec,
   }
 
   // Slice the canonical unit stream into tasks: accumulate whole units
-  // until the per-task target is reached. Offsets are exact, so tasks
-  // write disjoint slices of one shared arena — merge is free.
+  // until the per-task target is reached.
   const std::int64_t machines = dec.machine_count();
   const std::int64_t total = machines * (machines - 1);
   const std::int64_t target =
       options.messages_per_task > 0
           ? options.messages_per_task
-          : std::max<std::int64_t>(1 << 16, total / 32);
+          : std::max<std::int64_t>(kTaskGrain, total / 32);
 
   std::vector<TaskDesc> descs;
   std::int64_t offset = 0;
@@ -375,47 +406,97 @@ Schedule assign_messages_hierarchical(const Decomposition& dec,
                                       << offset << " of " << total
                                       << " AAPC messages");
 
-  std::vector<ScheduledMessage> staged(static_cast<std::size_t>(total));
-  std::vector<std::string> errors(descs.size());
-  std::vector<char> completed(descs.size(), 0);
-  std::vector<Task> tasks;
-  tasks.reserve(descs.size());
-  for (std::size_t t = 0; t < descs.size(); ++t) {
-    const TaskDesc& desc = descs[t];
-    std::string& error = errors[t];
-    char& done = completed[t];
-    ScheduledMessage* out = staged.data();
-    tasks.push_back([&ctx, desc, out, &error, &done]() {
-      try {
-        run_task(ctx, desc, out);
-      } catch (const std::exception& e) {
-        error = e.what();
-      } catch (...) {
-        error = "unknown emission failure";
-      }
-      done = 1;
-    });
+  // Count: each task's messages per phase block, stored block-major in
+  // `slot` so that the prefix sum below lays out every block as its
+  // tasks' runs in task order.
+  const auto tasks = descs.size();
+  const auto blocks =
+      static_cast<std::size_t>((ctx.P + kPhaseBlock - 1) / kPhaseBlock);
+  std::vector<std::int64_t> slot(blocks * tasks + 1, 0);
+  run_jobs(
+      runner, tasks,
+      [&](std::size_t t) {
+        std::vector<std::int64_t> per_block(blocks, 0);
+        CountSink sink{per_block.data(), ctx.P};
+        run_task(ctx, descs[t], sink);
+        for (std::size_t b = 0; b < blocks; ++b) {
+          slot[b * tasks + t] = per_block[b];
+        }
+      },
+      "hierarchical assignment count");
+  std::int64_t running = 0;
+  for (std::int64_t& s : slot) {
+    const std::int64_t count = s;
+    s = running;
+    running += count;
   }
-  if (runner) {
-    runner(tasks);
-  } else {
-    for (const Task& task : tasks) task();
-  }
-  for (std::size_t t = 0; t < errors.size(); ++t) {
-    AAPC_CHECK_MSG(completed[t],
-                   "task runner returned without executing task "
-                       << t << " of " << descs.size()
-                       << "; its arena slice is unwritten");
-    if (!errors[t].empty()) {
-      throw InternalError(str_cat("hierarchical assignment task ", t,
-                                  " failed: ", errors[t]));
-    }
-  }
+  AAPC_CHECK_MSG(running == total, "count pass saw " << running << " of "
+                                                     << total << " messages");
 
-  // Merge across the root: stable counting sort into the phase arena —
-  // identical to what the flat builder produces from the same staged
-  // order.
-  return Schedule::from_staged(std::move(staged), ctx.P);
+  // Scatter: each task writes its messages, in emission order, from its
+  // cursor in every block, and must end exactly where the next task's
+  // run begins, so no slot of the arena is left unwritten.
+  Schedule out;
+  out.messages.resize(static_cast<std::size_t>(total));
+  run_jobs(
+      runner, tasks,
+      [&](std::size_t t) {
+        std::vector<std::int64_t> cursor(blocks);
+        for (std::size_t b = 0; b < blocks; ++b) {
+          cursor[b] = slot[b * tasks + t];
+        }
+        ScatterSink sink{out.messages.data(), cursor.data()};
+        run_task(ctx, descs[t], sink);
+        for (std::size_t b = 0; b < blocks; ++b) {
+          const std::int64_t next = slot[b * tasks + t + 1];
+          AAPC_CHECK_MSG(cursor[b] == next,
+                         "task " << t << " ended block " << b << " at slot "
+                                 << cursor[b] << ", where the next run "
+                                 << "begins at " << next);
+        }
+      },
+      "hierarchical assignment scatter");
+
+  // Settle: a stable counting sort on phase inside each block, so ties
+  // keep the (task, emission) order; each block fills its phase_begin.
+  out.phase_begin.resize(static_cast<std::size_t>(ctx.P) + 1);
+  out.phase_begin.back() = total;
+  const std::size_t settle_jobs = std::min(blocks, tasks);
+  run_jobs(
+      runner, settle_jobs,
+      [&](std::size_t job) {
+        std::vector<std::int64_t> at(static_cast<std::size_t>(kPhaseBlock));
+        std::vector<ScheduledMessage> scratch;
+        for (std::size_t b = job * blocks / settle_jobs;
+             b < (job + 1) * blocks / settle_jobs; ++b) {
+          const std::int64_t first = slot[b * tasks];
+          const std::int64_t last = slot[(b + 1) * tasks];
+          const auto phase0 = static_cast<std::int64_t>(b) * kPhaseBlock;
+          const std::int64_t width = std::min(kPhaseBlock, ctx.P - phase0);
+          std::fill(at.begin(), at.begin() + width, 0);
+          ScheduledMessage* block = out.messages.data() + first;
+          const std::int64_t size = last - first;
+          for (std::int64_t m = 0; m < size; ++m) {
+            ++at[static_cast<std::size_t>(block[m].phase - phase0)];
+          }
+          std::int64_t cursor = first;
+          for (std::int64_t p = 0; p < width; ++p) {
+            out.phase_begin[static_cast<std::size_t>(phase0 + p)] = cursor;
+            const std::int64_t count = at[static_cast<std::size_t>(p)];
+            at[static_cast<std::size_t>(p)] = cursor - first;
+            cursor += count;
+          }
+          scratch.resize(static_cast<std::size_t>(size));
+          for (std::int64_t m = 0; m < size; ++m) {
+            const std::int64_t p = block[m].phase - phase0;
+            scratch[static_cast<std::size_t>(
+                at[static_cast<std::size_t>(p)]++)] = block[m];
+          }
+          std::copy(scratch.begin(), scratch.end(), block);
+        }
+      },
+      "hierarchical assignment settle");
+  return out;
 }
 
 }  // namespace aapc::core

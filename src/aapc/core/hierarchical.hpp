@@ -4,7 +4,7 @@
 // a shared builder. This module restates the algorithm as a set of
 // *emission units* — per-subtree and per-subtree-pair message groups
 // whose phase placement is closed-form — scheduled independently and
-// merged across the root by a stable counting sort into the phase arena.
+// placed into the phase arena by a blocked, stable counting sort.
 //
 // Unit decomposition (canonical order = the flat staging order):
 //   step 1:  one unit per group t0 → tj          (root subtree sends)
@@ -16,44 +16,44 @@
 //
 // The only cross-unit data — the per-phase t0 sender/receiver mapping
 // (Table 3) — is closed-form and precomputed once, read-only. Every unit
-// therefore knows its exact slice of the staged arena up front, so units
-// can be blocked into tasks and run on any thread pool: the bytes
-// written are identical regardless of execution order or thread count,
-// which is what makes the parallel path bit-identical to the flat one.
+// therefore knows how many messages it emits, and at which phases,
+// without depending on any other unit, so units can be blocked into
+// tasks and run on any thread pool. Three passes then fill the final
+// phase arena directly, each on the caller's runner:
+//   count:   each task counts its messages per block of 4096 phases
+//            (and range-checks every phase);
+//   scatter: a prefix sum over (block, task) gives each task one write
+//            cursor per block, and each task emits again, writing its
+//            messages in emission order;
+//   settle:  each block is sorted by a stable counting sort on phase
+//            and fills its part of phase_begin.
+// Within a phase the order is then (task, emission) order, the flat
+// staging order, so the result is bit-identical to assign_messages for
+// every runner and thread count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "aapc/core/assign.hpp"
 #include "aapc/core/decompose.hpp"
 #include "aapc/core/schedule.hpp"
+#include "aapc/core/tasks.hpp"
 
 namespace aapc::core {
-
-/// One parallelizable piece of schedule construction. Must not throw
-/// (pool workers have no exception channel); failures are recorded
-/// internally and rethrown after the join.
-using Task = std::function<void()>;
-
-/// Executes every task and returns once all of them have finished.
-/// Tasks are independent; any order and any number of threads is
-/// correct. nullptr means "run inline on the calling thread".
-using TaskRunner = std::function<void(const std::vector<Task>&)>;
 
 struct HierarchicalOptions {
   AssignmentOptions assignment;
 
-  /// Target staged messages per task; 0 picks a default that yields a
-  /// few tasks per step. Units are never split, so a single huge group
+  /// Target messages per task; 0 picks a default that yields a few
+  /// tasks per step. Units are never split, so a single huge group
   /// can exceed the target.
   std::int64_t messages_per_task = 0;
 };
 
 /// Hierarchical/parallel twin of assign_messages: same Decomposition in,
-/// bit-identical Schedule out. `runner` distributes the emission tasks;
-/// the merge (counting sort by phase) runs on the calling thread.
+/// bit-identical Schedule out. `runner` runs the count, scatter and
+/// settle passes; only the prefix sum between them and the arena's
+/// allocation run on the calling thread.
 Schedule assign_messages_hierarchical(const Decomposition& dec,
                                       const AssignmentOptions& options = {},
                                       const TaskRunner& runner = nullptr);

@@ -103,9 +103,7 @@ struct Schedule {
 
   /// Indexes a staged (unsorted) message list into a Schedule covering
   /// phases [0, total_phases): a stable counting sort by phase, so ties
-  /// keep their staged order. This is also the merge step of the
-  /// hierarchical scheduler: per-subtree emissions concatenate in
-  /// canonical order and sort into the shared phase arena.
+  /// keep their staged order (ScheduleBuilder::build).
   static Schedule from_staged(std::vector<ScheduledMessage> staged,
                               std::int64_t total_phases);
 

@@ -8,12 +8,24 @@
 //   (3) the number of phases equals the AAPC load of the topology
 //       (optimality — optional, since non-optimal schedules from the
 //       baselines can also be checked for (1) and (2)).
+//
+// One kernel checks condition (2) for all three entry points. Each call
+// first builds a path table — every rank's up-edges, root first, from
+// the tree's parent, depth and edge_between — in O(|M|·depth); a path
+// is then the two ranks' rows below their common prefix, the same edges
+// in the same order as Topology::path. The kernel walks a range of
+// phases with its own stamped per-edge counters, so ranges are
+// independent: with a runner, a schedule above kTaskGrain messages is
+// cut into phase ranges that run as tasks, and their violations are
+// joined in phase order. The report, and any throw, is the same with
+// or without a runner.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "aapc/core/schedule.hpp"
+#include "aapc/core/tasks.hpp"
 #include "aapc/topology/topology.hpp"
 
 namespace aapc::core {
@@ -37,10 +49,12 @@ struct VerifyReport {
 
 /// Verify `schedule` against `topo`. Never throws on a bad schedule —
 /// all problems are reported; throws only on malformed inputs (ranks out
-/// of range).
+/// of range). Coverage is recorded in a bit matrix (|M|²/8 bytes) and
+/// recounted exactly only when a pair is missing or repeated.
 VerifyReport verify_schedule(const topology::Topology& topo,
                              const Schedule& schedule,
-                             const VerifyOptions& options = {});
+                             const VerifyOptions& options = {},
+                             const TaskRunner& runner = nullptr);
 
 /// Verify a schedule of an arbitrary message multiset (greedy/irregular
 /// schedules): condition (1) becomes "realizes `expected` exactly, as a
@@ -50,7 +64,8 @@ VerifyReport verify_schedule(const topology::Topology& topo,
 VerifyReport verify_schedule_pattern(const topology::Topology& topo,
                                      const Schedule& schedule,
                                      const std::vector<Message>& expected,
-                                     const VerifyOptions& options = {});
+                                     const VerifyOptions& options = {},
+                                     const TaskRunner& runner = nullptr);
 
 /// Cheap runtime invariant for the execution pipeline: checks only
 /// condition (2) — no two messages within any phase share a directed
@@ -63,6 +78,7 @@ VerifyReport verify_schedule_pattern(const topology::Topology& topo,
 /// corrupted or mis-repaired schedule fails loudly at execution time
 /// instead of silently producing contended timings.
 void require_contention_free(const topology::Topology& topo,
-                             const Schedule& schedule);
+                             const Schedule& schedule,
+                             const TaskRunner& runner = nullptr);
 
 }  // namespace aapc::core

@@ -99,17 +99,25 @@ void CompilerPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
       }
     }
   };
-  // Helpers are best-effort parallelism: a saturated (or shutting-down)
-  // queue just means the caller drains more of the batch itself.
-  const auto helpers = std::min<std::size_t>(workers_.size(),
-                                             tasks.size() - 1);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    try {
-      submit(drain);
-    } catch (const Error&) {
-      break;
+  // Helpers go only to idle workers that no queued task has claimed,
+  // so a helper never takes a queue slot from a compile request or
+  // waits behind one. With every worker busy (or the pool shutting
+  // down) the caller drains the whole batch itself.
+  std::size_t helpers = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::size_t idle = workers_.size() - busy_;
+    const std::size_t queued = queue_.size();
+    if (!shutting_down_ && idle > queued && queue_capacity_ > queued) {
+      helpers = std::min(
+          {idle - queued, queue_capacity_ - queued, tasks.size() - 1});
     }
+    for (std::size_t h = 0; h < helpers; ++h) queue_.push_back(drain);
+    submitted_ += static_cast<std::int64_t>(helpers);
+    peak_queue_depth_ = std::max(peak_queue_depth_,
+                                 static_cast<std::int64_t>(queue_.size()));
   }
+  for (std::size_t h = 0; h < helpers; ++h) work_available_.notify_one();
   drain();
   std::unique_lock<std::mutex> lock(shared->mutex);
   shared->all_done.wait(
@@ -137,10 +145,12 @@ void CompilerPool::worker_loop() {
       } else {
         return;  // shutting down with nothing pending
       }
+      ++busy_;
     }
     task();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
+      --busy_;
       if (background) {
         ++background_executed_;
       } else {

@@ -69,12 +69,14 @@ class CompilerPool {
 
   /// Runs every task in `tasks` and returns when all have finished.
   /// The calling thread participates: it pulls tasks from a shared
-  /// cursor alongside best-effort helper jobs submitted to the queue,
-  /// so a full queue (or a pool of busy workers calling this from
-  /// inside their own task) degrades to inline execution instead of
-  /// deadlocking. Tasks must not throw. Shaped as the core::TaskRunner
-  /// contract — the service installs this as the hierarchical
-  /// scheduler's runner.
+  /// cursor alongside helper jobs, which are offered only to idle
+  /// workers that no queued task has claimed (and never beyond the
+  /// queue's capacity). A pool of busy workers — for instance one
+  /// calling this from inside its own task — therefore leaves the queue
+  /// untouched and runs the batch inline instead of deadlocking. Tasks
+  /// must not throw. Shaped as the core::TaskRunner contract — the
+  /// service installs this as the assignment's and the verifier's
+  /// runner.
   void run_tasks(const std::vector<std::function<void()>>& tasks);
 
   Stats stats() const;
@@ -92,6 +94,7 @@ class CompilerPool {
   std::deque<std::function<void()>> queue_;
   std::deque<std::function<void()>> background_queue_;
   bool shutting_down_ = false;
+  std::size_t busy_ = 0;  // workers running a task
   std::int64_t submitted_ = 0;
   std::int64_t executed_ = 0;
   std::int64_t rejected_ = 0;

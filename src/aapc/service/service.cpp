@@ -100,6 +100,9 @@ ScheduleService::ScheduleService(const ServiceOptions& options)
       stage_assign_seconds_(registry_.histogram(
           "aapc_service_stage_assign_seconds",
           "Wall time of the message-assignment stage (Figure 4)")),
+      stage_verify_seconds_(registry_.histogram(
+          "aapc_service_stage_verify_seconds",
+          "Wall time of verifying the compiled schedule")),
       stage_sync_seconds_(registry_.histogram(
           "aapc_service_stage_sync_seconds",
           "Wall time of synchronization-plan construction")),
@@ -176,6 +179,12 @@ CompiledEntryPtr ScheduleService::compile_entry(
       static_cast<std::int32_t>(view.rates.size()) == topo.link_count() &&
       !core::uniform_rates(view.rates);
 
+  // Assignment and verification fan out to whatever pool workers are
+  // idle; this thread participates, so saturation degrades to
+  // sequential instead of deadlocking. The result is bit-identical
+  // either way, so the runner is not part of the cache key.
+  const core::TaskRunner runner =
+      [this](const std::vector<core::Task>& tasks) { pool_.run_tasks(tasks); };
   Clock::time_point stage = Clock::now();
   if (kind == core::CollectiveKind::kAllgather) {
     entry->schedule = core::build_allgather_schedule(topo);
@@ -190,14 +199,8 @@ CompiledEntryPtr ScheduleService::compile_entry(
     const core::Decomposition dec = core::decompose(topo);
     stage_decompose_seconds_.observe(seconds_since(stage));
     stage = Clock::now();
-    // Emission tasks fan out to whatever pool workers are idle; this
-    // thread participates, so saturation degrades to sequential
-    // instead of deadlocking. The result is bit-identical either way.
     entry->schedule = core::assign_messages_hierarchical(
-        dec, core::AssignmentOptions{},
-        [this](const std::vector<core::Task>& tasks) {
-          pool_.run_tasks(tasks);
-        });
+        dec, core::AssignmentOptions{}, runner);
   } else {
     // Degenerate sizes (|M| <= 2) have no decomposition; the whole
     // build is charged to the assign stage.
@@ -205,25 +208,27 @@ CompiledEntryPtr ScheduleService::compile_entry(
   }
   stage_assign_seconds_.observe(seconds_since(stage));
 
+  stage = Clock::now();
   if (kind == core::CollectiveKind::kAlltoall) {
     // Weighted schedules trade extra phases for a lower weighted
     // cost, so only contention-freeness and coverage apply.
     core::VerifyOptions verify_options;
     verify_options.require_optimal_phase_count = !weighted;
-    const core::VerifyReport report =
-        core::verify_schedule(topo, entry->schedule, verify_options);
+    const core::VerifyReport report = core::verify_schedule(
+        topo, entry->schedule, verify_options, runner);
     AAPC_CHECK_MSG(report.ok, "compiled schedule failed verification:\n"
                                   << report.summary());
   } else {
     // Per-kind pattern coverage + contention freedom, with the
     // bandwidth-optimality bound enforced for the ring pipelines.
-    const core::VerifyReport report =
-        core::verify_collective_schedule(topo, entry->schedule, neighbors);
+    const core::VerifyReport report = core::verify_collective_schedule(
+        topo, entry->schedule, neighbors, runner);
     AAPC_CHECK_MSG(report.ok,
                    "compiled " << core::collective_kind_name(kind)
                                << " schedule failed verification:\n"
                                << report.summary());
   }
+  stage_verify_seconds_.observe(seconds_since(stage));
 
   stage = Clock::now();
   // The plan is built here, outside the lowering, so the sync stage is
@@ -271,9 +276,11 @@ void ScheduleService::schedule_revalidation(
       const TopologyEpochs::View view = epochs_.view(hash);
       CompiledEntryPtr entry =
           compile_entry(canonical_form, class_bytes, view, kind, neighbors);
-      cache_.put(key, entry);
-      revalidations_.inc();
+      // Counted before the put publishes the entry: a reader that sees
+      // the fresh entry also sees the count (and the count's latency).
       revalidation_seconds_.observe(seconds_since(start));
+      revalidations_.inc();
+      cache_.put(key, entry);
     } catch (...) {
       revalidation_failures_.inc();
     }

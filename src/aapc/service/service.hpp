@@ -253,6 +253,7 @@ class ScheduleService {
   /// compilation time goes at each cluster size.
   obs::Histogram& stage_decompose_seconds_;
   obs::Histogram& stage_assign_seconds_;
+  obs::Histogram& stage_verify_seconds_;
   obs::Histogram& stage_sync_seconds_;
   obs::Histogram& stage_lower_seconds_;
   obs::Gauge& compile_ranks_;

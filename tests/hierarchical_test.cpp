@@ -125,6 +125,21 @@ TEST(HierarchicalTest, ParallelRunsAreMutuallyIdentical) {
   }
 }
 
+TEST(HierarchicalTest, MatchesFlatAcrossManyPhaseBlocks) {
+  // 1024 ranks: 61 440 phases, so the count, scatter and settle passes
+  // work on 15 phase blocks, and 64-message tasks put hundreds of task
+  // runs into each block.
+  const Topology topo = make_fat_tree(16, 8, 8);
+  const Decomposition dec = decompose(topo);
+  const Schedule flat = assign_messages(dec);
+  ASSERT_EQ(flat.phase_count(), 61440);
+  HierarchicalOptions small_tasks;
+  small_tasks.messages_per_task = 64;
+  expect_bit_identical(
+      flat, assign_messages_hierarchical(dec, small_tasks, threaded_runner));
+  expect_bit_identical(flat, assign_messages_hierarchical(dec));
+}
+
 TEST(HierarchicalTest, PeakBoundHoldsOnHierarchicalSchedules) {
   // The merge across the root must not cost phases: the hierarchical
   // schedule meets the theoretical minimum |M0|*(|M|-|M0|) = aapc_load
@@ -155,8 +170,9 @@ TEST(HierarchicalTest, BuildAapcScheduleEqualsFlatAssignment) {
 }
 
 TEST(HierarchicalTest, TaskErrorsSurfaceAfterJoin) {
-  // A runner that drops tasks on the floor must be detected (the staged
-  // arena would be partially unwritten), not silently accepted.
+  // A runner that drops a task on the floor must be detected (part of
+  // the arena would be unwritten), not silently accepted — in the
+  // count, the scatter and the settle pass alike.
   const Topology topo = make_single_switch(8);
   const Decomposition dec = decompose(topo);
   const TaskRunner lossy = [](const std::vector<Task>& tasks) {
@@ -166,6 +182,21 @@ TEST(HierarchicalTest, TaskErrorsSurfaceAfterJoin) {
   small_tasks.messages_per_task = 8;
   EXPECT_THROW(assign_messages_hierarchical(dec, small_tasks, lossy),
                Error);
+  for (int pass = 0; pass < 3; ++pass) {
+    int calls = 0;
+    const TaskRunner drops_in_one_pass =
+        [&calls, pass](const std::vector<Task>& tasks) {
+          const bool drop = calls++ == pass;
+          for (std::size_t i = drop ? 1 : 0; i < tasks.size(); ++i) {
+            tasks[i]();
+          }
+        };
+    EXPECT_THROW(
+        assign_messages_hierarchical(dec, small_tasks, drops_in_one_pass),
+        InternalError)
+        << "pass " << pass;
+    EXPECT_EQ(calls, pass + 1) << "the join check stops the passes";
+  }
 }
 
 }  // namespace

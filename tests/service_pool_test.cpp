@@ -1,13 +1,15 @@
-// Compiler-pool unit tests: execution, bounded-queue backpressure, and
-// shutdown draining. (Coalescing lives in the service layer and is
-// covered by service_test.cpp.)
+// Compiler-pool unit tests: execution, bounded-queue backpressure,
+// shutdown draining, and run_tasks fan-out. (Coalescing lives in the
+// service layer and is covered by service_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "aapc/service/compiler_pool.hpp"
 
@@ -124,8 +126,15 @@ TEST(CompilerPoolTest, BackgroundLaneRunsAfterEveryForegroundTask) {
       release = true;
     }
     cv.notify_all();
-    while (done.load() < 4) std::this_thread::yield();
-    const CompilerPool::Stats stats = pool.stats();
+    // Wait on the pool's own counters, not on the tasks' `done`: a
+    // worker counts a task only after it returns, so `done` can reach 4
+    // while the last count is still pending.
+    CompilerPool::Stats stats = pool.stats();
+    while (stats.executed + stats.background_executed < 5) {
+      std::this_thread::yield();
+      stats = pool.stats();
+    }
+    EXPECT_EQ(done.load(), 4);
     EXPECT_EQ(stats.background_submitted, 2);
     EXPECT_EQ(stats.background_executed, 2);
     EXPECT_EQ(stats.executed, 3);  // latch task + the two foreground tags
@@ -164,6 +173,71 @@ TEST(CompilerPoolTest, BackgroundLaneIsBoundedAndIndependent) {
     release = true;
   }
   cv.notify_all();
+}
+
+TEST(CompilerPoolTest, RunTasksRunsEveryTaskExactlyOnce) {
+  // From outside the pool (idle workers help) and from inside a worker's
+  // own task (the caller drains alongside whatever helpers it got).
+  CompilerPool pool(4, 64);
+  constexpr int kTasks = 1000;
+  const auto check_batch = [&pool] {
+    std::vector<std::atomic<int>> runs(kTasks);
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < kTasks; ++i) {
+      tasks.push_back([&runs, i] { runs[i].fetch_add(1); });
+    }
+    pool.run_tasks(tasks);
+    int wrong = 0;
+    for (const std::atomic<int>& r : runs) wrong += r.load() != 1;
+    return wrong;
+  };
+  EXPECT_EQ(check_batch(), 0);
+  std::atomic<int> nested_wrong{-1};
+  pool.submit([&] { nested_wrong = check_batch(); });
+  CompilerPool::Stats stats = pool.stats();
+  while (stats.queue_depth > 0 || nested_wrong.load() < 0) {
+    std::this_thread::yield();
+    stats = pool.stats();
+  }
+  EXPECT_EQ(nested_wrong.load(), 0);
+}
+
+TEST(CompilerPoolTest, RunTasksWithEveryWorkerBusyRunsInline) {
+  // Both workers are busy — one of them is the caller — so no helper is
+  // offered: the whole batch runs on the calling worker, and the queue
+  // never sees a helper job.
+  CompilerPool pool(2, 8);
+  std::atomic<int> started{0};
+  std::atomic<bool> batch_done{false};
+  std::vector<std::thread::id> ran(16);
+  std::thread::id caller;
+  CompilerPool::Stats before;
+  CompilerPool::Stats after;
+  pool.submit([&] {
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < ran.size(); ++i) {
+      tasks.push_back([&ran, i] { ran[i] = std::this_thread::get_id(); });
+    }
+    before = pool.stats();
+    pool.run_tasks(tasks);
+    after = pool.stats();
+    caller = std::this_thread::get_id();
+    batch_done = true;
+  });
+  pool.submit([&] {
+    started.fetch_add(1);
+    while (!batch_done.load()) std::this_thread::yield();
+  });
+  // The pool counts a task after it returns; waiting on that count
+  // also makes the first task's writes visible here.
+  while (pool.stats().executed < 2) std::this_thread::yield();
+  for (const std::thread::id& id : ran) EXPECT_EQ(id, caller);
+  EXPECT_EQ(before.queue_depth, 0);
+  EXPECT_EQ(after.queue_depth, 0);
+  EXPECT_EQ(after.submitted, before.submitted);
+  EXPECT_EQ(pool.stats().submitted, 2);  // the two submits, no helper
 }
 
 }  // namespace

@@ -263,6 +263,39 @@ TEST(ScheduleServiceTest, BackpressureRejectsWithRetryAfter) {
       0.0);
 }
 
+TEST(ScheduleServiceTest, BurstOfDistinctKeysIsNeverRejected) {
+  // 40 callers ask one fresh service (4 workers, 64 queue slots) for 40
+  // size classes of a 256-rank fat tree at once. At most 36 requests
+  // wait while 4 compile, so none may be rejected. Each compile fans its
+  // assignment passes out on the pool; helpers go only to idle workers,
+  // so they never take the queue slots those requests need. (The cache
+  // keeps all 40 entries, about 0.4 GB here; 512 ranks would need 2 GB.)
+  ScheduleService service;
+  const Topology topo = topology::make_fat_tree(8, 4, 8);
+  const Canonicalization canon = canonicalize(topo);
+  constexpr int kCallers = 40;
+  std::atomic<int> served{0};
+  std::atomic<int> overloaded{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kCallers; ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        service.lookup(topo, Bytes{1} << c, canon,
+                       core::CollectiveKind::kAlltoall);
+        served.fetch_add(1);
+      } catch (const ServiceOverloaded&) {
+        overloaded.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(overloaded.load(), 0);
+  EXPECT_EQ(served.load(), kCallers);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(metrics.value("aapc_service_rejected_total"), 0.0);
+  EXPECT_EQ(metrics.value("aapc_service_cache_misses_total"), kCallers);
+}
+
 TEST(ScheduleServiceTest, SizeClassMath) {
   EXPECT_EQ(ScheduleService::size_class(1), 0u);
   EXPECT_EQ(ScheduleService::size_class(2), 1u);
