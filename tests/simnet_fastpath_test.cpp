@@ -1,7 +1,7 @@
 // Regression tests for the simulation-core fast path: event ordering
 // under kTimeEpsilon ties, pending-activation heap behavior, hot-path
 // statistics counters, and a bit-exact determinism golden pinning
-// executor completion times on the three paper topologies.
+// executor completion times on every case of the `simulate` workload.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -132,40 +132,73 @@ TEST(FastPathTest, StatsCountersTrackHotPathStructures) {
   EXPECT_GE(stats.rate_recomputations, 2);
 }
 
-// Determinism golden: Executor::run completion times on the three paper
-// topologies, for both the generated schedule and the Lam baseline,
-// pinned bit-exactly to the values produced by the original
-// (pre-fast-path) simulator core. Any change to event ordering, rate
-// arithmetic, or tie-breaking under kTimeEpsilon shows up here as a
-// bit-level difference.
+// Determinism golden: Executor::run completion times and message counts
+// for every case of the `simulate` benchmark workload — the generated
+// schedule, LAM and MPICH on the three paper topologies at 64 KiB, plus
+// the generated schedule on a 256-rank fat tree — pinned bit-exactly.
+// The paper-topology times of the generated schedule and LAM are the
+// values of the original (pre-fast-path) simulator core. Any change to
+// event ordering, post matching, rate arithmetic, or tie-breaking under
+// kTimeEpsilon shows up here as a bit-level difference.
+enum class Algorithm { kGenerated, kLam, kMpich };
+
 struct GoldenCase {
   const char* name;
   Topology (*make)();
-  double ours;
-  double lam;
+  Algorithm algorithm;
+  double completion_time;
+  std::int64_t message_count;
 };
 
-TEST(DeterminismGoldenTest, PaperTopologyCompletionTimesBitExact) {
+Topology make_fat_tree_256() { return topology::make_fat_tree(8, 4, 8); }
+
+TEST(DeterminismGoldenTest, SimulateCasesCompletionTimesBitExact) {
+  using enum Algorithm;
   const GoldenCase cases[] = {
-      {"paper_a", topology::make_paper_topology_a,
-       0x1.b6a6c3434f4eep-3, 0x1.3cbc3de5a5149p-2},
-      {"paper_b", topology::make_paper_topology_b,
-       0x1.7a2f4854f6c13p+0, 0x1.a49beb85dcddap+0},
-      {"paper_c", topology::make_paper_topology_c,
-       0x1.fbf33b3d06906p+0, 0x1.18367224e4f19p+1},
+      {"a/generated", topology::make_paper_topology_a, kGenerated,
+       0x1.b6a6c3434f4eep-3, 1080},
+      {"a/lam", topology::make_paper_topology_a, kLam, 0x1.3cbc3de5a5149p-2,
+       552},
+      {"a/mpich", topology::make_paper_topology_a, kMpich,
+       0x1.9102d3e04970bp-3, 552},
+      {"b/generated", topology::make_paper_topology_b, kGenerated,
+       0x1.7a2f4854f6c13p+0, 1669},
+      {"b/lam", topology::make_paper_topology_b, kLam, 0x1.a49beb85dcddap+0,
+       992},
+      {"b/mpich", topology::make_paper_topology_b, kMpich,
+       0x1.39c08d3a110e4p+0, 992},
+      {"c/generated", topology::make_paper_topology_c, kGenerated,
+       0x1.fbf33b3d06906p+0, 1919},
+      {"c/lam", topology::make_paper_topology_c, kLam, 0x1.18367224e4f19p+1,
+       992},
+      {"c/mpich", topology::make_paper_topology_c, kMpich,
+       0x1.12447a6b32c42p+1, 992},
+      {"fat256/generated", make_fat_tree_256, kGenerated,
+       0x1.c18d464e61d47p+5, 149018},
   };
+  constexpr Bytes kMsize = 65536;
   for (const GoldenCase& c : cases) {
     const Topology topo = c.make();
-    const core::Schedule schedule = core::build_aapc_schedule(topo);
-    const mpisim::ProgramSet ours =
-        lowering::lower_schedule(topo, schedule, 65536);
-    const mpisim::ProgramSet lam =
-        baselines::lam_alltoall(topo.machine_count(), 65536);
+    const std::int32_t n = topo.machine_count();
+    mpisim::ProgramSet programs;
+    switch (c.algorithm) {
+      case kGenerated:
+        programs = lowering::lower_schedule(
+            topo, core::build_aapc_schedule(topo), kMsize);
+        break;
+      case kLam:
+        programs = baselines::lam_alltoall(n, kMsize);
+        break;
+      case kMpich:
+        programs = baselines::mpich_alltoall(n, kMsize);
+        break;
+    }
     mpisim::Executor executor(topo, {}, {});
-    EXPECT_EQ(executor.run(ours).completion_time, c.ours)
-        << c.name << " (generated schedule) completion time drifted";
-    EXPECT_EQ(executor.run(lam).completion_time, c.lam)
-        << c.name << " (Lam baseline) completion time drifted";
+    const mpisim::ExecutionResult run = executor.run(programs);
+    EXPECT_EQ(run.completion_time, c.completion_time)
+        << c.name << " completion time drifted";
+    EXPECT_EQ(run.message_count, c.message_count)
+        << c.name << " message count drifted";
   }
 }
 
