@@ -82,7 +82,11 @@ void BM_ExecutorLam(benchmark::State& state) {
 BENCHMARK(BM_ExecutorLam)->Arg(8)->Arg(16)->Arg(24);
 
 void BM_ExecutorGeneratedRoutine(benchmark::State& state) {
-  const Topology topo = aapc::topology::make_paper_topology_c();
+  // `range(0)` ranks: paper topology (c) at 32, the simulate workload's
+  // make_fat_tree(8, 4, 8) at 256.
+  const Topology topo = state.range(0) == 32
+                            ? aapc::topology::make_paper_topology_c()
+                            : aapc::topology::make_fat_tree(8, 4, 8);
   const aapc::core::Schedule schedule = aapc::core::build_aapc_schedule(topo);
   const aapc::mpisim::ProgramSet set =
       aapc::lowering::lower_schedule(topo, schedule, 65536);
@@ -91,7 +95,10 @@ void BM_ExecutorGeneratedRoutine(benchmark::State& state) {
     benchmark::DoNotOptimize(executor.run(set));
   }
 }
-BENCHMARK(BM_ExecutorGeneratedRoutine);
+BENCHMARK(BM_ExecutorGeneratedRoutine)
+    ->Arg(32)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -13,6 +13,7 @@
 #include "aapc/common/rng.hpp"
 #include "aapc/flight/recorder.hpp"
 #include "aapc/mpisim/network_backend.hpp"
+#include "aapc/mpisim/post_table.hpp"
 #include "aapc/obs/metrics.hpp"
 #include "aapc/packetsim/metrics.hpp"
 #include "aapc/simnet/metrics.hpp"
@@ -61,31 +62,6 @@ struct RankCtx {
   std::vector<Request> requests;
 };
 
-/// Key for matching: (sender rank, receiver rank, tag).
-using MatchKey = std::tuple<Rank, Rank, Tag>;
-
-struct MatchKeyHash {
-  std::size_t operator()(const MatchKey& key) const noexcept {
-    // Ranks are small nonnegative ints and tags fit 32 bits: pack into
-    // one word and finish with a 64-bit mix (splitmix64 finalizer).
-    std::uint64_t h =
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(std::get<0>(key)))
-         << 42) ^
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(std::get<1>(key)))
-         << 21) ^
-        static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(std::get<2>(key)));
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebull;
-    h ^= h >> 31;
-    return static_cast<std::size_t>(h);
-  }
-};
-
 struct FlowIdHash {
   std::size_t operator()(simnet::FlowId id) const noexcept {
     auto h = static_cast<std::uint64_t>(id);
@@ -94,24 +70,6 @@ struct FlowIdHash {
     h ^= h >> 33;
     return static_cast<std::size_t>(h);
   }
-};
-
-struct PendingPost {
-  Rank rank;        // posting rank
-  RequestId request;
-};
-
-/// FIFO of unmatched posts per match key. A vector plus head index
-/// beats std::deque here: posts per key are few (usually one), and a
-/// deque burns a chunk allocation per key.
-struct PostFifo {
-  std::vector<PendingPost> posts;
-  std::size_t head = 0;
-  bool empty() const { return head >= posts.size(); }
-  std::size_t size() const { return posts.size() - head; }
-  const PendingPost& front() const { return posts[head]; }
-  void pop_front() { ++head; }
-  void push_back(PendingPost post) { posts.push_back(post); }
 };
 
 struct FlowBinding {
@@ -205,11 +163,8 @@ ExecutionResult Executor::run(const ProgramSet& set) {
             : 0.0;
     return base * cpu_factor(r, ctx[static_cast<std::size_t>(r)].clock);
   };
-  std::unordered_map<MatchKey, PostFifo, MatchKeyHash> unmatched_sends;
-  std::unordered_map<MatchKey, PostFifo, MatchKeyHash> unmatched_recvs;
+  PostTable posts(ranks);
   std::unordered_map<simnet::FlowId, FlowBinding, FlowIdHash> flow_bindings;
-  unmatched_sends.reserve(static_cast<std::size_t>(2 * ranks));
-  unmatched_recvs.reserve(static_cast<std::size_t>(2 * ranks));
   flow_bindings.reserve(static_cast<std::size_t>(2 * ranks));
   std::int32_t barrier_arrivals = 0;
   std::int32_t done_count = 0;
@@ -279,7 +234,12 @@ ExecutionResult Executor::run(const ProgramSet& set) {
                        RequestId recv_req) {
     Request& send = ctx[send_rank].requests[send_req];
     Request& recv = ctx[recv_rank].requests[recv_req];
-    AAPC_CHECK(send.bytes == recv.bytes);
+    AAPC_REQUIRE(send.bytes == recv.bytes,
+                 "program set '" << set.name << "': rank " << send_rank
+                                 << " -> rank " << recv_rank
+                                 << " tag=" << send.tag << " matched a send of "
+                                 << send.bytes << " bytes with a receive of "
+                                 << recv.bytes << " bytes");
     send.matched = true;
     recv.matched = true;
     const SimTime start = std::max(send.post_ready, recv.post_ready);
@@ -361,15 +321,9 @@ ExecutionResult Executor::run(const ProgramSet& set) {
             flight->record(r, flight::EventKind::kSendPost, op.peer, op.tag,
                            op.bytes, c.clock, post_begin);
           }
-          const MatchKey key{r, op.peer, op.tag};
-          auto& recvs = unmatched_recvs[key];
-          if (!recvs.empty()) {
-            const PendingPost recv = recvs.front();
-            recvs.pop_front();
-            make_flow(r, id, recv.rank, recv.request);
-          } else {
-            unmatched_sends[key].push_back(PendingPost{r, id});
-          }
+          const RequestId recv =
+              posts.match_or_wait(r, op.peer, op.tag, PostSide::kSend, id);
+          if (recv >= 0) make_flow(r, id, op.peer, recv);
           ++c.pc;
           break;
         }
@@ -385,15 +339,9 @@ ExecutionResult Executor::run(const ProgramSet& set) {
             flight->record(r, flight::EventKind::kRecvPost, op.peer, op.tag,
                            op.bytes, c.clock, post_begin);
           }
-          const MatchKey key{op.peer, r, op.tag};
-          auto& sends = unmatched_sends[key];
-          if (!sends.empty()) {
-            const PendingPost send = sends.front();
-            sends.pop_front();
-            make_flow(send.rank, send.request, r, id);
-          } else {
-            unmatched_recvs[key].push_back(PendingPost{r, id});
-          }
+          const RequestId send =
+              posts.match_or_wait(op.peer, r, op.tag, PostSide::kRecv, id);
+          if (send >= 0) make_flow(op.peer, send, r, id);
           ++c.pc;
           break;
         }
@@ -671,48 +619,30 @@ ExecutionResult Executor::run(const ProgramSet& set) {
     std::sort(wave.begin(), wave.end());
   }
 
-  // Leftover unmatched posts indicate a malformed algorithm. Collect
-  // every leftover across both maps and sort by (sender, receiver, tag)
-  // before reporting, so the error message names the same posts in the
-  // same order on every run (hash-map iteration order must not leak).
-  {
-    struct Unmatched {
-      MatchKey key;
-      bool is_send;
-      std::size_t count;
-    };
-    std::vector<Unmatched> leftovers;
-    for (const auto& [key, queue] : unmatched_sends) {
-      if (!queue.empty()) leftovers.push_back({key, true, queue.size()});
-    }
-    for (const auto& [key, queue] : unmatched_recvs) {
-      if (!queue.empty()) leftovers.push_back({key, false, queue.size()});
-    }
-    if (!leftovers.empty()) {
-      std::sort(leftovers.begin(), leftovers.end(),
-                [](const Unmatched& a, const Unmatched& b) {
-                  return std::tie(a.key, a.is_send) < std::tie(b.key, b.is_send);
-                });
-      std::ostringstream os;
-      os << "program set '" << set.name << "' finished with unmatched posts:";
-      std::size_t listed = 0;
-      for (const Unmatched& u : leftovers) {
-        if (listed >= 8) {
-          os << "\n  ... " << (leftovers.size() - listed) << " more";
-          break;
-        }
-        ++listed;
-        os << "\n  " << u.count << " unmatched "
-           << (u.is_send ? "send(s)" : "recv(s)") << " rank "
-           << std::get<0>(u.key) << " -> rank " << std::get<1>(u.key)
-           << " tag=" << std::get<2>(u.key);
+  // Leftover unmatched posts indicate a malformed algorithm. The table
+  // groups them by (sender, receiver, tag, side) in numeric order, so
+  // the message names the same posts in the same order on every run.
+  if (posts.waiting() > 0) {
+    const std::vector<PostTable::Leftover> leftovers = posts.leftovers();
+    std::ostringstream os;
+    os << "program set '" << set.name << "' finished with unmatched posts:";
+    std::size_t listed = 0;
+    for (const PostTable::Leftover& u : leftovers) {
+      if (listed >= 8) {
+        os << "\n  ... " << (leftovers.size() - listed) << " more";
+        break;
       }
-      throw InvalidArgument(os.str());
+      ++listed;
+      os << "\n  " << u.count << " unmatched "
+         << (u.side == PostSide::kSend ? "send(s)" : "recv(s)") << " rank "
+         << u.sender << " -> rank " << u.receiver << " tag=" << u.tag;
     }
+    throw InvalidArgument(os.str());
   }
 
   result.completion_time =
       *std::max_element(result.rank_finish.begin(), result.rank_finish.end());
+  result.peak_waiting_posts = posts.nodes();
   network.finish(result);
   result.integrity = ledger.report();
   AAPC_CHECK_MSG(result.integrity.ok(), "execution of program set '"

@@ -136,6 +136,9 @@ struct ExecutionResult {
   double network_bytes = 0;
   /// Number of matched point-to-point messages.
   std::int64_t message_count = 0;
+  /// The most posts that waited for a match at once: the node count of
+  /// the run's post table (mpisim/post_table.hpp).
+  std::int64_t peak_waiting_posts = 0;
   simnet::NetworkStats network_stats;
   /// Per-message timeline; populated when ExecutorParams::record_trace.
   std::vector<MessageTrace> trace;

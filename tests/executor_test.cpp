@@ -1,9 +1,14 @@
 // Unit tests for the mpisim executor: op semantics, matching, timing,
-// jitter determinism, and failure reporting.
+// jitter determinism, and failure reporting; and for its post table.
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "aapc/common/error.hpp"
 #include "aapc/mpisim/executor.hpp"
+#include "aapc/mpisim/post_table.hpp"
 #include "aapc/topology/generators.hpp"
 
 namespace aapc::mpisim {
@@ -198,6 +203,94 @@ TEST(ExecutorTest, TagsPartitionMatching) {
   EXPECT_EQ(result.message_count, 2);
 }
 
+TEST(ExecutorTest, MatchOrderAcrossTagsAndSides) {
+  // Rank 0 leaves four sends to rank 1 waiting (tags 3 and 4, two each,
+  // distinct sizes); rank 1 then waits a receive of tag 9 on the same
+  // pair and takes the sends out of posting order — from the middle,
+  // the head, then the rest — while its own send to rank 0 (tag 3, the
+  // other direction) waits too. Each receive takes the oldest send of
+  // its tag.
+  const Topology topo = make_single_switch(2);
+  ExecutorParams exec = clean_exec();
+  exec.record_trace = true;
+  Executor executor(topo, clean_net(), exec);
+  ProgramSet set;
+  set.name = "match-order";
+  Program p0;
+  p0.ops = {Op::isend(1, 100, 3), Op::isend(1, 200, 4),
+            Op::isend(1, 300, 3), Op::isend(1, 400, 4),
+            Op::wait_all(),       Op::irecv(1, 50, 3),
+            Op::isend(1, 900, 9), Op::wait_all()};
+  Program p1;
+  p1.ops = {Op::isend(0, 50, 3),  Op::irecv(0, 900, 9),
+            Op::irecv(0, 200, 4), Op::irecv(0, 100, 3),
+            Op::irecv(0, 400, 4), Op::irecv(0, 300, 3),
+            Op::wait_all()};
+  set.programs = {p0, p1};
+  const ExecutionResult result = executor.run(set);
+  struct Expected {
+    Rank src;
+    Rank dst;
+    Tag tag;
+    Bytes bytes;
+  };
+  const Expected expected[] = {{0, 1, 4, 200}, {0, 1, 3, 100},
+                               {0, 1, 4, 400}, {0, 1, 3, 300},
+                               {1, 0, 3, 50},  {0, 1, 9, 900}};
+  ASSERT_EQ(result.trace.size(), std::size(expected));
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const MessageTrace& got = result.trace[i];
+    EXPECT_EQ(got.src, expected[i].src) << "match " << i;
+    EXPECT_EQ(got.dst, expected[i].dst) << "match " << i;
+    EXPECT_EQ(got.tag, expected[i].tag) << "match " << i;
+    EXPECT_EQ(got.bytes, expected[i].bytes) << "match " << i;
+  }
+}
+
+TEST(ExecutorTest, MatchedSizeMismatchRejected) {
+  const Topology topo = make_single_switch(2);
+  Executor executor(topo, clean_net(), clean_exec());
+  ProgramSet set;
+  set.name = "size-mismatch";
+  Program p0;
+  p0.ops = {Op::isend(1, 100, 0), Op::wait_all()};
+  Program p1;
+  p1.ops = {Op::irecv(0, 200, 0), Op::wait_all()};
+  set.programs = {p0, p1};
+  try {
+    executor.run(set);
+    FAIL() << "a send matched to a receive of another size must throw";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("tag=0"), std::string::npos) << what;
+    EXPECT_NE(what.find("100"), std::string::npos) << what;
+    EXPECT_NE(what.find("200"), std::string::npos) << what;
+  }
+}
+
+TEST(ExecutorTest, WaitingPostsStayBounded) {
+  // 10 000 sequential exchanges, each with a fresh tag: every post is
+  // matched before the next is made, so the post table never holds
+  // more than the one send waiting for its receive.
+  constexpr Tag kExchanges = 10'000;
+  const Topology topo = make_single_switch(2);
+  Executor executor(topo, clean_net(), clean_exec());
+  ProgramSet set;
+  set.name = "sequential-exchanges";
+  set.programs.resize(2);
+  for (Tag tag = 0; tag < kExchanges; ++tag) {
+    set.programs[0].ops.push_back(Op::isend(1, 64, tag));
+    set.programs[0].ops.push_back(Op::wait(tag));
+    set.programs[1].ops.push_back(Op::irecv(0, 64, tag));
+    set.programs[1].ops.push_back(Op::wait(tag));
+  }
+  const ExecutionResult result = executor.run(set);
+  EXPECT_EQ(result.message_count, kExchanges);
+  EXPECT_LE(result.peak_waiting_posts, 1);
+}
+
 TEST(ExecutorTest, DeadlockDetected) {
   const Topology topo = make_single_switch(2);
   Executor executor(topo, clean_net(), clean_exec());
@@ -221,6 +314,41 @@ TEST(ExecutorTest, UnmatchedSendReported) {
   Program p1;
   set.programs = {p0, p1};
   EXPECT_THROW(executor.run(set), InvalidArgument);
+}
+
+TEST(ExecutorTest, UnmatchedPostsReportIsSortedAndCapped) {
+  // Eleven leftover (sender, receiver, tag, side) groups on ranks 2, 3
+  // and 10: the report lists the first eight in numeric (sender,
+  // receiver, tag) order, receives before sends, and counts the rest.
+  const Topology topo = make_single_switch(11);
+  Executor executor(topo, clean_net(), clean_exec());
+  ProgramSet set;
+  set.name = "leftovers";
+  set.programs.resize(11);
+  set.programs[2].ops = {Op::isend(3, 16, 0), Op::isend(10, 16, 1),
+                         Op::isend(10, 16, 1), Op::irecv(3, 16, 5),
+                         Op::irecv(10, 16, 6)};
+  set.programs[3].ops = {Op::isend(2, 16, 7), Op::isend(10, 16, 0),
+                         Op::irecv(2, 16, 8), Op::irecv(10, 16, 2),
+                         Op::irecv(10, 16, 2), Op::irecv(10, 16, 2)};
+  set.programs[10].ops = {Op::isend(2, 16, 3), Op::irecv(2, 16, 9),
+                          Op::irecv(3, 16, 1)};
+  try {
+    executor.run(set);
+    FAIL() << "leftover posts must throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "program set 'leftovers' finished with unmatched posts:\n"
+              "  1 unmatched send(s) rank 2 -> rank 3 tag=0\n"
+              "  1 unmatched recv(s) rank 2 -> rank 3 tag=8\n"
+              "  2 unmatched send(s) rank 2 -> rank 10 tag=1\n"
+              "  1 unmatched recv(s) rank 2 -> rank 10 tag=9\n"
+              "  1 unmatched recv(s) rank 3 -> rank 2 tag=5\n"
+              "  1 unmatched send(s) rank 3 -> rank 2 tag=7\n"
+              "  1 unmatched send(s) rank 3 -> rank 10 tag=0\n"
+              "  1 unmatched recv(s) rank 3 -> rank 10 tag=1\n"
+              "  ... 3 more");
+  }
 }
 
 TEST(ExecutorTest, WrongProgramCountRejected) {
@@ -267,6 +395,97 @@ TEST(ExecutorTest, SelfSendRejected) {
   Program p1;
   set.programs = {p0, p1};
   EXPECT_THROW(executor.run(set), InvalidArgument);
+}
+
+TEST(PostTableTest, SameTagPostsMatchInFifoOrder) {
+  PostTable table(2);
+  for (RequestId id = 0; id < 3; ++id) {
+    EXPECT_EQ(table.match_or_wait(0, 1, 5, PostSide::kSend, id), -1);
+  }
+  EXPECT_EQ(table.waiting(), 3);
+  for (RequestId id = 0; id < 3; ++id) {
+    EXPECT_EQ(table.match_or_wait(0, 1, 5, PostSide::kRecv, 10 + id), id);
+  }
+  EXPECT_EQ(table.waiting(), 0);
+}
+
+TEST(PostTableTest, KeysAreSenderReceiverTagAndSide) {
+  PostTable table(3);
+  EXPECT_EQ(table.match_or_wait(0, 1, 5, PostSide::kSend, 1), -1);
+  // Another tag, the reverse pair, another receiver, and the same side
+  // all leave the send waiting.
+  EXPECT_EQ(table.match_or_wait(0, 1, 6, PostSide::kRecv, 2), -1);
+  EXPECT_EQ(table.match_or_wait(1, 0, 5, PostSide::kRecv, 3), -1);
+  EXPECT_EQ(table.match_or_wait(0, 2, 5, PostSide::kRecv, 4), -1);
+  EXPECT_EQ(table.match_or_wait(0, 1, 5, PostSide::kSend, 5), -1);
+  EXPECT_EQ(table.waiting(), 5);
+  EXPECT_EQ(table.match_or_wait(0, 1, 5, PostSide::kRecv, 6), 1);
+  EXPECT_EQ(table.match_or_wait(0, 1, 5, PostSide::kRecv, 7), 5);
+  EXPECT_EQ(table.match_or_wait(0, 1, 6, PostSide::kSend, 8), 2);
+  EXPECT_EQ(table.waiting(), 2);
+}
+
+TEST(PostTableTest, RemovesFromHeadMiddleAndTail) {
+  PostTable table(2);
+  for (Tag tag = 1; tag <= 3; ++tag) {
+    EXPECT_EQ(table.match_or_wait(0, 1, tag, PostSide::kSend, 10 * tag), -1);
+  }
+  EXPECT_EQ(table.match_or_wait(0, 1, 2, PostSide::kRecv, 0), 20);  // middle
+  EXPECT_EQ(table.match_or_wait(0, 1, 3, PostSide::kRecv, 0), 30);  // tail
+  // The list is now the head alone; a post appended after the tail was
+  // removed must still be found behind it.
+  EXPECT_EQ(table.match_or_wait(0, 1, 4, PostSide::kSend, 40), -1);
+  EXPECT_EQ(table.match_or_wait(0, 1, 1, PostSide::kRecv, 0), 10);  // head
+  EXPECT_EQ(table.match_or_wait(0, 1, 4, PostSide::kRecv, 0), 40);
+  EXPECT_EQ(table.waiting(), 0);
+  // An emptied list takes new posts again.
+  EXPECT_EQ(table.match_or_wait(0, 1, 1, PostSide::kRecv, 50), -1);
+  EXPECT_EQ(table.match_or_wait(0, 1, 1, PostSide::kSend, 0), 50);
+}
+
+TEST(PostTableTest, FreedNodesAreReused) {
+  PostTable table(4);
+  for (Rank r = 1; r < 4; ++r) {
+    EXPECT_EQ(table.match_or_wait(0, r, 0, PostSide::kSend, r), -1);
+  }
+  EXPECT_EQ(table.nodes(), 3);
+  for (Rank r = 1; r < 4; ++r) {
+    EXPECT_EQ(table.match_or_wait(0, r, 0, PostSide::kRecv, 0), r);
+  }
+  // Three waiting at once again, on other pairs and tags: no new node.
+  for (Tag tag = 7; tag < 10; ++tag) {
+    EXPECT_EQ(table.match_or_wait(3, 2, tag, PostSide::kRecv, tag), -1);
+  }
+  EXPECT_EQ(table.nodes(), 3);
+  EXPECT_EQ(table.waiting(), 3);
+  EXPECT_EQ(table.match_or_wait(3, 2, 8, PostSide::kSend, 0), 8);
+  EXPECT_EQ(table.match_or_wait(1, 2, 0, PostSide::kSend, 0), -1);
+  EXPECT_EQ(table.nodes(), 3);
+  EXPECT_EQ(table.match_or_wait(1, 2, 1, PostSide::kSend, 0), -1);
+  EXPECT_EQ(table.nodes(), 4);
+}
+
+TEST(PostTableTest, LeftoversGroupedAndSorted) {
+  PostTable table(11);
+  table.match_or_wait(10, 2, 3, PostSide::kSend, 0);
+  table.match_or_wait(2, 10, 1, PostSide::kSend, 1);
+  table.match_or_wait(2, 3, 8, PostSide::kRecv, 2);
+  table.match_or_wait(2, 10, 1, PostSide::kSend, 3);
+  table.match_or_wait(2, 3, 0, PostSide::kSend, 4);
+  const std::vector<PostTable::Leftover> leftovers = table.leftovers();
+  ASSERT_EQ(leftovers.size(), 4u);
+  const auto expect = [&](std::size_t i, Rank sender, Rank receiver, Tag tag,
+                          PostSide side, std::int64_t count) {
+    EXPECT_EQ(leftovers[i].sender, sender) << i;
+    EXPECT_EQ(leftovers[i].receiver, receiver) << i;
+    EXPECT_EQ(leftovers[i].tag, tag) << i;
+    EXPECT_EQ(leftovers[i].side, side) << i;
+    EXPECT_EQ(leftovers[i].count, count) << i;
+  };
+  expect(0, 2, 3, 0, PostSide::kSend, 1);
+  expect(1, 2, 3, 8, PostSide::kRecv, 1);
+  expect(2, 2, 10, 1, PostSide::kSend, 2);
+  expect(3, 10, 2, 3, PostSide::kSend, 1);
 }
 
 TEST(ProgramTest, RequestCountAndToString) {
