@@ -31,11 +31,9 @@ CompiledEntryPtr ScheduleCache::get(const CacheKey& key,
       it->second->second->canonical_form != canonical_form ||
       it->second->second->kind != static_cast<core::CollectiveKind>(key.kind) ||
       (neighbors != nullptr && it->second->second->neighbors != *neighbors)) {
-    ++shard.misses;
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
   return it->second->second;
 }
 
@@ -65,8 +63,6 @@ CacheStats ScheduleCache::stats() const {
   CacheStats total;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
     total.insertions += shard->insertions;
     total.evictions += shard->evictions;
     total.entries += static_cast<std::int64_t>(shard->lru.size());

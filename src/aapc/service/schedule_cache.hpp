@@ -109,10 +109,9 @@ struct CompiledEntry {
 
 using CompiledEntryPtr = std::shared_ptr<const CompiledEntry>;
 
-/// Monotonic counters aggregated over all shards.
+/// Monotonic counters aggregated over all shards. Hits and misses are
+/// the service's to count (a hit there also checks freshness).
 struct CacheStats {
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
   std::int64_t insertions = 0;
   std::int64_t evictions = 0;
   std::int64_t entries = 0;  // current
@@ -151,8 +150,6 @@ class ScheduleCache {
                        std::list<std::pair<CacheKey, CompiledEntryPtr>>::iterator,
                        CacheKeyHash>
         index;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
     std::int64_t insertions = 0;
     std::int64_t evictions = 0;
   };

@@ -1,5 +1,5 @@
-// Sharded LRU schedule-cache unit tests: hit/miss accounting, LRU
-// eviction order, collision guarding, and concurrent access.
+// Sharded LRU schedule-cache unit tests: hits and misses, LRU eviction
+// order, collision guarding, and concurrent access.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -30,8 +30,6 @@ TEST(ScheduleCacheTest, MissThenHit) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->canonical_form, "A");
   const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.insertions, 1);
   EXPECT_EQ(stats.entries, 1);
 }
@@ -95,30 +93,34 @@ TEST(ScheduleCacheTest, ShardCountClampedToCapacity) {
 
 TEST(ScheduleCacheTest, ConcurrentMixedAccess) {
   // Hammer one cache from several threads: correctness here is "no
-  // crash, no lost entries beyond capacity, counters add up" (run under
+  // crash, no lost entries beyond capacity, some lookups hit" (run under
   // TSan in CI).
   ScheduleCache cache(64, 8);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
+  std::vector<std::int64_t> hits(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&cache, &hits, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const auto hash = static_cast<std::uint64_t>((t * 31 + i) % 96);
         const std::string form = "F" + std::to_string(hash);
-        if (cache.get(key_of(hash), form) == nullptr) {
+        const CompiledEntryPtr hit = cache.get(key_of(hash), form);
+        if (hit == nullptr) {
           cache.put(key_of(hash), entry_with_form(form));
+        } else {
+          EXPECT_EQ(hit->canonical_form, form);
+          ++hits[static_cast<std::size_t>(t)];
         }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
-  const CacheStats stats = cache.stats();
-  EXPECT_LE(stats.entries, 64);
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<std::int64_t>(kThreads) * kOpsPerThread);
-  EXPECT_GT(stats.hits, 0);
+  EXPECT_LE(cache.stats().entries, 64);
+  std::int64_t total_hits = 0;
+  for (const std::int64_t h : hits) total_hits += h;
+  EXPECT_GT(total_hits, 0);
 }
 
 }  // namespace
