@@ -71,9 +71,9 @@ double model_bound_seconds(const Topology& topo,
   double total = 0;
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
     std::fill(node_flows.begin(), node_flows.end(), 0);
-    for (const aapc::core::ScheduledMessage& sm : schedule.phase(p)) {
-      const aapc::topology::NodeId src = topo.machine_node(sm.message.src);
-      const aapc::topology::NodeId dst = topo.machine_node(sm.message.dst);
+    for (const aapc::core::Message& m : schedule.phase(p)) {
+      const aapc::topology::NodeId src = topo.machine_node(m.src);
+      const aapc::topology::NodeId dst = topo.machine_node(m.dst);
       ++node_flows[static_cast<std::size_t>(src)];
       ++node_flows[static_cast<std::size_t>(dst)];
       topo.path_into(src, dst, path);

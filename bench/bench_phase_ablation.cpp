@@ -38,8 +38,7 @@ core::Schedule naive_group_sequential(const topology::Topology& topo) {
       for (std::size_t q = 0; q < pattern.size(); ++q) {
         builder.add(phase + static_cast<std::int64_t>(q),
                     dec.subtrees[i][pattern[q].sender],
-                    dec.subtrees[j][pattern[q].receiver],
-                    core::MessageScope::kGlobal);
+                    dec.subtrees[j][pattern[q].receiver]);
       }
       phase += static_cast<std::int64_t>(pattern.size());
     }
@@ -53,8 +52,7 @@ core::Schedule naive_group_sequential(const topology::Topology& topo) {
     for (std::int32_t a = 0; a < mi; ++a) {
       for (std::int32_t b = 0; b < mi; ++b) {
         if (a == b) continue;
-        builder.add(phase + offset, dec.subtrees[i][a], dec.subtrees[i][b],
-                    core::MessageScope::kLocal);
+        builder.add(phase + offset, dec.subtrees[i][a], dec.subtrees[i][b]);
         ++offset;
       }
     }

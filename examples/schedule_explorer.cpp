@@ -93,9 +93,9 @@ int main(int argc, char** argv) {
     for (std::int32_t p = 0; p < schedule.phase_count() && printed < max_phases;
          ++p, ++printed) {
       std::cout << "phase " << p << ":";
-      for (const core::ScheduledMessage& sm : schedule.phase(p)) {
-        std::cout << ' ' << topo.name(topo.machine_node(sm.message.src))
-                  << "->" << topo.name(topo.machine_node(sm.message.dst));
+      for (const core::Message& m : schedule.phase(p)) {
+        std::cout << ' ' << topo.name(topo.machine_node(m.src)) << "->"
+                  << topo.name(topo.machine_node(m.dst));
       }
       std::cout << '\n';
     }

@@ -40,8 +40,7 @@ Schedule assign_messages(const Decomposition& dec,
       AAPC_CHECK_MSG(t0_sender[static_cast<std::size_t>(p)] == -1,
                      "t0 groups overlap at phase " << p);
       t0_sender[static_cast<std::size_t>(p)] = sender;
-      builder.add(p, rank_at(0, sender), rank_at(j, receiver),
-                  MessageScope::kGlobal);
+      builder.add(p, rank_at(0, sender), rank_at(j, receiver));
     }
   }
   for (std::int64_t p = 0; p < P; ++p) {
@@ -68,8 +67,7 @@ Schedule assign_messages(const Decomposition& dec,
       AAPC_CHECK_MSG(t0_receiver[static_cast<std::size_t>(p)] == -1,
                      "ti->t0 groups overlap at phase " << p);
       t0_receiver[static_cast<std::size_t>(p)] = receiver;
-      builder.add(p, rank_at(i, sender), rank_at(0, receiver),
-                  MessageScope::kGlobal);
+      builder.add(p, rank_at(i, sender), rank_at(0, receiver));
     }
   }
   for (std::int64_t p = 0; p < P; ++p) {
@@ -89,7 +87,7 @@ Schedule assign_messages(const Decomposition& dec,
       char& seen = done[static_cast<std::size_t>(src) * m0 + dst];
       AAPC_CHECK_MSG(!seen, "duplicate t0 local " << src << "->" << dst);
       seen = 1;
-      builder.add(p, rank_at(0, src), rank_at(0, dst), MessageScope::kLocal);
+      builder.add(p, rank_at(0, src), rank_at(0, dst));
     }
     for (std::int32_t a = 0; a < m0; ++a) {
       for (std::int32_t b = 0; b < m0; ++b) {
@@ -113,8 +111,7 @@ Schedule assign_messages(const Decomposition& dec,
         // Receiver-alignment invariant Step 5 relies on (§4.3).
         AAPC_CHECK_MSG(receiver == positive_mod(p - P, sizes[j]),
                        "step-4 receiver misaligned at phase " << p);
-        builder.add(p, rank_at(i, sender), rank_at(j, receiver),
-                    MessageScope::kGlobal);
+        builder.add(p, rank_at(i, sender), rank_at(j, receiver));
       }
     }
   }
@@ -139,8 +136,7 @@ Schedule assign_messages(const Decomposition& dec,
       if (seen) continue;
       seen = 1;
       ++scheduled;
-      builder.add(p, rank_at(i, drecv), rank_at(i, gsend),
-                  MessageScope::kLocal);
+      builder.add(p, rank_at(i, drecv), rank_at(i, gsend));
     }
     AAPC_CHECK_MSG(scheduled == mi * (mi - 1),
                    "subtree t" << i << " embedded only " << scheduled << "/"
@@ -158,7 +154,7 @@ Schedule assign_messages(const Decomposition& dec,
       for (std::size_t q = 0; q < pattern.size(); ++q) {
         builder.add(start + static_cast<std::int64_t>(q),
                     rank_at(i, pattern[q].sender),
-                    rank_at(j, pattern[q].receiver), MessageScope::kGlobal);
+                    rank_at(j, pattern[q].receiver));
       }
     }
   }

@@ -57,7 +57,7 @@ Schedule build_ring_pipeline(const topology::Topology& topo, bool forward,
     for (std::int64_t p = 0; p < n; ++p) {
       const std::int64_t q = forward ? (p + 1) % n : (p + n - 1) % n;
       builder.add(round, order[static_cast<std::size_t>(p)],
-                  order[static_cast<std::size_t>(q)], MessageScope::kGlobal);
+                  order[static_cast<std::size_t>(q)]);
     }
   }
   Schedule schedule = std::move(builder).build(rounds);
@@ -211,8 +211,7 @@ VerifyReport verify_ring_pipeline(const topology::Topology& topo,
   }
   std::vector<Rank> succ(static_cast<std::size_t>(n), -1);
   std::vector<std::int64_t> sends(static_cast<std::size_t>(n), 0);
-  for (const ScheduledMessage& sm : schedule.messages) {
-    const Message& m = sm.message;
+  for (const Message& m : schedule.messages) {
     AAPC_REQUIRE(m.src >= 0 && m.src < n && m.dst >= 0 && m.dst < n,
                  "message " << m.src << "->" << m.dst << " outside [0," << n
                             << ")");

@@ -147,8 +147,7 @@ Schedule greedy_schedule(const topology::Topology& topo,
   ScheduleBuilder builder;
   builder.reserve(static_cast<std::int64_t>(pattern.size()));
   for (std::size_t index = 0; index < pattern.size(); ++index) {
-    builder.add(assigned_phase[index], pattern[index].src, pattern[index].dst,
-                MessageScope::kGlobal);
+    builder.add(assigned_phase[index], pattern[index].src, pattern[index].dst);
   }
   return std::move(builder)
       .build(static_cast<std::int64_t>(phase_edges.size()));

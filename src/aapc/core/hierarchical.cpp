@@ -1,6 +1,9 @@
 #include "aapc/core/hierarchical.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "aapc/common/error.hpp"
@@ -54,12 +57,15 @@ Rank rank_at(const Context& ctx, std::int32_t subtree, std::int32_t index) {
 /// large enough that the per-(task, block) cursors stay few.
 constexpr std::int64_t kPhaseBlock = 4096;
 
+/// A message's phase within its block, the settle pass's sort key.
+using BlockPhase = std::uint16_t;
+static_assert(kPhaseBlock - 1 <= std::numeric_limits<BlockPhase>::max(),
+              "a block-local phase must fit the settle key");
+
 template <typename Sink>
 void emit(Sink& sink, std::int64_t& at, Rank src, Rank dst,
-          std::int64_t phase, MessageScope scope) {
-  sink(ScheduledMessage{Message{src, dst}, static_cast<std::int32_t>(phase),
-                        scope},
-       phase);
+          std::int64_t phase) {
+  sink(Message{src, dst}, phase);
   ++at;
 }
 
@@ -68,7 +74,7 @@ void emit(Sink& sink, std::int64_t& at, Rank src, Rank dst,
 struct CountSink {
   std::int64_t* per_block;
   std::int64_t phases;
-  void operator()(const ScheduledMessage&, std::int64_t phase) {
+  void operator()(const Message&, std::int64_t phase) {
     AAPC_REQUIRE(phase >= 0 && phase < phases,
                  "emitted message phase " << phase << " out of range [0,"
                                           << phases << ")");
@@ -76,12 +82,16 @@ struct CountSink {
   }
 };
 
-/// Scatter pass: each message to its block's next slot for this task.
+/// Scatter pass: each message to its block's next slot for this task,
+/// and its block-local phase to the same slot of `key`.
 struct ScatterSink {
-  ScheduledMessage* arena;
+  Message* arena;
+  BlockPhase* key;
   std::int64_t* cursor;  // one per block
-  void operator()(const ScheduledMessage& message, std::int64_t phase) {
-    arena[cursor[phase / kPhaseBlock]++] = message;
+  void operator()(const Message& message, std::int64_t phase) {
+    const std::int64_t slot = cursor[phase / kPhaseBlock]++;
+    arena[slot] = message;
+    key[slot] = static_cast<BlockPhase>(phase % kPhaseBlock);
   }
 };
 
@@ -97,8 +107,7 @@ std::int64_t emit_root_sends(const Context& ctx, std::int32_t j, Sink& sink,
     const std::int64_t p = start + q;
     const std::int32_t sender = ctx.t0_sender[static_cast<std::size_t>(p)];
     const auto receiver = static_cast<std::int32_t>(positive_mod(p - ctx.P, mj));
-    emit(sink, at, rank_at(ctx, 0, sender), rank_at(ctx, j, receiver), p,
-         MessageScope::kGlobal);
+    emit(sink, at, rank_at(ctx, 0, sender), rank_at(ctx, j, receiver), p);
   }
   return at;
 }
@@ -112,8 +121,7 @@ std::int64_t emit_sends_into_root(const Context& ctx, std::int32_t i,
     const std::int64_t p = start + q;
     const auto sender = static_cast<std::int32_t>(q / ctx.m0);  // broadcast
     const std::int32_t receiver = ctx.t0_receiver[static_cast<std::size_t>(p)];
-    emit(sink, at, rank_at(ctx, i, sender), rank_at(ctx, 0, receiver), p,
-         MessageScope::kGlobal);
+    emit(sink, at, rank_at(ctx, i, sender), rank_at(ctx, 0, receiver), p);
   }
   return at;
 }
@@ -132,8 +140,7 @@ std::int64_t emit_root_locals(const Context& ctx, Sink& sink,
     char& seen = done[static_cast<std::size_t>(src) * m0 + dst];
     AAPC_CHECK_MSG(!seen, "duplicate t0 local " << src << "->" << dst);
     seen = 1;
-    emit(sink, at, rank_at(ctx, 0, src), rank_at(ctx, 0, dst), p,
-         MessageScope::kLocal);
+    emit(sink, at, rank_at(ctx, 0, src), rank_at(ctx, 0, dst), p);
   }
   return at;
 }
@@ -148,7 +155,7 @@ std::int64_t emit_down_pair(const Context& ctx, std::int32_t i,
     const auto sender = static_cast<std::int32_t>(q / mj);
     const auto receiver = static_cast<std::int32_t>(q % mj);
     emit(sink, at, rank_at(ctx, i, sender), rank_at(ctx, j, receiver),
-         start + q, MessageScope::kGlobal);
+         start + q);
   }
   return at;
 }
@@ -173,8 +180,7 @@ std::int64_t emit_subtree_locals(const Context& ctx, std::int32_t i,
     if (seen) continue;
     seen = 1;
     ++scheduled;
-    emit(sink, at, rank_at(ctx, i, drecv), rank_at(ctx, i, gsend), p,
-         MessageScope::kLocal);
+    emit(sink, at, rank_at(ctx, i, drecv), rank_at(ctx, i, gsend), p);
   }
   AAPC_CHECK_MSG(scheduled == mi * (mi - 1),
                  "subtree t" << i << " embedded only " << scheduled << "/"
@@ -196,7 +202,7 @@ std::int64_t emit_up_pair(const Context& ctx, std::int32_t i, std::int32_t j,
                             : rotate_sender_at(mi, mj, q);
     const auto receiver = static_cast<std::int32_t>(q % mj);
     emit(sink, at, rank_at(ctx, i, sender), rank_at(ctx, j, receiver),
-         start + q, MessageScope::kGlobal);
+         start + q);
   }
   return at;
 }
@@ -435,9 +441,11 @@ Schedule assign_messages_hierarchical(const Decomposition& dec,
 
   // Scatter: each task writes its messages, in emission order, from its
   // cursor in every block, and must end exactly where the next task's
-  // run begins, so no slot of the arena is left unwritten.
+  // run begins, so no slot of the arena or of `key` is left unwritten.
   Schedule out;
   out.messages.resize(static_cast<std::size_t>(total));
+  const auto key = std::make_unique_for_overwrite<BlockPhase[]>(
+      static_cast<std::size_t>(total));
   run_jobs(
       runner, tasks,
       [&](std::size_t t) {
@@ -445,7 +453,7 @@ Schedule assign_messages_hierarchical(const Decomposition& dec,
         for (std::size_t b = 0; b < blocks; ++b) {
           cursor[b] = slot[b * tasks + t];
         }
-        ScatterSink sink{out.messages.data(), cursor.data()};
+        ScatterSink sink{out.messages.data(), key.get(), cursor.data()};
         run_task(ctx, descs[t], sink);
         for (std::size_t b = 0; b < blocks; ++b) {
           const std::int64_t next = slot[b * tasks + t + 1];
@@ -466,7 +474,7 @@ Schedule assign_messages_hierarchical(const Decomposition& dec,
       runner, settle_jobs,
       [&](std::size_t job) {
         std::vector<std::int64_t> at(static_cast<std::size_t>(kPhaseBlock));
-        std::vector<ScheduledMessage> scratch;
+        std::vector<Message> scratch;
         for (std::size_t b = job * blocks / settle_jobs;
              b < (job + 1) * blocks / settle_jobs; ++b) {
           const std::int64_t first = slot[b * tasks];
@@ -474,11 +482,10 @@ Schedule assign_messages_hierarchical(const Decomposition& dec,
           const auto phase0 = static_cast<std::int64_t>(b) * kPhaseBlock;
           const std::int64_t width = std::min(kPhaseBlock, ctx.P - phase0);
           std::fill(at.begin(), at.begin() + width, 0);
-          ScheduledMessage* block = out.messages.data() + first;
+          Message* block = out.messages.data() + first;
+          const BlockPhase* block_key = key.get() + first;
           const std::int64_t size = last - first;
-          for (std::int64_t m = 0; m < size; ++m) {
-            ++at[static_cast<std::size_t>(block[m].phase - phase0)];
-          }
+          for (std::int64_t m = 0; m < size; ++m) ++at[block_key[m]];
           std::int64_t cursor = first;
           for (std::int64_t p = 0; p < width; ++p) {
             out.phase_begin[static_cast<std::size_t>(phase0 + p)] = cursor;
@@ -488,9 +495,7 @@ Schedule assign_messages_hierarchical(const Decomposition& dec,
           }
           scratch.resize(static_cast<std::size_t>(size));
           for (std::int64_t m = 0; m < size; ++m) {
-            const std::int64_t p = block[m].phase - phase0;
-            scratch[static_cast<std::size_t>(
-                at[static_cast<std::size_t>(p)]++)] = block[m];
+            scratch[static_cast<std::size_t>(at[block_key[m]]++)] = block[m];
           }
           std::copy(scratch.begin(), scratch.end(), block);
         }

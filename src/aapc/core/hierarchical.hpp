@@ -24,8 +24,9 @@
 //            (and range-checks every phase);
 //   scatter: a prefix sum over (block, task) gives each task one write
 //            cursor per block, and each task emits again, writing its
-//            messages in emission order;
-//   settle:  each block is sorted by a stable counting sort on phase
+//            messages in emission order and each one's phase within its
+//            block to a transient 2-byte key beside the arena;
+//   settle:  each block is sorted by a stable counting sort on that key
 //            and fills its part of phase_begin.
 // Within a phase the order is then (task, emission) order, the flat
 // staging order, so the result is bit-identical to assign_messages for

@@ -9,6 +9,9 @@
 // old per-phase vector-of-vectors doubled memory and cost one heap
 // allocation per phase — ~4M allocations at 4096 ranks, where the
 // schedule holds |M|(|M|−1) ≈ 16.7M messages over ≈ 4.19M phases.
+// A message's phase is where it sits: the p with phase_begin[p] <= i <
+// phase_begin[p+1]. Nothing else is stored per message, so the arena
+// is 8 bytes a message (134 MB at 4096 ranks).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,7 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
   friend auto operator<=>(const Message&, const Message&) = default;
 };
+static_assert(sizeof(Message) == 8, "the schedule arena holds 8-byte messages");
 
 /// The collective operation a schedule realizes. The phase-scheduling
 /// pipeline (decompose → assign / greedy → sync plan → lowering →
@@ -56,28 +60,13 @@ CollectiveKind parse_collective_kind(std::string_view name);
 /// Whether a raw byte (wire field, fuzzed input) names a valid kind.
 bool collective_kind_valid(std::uint8_t raw);
 
-/// Whether a scheduled message crosses the root (global) or stays inside
-/// one root-subtree (local) — §4's distinction.
-enum class MessageScope : std::uint8_t { kGlobal, kLocal };
-
-/// A message with its placement metadata (phase and scope), the unit the
-/// synchronization generator works over.
-struct ScheduledMessage {
-  Message message;
-  std::int32_t phase = -1;
-  MessageScope scope = MessageScope::kGlobal;
-
-  friend bool operator==(const ScheduledMessage&,
-                         const ScheduledMessage&) = default;
-};
-
 /// The messages of one phase: a view into the Schedule's arena.
-using PhaseSpan = std::span<const ScheduledMessage>;
+using PhaseSpan = std::span<const Message>;
 
 /// The phase-partitioned AAPC schedule.
 struct Schedule {
   /// All scheduled messages in (phase, insertion) order — the arena.
-  std::vector<ScheduledMessage> messages;
+  std::vector<Message> messages;
 
   /// CSR offsets: phase p occupies messages[phase_begin[p],
   /// phase_begin[p+1]). Size phase_count()+1; empty means no phases.
@@ -101,16 +90,12 @@ struct Schedule {
   PhaseSpan phase(std::int32_t p) const;
   std::int64_t phase_size(std::int32_t p) const;
 
-  /// Indexes a staged (unsorted) message list into a Schedule covering
-  /// phases [0, total_phases): a stable counting sort by phase, so ties
-  /// keep their staged order (ScheduleBuilder::build).
-  static Schedule from_staged(std::vector<ScheduledMessage> staged,
-                              std::int64_t total_phases);
+  /// The phase holding messages[i]: a binary search over phase_begin.
+  std::int32_t phase_of(std::int64_t i) const;
 
   /// Builds a Schedule from the legacy phase-list shape (tests, JSON io).
   static Schedule from_phase_lists(
-      const std::vector<std::vector<Message>>& lists,
-      MessageScope scope = MessageScope::kGlobal);
+      const std::vector<std::vector<Message>>& lists);
 
   /// The legacy phase-list shape, for tests that splice phases.
   std::vector<std::vector<Message>> phase_lists() const;
@@ -128,25 +113,28 @@ class ScheduleBuilder {
 
   void reserve(std::int64_t message_capacity) {
     staged_.reserve(static_cast<std::size_t>(message_capacity));
+    phases_.reserve(static_cast<std::size_t>(message_capacity));
   }
 
-  void add(std::int64_t phase, Rank src, Rank dst, MessageScope scope);
+  void add(std::int64_t phase, Rank src, Rank dst);
 
   std::int64_t staged_count() const {
     return static_cast<std::int64_t>(staged_.size());
   }
 
-  /// Finalizes into a Schedule over phases [0, total_phases).
+  /// Finalizes into a Schedule over phases [0, total_phases): a stable
+  /// counting sort by phase, so ties keep their staged order.
   Schedule build(std::int64_t total_phases) &&;
 
  private:
-  std::vector<ScheduledMessage> staged_;
+  std::vector<Message> staged_;
+  std::vector<std::int32_t> phases_;  // phases_[k] is staged_[k]'s phase
 };
 
 /// Rewrites every rank in `schedule` through `perm`: a message u → v
-/// becomes perm[u] → perm[v], preserving phase structure, ordering, and
-/// scope metadata. `perm` must be a permutation of [0, |ranks|) covering
-/// every rank the schedule mentions. This is how the schedule-compilation
+/// becomes perm[u] → perm[v], preserving phase structure and ordering.
+/// `perm` must be a permutation of [0, |ranks|) covering every rank the
+/// schedule mentions. This is how the schedule-compilation
 /// service maps a schedule compiled on a canonical topology back into the
 /// caller's rank labeling (service/canonical.hpp): when `perm` is induced
 /// by a tree isomorphism, relabeling preserves contention-freeness.

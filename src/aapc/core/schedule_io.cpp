@@ -44,11 +44,9 @@ std::string write_json(const Schedule& schedule, std::int32_t machine_count,
       char* end = text;
       if (i > 0) *end++ = ',';
       *end++ = '[';
-      end = std::to_chars(end, end + kRankChars, label(phase[i].message.src))
-                .ptr;
+      end = std::to_chars(end, end + kRankChars, label(phase[i].src)).ptr;
       *end++ = ',';
-      end = std::to_chars(end, end + kRankChars, label(phase[i].message.dst))
-                .ptr;
+      end = std::to_chars(end, end + kRankChars, label(phase[i].dst)).ptr;
       *end++ = ']';
       out.append(text, static_cast<std::size_t>(end - text));
     }

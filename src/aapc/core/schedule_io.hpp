@@ -12,10 +12,9 @@
 //     ]
 //   }
 //
-// Message scopes are reconstructed on load when a decomposition is
-// available; the flat `messages` list is rebuilt in phase order with
-// scope kGlobal (scope is advisory metadata only — verification and
-// lowering derive everything else from the topology).
+// Loading rebuilds the phase-major arena and its offsets; a message's
+// phase is its position (verification and lowering derive everything
+// else from the topology).
 #pragma once
 
 #include <span>

@@ -13,8 +13,8 @@ Schedule build_aapc_schedule(const topology::Topology& topo,
   }
   if (machines == 2) {
     ScheduleBuilder builder;
-    builder.add(0, 0, 1, MessageScope::kGlobal);
-    builder.add(0, 1, 0, MessageScope::kGlobal);
+    builder.add(0, 0, 1);
+    builder.add(0, 1, 0);
     return std::move(builder).build(1);
   }
   return assign_messages_hierarchical(decompose(topo), options.assignment,

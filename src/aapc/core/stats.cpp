@@ -49,8 +49,7 @@ ScheduleStats compute_schedule_stats(const topology::Topology& topo,
         std::max(stats.max_messages_per_phase, count);
     bool forward = false;
     bool backward = false;
-    for (const ScheduledMessage& sm : schedule.phase(p)) {
-      const Message& m = sm.message;
+    for (const Message& m : schedule.phase(p)) {
       ++sends;
       ++receives;
       if (bottleneck >= 0) {

@@ -118,8 +118,7 @@ void check_phases(const topology::Topology& topo, const PathTable& paths,
   std::int32_t max_use = 0;
   bool repeated_pair = false;
   for (std::int32_t p = first; p < last; ++p) {
-    for (const ScheduledMessage& sm : schedule.phase(p)) {
-      const Message& m = sm.message;
+    for (const Message& m : schedule.phase(p)) {
       const bool in_range =
           m.src >= 0 && m.src < machines && m.dst >= 0 && m.dst < machines;
       if constexpr (kCheck == Check::kAapc) {
@@ -263,8 +262,7 @@ VerifyReport verify_schedule(const topology::Topology& topo,
       set != static_cast<std::int64_t>(machines) * (machines - 1)) {
     std::vector<std::int32_t> seen(pairs, 0);
     for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
-      for (const ScheduledMessage& sm : schedule.phase(p)) {
-        const Message& m = sm.message;
+      for (const Message& m : schedule.phase(p)) {
         if (m.src != m.dst) {
           seen[static_cast<std::size_t>(m.src) * machines + m.dst] += 1;
         }
@@ -320,9 +318,8 @@ VerifyReport verify_schedule_pattern(const topology::Topology& topo,
   // (1) multiset coverage: scheduled counts == expected counts per pair.
   std::vector<std::int64_t> have(want.size(), 0);
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
-    for (const ScheduledMessage& sm : schedule.phase(p)) {
-      have[static_cast<std::size_t>(sm.message.src) * machines +
-           sm.message.dst] += 1;
+    for (const Message& m : schedule.phase(p)) {
+      have[static_cast<std::size_t>(m.src) * machines + m.dst] += 1;
     }
   }
   for (std::int32_t s = 0; s < machines; ++s) {

@@ -75,9 +75,9 @@ double weighted_schedule_cost(const topology::Topology& topo,
   std::vector<topology::EdgeId> path;
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
     double phase_cost = 0;
-    for (const ScheduledMessage& sm : schedule.phase(p)) {
-      topo.path_into(topo.machine_node(sm.message.src),
-                     topo.machine_node(sm.message.dst), path);
+    for (const Message& m : schedule.phase(p)) {
+      topo.path_into(topo.machine_node(m.src), topo.machine_node(m.dst),
+                     path);
       phase_cost = std::max(phase_cost, path_slowness(path, link_rate));
     }
     cost += phase_cost;

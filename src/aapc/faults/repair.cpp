@@ -115,12 +115,13 @@ RepairResult repair_schedule(const stp::BridgeNetwork& network,
   const auto wall_start = std::chrono::steady_clock::now();
   RepairResult result;
   result.residual = elect_residual(network, plan, t);
-  core::Pattern remainder_pattern;
-  for (const core::ScheduledMessage& scheduled : schedule.messages) {
-    if (scheduled.phase >= splice_phase) {
-      remainder_pattern.push_back(scheduled.message);
-    }
-  }
+  // The remainder is every message from the splice phase on.
+  const std::int64_t first = schedule.phase_begin.empty()
+                                 ? 0
+                                 : schedule.phase_begin[splice_phase];
+  const core::Pattern remainder_pattern(
+      schedule.messages.begin() + static_cast<std::ptrdiff_t>(first),
+      schedule.messages.end());
   if (!remainder_pattern.empty()) {
     result.remainder =
         core::greedy_schedule(result.residual.topology, remainder_pattern);

@@ -377,7 +377,7 @@ AnalysisReport analyze(const FlightDump& dump,
     std::unordered_map<std::uint64_t, std::int32_t> message_of;
     message_of.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const core::Message& m = schedule->messages[i].message;
+      const core::Message& m = schedule->messages[i];
       message_of[transfer_key(m.src, m.dst)] =
           static_cast<std::int32_t>(i);
     }
@@ -419,7 +419,7 @@ AnalysisReport analyze(const FlightDump& dump,
       if (ready == kUnobserved) continue;
       const double slack = std::max(0.0, activation[i] - ready);
       report.total_slack += slack;
-      const core::Rank sender = schedule->messages[i].message.src;
+      const core::Rank sender = schedule->messages[i].src;
       if (sender >= 0 && sender < ranks) {
         report.rank_slack[static_cast<std::size_t>(sender)] += slack;
       }

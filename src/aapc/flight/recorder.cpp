@@ -88,31 +88,28 @@ void Recorder::annotate(const core::Schedule& schedule,
   data_table_.assign(
       static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks),
       kNoCoord);
-  for (std::size_t i = 0; i < schedule.messages.size(); ++i) {
-    const core::ScheduledMessage& m = schedule.messages[i];
-    if (m.message.src < 0 || m.message.src >= ranks || m.message.dst < 0 ||
-        m.message.dst >= ranks) {
-      continue;
+  auto coords = [](std::int32_t phase, std::int64_t message) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(phase))
+            << 32) |
+           static_cast<std::uint32_t>(static_cast<std::int32_t>(message));
+  };
+  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
+    for (std::int64_t i = schedule.phase_begin[p];
+         i < schedule.phase_begin[p + 1]; ++i) {
+      const core::Message& m = schedule.messages[static_cast<std::size_t>(i)];
+      if (m.src < 0 || m.src >= ranks || m.dst < 0 || m.dst >= ranks) {
+        continue;
+      }
+      data_table_[static_cast<std::size_t>(m.src) *
+                      static_cast<std::size_t>(ranks) +
+                  static_cast<std::size_t>(m.dst)] = coords(p, i);
     }
-    data_table_[static_cast<std::size_t>(m.message.src) *
-                    static_cast<std::size_t>(ranks) +
-                static_cast<std::size_t>(m.message.dst)] =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.phase))
-         << 32) |
-        static_cast<std::uint32_t>(static_cast<std::int32_t>(i));
   }
   sync_table_.assign(plan.edges.size(), kNoCoord);
   for (std::size_t i = 0; i < plan.edges.size(); ++i) {
     const std::int32_t gated = plan.edges[i].to;
-    if (gated < 0 ||
-        gated >= static_cast<std::int32_t>(schedule.messages.size())) {
-      continue;
-    }
-    sync_table_[i] =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-             schedule.messages[static_cast<std::size_t>(gated)].phase))
-         << 32) |
-        static_cast<std::uint32_t>(gated);
+    if (gated < 0 || gated >= schedule.message_count()) continue;
+    sync_table_[i] = coords(schedule.phase_of(gated), gated);
   }
   annotated_ = true;
 }

@@ -31,9 +31,6 @@ core::Schedule slice_phases(const core::Schedule& schedule, std::int32_t begin,
       schedule.messages.begin() + static_cast<std::ptrdiff_t>(first),
       schedule.messages.begin() +
           static_cast<std::ptrdiff_t>(schedule.phase_begin[end]));
-  for (core::ScheduledMessage& shifted : result.messages) {
-    shifted.phase -= begin;
-  }
   result.phase_begin.reserve(static_cast<std::size_t>(end - begin) + 1);
   for (std::int32_t p = begin; p <= end; ++p) {
     result.phase_begin.push_back(schedule.phase_begin[p] - first);

@@ -74,9 +74,9 @@ ProgramSet lower_barrier_mode(const topology::Topology& topo,
       static_cast<std::size_t>(ranks),
       (options.include_self_copy ? 1 : 0) +
           static_cast<std::size_t>(schedule.phase_count()));
-  for (const core::ScheduledMessage& sm : schedule.messages) {
-    op_count[sm.message.src] += 2;
-    op_count[sm.message.dst] += 2;
+  for (const core::Message& m : schedule.messages) {
+    op_count[m.src] += 2;
+    op_count[m.dst] += 2;
   }
   std::vector<RankEmitter> emit = make_emitters(op_count);
   if (options.include_self_copy) {
@@ -88,8 +88,7 @@ ProgramSet lower_barrier_mode(const topology::Topology& topo,
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
     // Post this phase's operations, wait them, then a global barrier.
     to_wait.clear();
-    for (const core::ScheduledMessage& sm : schedule.phase(p)) {
-      const core::Message& m = sm.message;
+    for (const core::Message& m : schedule.phase(p)) {
       const Bytes bytes = bytes_for(m.src, m.dst);
       to_wait.emplace_back(m.dst,
                            emit[m.dst].irecv(m.src, bytes, kDataTag));
@@ -162,7 +161,7 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
       sync::build_adjacency(*active_plan, static_cast<std::int64_t>(n));
 
   auto sender_of = [&](std::int32_t message) {
-    return schedule.messages[static_cast<std::size_t>(message)].message.src;
+    return schedule.messages[static_cast<std::size_t>(message)].src;
   };
   // Per rank: the copy, a prepost and a send per data message, the final
   // waitall; per sync edge a local wait (same sender) or a token irecv +
@@ -171,9 +170,9 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
   // sorted by source, so a source's edges are consecutive.
   std::vector<std::size_t> op_count(static_cast<std::size_t>(ranks),
                                     options.include_self_copy ? 2 : 1);
-  for (const core::ScheduledMessage& sm : schedule.messages) {
-    ++op_count[sm.message.src];
-    ++op_count[sm.message.dst];
+  for (const core::Message& m : schedule.messages) {
+    ++op_count[m.src];
+    ++op_count[m.dst];
   }
   std::int32_t waited_source = -1;
   for (const sync::SyncEdge& e : edges) {
@@ -200,7 +199,7 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
   // Prepost every data receive in phase order (messages are
   // phase-sorted).
   for (std::size_t i = 0; i < n; ++i) {
-    const core::Message& m = schedule.messages[i].message;
+    const core::Message& m = schedule.messages[i];
     emit[m.dst].irecv(m.src, bytes_for(m.src, m.dst), kDataTag);
     if (info != nullptr) ++info->data_messages;
   }
@@ -213,7 +212,7 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
   };
 
   for (std::size_t i = 0; i < n; ++i) {
-    const core::Message& m = schedule.messages[i].message;
+    const core::Message& m = schedule.messages[i];
     RankEmitter& sender = emit[m.src];
     // Incoming dependencies: my predecessors must complete first.
     for (const std::int32_t edge : adjacency.in(i)) {

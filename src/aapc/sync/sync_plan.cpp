@@ -82,10 +82,20 @@ SyncPlan build_sync_plan(const topology::Topology& topo,
                          const SyncPlanOptions& options) {
   AAPC_REQUIRE(topo.finalized(), "topology must be finalized");
   const auto n = static_cast<std::size_t>(schedule.messages.size());
-  for (std::size_t i = 1; i < n; ++i) {
-    AAPC_REQUIRE(schedule.messages[i - 1].phase <= schedule.messages[i].phase,
-                 "schedule messages must be sorted by phase");
-  }
+  // A message's phase is its position, so the offsets must partition
+  // the arena: start at 0, never decrease, end at the message count.
+  const std::vector<std::int64_t>& phase_begin = schedule.phase_begin;
+  const bool spans_arena =
+      phase_begin.empty()
+          ? n == 0
+          : phase_begin.front() == 0 &&
+                phase_begin.back() == static_cast<std::int64_t>(n);
+  AAPC_REQUIRE(spans_arena,
+               "schedule phase offsets must run from 0 to the message count "
+                   << n);
+  AAPC_REQUIRE(std::is_sorted(phase_begin.begin(), phase_begin.end()),
+               "schedule phase offsets must never decrease");
+  const std::int32_t phases = schedule.phase_count();
 
   const bool all_pairs =
       options.construction == SyncPlanOptions::Construction::kAllPairs ||
@@ -103,7 +113,7 @@ SyncPlan build_sync_plan(const topology::Topology& topo,
     // construction below never needs it.
     BitRows paths(n, static_cast<std::size_t>(topo.directed_edge_count()));
     for (std::size_t i = 0; i < n; ++i) {
-      const core::Message& m = schedule.messages[i].message;
+      const core::Message& m = schedule.messages[i];
       topo.path_into(topo.machine_node(m.src), topo.machine_node(m.dst),
                      path);
       for (const topology::EdgeId e : path) {
@@ -111,17 +121,18 @@ SyncPlan build_sync_plan(const topology::Topology& topo,
       }
     }
     // Full dependence graph (§5): edge i -> j for i < j in phase order
-    // when the paths intersect and the phases differ. (Messages are
-    // phase-sorted; intra-phase pairs are contention-free by
+    // when the paths intersect and the phases differ, so j starts at
+    // the phase after i's. (Intra-phase pairs are contention-free by
     // construction.)
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (schedule.messages[i].phase == schedule.messages[j].phase) {
-          continue;
-        }
-        if (paths.rows_intersect(i, j)) {
-          staged.push_back(SyncEdge{static_cast<std::int32_t>(i),
-                                    static_cast<std::int32_t>(j)});
+    for (std::int32_t p = 0; p < phases; ++p) {
+      const auto later = static_cast<std::size_t>(phase_begin[p + 1]);
+      for (auto i = static_cast<std::size_t>(phase_begin[p]); i < later;
+           ++i) {
+        for (std::size_t j = later; j < n; ++j) {
+          if (paths.rows_intersect(i, j)) {
+            staged.push_back(SyncEdge{static_cast<std::int32_t>(i),
+                                      static_cast<std::int32_t>(j)});
+          }
         }
       }
     }
@@ -135,23 +146,25 @@ SyncPlan build_sync_plan(const topology::Topology& topo,
         static_cast<std::size_t>(topo.directed_edge_count()), -1);
     std::vector<std::int32_t> preds;
     staged.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const core::Message& m = schedule.messages[j].message;
-      topo.path_into(topo.machine_node(m.src), topo.machine_node(m.dst),
-                     path);
-      preds.clear();
-      for (const topology::EdgeId e : path) {
-        const std::int32_t i = last_user[static_cast<std::size_t>(e)];
-        last_user[static_cast<std::size_t>(e)] =
-            static_cast<std::int32_t>(j);
-        if (i < 0) continue;
-        if (schedule.messages[static_cast<std::size_t>(i)].phase ==
-            schedule.messages[j].phase) {
-          continue;
-        }
-        if (std::find(preds.begin(), preds.end(), i) == preds.end()) {
-          preds.push_back(i);
-          staged.push_back(SyncEdge{i, static_cast<std::int32_t>(j)});
+    for (std::int32_t p = 0; p < phases; ++p) {
+      // A last user at or past this phase's first message shares j's
+      // phase.
+      const auto same_phase = static_cast<std::int32_t>(phase_begin[p]);
+      for (auto j = static_cast<std::size_t>(phase_begin[p]);
+           j < static_cast<std::size_t>(phase_begin[p + 1]); ++j) {
+        const core::Message& m = schedule.messages[j];
+        topo.path_into(topo.machine_node(m.src), topo.machine_node(m.dst),
+                       path);
+        preds.clear();
+        for (const topology::EdgeId e : path) {
+          const std::int32_t i = last_user[static_cast<std::size_t>(e)];
+          last_user[static_cast<std::size_t>(e)] =
+              static_cast<std::int32_t>(j);
+          if (i < 0 || i >= same_phase) continue;
+          if (std::find(preds.begin(), preds.end(), i) == preds.end()) {
+            preds.push_back(i);
+            staged.push_back(SyncEdge{i, static_cast<std::int32_t>(j)});
+          }
         }
       }
     }
@@ -209,8 +222,8 @@ SyncPlan build_sync_plan(const topology::Topology& topo,
   }
 
   for (const SyncEdge& e : plan.edges) {
-    if (schedule.messages[static_cast<std::size_t>(e.from)].message.src !=
-        schedule.messages[static_cast<std::size_t>(e.to)].message.src) {
+    if (schedule.messages[static_cast<std::size_t>(e.from)].src !=
+        schedule.messages[static_cast<std::size_t>(e.to)].src) {
       ++plan.cross_node_edges;
     }
   }

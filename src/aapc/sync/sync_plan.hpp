@@ -60,8 +60,9 @@ struct SyncPlan {
 };
 
 /// Builds the contention-dependence graph of `schedule` on `topo` and
-/// (optionally) removes redundant synchronizations. Messages must be
-/// sorted by phase (as produced by core::assign_messages).
+/// (optionally) removes redundant synchronizations. The phase offsets
+/// must partition the arena: start at 0, never decrease and end at the
+/// message count (InvalidArgument otherwise).
 SyncPlan build_sync_plan(const topology::Topology& topo,
                          const core::Schedule& schedule,
                          const SyncPlanOptions& options = {});

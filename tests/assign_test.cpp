@@ -29,9 +29,7 @@ Message msg(Rank src, Rank dst) { return Message{src, dst}; }
 bool phase_contains(const Schedule& schedule, std::int32_t phase,
                     Message message) {
   const PhaseSpan span = schedule.phase(phase);
-  return std::any_of(
-      span.begin(), span.end(),
-      [&](const ScheduledMessage& sm) { return sm.message == message; });
+  return std::find(span.begin(), span.end(), message) != span.end();
 }
 
 TEST(AssignTest, PaperTable4GlobalMessages) {
@@ -99,18 +97,6 @@ TEST(AssignTest, PaperExampleVerifies) {
   EXPECT_EQ(report.max_edge_multiplicity, 1);
 }
 
-TEST(AssignTest, ScopesAreLabelledCorrectly) {
-  const Topology topo = make_paper_figure1();
-  const Decomposition dec = decompose_at(topo, *topo.find_node("s1"));
-  const Schedule schedule = assign_messages(dec);
-  for (const ScheduledMessage& sm : schedule.messages) {
-    const bool same_subtree =
-        dec.subtree_of[sm.message.src] == dec.subtree_of[sm.message.dst];
-    EXPECT_EQ(sm.scope == MessageScope::kLocal, same_subtree)
-        << sm.message.src << "->" << sm.message.dst;
-  }
-}
-
 TEST(AssignTest, SingleSwitchReducesToRingLikeSchedule) {
   // All-singleton subtrees: N-1 phases, each phase a perfect permutation
   // (every machine sends once and receives once).
@@ -121,9 +107,9 @@ TEST(AssignTest, SingleSwitchReducesToRingLikeSchedule) {
     ASSERT_EQ(schedule.phase_size(p), 8);
     std::set<Rank> senders;
     std::set<Rank> receivers;
-    for (const ScheduledMessage& sm : schedule.phase(p)) {
-      EXPECT_TRUE(senders.insert(sm.message.src).second);
-      EXPECT_TRUE(receivers.insert(sm.message.dst).second);
+    for (const Message& m : schedule.phase(p)) {
+      EXPECT_TRUE(senders.insert(m.src).second);
+      EXPECT_TRUE(receivers.insert(m.dst).second);
     }
   }
 }
@@ -135,13 +121,14 @@ TEST(AssignTest, AtMostOneLocalPerSubtreePerPhase) {
   const Decomposition dec = decompose(topo);
   const Schedule schedule = assign_messages(dec);
   std::map<std::pair<std::int32_t, std::int32_t>, int> locals_in_phase;
-  for (const ScheduledMessage& sm : schedule.messages) {
-    if (sm.scope != MessageScope::kLocal) continue;
-    const std::int32_t subtree = dec.subtree_of[sm.message.src];
-    EXPECT_EQ(dec.subtree_of[sm.message.dst], subtree);
-    const int count = ++locals_in_phase[std::make_pair(sm.phase, subtree)];
-    EXPECT_EQ(count, 1) << "two locals in subtree " << subtree << " phase "
-                        << sm.phase;
+  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
+    for (const Message& m : schedule.phase(p)) {
+      const std::int32_t subtree = dec.subtree_of[m.src];
+      if (dec.subtree_of[m.dst] != subtree) continue;  // global
+      const int count = ++locals_in_phase[std::make_pair(p, subtree)];
+      EXPECT_EQ(count, 1) << "two locals in subtree " << subtree
+                          << " phase " << p;
+    }
   }
 }
 
@@ -150,10 +137,11 @@ TEST(AssignTest, Step3LocalsFitInFirstM0Window) {
   const Decomposition dec = decompose(topo);
   const std::int32_t m0 = dec.subtree_size(0);
   const Schedule schedule = assign_messages(dec);
-  for (const ScheduledMessage& sm : schedule.messages) {
-    if (sm.scope == MessageScope::kLocal &&
-        dec.subtree_of[sm.message.src] == 0) {
-      EXPECT_LT(sm.phase, m0 * (m0 - 1));
+  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
+    for (const Message& m : schedule.phase(p)) {
+      if (dec.subtree_of[m.src] == 0 && dec.subtree_of[m.dst] == 0) {
+        EXPECT_LT(p, m0 * (m0 - 1));
+      }
     }
   }
 }

@@ -69,13 +69,10 @@ TEST(RingPipelineTest, ReduceScatterIsTheReverseRingAndOptimal) {
     // allgather schedule yields exactly this message multiset.
     const Schedule forward = build_allgather_schedule(topo);
     std::vector<Message> reversed;
-    for (const ScheduledMessage& sm : forward.messages) {
-      reversed.push_back(Message{sm.message.dst, sm.message.src});
+    for (const Message& m : forward.messages) {
+      reversed.push_back(Message{m.dst, m.src});
     }
-    std::vector<Message> ours;
-    for (const ScheduledMessage& sm : schedule.messages) {
-      ours.push_back(sm.message);
-    }
+    std::vector<Message> ours = schedule.messages;
     std::sort(reversed.begin(), reversed.end());
     std::sort(ours.begin(), ours.end());
     EXPECT_EQ(ours, reversed);

@@ -30,8 +30,10 @@ std::vector<std::vector<std::int32_t>> sender_phase_sequences(
     const core::Schedule& schedule, const ExecutionResult& result,
     std::int32_t ranks) {
   std::map<std::pair<Rank, Rank>, std::int32_t> phase_of;
-  for (const core::ScheduledMessage& m : schedule.messages) {
-    phase_of[{m.message.src, m.message.dst}] = m.phase;
+  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
+    for (const core::Message& m : schedule.phase(p)) {
+      phase_of[{m.src, m.dst}] = p;
+    }
   }
   std::vector<std::vector<std::pair<SimTime, std::int32_t>>> timed(ranks);
   for (const MessageTrace& trace : result.trace) {

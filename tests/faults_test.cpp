@@ -273,13 +273,10 @@ TEST(RepairTest, RepairScheduleCoversExactlyTheTail) {
   EXPECT_GT(result.repair_wall_seconds, 0);
 
   std::vector<core::Message> expected;
-  for (const core::ScheduledMessage& m : schedule.messages) {
-    if (m.phase >= splice) expected.push_back(m.message);
+  for (std::int32_t p = splice; p < schedule.phase_count(); ++p) {
+    for (const core::Message& m : schedule.phase(p)) expected.push_back(m);
   }
-  std::vector<core::Message> got;
-  for (const core::ScheduledMessage& m : result.remainder.messages) {
-    got.push_back(m.message);
-  }
+  std::vector<core::Message> got = result.remainder.messages;
   std::sort(expected.begin(), expected.end());
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expected);

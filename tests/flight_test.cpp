@@ -109,34 +109,34 @@ TEST(RecorderTest, AnnotationStampsDataSyncAndRecvSide) {
   Recorder recorder(topo.machine_count());
   recorder.annotate(schedule, plan);
 
-  const core::ScheduledMessage& first = schedule.messages.front();
+  const core::Message& first = schedule.messages.front();
   // Sender-side data event: (rank=src, peer=dst).
-  recorder.record(first.message.src, EventKind::kSendPost, first.message.dst,
-                  0, 1024, 1.0, 0.5);
+  recorder.record(first.src, EventKind::kSendPost, first.dst, 0, 1024, 1.0,
+                  0.5);
   // Receiver-side data event: (rank=dst, peer=src) — coordinates swap.
-  recorder.record(first.message.dst, EventKind::kRecvComplete,
-                  first.message.src, 0, 1024, 2.0, 1.0);
+  recorder.record(first.dst, EventKind::kRecvComplete, first.src, 0, 1024,
+                  2.0, 1.0);
   std::vector<Event> out;
-  recorder.snapshot_rank(first.message.src, out);
+  recorder.snapshot_rank(first.src, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].phase, first.phase);
+  EXPECT_EQ(out[0].phase, schedule.phase_of(0));
   EXPECT_EQ(out[0].message, 0);
-  recorder.snapshot_rank(first.message.dst, out);
+  recorder.snapshot_rank(first.dst, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].phase, first.phase);
+  EXPECT_EQ(out[0].phase, schedule.phase_of(0));
   EXPECT_EQ(out[0].message, 0);
 
   if (!plan.edges.empty()) {
     const sync::SyncEdge& edge = plan.edges.front();
-    const core::ScheduledMessage& gated =
+    const core::Message& gated =
         schedule.messages[static_cast<std::size_t>(edge.to)];
-    recorder.record(gated.message.src, EventKind::kSyncRelease,
-                    schedule.messages[static_cast<std::size_t>(edge.from)]
-                        .message.src,
-                    recorder.sync_tag_base() + 0, 4, 3.0, 2.5);
-    recorder.snapshot_rank(gated.message.src, out);
+    recorder.record(
+        gated.src, EventKind::kSyncRelease,
+        schedule.messages[static_cast<std::size_t>(edge.from)].src,
+        recorder.sync_tag_base() + 0, 4, 3.0, 2.5);
+    recorder.snapshot_rank(gated.src, out);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].phase, gated.phase);
+    EXPECT_EQ(out[0].phase, schedule.phase_of(edge.to));
     EXPECT_EQ(out[0].message, edge.to);
   }
 }

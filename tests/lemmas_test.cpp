@@ -56,8 +56,7 @@ TEST_P(LemmaRandomTest, Lemma4GlobalMessagesAloneAreContentionFree) {
   for (std::int32_t p = 0; p < fixture.schedule.phase_count(); ++p) {
     std::vector<std::int32_t> edge_use(
         static_cast<std::size_t>(fixture.topo.directed_edge_count()), 0);
-    for (const ScheduledMessage& sm : fixture.schedule.phase(p)) {
-      const Message& m = sm.message;
+    for (const Message& m : fixture.schedule.phase(p)) {
       if (fixture.dec.subtree_of[m.src] == fixture.dec.subtree_of[m.dst]) {
         continue;  // local
       }
@@ -78,8 +77,7 @@ TEST_P(LemmaRandomTest, Lemma2NoTwoGroupsUseARootLinkPerPhase) {
   for (std::int32_t p = 0; p < fixture.schedule.phase_count(); ++p) {
     std::vector<std::int32_t> sending(k, 0);
     std::vector<std::int32_t> receiving(k, 0);
-    for (const ScheduledMessage& sm : fixture.schedule.phase(p)) {
-      const Message& m = sm.message;
+    for (const Message& m : fixture.schedule.phase(p)) {
       const std::int32_t si = fixture.dec.subtree_of[m.src];
       const std::int32_t di = fixture.dec.subtree_of[m.dst];
       if (si == di) continue;
@@ -99,9 +97,8 @@ TEST_P(LemmaRandomTest, DesignatedReceiverAlignmentHolds) {
   const GlobalSchedule global(fixture.sizes);
   const std::int64_t P = fixture.total_phases;
   for (std::int64_t p = 0; p < P; ++p) {
-    for (const ScheduledMessage& sm :
+    for (const Message& m :
          fixture.schedule.phase(static_cast<std::int32_t>(p))) {
-      const Message& m = sm.message;
       const std::int32_t u = fixture.dec.subtree_of[m.src];
       const std::int32_t j = fixture.dec.subtree_of[m.dst];
       if (u == j) continue;
@@ -118,19 +115,21 @@ TEST_P(LemmaRandomTest, DesignatedReceiverAlignmentHolds) {
 TEST_P(LemmaRandomTest, Step5LocalsLiveInsideTheirGroupSpan) {
   const Fixture fixture = make_fixture(GetParam());
   const GlobalSchedule global(fixture.sizes);
-  for (const ScheduledMessage& sm : fixture.schedule.messages) {
-    if (sm.scope != MessageScope::kLocal) continue;
-    const std::int32_t i = fixture.dec.subtree_of[sm.message.src];
-    if (i == 0) {
-      // Step 3: first |M0|*(|M0|-1) phases.
-      const std::int64_t m0 = fixture.sizes[0];
-      EXPECT_LT(sm.phase, m0 * (m0 - 1));
-    } else {
-      // Step 5: the span of t_i -> t_{i-1}.
-      const std::int64_t start = global.group_start(i, i - 1);
-      const std::int64_t length = global.group_length(i, i - 1);
-      EXPECT_GE(sm.phase, start);
-      EXPECT_LT(sm.phase, start + length);
+  for (std::int32_t p = 0; p < fixture.schedule.phase_count(); ++p) {
+    for (const Message& m : fixture.schedule.phase(p)) {
+      const std::int32_t i = fixture.dec.subtree_of[m.src];
+      if (fixture.dec.subtree_of[m.dst] != i) continue;  // global
+      if (i == 0) {
+        // Step 3: first |M0|*(|M0|-1) phases.
+        const std::int64_t m0 = fixture.sizes[0];
+        EXPECT_LT(p, m0 * (m0 - 1));
+      } else {
+        // Step 5: the span of t_i -> t_{i-1}.
+        const std::int64_t start = global.group_start(i, i - 1);
+        const std::int64_t length = global.group_length(i, i - 1);
+        EXPECT_GE(p, start);
+        EXPECT_LT(p, start + length);
+      }
     }
   }
 }
@@ -143,12 +142,14 @@ TEST_P(LemmaRandomTest, EverySubtreeSendsGloballyInEveryPhaseOfT0) {
   const std::int64_t P = fixture.total_phases;
   const std::int32_t m0 = fixture.sizes[0];
   std::vector<std::int32_t> sender_at_phase(static_cast<std::size_t>(P), -1);
-  for (const ScheduledMessage& sm : fixture.schedule.messages) {
-    if (sm.scope != MessageScope::kGlobal) continue;
-    if (fixture.dec.subtree_of[sm.message.src] != 0) continue;
-    ASSERT_EQ(sender_at_phase[static_cast<std::size_t>(sm.phase)], -1);
-    sender_at_phase[static_cast<std::size_t>(sm.phase)] =
-        fixture.dec.index_in_subtree[sm.message.src];
+  for (std::int32_t p = 0; p < fixture.schedule.phase_count(); ++p) {
+    for (const Message& m : fixture.schedule.phase(p)) {
+      if (fixture.dec.subtree_of[m.src] != 0) continue;
+      if (fixture.dec.subtree_of[m.dst] == 0) continue;  // local
+      ASSERT_EQ(sender_at_phase[static_cast<std::size_t>(p)], -1);
+      sender_at_phase[static_cast<std::size_t>(p)] =
+          fixture.dec.index_in_subtree[m.src];
+    }
   }
   for (std::int64_t window = 0; window < P / m0; ++window) {
     std::vector<char> seen(static_cast<std::size_t>(m0), 0);

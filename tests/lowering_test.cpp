@@ -175,8 +175,8 @@ TEST(LoweringTest, CorruptedScheduleFailsContentionCheck) {
   ASSERT_GE(schedule.phase_count(), 2);
   const std::int32_t last = schedule.phase_count() - 1;
   // Appending to the final phase keeps the arena phase-sorted.
-  const core::Message stray = schedule.phase(last)[0].message;
-  schedule.messages.push_back({stray, last, core::MessageScope::kGlobal});
+  const core::Message stray = schedule.phase(last)[0];
+  schedule.messages.push_back(stray);
   schedule.phase_begin.back() += 1;
   try {
     lower_schedule(topo, schedule, 8_KiB);

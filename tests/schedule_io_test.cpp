@@ -60,7 +60,18 @@ TEST(ScheduleIoTest, ParsesWithWhitespace) {
   ASSERT_EQ(schedule.phase_count(), 2);
   EXPECT_EQ(schedule.phase_size(0), 2);
   EXPECT_EQ(schedule.messages.size(), 3u);
-  EXPECT_EQ(schedule.messages[2].phase, 1);
+  EXPECT_EQ(schedule.phase_of(2), 1);
+}
+
+TEST(ScheduleTest, PhaseOfSkipsEmptyPhases) {
+  const Schedule schedule = Schedule::from_phase_lists(
+      {{}, {Message{0, 1}, Message{1, 2}}, {}, {}, {Message{2, 0}}, {}});
+  ASSERT_EQ(schedule.phase_count(), 6);
+  EXPECT_EQ(schedule.phase_of(0), 1);
+  EXPECT_EQ(schedule.phase_of(1), 1);
+  EXPECT_EQ(schedule.phase_of(2), 4);
+  EXPECT_THROW(schedule.phase_of(-1), InvalidArgument);
+  EXPECT_THROW(schedule.phase_of(3), InvalidArgument);
 }
 
 TEST(ScheduleIoTest, EmptySchedule) {

@@ -14,9 +14,7 @@ namespace aapc::sync {
 namespace {
 
 using core::Message;
-using core::MessageScope;
 using core::Schedule;
-using core::ScheduledMessage;
 using topology::make_paper_figure1;
 using topology::make_single_switch;
 using topology::Topology;
@@ -133,11 +131,28 @@ TEST(SyncPlanTest, PaperExampleReductionShrinksPlan) {
             0.5 * static_cast<double>(plan.edges_before_reduction));
 }
 
-TEST(SyncPlanTest, UnsortedMessagesRejected) {
+TEST(SyncPlanTest, DecreasingPhaseOffsetsRejected) {
+  // A message's phase is its position, so offsets that step back would
+  // put message 1 in two phases at once.
   const Topology topo = make_single_switch(3);
-  Schedule schedule =
-      make_schedule({{Message{0, 1}}, {Message{1, 2}}});
-  std::swap(schedule.messages[0], schedule.messages[1]);
+  Schedule schedule = make_schedule(
+      {{Message{0, 1}}, {Message{1, 2}}, {Message{2, 0}}});
+  schedule.phase_begin = {0, 2, 1, 3};
+  EXPECT_THROW(build_sync_plan(topo, schedule), aapc::InvalidArgument);
+}
+
+TEST(SyncPlanTest, PhaseOffsetsMustSpanTheMessages) {
+  const Topology topo = make_single_switch(3);
+  Schedule schedule = make_schedule({{Message{0, 1}}, {Message{1, 2}}});
+  ASSERT_NO_THROW(build_sync_plan(topo, schedule));
+  for (const std::int64_t last : {1, 3}) {
+    schedule.phase_begin.back() = last;
+    EXPECT_THROW(build_sync_plan(topo, schedule), aapc::InvalidArgument)
+        << "last offset " << last << " with 2 messages";
+  }
+  schedule.phase_begin = {1, 1, 2};
+  EXPECT_THROW(build_sync_plan(topo, schedule), aapc::InvalidArgument);
+  schedule.phase_begin.clear();
   EXPECT_THROW(build_sync_plan(topo, schedule), aapc::InvalidArgument);
 }
 
