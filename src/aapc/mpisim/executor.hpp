@@ -90,6 +90,10 @@ struct MessageTrace {
   bool is_sync = false;
   /// Watchdog reposts this transfer needed before draining.
   std::int32_t retries = 0;
+  /// The matched posts: indices into the sender's and the receiver's
+  /// request tables (posting order, as Op::wait names them).
+  RequestId send_request = -1;
+  RequestId recv_request = -1;
 };
 
 /// A labeled instant on the simulated timeline — fault injections,
