@@ -8,6 +8,7 @@
 //   uniform        every pair msize bytes (sanity anchor),
 //   hot-row        one sender ships 16x more than the rest,
 //   heavy-tailed   sizes msize * 2^(-k) with deterministic k in [0,4].
+// Exits nonzero when any run's delivery audit (integrity report) fails.
 #include <iostream>
 
 #include "aapc/baselines/baselines.hpp"
@@ -79,14 +80,22 @@ int main() {
       {"hot-row", hot_row_matrix(ranks, msize)},
       {"heavy-tailed", heavy_tailed_matrix(ranks, msize)},
   };
+  // Both producers of pair tables run here; a run that breaks the
+  // exactly-once delivery audit fails the bench.
+  bool integrity_ok = true;
+  auto run = [&](const mpisim::ProgramSet& set, const char* name) {
+    const mpisim::ExecutionResult result = executor.run(set);
+    if (!result.integrity.ok()) {
+      std::cerr << "integrity violated: " << set.name << " on " << name
+                << ": " << result.integrity.summary() << "\n";
+      integrity_ok = false;
+    }
+    return result.completion_time;
+  };
   for (const Case& c : cases) {
-    const SimTime lam =
-        executor.run(baselines::lam_alltoallv(ranks, c.matrix))
-            .completion_time;
-    const SimTime ours =
-        executor.run(lowering::lower_schedule_irregular(topo, schedule,
-                                                        c.matrix))
-            .completion_time;
+    const SimTime lam = run(baselines::lam_alltoallv(ranks, c.matrix), c.name);
+    const SimTime ours = run(
+        lowering::lower_schedule_irregular(topo, schedule, c.matrix), c.name);
     table.add_row({c.name,
                    format_size(static_cast<Bytes>(
                        total_payload(c.matrix, ranks))) +
@@ -101,5 +110,5 @@ int main() {
             << "\nThe contention-free phase structure carries over to "
                "irregular exchanges;\nskew erodes but does not eliminate "
                "the advantage.\n";
-  return 0;
+  return integrity_ok ? 0 : 1;
 }

@@ -15,21 +15,21 @@ constexpr mpisim::Tag kDataTag = 0;
 
 /// Common shape of LAM's and MPICH's nonblocking algorithms: post all
 /// receives, post all sends in `send_order`, wait for everything.
-Program post_all_program(Rank me, std::int32_t ranks, Bytes msize,
+Program post_all_program(Rank me, std::int32_t ranks,
                          const std::vector<Rank>& send_order) {
   Program program;
-  program.ops.push_back(Op::copy(msize));
+  program.ops.push_back(Op::copy());
   // Receives are posted first (both LAM and MPICH prepost receives so
   // eager/rendezvous traffic finds a posted buffer).
   for (std::int32_t step = 0; step < ranks; ++step) {
     const Rank peer = send_order[static_cast<std::size_t>(step)];
     if (peer == me) continue;
-    program.ops.push_back(Op::irecv(peer, msize, kDataTag));
+    program.ops.push_back(Op::irecv(peer, kDataTag));
   }
   for (std::int32_t step = 0; step < ranks; ++step) {
     const Rank peer = send_order[static_cast<std::size_t>(step)];
     if (peer == me) continue;
-    program.ops.push_back(Op::isend(peer, msize, kDataTag));
+    program.ops.push_back(Op::isend(peer, kDataTag));
   }
   program.ops.push_back(Op::wait_all());
   return program;
@@ -43,27 +43,10 @@ ProgramSet lam_alltoallv(std::int32_t ranks,
   AAPC_REQUIRE(size_matrix.size() ==
                    static_cast<std::size_t>(ranks) * ranks,
                "size matrix must be " << ranks << " x " << ranks);
-  auto bytes_for = [&](Rank src, Rank dst) -> Bytes {
-    const Bytes bytes =
-        size_matrix[static_cast<std::size_t>(src) * ranks + dst];
-    return bytes > 0 ? bytes : Bytes{1};
-  };
-  ProgramSet set;
+  // LAM's programs; the pair table replaces its one size.
+  ProgramSet set = lam_alltoall(ranks, 0);
   set.name = "LAM-v";
-  for (Rank me = 0; me < ranks; ++me) {
-    Program program;
-    program.ops.push_back(Op::copy(bytes_for(me, me)));
-    for (Rank peer = 0; peer < ranks; ++peer) {
-      if (peer == me) continue;
-      program.ops.push_back(Op::irecv(peer, bytes_for(peer, me), kDataTag));
-    }
-    for (Rank peer = 0; peer < ranks; ++peer) {
-      if (peer == me) continue;
-      program.ops.push_back(Op::isend(peer, bytes_for(me, peer), kDataTag));
-    }
-    program.ops.push_back(Op::wait_all());
-    set.programs.push_back(std::move(program));
-  }
+  set.pair_bytes = mpisim::pair_table(size_matrix);
   return set;
 }
 
@@ -75,11 +58,12 @@ ProgramSet lam_alltoall(std::int32_t ranks, Bytes msize) {
   AAPC_REQUIRE(ranks >= 1, "need at least one rank");
   ProgramSet set;
   set.name = "LAM";
+  set.data_bytes = msize;
   for (Rank me = 0; me < ranks; ++me) {
     // Order i->0, i->1, ..., i->N-1.
     std::vector<Rank> order(static_cast<std::size_t>(ranks));
     for (std::int32_t j = 0; j < ranks; ++j) order[j] = j;
-    set.programs.push_back(post_all_program(me, ranks, msize, order));
+    set.programs.push_back(post_all_program(me, ranks, order));
   }
   return set;
 }
@@ -88,6 +72,7 @@ ProgramSet mpich_ordered_alltoall(std::int32_t ranks, Bytes msize) {
   AAPC_REQUIRE(ranks >= 1, "need at least one rank");
   ProgramSet set;
   set.name = "MPICH-ordered";
+  set.data_bytes = msize;
   for (Rank me = 0; me < ranks; ++me) {
     // Order i->i+1, i->i+2, ..., i->(i+N-1) mod N.
     std::vector<Rank> order;
@@ -95,7 +80,7 @@ ProgramSet mpich_ordered_alltoall(std::int32_t ranks, Bytes msize) {
     for (std::int32_t j = 1; j <= ranks; ++j) {
       order.push_back((me + j) % ranks);
     }
-    set.programs.push_back(post_all_program(me, ranks, msize, order));
+    set.programs.push_back(post_all_program(me, ranks, order));
   }
   return set;
 }
@@ -106,16 +91,17 @@ ProgramSet mpich_pairwise_alltoall(std::int32_t ranks, Bytes msize) {
                    << ranks);
   ProgramSet set;
   set.name = "MPICH-pairwise";
+  set.data_bytes = msize;
   for (Rank me = 0; me < ranks; ++me) {
     Program program;
-    program.ops.push_back(Op::copy(msize));
+    program.ops.push_back(Op::copy());
     mpisim::RequestId next = 0;
     for (std::int32_t j = 1; j < ranks; ++j) {
       const Rank peer = me ^ j;
       // Blocking sendrecv: post both, wait both, then the next step.
-      program.ops.push_back(Op::irecv(peer, msize, kDataTag));
+      program.ops.push_back(Op::irecv(peer, kDataTag));
       const mpisim::RequestId recv = next++;
-      program.ops.push_back(Op::isend(peer, msize, kDataTag));
+      program.ops.push_back(Op::isend(peer, kDataTag));
       const mpisim::RequestId send = next++;
       program.ops.push_back(Op::wait(recv));
       program.ops.push_back(Op::wait(send));
@@ -129,16 +115,17 @@ ProgramSet mpich_ring_alltoall(std::int32_t ranks, Bytes msize) {
   AAPC_REQUIRE(ranks >= 1, "need at least one rank");
   ProgramSet set;
   set.name = "MPICH-ring";
+  set.data_bytes = msize;
   for (Rank me = 0; me < ranks; ++me) {
     Program program;
-    program.ops.push_back(Op::copy(msize));
+    program.ops.push_back(Op::copy());
     mpisim::RequestId next = 0;
     for (std::int32_t j = 1; j < ranks; ++j) {
       const Rank to = (me + j) % ranks;
       const Rank from = (me - j % ranks + ranks) % ranks;
-      program.ops.push_back(Op::irecv(from, msize, kDataTag));
+      program.ops.push_back(Op::irecv(from, kDataTag));
       const mpisim::RequestId recv = next++;
-      program.ops.push_back(Op::isend(to, msize, kDataTag));
+      program.ops.push_back(Op::isend(to, kDataTag));
       const mpisim::RequestId send = next++;
       program.ops.push_back(Op::wait(recv));
       program.ops.push_back(Op::wait(send));

@@ -22,23 +22,24 @@ constexpr Tag kDataTag = 0;
 
 /// Emit helper tracking request ids per rank (requests are numbered in
 /// posting order, mirroring the executor's bookkeeping). The caller
-/// reserves the exact op count, so each list is allocated once.
+/// reserves the exact op count, so each list is allocated once. Ops
+/// carry no sizes: the caller sets them on the finished set.
 struct RankEmitter {
   Program program;
   RequestId next_request = 0;
 
-  RequestId isend(core::Rank peer, Bytes bytes, Tag tag) {
-    program.ops.push_back(Op::isend(peer, bytes, tag));
+  RequestId isend(core::Rank peer, Tag tag) {
+    program.ops.push_back(Op::isend(peer, tag));
     return next_request++;
   }
-  RequestId irecv(core::Rank peer, Bytes bytes, Tag tag) {
-    program.ops.push_back(Op::irecv(peer, bytes, tag));
+  RequestId irecv(core::Rank peer, Tag tag) {
+    program.ops.push_back(Op::irecv(peer, tag));
     return next_request++;
   }
   void wait(RequestId request) { program.ops.push_back(Op::wait(request)); }
   void wait_all() { program.ops.push_back(Op::wait_all()); }
   void barrier() { program.ops.push_back(Op::barrier()); }
-  void copy(Bytes bytes) { program.ops.push_back(Op::copy(bytes)); }
+  void copy() { program.ops.push_back(Op::copy()); }
 };
 
 /// One emitter per rank, each reserved to `op_count[rank]` ops.
@@ -59,12 +60,8 @@ ProgramSet finish_set(std::string name, std::vector<RankEmitter>& emit) {
   return set;
 }
 
-/// `bytes_for(src, dst)` is the size of the data message src -> dst
-/// (diagonal = self-copy size).
-template <class SizeFn>
 ProgramSet lower_barrier_mode(const topology::Topology& topo,
                               const core::Schedule& schedule,
-                              const SizeFn& bytes_for,
                               const LoweringOptions& options,
                               LoweringInfo* info) {
   const std::int32_t ranks = topo.machine_count();
@@ -80,20 +77,15 @@ ProgramSet lower_barrier_mode(const topology::Topology& topo,
   }
   std::vector<RankEmitter> emit = make_emitters(op_count);
   if (options.include_self_copy) {
-    for (core::Rank r = 0; r < ranks; ++r) {
-      emit[r].copy(bytes_for(r, r));
-    }
+    for (auto& e : emit) e.copy();
   }
   std::vector<std::pair<core::Rank, RequestId>> to_wait;
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
     // Post this phase's operations, wait them, then a global barrier.
     to_wait.clear();
     for (const core::Message& m : schedule.phase(p)) {
-      const Bytes bytes = bytes_for(m.src, m.dst);
-      to_wait.emplace_back(m.dst,
-                           emit[m.dst].irecv(m.src, bytes, kDataTag));
-      to_wait.emplace_back(m.src,
-                           emit[m.src].isend(m.dst, bytes, kDataTag));
+      to_wait.emplace_back(m.dst, emit[m.dst].irecv(m.src, kDataTag));
+      to_wait.emplace_back(m.src, emit[m.src].isend(m.dst, kDataTag));
       if (info != nullptr) ++info->data_messages;
     }
     for (const auto& [rank, request] : to_wait) {
@@ -104,13 +96,12 @@ ProgramSet lower_barrier_mode(const topology::Topology& topo,
   return finish_set("ours-barrier", emit);
 }
 
-template <class SizeFn>
-ProgramSet lower_with_sizes(const topology::Topology& topo,
-                            const core::Schedule& schedule,
-                            const SizeFn& bytes_for,
-                            const LoweringOptions& options,
-                            LoweringInfo* info) {
-
+/// The op lists of the lowered set; the public entry points attach the
+/// sizes.
+ProgramSet lower_programs(const topology::Topology& topo,
+                          const core::Schedule& schedule,
+                          const LoweringOptions& options,
+                          LoweringInfo* info) {
   AAPC_REQUIRE(topo.finalized(), "topology must be finalized");
 
   // Runtime schedule invariant (satellite of the §4 conditions): any
@@ -121,7 +112,7 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
   }
 
   if (options.sync == SyncMode::kBarrier) {
-    return lower_barrier_mode(topo, schedule, bytes_for, options, info);
+    return lower_barrier_mode(topo, schedule, options, info);
   }
 
   const std::int32_t ranks = topo.machine_count();
@@ -191,16 +182,14 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
   }
   std::vector<RankEmitter> emit = make_emitters(op_count);
   if (options.include_self_copy) {
-    for (core::Rank r = 0; r < ranks; ++r) {
-      emit[r].copy(bytes_for(r, r));
-    }
+    for (auto& e : emit) e.copy();
   }
 
   // Prepost every data receive in phase order (messages are
   // phase-sorted).
   for (std::size_t i = 0; i < n; ++i) {
     const core::Message& m = schedule.messages[i];
-    emit[m.dst].irecv(m.src, bytes_for(m.src, m.dst), kDataTag);
+    emit[m.dst].irecv(m.src, kDataTag);
     if (info != nullptr) ++info->data_messages;
   }
 
@@ -226,12 +215,10 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
       } else {
         // Pair-wise synchronization: wait for the token from prev's
         // sender.
-        const RequestId token = sender.irecv(
-            prev_src, options.sync_message_bytes, sync_tag(edge));
-        sender.wait(token);
+        sender.wait(sender.irecv(prev_src, sync_tag(edge)));
       }
     }
-    send_request[i] = sender.isend(m.dst, bytes_for(m.src, m.dst), kDataTag);
+    send_request[i] = sender.isend(m.dst, kDataTag);
     // Outgoing cross-node dependencies: complete my message, then send
     // one token per dependent sender.
     bool waited = false;
@@ -243,7 +230,7 @@ ProgramSet lower_with_sizes(const topology::Topology& topo,
         sender.wait(send_request[i]);
         waited = true;
       }
-      sender.isend(next_src, options.sync_message_bytes, sync_tag(edge));
+      sender.isend(next_src, sync_tag(edge));
       if (info != nullptr) ++info->sync_messages;
     }
   }
@@ -261,9 +248,10 @@ ProgramSet lower_schedule(const topology::Topology& topo,
                           const LoweringOptions& options,
                           LoweringInfo* info) {
   AAPC_REQUIRE(msize >= 1, "message size must be positive");
-  return lower_with_sizes(
-      topo, schedule,
-      [msize](core::Rank, core::Rank) { return msize; }, options, info);
+  ProgramSet set = lower_programs(topo, schedule, options, info);
+  set.data_bytes = msize;
+  set.token_bytes = options.sync_message_bytes;
+  return set;
 }
 
 ProgramSet lower_schedule_irregular(const topology::Topology& topo,
@@ -277,18 +265,10 @@ ProgramSet lower_schedule_irregular(const topology::Topology& topo,
                "size matrix must be |M| x |M| = " << machines * machines
                                                   << " entries, got "
                                                   << size_matrix.size());
-  ProgramSet set = lower_with_sizes(
-      topo, schedule,
-      [&](core::Rank src, core::Rank dst) {
-        // The executor models flows, not buffers; zero-byte pairs keep
-        // a minimal 1-byte message so matching and synchronization
-        // semantics are identical to a real Alltoallv with empty slots.
-        const Bytes bytes =
-            size_matrix[static_cast<std::size_t>(src) * machines + dst];
-        return bytes > 0 ? bytes : Bytes{1};
-      },
-      options, info);
+  ProgramSet set = lower_programs(topo, schedule, options, info);
   set.name += "-irregular";
+  set.token_bytes = options.sync_message_bytes;
+  set.pair_bytes = mpisim::pair_table(size_matrix);
   return set;
 }
 

@@ -6,6 +6,17 @@
 
 namespace aapc::service {
 
+std::int64_t measure_footprint(const CompiledEntry& entry) {
+  std::size_t bytes =
+      entry.schedule.messages.capacity() * sizeof(core::Message) +
+      entry.schedule.phase_begin.capacity() * sizeof(std::int64_t) +
+      entry.programs.pair_bytes.capacity() * sizeof(Bytes);
+  for (const mpisim::Program& program : entry.programs.programs) {
+    bytes += program.ops.capacity() * sizeof(mpisim::Op);
+  }
+  return static_cast<std::int64_t>(bytes);
+}
+
 ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards) {
   AAPC_REQUIRE(capacity >= 1, "cache capacity must be >= 1");
   AAPC_REQUIRE(shards >= 1, "cache must have >= 1 shard");
@@ -45,14 +56,18 @@ void ScheduleCache::put(const CacheKey& key, CompiledEntryPtr entry) {
   if (it != shard.index.end()) {
     // Replace in place (a coalescing race can compile the same key
     // twice across service restarts/option changes); keep MRU position.
+    shard.bytes +=
+        entry->footprint_bytes - it->second->second->footprint_bytes;
     it->second->second = std::move(entry);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
+  shard.bytes += entry->footprint_bytes;
   shard.lru.emplace_front(key, std::move(entry));
   shard.index.emplace(key, shard.lru.begin());
   ++shard.insertions;
   while (shard.lru.size() > per_shard_capacity_) {
+    shard.bytes -= shard.lru.back().second->footprint_bytes;
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
     ++shard.evictions;
@@ -66,6 +81,7 @@ CacheStats ScheduleCache::stats() const {
     total.insertions += shard->insertions;
     total.evictions += shard->evictions;
     total.entries += static_cast<std::int64_t>(shard->lru.size());
+    total.bytes += shard->bytes;
   }
   return total;
 }

@@ -105,16 +105,25 @@ struct CompiledEntry {
   /// only); compared on hits like canonical_form so a pattern-hash
   /// collision degrades to a miss.
   core::SparseNeighbors neighbors;
+  /// Bytes the entry holds (measure_footprint below), recorded once when
+  /// it is built; the cache sums it over the entries it holds.
+  std::int64_t footprint_bytes = 0;
 };
+
+/// What an entry's bulk costs, by capacity: the schedule arena, its
+/// phase offsets, every rank's op vector and the pair table.
+std::int64_t measure_footprint(const CompiledEntry& entry);
 
 using CompiledEntryPtr = std::shared_ptr<const CompiledEntry>;
 
-/// Monotonic counters aggregated over all shards. Hits and misses are
-/// the service's to count (a hit there also checks freshness).
+/// Counters aggregated over all shards. Hits and misses are the
+/// service's to count (a hit there also checks freshness).
 struct CacheStats {
   std::int64_t insertions = 0;
   std::int64_t evictions = 0;
   std::int64_t entries = 0;  // current
+  /// Sum of footprint_bytes over the held entries (current).
+  std::int64_t bytes = 0;
 };
 
 class ScheduleCache {
@@ -152,6 +161,7 @@ class ScheduleCache {
         index;
     std::int64_t insertions = 0;
     std::int64_t evictions = 0;
+    std::int64_t bytes = 0;
   };
 
   Shard& shard_for(const CacheKey& key);

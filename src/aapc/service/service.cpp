@@ -250,6 +250,7 @@ CompiledEntryPtr ScheduleService::compile_entry(
                                              class_bytes, lower_options,
                                              &entry->info);
   stage_lower_seconds_.observe(seconds_since(stage));
+  entry->footprint_bytes = measure_footprint(*entry);
   entry->compile_seconds = seconds_since(start);
   record_compile_latency(entry->compile_seconds);
   AAPC_DEBUG("compiled canonical topology ("
@@ -530,6 +531,11 @@ void ScheduleService::sync_mirrors() const {
       .gauge("aapc_service_cache_entries",
              "Compiled artifacts currently cached, all shards")
       .set(static_cast<double>(cache.entries));
+  registry_
+      .gauge("aapc_service_cache_bytes",
+             "Bytes held by cached entries (schedule arena, phase offsets, "
+             "op vectors, pair tables), all shards")
+      .set(static_cast<double>(cache.bytes));
   const CompilerPool::Stats pool = pool_.stats();
   registry_
       .gauge("aapc_service_queue_depth",

@@ -160,10 +160,11 @@ TEST(ExecutorBackendTest, PacketBackendRejectsCapacityFaultEvents) {
 
   ProgramSet set;
   set.name = "ping";
+  set.data_bytes = 4096;
   Program sender;
-  sender.ops = {Op::isend(1, 4096, 0), Op::wait_all()};
+  sender.ops = {Op::isend(1, 0), Op::wait_all()};
   Program receiver;
-  receiver.ops = {Op::irecv(0, 4096, 0), Op::wait_all()};
+  receiver.ops = {Op::irecv(0, 0), Op::wait_all()};
   Program idle;
   set.programs = {sender, receiver, idle, idle};
 

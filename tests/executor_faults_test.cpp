@@ -31,10 +31,11 @@ topology::LinkId trunk_link(const Topology& topo) {
 ProgramSet one_transfer(Bytes bytes) {
   ProgramSet set;
   set.name = "one-transfer";
+  set.data_bytes = bytes;
   Program sender;
-  sender.ops = {Op::isend(1, bytes, 0), Op::wait_all()};
+  sender.ops = {Op::isend(1, 0), Op::wait_all()};
   Program receiver;
-  receiver.ops = {Op::irecv(0, bytes, 0), Op::wait_all()};
+  receiver.ops = {Op::irecv(0, 0), Op::wait_all()};
   set.programs = {sender, receiver};
   return set;
 }
@@ -118,10 +119,11 @@ TEST(ExecutorFaultsTest, DeadlockDiagnosticNamesPendingRequests) {
   const Topology topo = make_single_switch(2);
   ProgramSet set;
   set.name = "mismatched";
+  set.data_bytes = 4096;
   Program p0;
-  p0.ops = {Op::irecv(1, 4096, 7), Op::wait_all()};
+  p0.ops = {Op::irecv(1, 7), Op::wait_all()};
   Program p1;  // never sends
-  p1.ops = {Op::irecv(0, 4096, 9), Op::wait_all()};
+  p1.ops = {Op::irecv(0, 9), Op::wait_all()};
   set.programs = {p0, p1};
   Executor executor(topo, {}, {});
   try {

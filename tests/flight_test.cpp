@@ -288,8 +288,9 @@ TEST(DiagnosticsTest, StallCarriesTypedDiagnosticMatchingWhat) {
   const Topology topo = topology::make_single_switch(2);
   mpisim::ProgramSet set;
   set.name = "deadlock";
+  set.data_bytes = 1024;
   mpisim::Program sender;
-  sender.ops = {mpisim::Op::isend(1, 1024, 0), mpisim::Op::wait_all()};
+  sender.ops = {mpisim::Op::isend(1, 0), mpisim::Op::wait_all()};
   set.programs = {sender, mpisim::Program{}};
   mpisim::Executor executor(topo, {}, {});
   try {
@@ -327,10 +328,11 @@ TEST(DiagnosticsTest, AbortCarriesTypedDiagnosticMatchingWhat) {
 
   mpisim::ProgramSet set;
   set.name = "cross";
+  set.data_bytes = 32768;
   mpisim::Program sender;
-  sender.ops = {mpisim::Op::isend(1, 32768, 0), mpisim::Op::wait_all()};
+  sender.ops = {mpisim::Op::isend(1, 0), mpisim::Op::wait_all()};
   mpisim::Program receiver;
-  receiver.ops = {mpisim::Op::irecv(0, 32768, 0), mpisim::Op::wait_all()};
+  receiver.ops = {mpisim::Op::irecv(0, 0), mpisim::Op::wait_all()};
   set.programs = {sender, receiver};
   mpisim::Executor executor(topo, net, exec);
   try {

@@ -444,11 +444,11 @@ TEST(IrregularLoweringTest, SizesFollowTheMatrix) {
   for (core::Rank src = 0; src < 6; ++src) {
     for (const mpisim::Op& op : set.programs[src].ops) {
       if (op.kind == mpisim::OpKind::kIsend &&
-          op.tag < mpisim::kSyncTag) {
-        EXPECT_EQ(op.bytes, 1000u * (src + 1) + op.peer);
+          op.tag() < mpisim::kSyncTag) {
+        EXPECT_EQ(set.bytes(src, op), 1000u * (src + 1) + op.peer);
       }
       if (op.kind == mpisim::OpKind::kCopy) {
-        EXPECT_EQ(op.bytes, 1000u * (src + 1) + src);
+        EXPECT_EQ(set.bytes(src, op), 1000u * (src + 1) + src);
       }
     }
   }

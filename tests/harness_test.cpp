@@ -77,9 +77,10 @@ TEST(HarnessTest, CustomAlgorithmEntry) {
   NamedAlgorithm custom{"custom", [ranks](Bytes msize) {
     mpisim::ProgramSet set;
     set.name = "custom";
+    set.data_bytes = msize;
     set.programs.resize(ranks);
     for (topology::Rank r = 0; r < ranks; ++r) {
-      set.programs[r].ops.push_back(mpisim::Op::copy(msize));
+      set.programs[r].ops.push_back(mpisim::Op::copy());
     }
     return set;
   }};

@@ -152,10 +152,11 @@ TEST(IntegrityExecutorTest, WatchdogRetryStillDeliversExactlyOnce) {
 
   ProgramSet set;
   set.name = "one-transfer";
+  set.data_bytes = 100'000;
   Program sender;
-  sender.ops = {Op::isend(1, 100'000, 0), Op::wait_all()};
+  sender.ops = {Op::isend(1, 0), Op::wait_all()};
   Program receiver;
-  receiver.ops = {Op::irecv(0, 100'000, 0), Op::wait_all()};
+  receiver.ops = {Op::irecv(0, 0), Op::wait_all()};
   set.programs = {sender, receiver};
 
   const ExecutionResult result = executor.run(set);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/rng.hpp"
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/lowering/lower.hpp"
@@ -74,7 +75,7 @@ TEST(LoweringTest, NoSyncModeHasNoTokens) {
     for (const Op& op : program.ops) {
       EXPECT_NE(op.kind, OpKind::kBarrier);
       if (op.kind == OpKind::kIsend || op.kind == OpKind::kIrecv) {
-        EXPECT_LT(op.tag, mpisim::kSyncTag);
+        EXPECT_LT(op.tag(), mpisim::kSyncTag);
       }
     }
   }
@@ -150,14 +151,17 @@ TEST(LoweringTest, SyncTokensAreSmall) {
   options.sync_message_bytes = 4;
   const mpisim::ProgramSet set =
       lower_schedule(topo, schedule, 64_KiB, options);
-  for (const mpisim::Program& program : set.programs) {
-    for (const Op& op : program.ops) {
+  std::int64_t tokens = 0;
+  for (topology::Rank r = 0; r < set.rank_count(); ++r) {
+    for (const Op& op : set.programs[static_cast<std::size_t>(r)].ops) {
       if ((op.kind == OpKind::kIsend || op.kind == OpKind::kIrecv) &&
-          op.tag >= mpisim::kSyncTag) {
-        EXPECT_EQ(op.bytes, 4u);
+          op.tag() >= mpisim::kSyncTag) {
+        EXPECT_EQ(set.bytes(r, op), 4u);
+        ++tokens;
       }
     }
   }
+  EXPECT_GT(tokens, 0);
 }
 
 TEST(LoweringTest, InvalidInputsRejected) {
@@ -295,12 +299,84 @@ TEST(LoweringSparseTest, FullyDenseLowersBitIdenticallyToAapc) {
       lower_schedule_irregular(topo, aapc, matrix);
   ASSERT_EQ(from_sparse.rank_count(), from_aapc.rank_count());
   for (std::int32_t r = 0; r < from_sparse.rank_count(); ++r) {
-    EXPECT_EQ(from_sparse.programs[static_cast<std::size_t>(r)].to_string(),
-              from_aapc.programs[static_cast<std::size_t>(r)].to_string())
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(from_sparse.programs[i].to_string(from_sparse, r),
+              from_aapc.programs[i].to_string(from_aapc, r))
         << "rank " << r;
   }
 }
 
+/// The same cluster under a shuffled node labeling; `perm` receives the
+/// rank map (rank r of `topo` is rank perm[r] of the copy).
+Topology shuffled_copy(const Topology& topo, std::uint64_t seed,
+                       std::vector<topology::Rank>& perm) {
+  const std::int32_t n = topo.node_count();
+  std::vector<topology::NodeId> order(static_cast<std::size_t>(n));
+  for (topology::NodeId v = 0; v < n; ++v) {
+    order[static_cast<std::size_t>(v)] = v;
+  }
+  Rng rng(seed);
+  rng.shuffle(order);
+  Topology out;
+  std::vector<topology::NodeId> new_id(static_cast<std::size_t>(n));
+  for (const topology::NodeId old : order) {
+    new_id[static_cast<std::size_t>(old)] =
+        topo.is_machine(old) ? out.add_machine() : out.add_switch();
+  }
+  for (topology::LinkId l = 0; l < topo.link_count(); ++l) {
+    const auto [a, b] = topo.link_endpoints(l);
+    out.add_link(new_id[static_cast<std::size_t>(a)],
+                 new_id[static_cast<std::size_t>(b)]);
+  }
+  out.finalize();
+  perm.assign(static_cast<std::size_t>(topo.machine_count()), -1);
+  for (topology::Rank r = 0; r < topo.machine_count(); ++r) {
+    perm[static_cast<std::size_t>(r)] = out.rank_of(
+        new_id[static_cast<std::size_t>(topo.machine_node(r))]);
+  }
+  return out;
+}
+
+TEST(LoweringSparseTest, RelabeledIrregularSetRunsIdenticallyOnAShuffledCopy) {
+  // A skewed Alltoallv on paper (c), moved onto a relabeled copy of the
+  // cluster: the pair table moves with the ranks, so every transfer
+  // keeps its original pair's size and the run ends at the same time.
+  const Topology topo = topology::make_paper_topology_c();
+  const std::int32_t n = topo.machine_count();
+  const core::Schedule schedule = core::build_aapc_schedule(topo);
+  std::vector<Bytes> matrix(static_cast<std::size_t>(n) * n);
+  for (topology::Rank src = 0; src < n; ++src) {
+    for (topology::Rank dst = 0; dst < n; ++dst) {
+      // Rank 0 ships 16x; the rest vary with the pair.
+      matrix[static_cast<std::size_t>(src * n + dst)] =
+          src == 0 ? 64_KiB : 1_KiB * (1 + (src * 7 + dst * 3) % 5);
+    }
+  }
+  LoweringOptions options;
+  const mpisim::ProgramSet set =
+      lower_schedule_irregular(topo, schedule, matrix, options);
+  std::vector<topology::Rank> perm;
+  const Topology shuffled = shuffled_copy(topo, 19, perm);
+  const mpisim::ProgramSet moved = mpisim::relabel_program_set(set, perm);
+  mpisim::ExecutorParams exec = no_jitter();
+  exec.record_trace = true;
+  const mpisim::ExecutionResult before =
+      mpisim::Executor(topo, quiet_net(), exec).run(set);
+  const mpisim::ExecutionResult after =
+      mpisim::Executor(shuffled, quiet_net(), exec).run(moved);
+  EXPECT_EQ(after.completion_time, before.completion_time);
+  EXPECT_EQ(after.message_count, before.message_count);
+  const std::vector<topology::Rank> original = core::invert_permutation(perm);
+  ASSERT_FALSE(after.trace.empty());
+  for (const mpisim::MessageTrace& m : after.trace) {
+    const topology::Rank src = original[static_cast<std::size_t>(m.src)];
+    const topology::Rank dst = original[static_cast<std::size_t>(m.dst)];
+    EXPECT_EQ(m.bytes, m.is_sync
+                           ? options.sync_message_bytes
+                           : matrix[static_cast<std::size_t>(src * n + dst)])
+        << "rank " << src << " -> rank " << dst << " tag " << m.tag;
+  }
+}
 
 // Golden digests. The sync plan and the lowering are linear CSR passes
 // whose output must equal, bit for bit, that of the vector-of-vectors
@@ -335,20 +411,22 @@ std::uint64_t plan_digest(const sync::SyncPlan& plan) {
   return d.value();
 }
 
-/// The set name, every field of every op, then the LoweringInfo fields.
+/// The set name, every logical field of every op (kind, peer, the size
+/// the set gives it, tag, request), then the LoweringInfo fields.
 std::uint64_t programs_digest(const mpisim::ProgramSet& set,
                               const LoweringInfo& info) {
   Digest d;
   for (const char c : set.name) d.mix(c);
   d.mix(set.rank_count());
-  for (const mpisim::Program& program : set.programs) {
+  for (topology::Rank r = 0; r < set.rank_count(); ++r) {
+    const mpisim::Program& program = set.programs[static_cast<std::size_t>(r)];
     d.mix(static_cast<std::int64_t>(program.ops.size()));
     for (const Op& op : program.ops) {
       d.mix(static_cast<std::int64_t>(op.kind));
       d.mix(op.peer);
-      d.mix(static_cast<std::int64_t>(op.bytes));
-      d.mix(op.tag);
-      d.mix(op.request);
+      d.mix(static_cast<std::int64_t>(set.bytes(r, op)));
+      d.mix(op.tag());
+      d.mix(op.request());
     }
   }
   d.mix(info.data_messages);

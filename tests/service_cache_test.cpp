@@ -1,13 +1,17 @@
 // Sharded LRU schedule-cache unit tests: hits and misses, LRU eviction
-// order, collision guarding, and concurrent access.
+// order, collision guarding, byte accounting, and concurrent access.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "aapc/service/schedule_cache.hpp"
+#include "aapc/service/service.hpp"
+#include "aapc/topology/generators.hpp"
 
 namespace aapc::service {
 namespace {
@@ -84,6 +88,69 @@ TEST(ScheduleCacheTest, EvictionDoesNotInvalidateServedEntries) {
   // The shared_ptr handed out earlier stays valid.
   ASSERT_NE(held, nullptr);
   EXPECT_EQ(held->canonical_form, "A");
+}
+
+CompiledEntryPtr entry_with_bytes(const std::string& form,
+                                  std::int64_t bytes) {
+  auto entry = std::make_shared<CompiledEntry>();
+  entry->canonical_form = form;
+  entry->footprint_bytes = bytes;
+  return entry;
+}
+
+TEST(ScheduleCacheTest, BytesAreTheSumOverHeldEntries) {
+  // Single shard, capacity 2. The running sum must equal the held
+  // entries' footprints after inserts, a replacement and evictions.
+  ScheduleCache cache(2, 1);
+  cache.put(key_of(1), entry_with_bytes("A", 100));
+  cache.put(key_of(2), entry_with_bytes("B", 250));
+  EXPECT_EQ(cache.stats().bytes, 350);
+  cache.put(key_of(1), entry_with_bytes("A2", 40));  // replace; A2 is MRU
+  EXPECT_EQ(cache.stats().bytes, 290);
+  cache.put(key_of(3), entry_with_bytes("C", 1000));  // evicts B
+  EXPECT_EQ(cache.stats().bytes, 1040);
+  cache.put(key_of(4), entry_with_bytes("D", 7));  // evicts A2
+  EXPECT_EQ(cache.stats().evictions, 2);
+  std::int64_t held = 0;
+  for (const auto& [hash, form] :
+       std::vector<std::pair<std::uint64_t, std::string>>{
+           {1, "A2"}, {2, "B"}, {3, "C"}, {4, "D"}}) {
+    if (const CompiledEntryPtr entry = cache.get(key_of(hash), form)) {
+      held += entry->footprint_bytes;
+    }
+  }
+  EXPECT_EQ(held, 1007);
+  EXPECT_EQ(cache.stats().bytes, held);
+}
+
+TEST(ScheduleCacheTest, ServiceExportsTheHeldBytes) {
+  // Three distinct topologies through a two-entry cache: the gauge is
+  // the footprint of the two entries still held, each measured when
+  // it was built.
+  ServiceOptions options;
+  options.cache_capacity = 2;
+  options.cache_shards = 1;
+  options.compiler_threads = 1;
+  ScheduleService service(options);
+  std::vector<CompiledEntryPtr> served;
+  for (const topology::Topology& topo :
+       {topology::make_paper_figure1(), topology::make_single_switch(5),
+        topology::make_single_switch(7)}) {
+    const CompiledRoutine routine = service.compile(topo, 8 * 1024);
+    ASSERT_FALSE(routine.cache_hit);
+    EXPECT_GT(routine.entry->footprint_bytes, 0);
+    EXPECT_EQ(routine.entry->footprint_bytes,
+              measure_footprint(*routine.entry));
+    served.push_back(routine.entry);
+    const std::size_t held = std::min<std::size_t>(served.size(), 2);
+    std::int64_t expected = 0;
+    for (std::size_t i = served.size() - held; i < served.size(); ++i) {
+      expected += served[i]->footprint_bytes;
+    }
+    EXPECT_EQ(service.metrics_snapshot().value("aapc_service_cache_bytes"),
+              static_cast<double>(expected))
+        << "after " << served.size() << " compiles";
+  }
 }
 
 TEST(ScheduleCacheTest, ShardCountClampedToCapacity) {

@@ -119,9 +119,10 @@ TEST(ScheduleServiceTest, RewrittenProgramsExecuteOnCallerTopology) {
   EXPECT_EQ(programs.name, expected.name);
   ASSERT_EQ(programs.rank_count(), relabeled.machine_count());
   ASSERT_EQ(programs.rank_count(), expected.rank_count());
-  for (std::size_t r = 0; r < programs.programs.size(); ++r) {
-    EXPECT_EQ(programs.programs[r].to_string(),
-              expected.programs[r].to_string())
+  for (topology::Rank r = 0; r < programs.rank_count(); ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(programs.programs[i].to_string(programs, r),
+              expected.programs[i].to_string(expected, r))
         << "rank " << r;
   }
   // The relabeled program set runs to completion on the caller's
