@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
   cli.add_flag("topologies", "distinct clusters in the tenant pool", "6");
   cli.add_flag("zipf", "zipf exponent for cluster popularity", "1.1");
   cli.add_flag("seed", "workload rng seed", "1");
-  cli.add_flag("shards", "backend ScheduleService instances", "2");
   cli.add_flag("verify",
                "check every fabric schedule contention-free", "true");
   cli.add_flag("staleness-slo-ms",
@@ -179,7 +178,6 @@ int main(int argc, char** argv) {
   netd::ServerOptions options;
   options.host = "127.0.0.1";
   options.port = 0;  // ephemeral
-  options.shards = static_cast<std::int32_t>(cli.get_u64("shards", 2));
   options.fabric = fabric;
   netd::Server server(options);
   try {

@@ -1,12 +1,12 @@
 // aapc_netd: the TCP serving front-end for the schedule-compilation
 // service. Binds a listening socket, spawns the epoll event loops and
-// the sharded ScheduleService backend, and serves the binary protocol
+// the ScheduleService backend, and serves the binary protocol
 // of docs/NETD.md until --duration elapses or SIGINT/SIGTERM arrives;
 // shutdown drains in-flight compilations (bounded by
 // --drain-deadline) before closing connections.
 //
 // Run:  ./aapc_netd --port 18211
-//       ./aapc_netd --port 18211 --shards 4 --dispatch-threads 8
+//       ./aapc_netd --port 18211 --dispatch-threads 8 --compiler-threads 8
 //       ./aapc_netd --port 18211 --tenant-rate 100 --tenant-burst 32
 //       ./aapc_netd --port 18211 --duration 10 --metrics-out netd.json
 //       ./aapc_netd --port 18211 --fabric-switches 3 --fabric-machines 4
@@ -14,15 +14,15 @@
 // --fabric-switches > 0 stands up a star bridged fabric behind the
 // serving path (a hub plus that many leaf switches, --fabric-machines
 // machines each): the server elects its spanning tree, binds the
-// canonical hash into every shard's topology-epoch feed, and accepts
+// canonical hash into the service's topology-epoch feed, and accepts
 // kChurnEvent frames (docs/NETD.md §churn) naming trunk bridge links
 // 0..switches-1.
 //
 // The bound port is printed as "listening on <host>:<port>" before
 // serving starts (flushed, so a harness can scrape it when --port 0
 // picked an ephemeral port). --metrics-out writes the merged registry
-// snapshot — front-end series plus per-shard aapc_service_* series —
-// at shutdown.
+// snapshot — front-end series plus the service's aapc_service_* series
+// — at shutdown.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -53,15 +53,14 @@ int main(int argc, char** argv) {
   cli.add_flag("port", "listen port (0 = ephemeral)", "18211");
   cli.add_flag("event-loops", "epoll event-loop threads", "2");
   cli.add_flag("dispatch-threads", "compile dispatch workers", "4");
-  cli.add_flag("shards", "backend ScheduleService instances", "2");
   cli.add_flag("dispatch-queue", "dispatch queue bound", "256");
   cli.add_flag("max-connections", "concurrent connection cap", "4096");
   cli.add_flag("tenant-rate",
                "per-tenant requests/second quota (0 disables)", "0");
   cli.add_flag("tenant-burst", "per-tenant burst allowance", "64");
-  cli.add_flag("cache-capacity", "schedule-cache entries per shard", "256");
-  cli.add_flag("compiler-threads", "compiler pool workers per shard", "2");
-  cli.add_flag("queue-capacity", "compiler pool queue bound per shard", "64");
+  cli.add_flag("cache-capacity", "schedule-cache entries", "512");
+  cli.add_flag("compiler-threads", "compiler pool workers", "4");
+  cli.add_flag("queue-capacity", "compiler pool queue bound", "128");
   cli.add_flag("fabric-switches",
                "leaf switches of the churnable star fabric (0 = no fabric, "
                "churn frames rejected)", "0");
@@ -71,8 +70,8 @@ int main(int argc, char** argv) {
   cli.add_flag("drain-deadline",
                "max seconds to drain in-flight work on shutdown", "10");
   cli.add_flag("metrics-out",
-               "write the merged registry snapshot (front-end + per-shard "
-               "service series) to this file as JSON at shutdown");
+               "write the merged registry snapshot (front-end + service "
+               "series) to this file as JSON at shutdown");
   if (!cli.parse(argc, argv)) {
     std::cout << cli.help_text();
     return 0;
@@ -84,18 +83,17 @@ int main(int argc, char** argv) {
   options.event_loops = static_cast<std::int32_t>(cli.get_u64("event-loops", 2));
   options.dispatch_threads =
       static_cast<std::int32_t>(cli.get_u64("dispatch-threads", 4));
-  options.shards = static_cast<std::int32_t>(cli.get_u64("shards", 2));
   options.dispatch_queue_capacity =
       static_cast<std::int32_t>(cli.get_u64("dispatch-queue", 256));
   options.admission.max_connections =
       static_cast<std::int64_t>(cli.get_u64("max-connections", 4096));
   options.admission.tenant_rate = cli.get_double("tenant-rate", 0);
   options.admission.tenant_burst = cli.get_double("tenant-burst", 64);
-  options.service.cache_capacity = cli.get_u64("cache-capacity", 256);
+  options.service.cache_capacity = cli.get_u64("cache-capacity", 512);
   options.service.compiler_threads =
-      static_cast<std::int32_t>(cli.get_u64("compiler-threads", 2));
+      static_cast<std::int32_t>(cli.get_u64("compiler-threads", 4));
   options.service.queue_capacity =
-      static_cast<std::int32_t>(cli.get_u64("queue-capacity", 64));
+      static_cast<std::int32_t>(cli.get_u64("queue-capacity", 128));
   options.drain_deadline_seconds = cli.get_double("drain-deadline", 10);
   const double duration = cli.get_double("duration", 0);
 

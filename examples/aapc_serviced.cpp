@@ -23,7 +23,7 @@
 // smoke test). --metrics-out writes the full registry snapshot as JSON
 // (obs::to_json — parse back with obs::snapshot_from_json); in
 // --connect mode the snapshot is fetched from the server (its merged
-// front-end + per-shard view).
+// front-end + service view).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -213,8 +213,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (remote) {
-      // The server's merged view: front-end series + per-shard service
-      // series, already JSON on the wire.
+      // The server's merged view: front-end series + service series,
+      // already JSON on the wire.
       try {
         netd::Client client(remote_host, remote_port);
         out << client.fetch_metrics_json() << "\n";

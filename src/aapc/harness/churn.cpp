@@ -9,23 +9,9 @@
 #include "aapc/core/greedy.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/faults/repair.hpp"
+#include "aapc/harness/experiment.hpp"
 
 namespace aapc::harness {
-namespace {
-
-SimTime run_programs(const topology::Topology& topo,
-                     const simnet::NetworkParams& net,
-                     const mpisim::ExecutorParams& exec,
-                     const mpisim::ProgramSet& set) {
-  mpisim::Executor executor(topo, net, exec);
-  return executor.run(set).completion_time;
-}
-
-double mbps_of(double payload, SimTime completion) {
-  return bytes_per_sec_to_mbps(completion > 0 ? payload / completion : 0);
-}
-
-}  // namespace
 
 std::string ChurnReport::to_string() const {
   std::ostringstream os;
@@ -77,10 +63,9 @@ ChurnReport run_churn(const stp::BridgeNetwork& network,
   report.msize = scenario.msize;
   report.machines = topo.machine_count();
   report.healthy_phases = healthy.phase_count();
-
-  const double machines = static_cast<double>(topo.machine_count());
-  const double payload =
-      machines * (machines - 1) * static_cast<double>(scenario.msize);
+  const auto mbps = [&](SimTime completion) {
+    return aapc_mbps(topo.machine_count(), scenario.msize, completion);
+  };
 
   // The degraded steady state: bridge-link factors at observe time,
   // translated onto the elected tree. Rates feed the weighted
@@ -102,35 +87,34 @@ ChurnReport run_churn(const stp::BridgeNetwork& network,
   }
   const std::vector<double> degraded_caps = faults::residual_link_capacities(
       tree, scenario.net, scenario.plan, observe);
-  simnet::NetworkParams degraded_net = scenario.net;
-  degraded_net.link_bandwidth_overrides.clear();
-  for (std::size_t l = 0; l < degraded_caps.size(); ++l) {
-    degraded_net.link_bandwidth_overrides.emplace_back(
-        static_cast<std::int32_t>(l), degraded_caps[l]);
-  }
+  const simnet::NetworkParams degraded_net =
+      with_link_capacities(scenario.net, degraded_caps);
 
   // Leg 1: healthy baseline at nominal capacities.
   const mpisim::ProgramSet healthy_programs = lowering::lower_schedule(
       topo, healthy, scenario.msize, scenario.lowering);
   report.healthy_completion =
-      run_programs(topo, scenario.net, scenario.exec, healthy_programs);
-  report.healthy_mbps = mbps_of(payload, report.healthy_completion);
+      run_programs(topo, scenario.net, scenario.exec, healthy_programs)
+          .completion_time;
+  report.healthy_mbps = mbps(report.healthy_completion);
 
   // Leg 2: the same pre-churn schedule on the degraded links.
   report.stale_completion =
-      run_programs(topo, degraded_net, scenario.exec, healthy_programs);
-  report.stale_mbps = mbps_of(payload, report.stale_completion);
+      run_programs(topo, degraded_net, scenario.exec, healthy_programs)
+          .completion_time;
+  report.stale_mbps = mbps(report.stale_completion);
 
   // Leg 3: the background revalidation — weighted scheduling at the
   // degraded rates.
   const core::Schedule revalidated =
       core::build_aapc_schedule_weighted(topo, rates);
   report.revalidated_phases = revalidated.phase_count();
-  report.revalidated_completion = run_programs(
-      topo, degraded_net, scenario.exec,
-      lowering::lower_schedule(topo, revalidated, scenario.msize,
-                               scenario.lowering));
-  report.revalidated_mbps = mbps_of(payload, report.revalidated_completion);
+  report.revalidated_completion =
+      run_programs(topo, degraded_net, scenario.exec,
+                   lowering::lower_schedule(topo, revalidated, scenario.msize,
+                                            scenario.lowering))
+          .completion_time;
+  report.revalidated_mbps = mbps(report.revalidated_completion);
 
   // Weighted cost model.
   report.weighted_load =

@@ -75,6 +75,30 @@ std::string ExperimentReport::to_string() const {
   return os.str();
 }
 
+mpisim::ExecutionResult run_programs(const topology::Topology& topo,
+                                     const simnet::NetworkParams& net,
+                                     const mpisim::ExecutorParams& exec,
+                                     const mpisim::ProgramSet& set) {
+  mpisim::Executor executor(topo, net, exec);
+  return executor.run(set);
+}
+
+double aapc_mbps(std::int32_t machines, Bytes msize, SimTime completion) {
+  const double m = static_cast<double>(machines);
+  const double payload = m * (m - 1) * static_cast<double>(msize);
+  return bytes_per_sec_to_mbps(completion > 0 ? payload / completion : 0.0);
+}
+
+simnet::NetworkParams with_link_capacities(
+    simnet::NetworkParams net, const std::vector<double>& capacities) {
+  net.link_bandwidth_overrides.clear();
+  for (std::size_t l = 0; l < capacities.size(); ++l) {
+    net.link_bandwidth_overrides.emplace_back(static_cast<std::int32_t>(l),
+                                              capacities[l]);
+  }
+  return net;
+}
+
 RunResult run_algorithm(const topology::Topology& topo,
                         const NamedAlgorithm& algorithm, Bytes msize,
                         const ExperimentConfig& config) {
@@ -86,20 +110,17 @@ RunResult run_algorithm(const topology::Topology& topo,
     mpisim::ExecutorParams exec_params = config.exec;
     exec_params.jitter_seed = config.exec.jitter_seed +
                               static_cast<std::uint64_t>(i) * 0x9e37ull;
-    mpisim::Executor executor(topo, config.net, exec_params);
-    const mpisim::ExecutionResult exec = executor.run(set);
+    const mpisim::ExecutionResult exec =
+        run_programs(topo, config.net, exec_params, set);
     total += exec.completion_time;
     messages = exec.message_count;
   }
-  const SimTime completion = total / config.iterations;
-  const double machines = topo.machine_count();
-  const double payload = machines * (machines - 1) * static_cast<double>(msize);
   RunResult result;
   result.algorithm = algorithm.name;
   result.msize = msize;
-  result.completion = completion;
+  result.completion = total / config.iterations;
   result.throughput_mbps =
-      bytes_per_sec_to_mbps(completion > 0 ? payload / completion : 0.0);
+      aapc_mbps(topo.machine_count(), msize, result.completion);
   result.messages = messages;
   return result;
 }

@@ -81,9 +81,25 @@ struct ExperimentReport {
   std::string to_string() const;
 };
 
-/// Runs one program set and computes completion/throughput. The
-/// `payload_bytes` used for throughput is |M| * (|M|-1) * msize
-/// regardless of any synchronization traffic.
+/// The one leg runner of every experiment: executes `set` once on
+/// `topo` and returns the executor's result.
+mpisim::ExecutionResult run_programs(const topology::Topology& topo,
+                                     const simnet::NetworkParams& net,
+                                     const mpisim::ExecutorParams& exec,
+                                     const mpisim::ProgramSet& set);
+
+/// Aggregate AAPC payload throughput in Mbps: |M| * (|M|-1) * msize
+/// bytes over `completion` regardless of any synchronization traffic;
+/// 0 when `completion` is not positive.
+double aapc_mbps(std::int32_t machines, Bytes msize, SimTime completion);
+
+/// `net` with its bandwidth overrides replaced by `capacities`, one
+/// entry per LinkId.
+simnet::NetworkParams with_link_capacities(
+    simnet::NetworkParams net, const std::vector<double>& capacities);
+
+/// Runs one program set config.iterations times and computes the mean
+/// completion and its aapc_mbps throughput.
 RunResult run_algorithm(const topology::Topology& topo,
                         const NamedAlgorithm& algorithm, Bytes msize,
                         const ExperimentConfig& config);

@@ -7,6 +7,7 @@
 #include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
+#include "aapc/harness/experiment.hpp"
 
 namespace aapc::harness {
 
@@ -103,8 +104,8 @@ LossSweepReport run_loss_sweep(const topology::Topology& topo,
       cell.transport = transport;
       cell.loss_rate = rate;
       try {
-        mpisim::Executor executor(topo, config.net, exec);
-        const mpisim::ExecutionResult result = executor.run(programs);
+        const mpisim::ExecutionResult result =
+            run_programs(topo, config.net, exec, programs);
         cell.completion = result.completion_time;
         cell.segments_sent = result.packet.segments_sent;
         cell.segments_lost = result.packet.segments_lost;

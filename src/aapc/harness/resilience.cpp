@@ -9,17 +9,10 @@
 #include "aapc/common/error.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
+#include "aapc/harness/experiment.hpp"
 
 namespace aapc::harness {
 namespace {
-
-SimTime run_programs(const topology::Topology& topo,
-                     const simnet::NetworkParams& net,
-                     const mpisim::ExecutorParams& exec,
-                     const mpisim::ProgramSet& set) {
-  mpisim::Executor executor(topo, net, exec);
-  return executor.run(set).completion_time;
-}
 
 /// Phases [begin, end) of `schedule`, renumbered from 0. The arena is
 /// phase-major, so a slice is one contiguous copy plus shifted offsets.
@@ -92,19 +85,18 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
   report.title = scenario.title;
   report.msize = scenario.msize;
   report.healthy_phases = schedule.phase_count();
-
-  const double machines = static_cast<double>(topo.machine_count());
-  const double payload =
-      machines * (machines - 1) * static_cast<double>(scenario.msize);
+  const auto mbps = [&](SimTime completion) {
+    return aapc_mbps(topo.machine_count(), scenario.msize, completion);
+  };
 
   // Leg 1: healthy baseline.
   const mpisim::ProgramSet programs =
       lowering::lower_schedule(topo, schedule, scenario.msize,
                                scenario.lowering);
   report.healthy_completion =
-      run_programs(topo, scenario.net, scenario.exec, programs);
-  report.healthy_mbps = bytes_per_sec_to_mbps(
-      report.healthy_completion > 0 ? payload / report.healthy_completion : 0);
+      run_programs(topo, scenario.net, scenario.exec, programs)
+          .completion_time;
+  report.healthy_mbps = mbps(report.healthy_completion);
 
   // Leg 2: the stale schedule under the fault plan — same programs, the
   // compiled fault timeline injected into the executor.
@@ -115,10 +107,10 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
   compiled.apply(stale_exec);
   try {
     report.stale_completion =
-        run_programs(topo, scenario.net, stale_exec, programs);
+        run_programs(topo, scenario.net, stale_exec, programs)
+            .completion_time;
     report.stale_completed = true;
-    report.stale_mbps = bytes_per_sec_to_mbps(
-        report.stale_completion > 0 ? payload / report.stale_completion : 0);
+    report.stale_mbps = mbps(report.stale_completion);
   } catch (const mpisim::TransferAborted& aborted) {
     report.stale_failure = aborted.what();
   } catch (const mpisim::ExecutionStalled& stalled) {
@@ -145,10 +137,11 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
   // Leg 3: prefix phases on the healthy tree (the fault bites at the
   // splice boundary in this model).
   const core::Schedule prefix = slice_phases(schedule, 0, splice);
-  report.prefix_completion = run_programs(
-      topo, scenario.net, scenario.exec,
-      lowering::lower_schedule(topo, prefix, scenario.msize,
-                               scenario.lowering));
+  report.prefix_completion =
+      run_programs(topo, scenario.net, scenario.exec,
+                   lowering::lower_schedule(topo, prefix, scenario.msize,
+                                            scenario.lowering))
+          .completion_time;
 
   // Repair: re-elect on the residual bridge graph, reschedule the tail.
   const SimTime repair_time = onset + scenario.detection_latency;
@@ -167,22 +160,16 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
                                scenario.msize, remainder_lowering);
   const std::vector<double> residual_caps = faults::residual_link_capacities(
       repair.residual, scenario.net, scenario.plan, repair_time);
-  simnet::NetworkParams residual_net = scenario.net;
-  residual_net.link_bandwidth_overrides.clear();
-  for (std::size_t l = 0; l < residual_caps.size(); ++l) {
-    residual_net.link_bandwidth_overrides.emplace_back(
-        static_cast<std::int32_t>(l), residual_caps[l]);
-  }
   report.remainder_completion =
-      run_programs(repair.residual.topology, residual_net, scenario.exec,
-                   remainder_programs);
+      run_programs(repair.residual.topology,
+                   with_link_capacities(scenario.net, residual_caps),
+                   scenario.exec, remainder_programs)
+          .completion_time;
   report.repaired_completion = report.prefix_completion +
                                scenario.detection_latency +
                                scenario.repair_overhead +
                                report.remainder_completion;
-  report.repaired_mbps = bytes_per_sec_to_mbps(
-      report.repaired_completion > 0 ? payload / report.repaired_completion
-                                     : 0);
+  report.repaired_mbps = mbps(report.repaired_completion);
 
   // Capacity bounds.
   report.healthy_peak_mbps = bytes_per_sec_to_mbps(faults::aapc_peak_throughput(

@@ -1,6 +1,6 @@
 // Admission control for the netd front-end: per-tenant token-bucket
 // request quotas and a global connection cap, enforced *before* a
-// request reaches the dispatch queue or a backend shard. This is the
+// request reaches the dispatch queue or the schedule service. This is the
 // outermost of the three pressure valves (tenant quota -> dispatch
 // queue bound -> compiler-pool backpressure); each rejects with a
 // structured error frame carrying a retry-after hint rather than

@@ -63,6 +63,8 @@ class Dispatcher;
 /// `mutex` and ask the loop to flush. Once `closed` flips (peer hung
 /// up, write error, shutdown) appends are dropped and counted — a
 /// client that disconnects mid-response costs a counter, not a crash.
+/// Each DispatchItem holds a ConnectionPtr, so teardown never frees a
+/// connection that a dispatched request will still answer.
 struct Connection {
   int fd = -1;
   EventLoop* loop = nullptr;
@@ -75,10 +77,6 @@ struct Connection {
   bool closed = false;
   bool close_after_flush = false;
   bool flush_queued = false;
-
-  /// Requests dispatched but not yet answered (teardown keeps the
-  /// Connection alive through shared_ptr until these resolve).
-  std::atomic<std::int32_t> in_flight{0};
 
   /// Appends a frame to `out` (mutex held). An idle connection takes
   /// the frame's buffer as is, so a megabyte response is not copied
@@ -134,21 +132,21 @@ struct Server::Impl {
   obs::Counter& response_drops;
   obs::Histogram& request_frame_bytes;
   obs::Histogram& response_frame_bytes;
-  std::vector<obs::Counter*> shard_requests;
-  std::vector<obs::Histogram*> shard_request_seconds;
+  obs::Counter& requests;
+  obs::Histogram& request_seconds;
 
   obs::Counter& churn_events;
   obs::Counter& churn_rejects;
   obs::Counter& reelections;
 
-  std::vector<std::unique_ptr<service::ScheduleService>> services;
+  service::ScheduleService service;
   std::vector<std::unique_ptr<EventLoop>> loops;
   std::unique_ptr<Dispatcher> dispatcher;
 
   /// Serving-fabric state: the committed fault timeline (event times are
   /// a synthetic sequence number — churn frames carry no clock), the
   /// tree its last election produced, and the canonical hash currently
-  /// bound into the shards' epoch feeds.
+  /// bound into the service's epoch feed.
   std::mutex fabric_mutex;
   faults::FaultPlan fabric_plan;
   stp::SpanningTree fabric_tree;
@@ -162,6 +160,100 @@ struct Server::Impl {
   std::atomic<bool> draining{false};
   std::atomic<std::int64_t> in_flight_requests{0};
   std::atomic<std::size_t> next_loop{0};
+};
+
+// ---------------------------------------------------------------------------
+// Dispatcher
+
+/// Bounded MPMC queue + worker threads running the compile pipeline.
+/// try_submit() is the third pressure valve: a full queue rejects
+/// immediately (the event loop answers kOverloaded) instead of letting
+/// slow compilations back the sockets up invisibly.
+class Dispatcher {
+ public:
+  Dispatcher(Server::Impl* server, std::int32_t threads,
+             std::int32_t queue_capacity)
+      : server_(server),
+        capacity_(static_cast<std::size_t>(std::max(1, queue_capacity))) {
+    const std::int32_t count = std::max(1, threads);
+    workers_.reserve(static_cast<std::size_t>(count));
+    for (std::int32_t i = 0; i < count; ++i) {
+      workers_.emplace_back([this] { worker(); });
+    }
+  }
+
+  ~Dispatcher() { stop_and_join(/*abandon_remaining=*/true); }
+
+  bool try_submit(DispatchItem item) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_ || queue_.size() >= capacity_) return false;
+      queue_.push_back(std::move(item));
+    }
+    server_->in_flight_requests.fetch_add(1, std::memory_order_acq_rel);
+    work_available_.notify_one();
+    return true;
+  }
+
+  std::int64_t queue_depth() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<std::int64_t>(queue_.size());
+  }
+
+  /// Stops workers. Items already *executing* always run to completion
+  /// (ScheduleService never abandons a compilation mid-future); items
+  /// still queued are failed with kShuttingDown when
+  /// `abandon_remaining` — the caller decides by first waiting out the
+  /// drain deadline.
+  void stop_and_join(bool abandon_remaining) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_ && workers_.empty()) return;
+      stopping_ = true;
+      abandon_ = abandon_remaining;
+    }
+    work_available_.notify_all();
+    for (std::thread& worker : workers_) {
+      if (worker.joinable()) worker.join();
+    }
+    workers_.clear();
+  }
+
+ private:
+  void worker() {
+    while (true) {
+      DispatchItem item;
+      bool abandon;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        work_available_.wait(lock,
+                             [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty()) return;  // stopping, nothing left
+        item = std::move(queue_.front());
+        queue_.pop_front();
+        abandon = abandon_;
+      }
+      if (abandon) {
+        server_->reject_counter(ErrorCode::kShuttingDown).inc();
+        server_->fail_request(item.conn, item.request.request_id,
+                              ErrorCode::kShuttingDown, 1.0,
+                              "server shut down before this request was "
+                              "dispatched");
+      } else {
+        server_->handle_compile(item);
+      }
+      server_->in_flight_requests.fetch_sub(1, std::memory_order_acq_rel);
+    }
+  }
+
+  Server::Impl* server_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::condition_variable work_available_;
+  std::deque<DispatchItem> queue_;
+  bool stopping_ = false;
+  bool abandon_ = false;
+  std::vector<std::thread> workers_;
 };
 
 // ---------------------------------------------------------------------------
@@ -403,7 +495,7 @@ class EventLoop {
         item.request = request;
         item.arrival = Clock::now();
         item.request_frame_bytes = kHeaderSize + frame.payload.size();
-        if (!submit_to_dispatcher(std::move(item))) {
+        if (!server_->dispatcher->try_submit(std::move(item))) {
           server_->reject_counter(ErrorCode::kOverloaded).inc();
           reply_error(conn, request.request_id, ErrorCode::kOverloaded,
                       server_->overload_retry_hint(),
@@ -445,8 +537,6 @@ class EventLoop {
             " is not valid from a client");
     }
   }
-
-  bool submit_to_dispatcher(DispatchItem item);  // defined after Dispatcher
 
   void reply_error(const ConnectionPtr& conn, std::uint64_t request_id,
                    ErrorCode code, double retry_after_seconds,
@@ -537,109 +627,6 @@ class EventLoop {
 };
 
 // ---------------------------------------------------------------------------
-// Dispatcher
-
-/// Bounded MPMC queue + worker threads running the compile pipeline.
-/// try_submit() is the third pressure valve: a full queue rejects
-/// immediately (the event loop answers kOverloaded) instead of letting
-/// slow compilations back the sockets up invisibly.
-class Dispatcher {
- public:
-  Dispatcher(Server::Impl* server, std::int32_t threads,
-             std::int32_t queue_capacity)
-      : server_(server),
-        capacity_(static_cast<std::size_t>(std::max(1, queue_capacity))) {
-    const std::int32_t count = std::max(1, threads);
-    workers_.reserve(static_cast<std::size_t>(count));
-    for (std::int32_t i = 0; i < count; ++i) {
-      workers_.emplace_back([this] { worker(); });
-    }
-  }
-
-  ~Dispatcher() { stop_and_join(/*abandon_remaining=*/true); }
-
-  bool try_submit(DispatchItem item) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_ || queue_.size() >= capacity_) return false;
-      queue_.push_back(std::move(item));
-    }
-    server_->in_flight_requests.fetch_add(1, std::memory_order_acq_rel);
-    work_available_.notify_one();
-    return true;
-  }
-
-  std::int64_t queue_depth() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<std::int64_t>(queue_.size());
-  }
-
-  /// Stops workers. Items already *executing* always run to completion
-  /// (ScheduleService never abandons a compilation mid-future); items
-  /// still queued are failed with kShuttingDown when
-  /// `abandon_remaining` — the caller decides by first waiting out the
-  /// drain deadline.
-  void stop_and_join(bool abandon_remaining) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_ && workers_.empty()) return;
-      stopping_ = true;
-      abandon_ = abandon_remaining;
-    }
-    work_available_.notify_all();
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
-    workers_.clear();
-  }
-
- private:
-  void worker() {
-    while (true) {
-      DispatchItem item;
-      bool abandon;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_available_.wait(lock,
-                             [this] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stopping, nothing left
-        item = std::move(queue_.front());
-        queue_.pop_front();
-        abandon = abandon_;
-      }
-      if (abandon) {
-        server_->reject_counter(ErrorCode::kShuttingDown).inc();
-        server_->fail_request(item.conn, item.request.request_id,
-                              ErrorCode::kShuttingDown, 1.0,
-                              "server shut down before this request was "
-                              "dispatched");
-      } else {
-        server_->handle_compile(item);
-      }
-      item.conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-      server_->in_flight_requests.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-
-  Server::Impl* server_;
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::deque<DispatchItem> queue_;
-  bool stopping_ = false;
-  bool abandon_ = false;
-  std::vector<std::thread> workers_;
-};
-
-bool EventLoop::submit_to_dispatcher(DispatchItem item) {
-  const ConnectionPtr conn = item.conn;
-  conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-  if (server_->dispatcher->try_submit(std::move(item))) return true;
-  conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  return false;
-}
-
-// ---------------------------------------------------------------------------
 // Server::Impl
 
 Server::Impl::Impl(const ServerOptions& opts)
@@ -664,6 +651,10 @@ Server::Impl::Impl(const ServerOptions& opts)
           "aapc_netd_response_frame_bytes",
           "Size of sent response frames (header + payload)",
           frame_bytes_bounds())),
+      requests(registry.counter("aapc_netd_requests_total",
+                                "Requests dispatched to the schedule service")),
+      request_seconds(registry.histogram("aapc_netd_request_seconds",
+                                         "Dispatch-to-response latency")),
       churn_events(registry.counter("aapc_netd_churn_events_total",
                                     "Fabric link events applied")),
       churn_rejects(registry.counter(
@@ -672,23 +663,10 @@ Server::Impl::Impl(const ServerOptions& opts)
           "event would disconnect the bridge graph)")),
       reelections(registry.counter(
           "aapc_netd_reelections_total",
-          "Churn events that changed the elected spanning tree")) {
-  AAPC_REQUIRE(options.shards >= 1, "ServerOptions::shards must be >= 1");
+          "Churn events that changed the elected spanning tree")),
+      service(opts.service) {
   AAPC_REQUIRE(options.event_loops >= 1,
                "ServerOptions::event_loops must be >= 1");
-  services.reserve(static_cast<std::size_t>(options.shards));
-  for (std::int32_t i = 0; i < options.shards; ++i) {
-    services.push_back(
-        std::make_unique<service::ScheduleService>(options.service));
-    const obs::Labels labels{{"shard", std::to_string(i)}};
-    shard_requests.push_back(&registry.counter(
-        "aapc_netd_requests_total", "Requests dispatched, by backend shard",
-        labels));
-    shard_request_seconds.push_back(&registry.histogram(
-        "aapc_netd_request_seconds",
-        "Dispatch-to-response latency, by backend shard",
-        obs::default_latency_bounds(), labels));
-  }
   if (options.fabric != nullptr) {
     const std::lock_guard<std::mutex> lock(fabric_mutex);
     fabric_tree = stp::compute_spanning_tree(*options.fabric);
@@ -696,8 +674,8 @@ Server::Impl::Impl(const ServerOptions& opts)
   }
 }
 
-/// Re-canonicalizes the elected tree and (re)binds its hash into every
-/// shard's epoch feed: one LinkBinding per forwarding bridge link,
+/// Re-canonicalizes the elected tree and (re)binds its hash into the
+/// service's epoch feed: one LinkBinding per forwarding bridge link,
 /// translated bridge link -> tree LinkId -> canonical LinkId. Machine
 /// access links are not bound (churn frames script bridge links, same
 /// convention as FaultPlan).
@@ -714,13 +692,11 @@ void Server::Impl::bind_elected_tree() {
     bindings.push_back({static_cast<std::int32_t>(b),
                         canon.link_to_canonical[tree_link]});
   }
-  for (const std::unique_ptr<service::ScheduleService>& service : services) {
-    if (fabric_hash != 0 && fabric_hash != canon.hash) {
-      service->epochs().unbind(fabric_hash);
-    }
-    service->epochs().bind(canon.hash, bindings,
-                           fabric_tree.topology.link_count());
+  if (fabric_hash != 0 && fabric_hash != canon.hash) {
+    service.epochs().unbind(fabric_hash);
   }
+  service.epochs().bind(canon.hash, bindings,
+                        fabric_tree.topology.link_count());
   fabric_hash = canon.hash;
 }
 
@@ -762,18 +738,16 @@ ChurnAckFrame Server::Impl::apply_churn(const ChurnEventFrame& event) {
   stp::SpanningTree elected =
       faults::elect_residual(fabric, candidate, when);
 
-  // Commit: record the event, feed every shard's epoch layer, rebind if
-  // the election moved traffic onto different physical links.
+  // Commit: record the event, feed the service's epoch layer, rebind
+  // if the election moved traffic onto different physical links.
   fabric_plan = std::move(candidate);
   fabric_seq += 1;
   churn_events.inc();
+  const service::TopologyEpochs::EventResult result =
+      service.epochs().link_event(event.link, factor);
   ChurnAckFrame ack;
-  for (const std::unique_ptr<service::ScheduleService>& service : services) {
-    const service::TopologyEpochs::EventResult result =
-        service->epochs().link_event(event.link, factor);
-    ack.epoch = result.epoch;  // uniform: events reach shards in order
-    ack.invalidated += static_cast<std::uint64_t>(result.invalidated);
-  }
+  ack.epoch = result.epoch;
+  ack.invalidated = static_cast<std::uint64_t>(result.invalidated);
   const bool tree_changed =
       elected.forwarding != fabric_tree.forwarding ||
       elected.link_of_bridge_link != fabric_tree.link_of_bridge_link;
@@ -894,22 +868,18 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
                  std::string("malformed topology: ") + e.what());
     return;
   }
-  const std::uint32_t shard = static_cast<std::uint32_t>(
-      canon.hash % static_cast<std::uint64_t>(services.size()));
-  shard_requests[shard]->inc();
+  requests.inc();
   try {
     // The caller-labeled JSON is written straight from the canonical
     // entry through the permutation; no relabeled schedule is built.
-    service::ServedEntry served =
-        services[shard]->lookup(topo, request.message_bytes, canon,
-                                request.kind, request.neighbors);
+    service::ServedEntry served = service.lookup(
+        topo, request.message_bytes, canon, request.kind, request.neighbors);
     ResponseFrame response;
     response.request_id = request.request_id;
     response.cache_hit = served.cache_hit;
     response.coalesced = served.coalesced;
     response.stale = served.stale;
     response.epoch = served.epoch;
-    response.shard = shard;
     response.canonical_hash = canon.hash;
     response.schedule_json = core::schedule_to_json(
         served.entry->schedule, topo.machine_count(),
@@ -919,7 +889,7 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
     request_frame_bytes.observe(
         static_cast<double>(item.request_frame_bytes));
     response_frame_bytes.observe(static_cast<double>(bytes.size()));
-    shard_request_seconds[shard]->observe(seconds_since(item.arrival));
+    request_seconds.observe(seconds_since(item.arrival));
     deliver(item.conn, std::move(bytes));
   } catch (const service::ServiceOverloaded& overloaded) {
     reject_counter(ErrorCode::kOverloaded).inc();
@@ -938,13 +908,9 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
 
 obs::RegistrySnapshot Server::Impl::merged_snapshot() const {
   obs::RegistrySnapshot merged = registry.snapshot();
-  for (std::size_t i = 0; i < services.size(); ++i) {
-    obs::RegistrySnapshot shard_snapshot = services[i]->metrics_snapshot();
-    for (obs::SeriesSnapshot& series : shard_snapshot.series) {
-      series.labels.emplace_back("shard", std::to_string(i));
-      std::sort(series.labels.begin(), series.labels.end());
-      merged.series.push_back(std::move(series));
-    }
+  obs::RegistrySnapshot backend = service.metrics_snapshot();
+  for (obs::SeriesSnapshot& series : backend.series) {
+    merged.series.push_back(std::move(series));
   }
   return merged;
 }
@@ -970,14 +936,6 @@ std::int64_t Server::active_connections() const {
 obs::RegistrySnapshot Server::metrics_snapshot() const {
   AAPC_REQUIRE(impl_ != nullptr, "Server::metrics_snapshot() before start()");
   return impl_->merged_snapshot();
-}
-
-service::ScheduleService& Server::shard(std::int32_t index) {
-  AAPC_REQUIRE(impl_ != nullptr, "Server::shard() before start()");
-  AAPC_REQUIRE(index >= 0 &&
-                   static_cast<std::size_t>(index) < impl_->services.size(),
-               "shard index " << index << " out of range");
-  return *impl_->services[static_cast<std::size_t>(index)];
 }
 
 void Server::start() {
@@ -1025,7 +983,6 @@ void Server::start() {
   running_.store(true, std::memory_order_release);
   AAPC_INFO("aapc_netd listening on " << options_.host << ":"
                                       << impl.bound_port << " ("
-                                      << options_.shards << " shards, "
                                       << options_.event_loops
                                       << " event loops)");
 }
@@ -1043,7 +1000,7 @@ void Server::stop() {
   impl.listen_fd = -1;
 
   // 2. Drain: wait (bounded) for everything already dispatched. The
-  //    compiler pools keep running, so in-flight compilations complete
+  //    compiler pool keeps running, so in-flight compilations complete
   //    rather than being abandoned mid-future.
   const Clock::time_point deadline =
       Clock::now() +

@@ -9,16 +9,12 @@
 //   N event loops        epoll_wait per loop; reads bytes, decodes
 //                        frames, answers protocol/quota/drain errors
 //                        inline, enqueues compile work
-//   M dispatchers        parse topology, canonicalize, route to the
-//                        backend shard canonical_hash % shards, run
-//                        ScheduleService::compile, encode the response
+//   M dispatchers        parse topology, canonicalize, run
+//                        ScheduleService::lookup, encode the response
 //                        and hand it back to the connection's loop
 //
-// Backend sharding: the server owns `shards` independent
-// ScheduleService instances; a request is dispatched by its canonical
-// topology hash, so isomorphic (relabeled) topologies always land on
-// the same shard and its cache, and shard count scales the compile
-// backend horizontally behind one listening socket.
+// The server owns one ScheduleService: its cache, compiler pool,
+// in-flight coalescing and topology-epoch feed serve every connection.
 //
 // Pressure valves, outermost first — every rejection is a structured
 // error frame with a retry-after hint, never a dropped connection:
@@ -58,22 +54,20 @@ struct ServerOptions {
   std::uint16_t port = 0;
   /// Event-loop (epoll) threads.
   std::int32_t event_loops = 2;
-  /// Compile-dispatch worker threads, shared across shards.
+  /// Compile-dispatch worker threads.
   std::int32_t dispatch_threads = 4;
-  /// Independent ScheduleService backend instances.
-  std::int32_t shards = 2;
   /// Requests queued for dispatch before kOverloaded rejections.
   std::int32_t dispatch_queue_capacity = 256;
   /// Connection cap and per-tenant token buckets.
   AdmissionOptions admission;
-  /// Configuration applied to every backend shard.
+  /// Configuration of the backend ScheduleService.
   service::ServiceOptions service;
   /// stop() waits at most this long for dispatched requests to finish
   /// before failing the not-yet-started remainder with kShuttingDown.
   double drain_deadline_seconds = 10;
   /// Optional bridged fabric behind the serving path. When set, start()
   /// runs the 802.1D election, canonicalizes the elected machine-leaf
-  /// tree, and binds its canonical hash into every shard's
+  /// tree, and binds its canonical hash into the service's
   /// TopologyEpochs feed; kChurnEvent frames then drive live link-rate
   /// churn (trial re-election first, so a disconnecting event is
   /// rejected without touching serving state). Null disables churn
@@ -103,15 +97,10 @@ class Server {
   std::uint16_t port() const;
   std::int64_t active_connections() const;
 
-  /// Merged registry snapshot: the netd front-end series plus every
-  /// backend shard's aapc_service_* series labeled {shard="<i>"} —
-  /// one document for the obs exporters (docs/OBSERVABILITY.md).
+  /// Merged registry snapshot: the netd front-end series plus the
+  /// backend service's aapc_service_* series — one document for the
+  /// obs exporters (docs/OBSERVABILITY.md).
   obs::RegistrySnapshot metrics_snapshot() const;
-
-  /// Backend shard access for tests (count = options().shards).
-  service::ScheduleService& shard(std::int32_t index);
-
-  const ServerOptions& options() const { return options_; }
 
  private:
   friend class EventLoop;

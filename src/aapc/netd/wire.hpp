@@ -129,9 +129,10 @@ struct ResponseFrame {
   /// revalidate; a follow-up request returns the recompiled schedule
   /// once the background refresh lands (docs/SERVICE.md §churn).
   bool stale = false;
-  /// Backend shard (canonical hash % shard count) that served this.
+  /// Kept in the v3 layout; the server, which has one backend service,
+  /// always writes 0.
   std::uint32_t shard = 0;
-  /// Canonical-topology hash (the sharding key; see docs/SERVICE.md).
+  /// Canonical-topology hash (the cache key's identity; docs/SERVICE.md).
   std::uint64_t canonical_hash = 0;
   /// Topology epoch at serve time (bumps once per churn event).
   std::uint64_t epoch = 0;
@@ -171,10 +172,9 @@ struct ChurnEventFrame {
 /// Accounting for one applied churn event.
 struct ChurnAckFrame {
   std::uint64_t request_id = 0;
-  /// Topology epoch after the event (uniform across shards: every event
-  /// is applied to each shard's feed in order).
+  /// Topology epoch after the event.
   std::uint64_t epoch = 0;
-  /// Cache entries invalidated, summed over shards.
+  /// Cache entries the event invalidated.
   std::uint64_t invalidated = 0;
   /// The event changed the elected spanning tree (the serving topology
   /// was re-bound to the new canonical hash).

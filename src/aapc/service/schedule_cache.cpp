@@ -54,8 +54,8 @@ void ScheduleCache::put(const CacheKey& key, CompiledEntryPtr entry) {
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    // Replace in place (a coalescing race can compile the same key
-    // twice across service restarts/option changes); keep MRU position.
+    // Replace in place (a revalidation publishes a fresh entry under a
+    // key the cache already holds); keep MRU position.
     shard.bytes +=
         entry->footprint_bytes - it->second->second->footprint_bytes;
     it->second->second = std::move(entry);

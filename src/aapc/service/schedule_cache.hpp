@@ -2,8 +2,8 @@
 //
 // The unit of caching is one *canonical* compilation: the phase schedule
 // and the lowered per-rank programs produced for a canonical topology
-// (service/canonical.hpp) at one message-size class under one set of
-// lowering options. Entries are immutable and shared
+// (service/canonical.hpp) at one message-size class. Entries are
+// immutable and shared
 // (shared_ptr<const CompiledEntry>), so a hit hands out the artifact
 // without copying and eviction never invalidates a routine already
 // served.
@@ -26,24 +26,22 @@
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/schedule.hpp"
 #include "aapc/core/weighted.hpp"
-#include "aapc/lowering/lower.hpp"
 #include "aapc/mpisim/program.hpp"
 #include "aapc/topology/topology.hpp"
 
 namespace aapc::service {
 
 /// Cache key: canonical topology identity + message-size class +
-/// compilation-options fingerprint + collective kind (+ the sparse
-/// pattern digest for sparse_alltoall). Two requests with equal keys
-/// are served by one compiled artifact; distinct kinds on the same
-/// topology must never alias — without `kind` in the key an allgather
-/// request would be served a cached alltoall schedule.
+/// collective kind (+ the sparse pattern digest for sparse_alltoall).
+/// Two requests with equal keys are served by one compiled artifact;
+/// distinct kinds on the same topology must never alias — without
+/// `kind` in the key an allgather request would be served a cached
+/// alltoall schedule.
 struct CacheKey {
   std::uint64_t topology_hash = 0;
   std::uint32_t size_class = 0;
-  std::uint32_t options_fingerprint = 0;
-  /// core::CollectiveKind as its wire byte (appended so the historical
-  /// three-field aggregate initializers keep meaning alltoall).
+  /// core::CollectiveKind as its wire byte (after the first two fields,
+  /// so a two-field aggregate initializer means alltoall).
   std::uint8_t kind = 0;
   /// core::sparse_pattern_hash of the canonically-relabeled neighbor
   /// sets; 0 for every non-sparse kind.
@@ -56,10 +54,9 @@ struct CacheKeyHash {
   std::size_t operator()(const CacheKey& key) const noexcept {
     // splitmix64 finalizer over the fields packed into one word
     // stream; topology_hash already avalanches, the mix spreads the
-    // low-entropy class/options/kind fields.
+    // low-entropy class/kind fields.
     std::uint64_t h = key.topology_hash ^
                       (static_cast<std::uint64_t>(key.size_class) << 32) ^
-                      static_cast<std::uint64_t>(key.options_fingerprint) ^
                       (static_cast<std::uint64_t>(key.kind) << 56) ^
                       (key.pattern_hash * 0x9e3779b97f4a7c15ull);
     h ^= h >> 30;
@@ -84,11 +81,8 @@ struct CompiledEntry {
   core::Schedule schedule;
   /// Lowered per-rank programs at `class_bytes`, canonical ranks.
   mpisim::ProgramSet programs;
-  lowering::LoweringInfo info;
   /// Representative message size of the entry's size class.
   Bytes class_bytes = 0;
-  /// Wall-clock cost of the compilation that produced this entry.
-  double compile_seconds = 0;
   /// Topology epoch (service/epochs.hpp) the entry was compiled
   /// against. The service treats the entry as fresh iff this is >=
   /// the hash's invalidation epoch; entries compiled before churn was

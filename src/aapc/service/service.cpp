@@ -10,6 +10,7 @@
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
 #include "aapc/core/weighted.hpp"
+#include "aapc/lowering/lower.hpp"
 #include "aapc/sync/sync_plan.hpp"
 
 namespace aapc::service {
@@ -20,19 +21,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::uint32_t fingerprint_options(const lowering::LoweringOptions& opts) {
-  // Pack every knob that changes the compiled artifact, then mix. Two
-  // services configured differently must never share cache entries.
-  std::uint64_t h = 0;
-  h |= static_cast<std::uint64_t>(opts.sync);
-  h = h * 0x100000001b3ull + opts.sync_message_bytes;
-  h = h * 0x100000001b3ull + (opts.reduce_redundant_syncs ? 1 : 0);
-  h = h * 0x100000001b3ull + (opts.include_self_copy ? 1 : 0);
-  h = h * 0x100000001b3ull + (opts.verify_schedule ? 1 : 0);
-  h ^= h >> 32;
-  return static_cast<std::uint32_t>(h);
 }
 
 std::string format_seconds(double seconds) {
@@ -74,9 +62,7 @@ Bytes ScheduleService::size_class_bytes(std::uint32_t size_class) {
 }
 
 ScheduleService::ScheduleService(const ServiceOptions& options)
-    : options_(options),
-      options_fingerprint_(fingerprint_options(options.lowering)),
-      cache_(options.cache_capacity, options.cache_shards),
+    : cache_(options.cache_capacity, options.cache_shards),
       cache_hits_(registry_.counter("aapc_service_cache_hits_total",
                                     "Requests served from the schedule cache")),
       cache_misses_(registry_.counter(
@@ -144,7 +130,7 @@ CacheKey ScheduleService::cache_key(const Canonicalization& canon,
 CacheKey ScheduleService::cache_key(
     const Canonicalization& canon, Bytes msize, core::CollectiveKind kind,
     const core::SparseNeighbors& canonical_neighbors) const {
-  CacheKey key{canon.hash, size_class(msize), options_fingerprint_};
+  CacheKey key{canon.hash, size_class(msize)};
   key.kind = static_cast<std::uint8_t>(kind);
   if (kind == core::CollectiveKind::kSparseAlltoall) {
     key.pattern_hash = core::sparse_pattern_hash(canonical_neighbors);
@@ -232,31 +218,23 @@ CompiledEntryPtr ScheduleService::compile_entry(
 
   stage = Clock::now();
   // The plan is built here, outside the lowering, so the sync stage is
-  // timed on its own. It follows the service's reduction knob, as the
-  // lowering's own plan would; nothing reads it after the lowering, so
-  // the entry does not keep it.
-  sync::SyncPlanOptions plan_options;
-  plan_options.remove_redundant = options_.lowering.reduce_redundant_syncs;
-  const sync::SyncPlan plan =
-      sync::build_sync_plan(topo, entry->schedule, plan_options);
+  // timed on its own. It is the plan the default lowering would build;
+  // nothing reads it after the lowering, so the entry does not keep it.
+  const sync::SyncPlan plan = sync::build_sync_plan(topo, entry->schedule, {});
   stage_sync_seconds_.observe(seconds_since(stage));
 
   stage = Clock::now();
-  lowering::LoweringOptions lower_options = options_.lowering;
-  if (lower_options.sync == lowering::SyncMode::kPairwise) {
-    lower_options.precomputed_plan = &plan;
-  }
+  lowering::LoweringOptions lower_options;
+  lower_options.precomputed_plan = &plan;
   entry->programs = lowering::lower_schedule(topo, entry->schedule,
-                                             class_bytes, lower_options,
-                                             &entry->info);
+                                             class_bytes, lower_options);
   stage_lower_seconds_.observe(seconds_since(stage));
   entry->footprint_bytes = measure_footprint(*entry);
-  entry->compile_seconds = seconds_since(start);
-  record_compile_latency(entry->compile_seconds);
+  const double compile_seconds = seconds_since(start);
+  record_compile_latency(compile_seconds);
   AAPC_DEBUG("compiled canonical topology ("
              << entry->canonical_topo.machine_count() << " machines, class "
-             << class_bytes << " B) in "
-             << format_seconds(entry->compile_seconds));
+             << class_bytes << " B) in " << format_seconds(compile_seconds));
   return entry;
 }
 
@@ -299,8 +277,7 @@ void ScheduleService::schedule_revalidation(
 ServedEntry ScheduleService::finish(const Canonicalization& canon,
                                     CompiledEntryPtr entry, bool cache_hit,
                                     bool coalesced, bool stale,
-                                    std::uint64_t epoch,
-                                    Clock::time_point start) const {
+                                    std::uint64_t epoch) const {
   ServedEntry served;
   served.entry = std::move(entry);
   served.to_canonical = canon.to_canonical;
@@ -308,7 +285,6 @@ ServedEntry ScheduleService::finish(const Canonicalization& canon,
   served.coalesced = coalesced;
   served.stale = stale;
   served.epoch = epoch;
-  served.service_seconds = seconds_since(start);
   return served;
 }
 
@@ -372,11 +348,9 @@ CompiledRoutine ScheduleService::compile(
 CompiledRoutine ScheduleService::compile(
     const topology::Topology& topo, Bytes msize, const Canonicalization& canon,
     core::CollectiveKind kind, const core::SparseNeighbors& neighbors) {
-  const Clock::time_point start = Clock::now();
   CompiledRoutine routine{lookup(topo, msize, canon, kind, neighbors), {}};
   routine.schedule = core::relabel_schedule(
       routine.entry->schedule, core::invert_permutation(routine.to_canonical));
-  routine.service_seconds = seconds_since(start);
   return routine;
 }
 
@@ -384,7 +358,6 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
                                     Bytes msize, const Canonicalization& canon,
                                     core::CollectiveKind kind,
                                     const core::SparseNeighbors& neighbors) {
-  const Clock::time_point start = Clock::now();
   AAPC_REQUIRE(static_cast<std::int32_t>(canon.to_canonical.size()) ==
                    topo.machine_count(),
                "canonicalization covers " << canon.to_canonical.size()
@@ -424,7 +397,7 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
                             canon.hash, kind, canonical_neighbors);
     }
     return finish(canon, std::move(entry), /*cache_hit=*/true,
-                  /*coalesced=*/false, stale, view.epoch, start);
+                  /*coalesced=*/false, stale, view.epoch);
   };
 
   if (CompiledEntryPtr entry =
@@ -518,7 +491,7 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
                           canonical_neighbors);
   }
   return finish(canon, std::move(entry), /*cache_hit=*/false, !leader,
-                /*stale=*/false, view.epoch, start);
+                /*stale=*/false, view.epoch);
 }
 
 void ScheduleService::sync_mirrors() const {

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <mutex>
@@ -39,7 +38,6 @@
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/units.hpp"
-#include "aapc/lowering/lower.hpp"
 #include "aapc/obs/metrics.hpp"
 #include "aapc/service/canonical.hpp"
 #include "aapc/service/compiler_pool.hpp"
@@ -73,9 +71,6 @@ struct ServiceOptions {
   /// next stale hit re-schedules it — and never consumes foreground
   /// queue capacity.
   std::int32_t background_queue_capacity = 16;
-  /// Lowering configuration applied to every compilation (part of the
-  /// cache key, so services with different options never share entries).
-  lowering::LoweringOptions lowering;
 };
 
 /// The canonical artifact that serves one request, with the permutation
@@ -96,8 +91,6 @@ struct ServedEntry {
   bool stale = false;
   /// Global topology epoch at serve time (see service/epochs.hpp).
   std::uint64_t epoch = 0;
-  /// End-to-end wall-clock latency of this request.
-  double service_seconds = 0;
 };
 
 /// A served routine, rewritten into the caller's rank labeling.
@@ -124,11 +117,10 @@ class ScheduleService {
   /// the pool queue is full; rethrows compilation errors verbatim.
   CompiledRoutine compile(const topology::Topology& topo, Bytes msize);
 
-  /// Same, reusing a canonicalization the caller already computed —
-  /// the netd front-end canonicalizes once to pick the backend shard
-  /// (canonical hash % shards) and passes the result through so the
-  /// shard does not repeat the AHU encoding. `canon` must be
-  /// canonicalize(topo) for this exact `topo`.
+  /// Same, reusing a canonicalization the caller already computed, so
+  /// the service does not repeat the AHU encoding (the netd front-end
+  /// canonicalizes once and passes the result to lookup()). `canon`
+  /// must be canonicalize(topo) for this exact `topo`.
   CompiledRoutine compile(const topology::Topology& topo, Bytes msize,
                           const Canonicalization& canon);
 
@@ -159,7 +151,6 @@ class ScheduleService {
   /// it to obs::to_prometheus_text / obs::to_json (the aapc_serviced
   /// --metrics-out path).
   obs::RegistrySnapshot metrics_snapshot() const;
-  const ServiceOptions& options() const { return options_; }
 
   /// Message sizes are bucketed into power-of-two classes: class c
   /// covers (2^(c-1), 2^c] bytes and compiles at the representative
@@ -205,16 +196,13 @@ class ScheduleService {
                              const core::SparseNeighbors& neighbors);
   ServedEntry finish(const Canonicalization& canon, CompiledEntryPtr entry,
                      bool cache_hit, bool coalesced, bool stale,
-                     std::uint64_t epoch,
-                     std::chrono::steady_clock::time_point start) const;
+                     std::uint64_t epoch) const;
   double retry_after_hint() const;
   void record_compile_latency(double seconds);
   /// Mirrors the cache/pool counters (owned by those components) into
   /// the registry so snapshots carry every service series.
   void sync_mirrors() const;
 
-  ServiceOptions options_;
-  std::uint32_t options_fingerprint_;
   ScheduleCache cache_;
 
   std::mutex in_flight_mutex_;

@@ -79,8 +79,7 @@ TEST(NetdServerTest, LoopbackResponsesBitIdenticalToInProcessService) {
                   core::schedule_to_json(in_process.schedule,
                                          topo.machine_count()));
         EXPECT_EQ(over_wire.to_canonical, in_process.to_canonical);
-        EXPECT_LT(over_wire.shard,
-                  static_cast<std::uint32_t>(server->options().shards));
+        EXPECT_EQ(over_wire.shard, 0u);
       }
     }
   }
@@ -160,13 +159,12 @@ TEST(NetdServerTest, CacheHitAndCoalesceFlagsTravelTheWire) {
   EXPECT_FALSE(first.cache_hit);
   const ResponseFrame second = client.compile(topo, 8_KiB);
   EXPECT_TRUE(second.cache_hit);
-  // Isomorphic relabelings share the canonical artifact (and shard).
+  // Isomorphic relabelings share the canonical artifact.
   Rng rng(23);
   const ResponseFrame relabeled =
       client.compile(shuffled_copy(topo, rng), 8_KiB);
   EXPECT_TRUE(relabeled.cache_hit);
   EXPECT_EQ(relabeled.canonical_hash, first.canonical_hash);
-  EXPECT_EQ(relabeled.shard, first.shard);
 }
 
 TEST(NetdServerTest, MetricsRequestReturnsMergedRegistry) {
@@ -176,9 +174,10 @@ TEST(NetdServerTest, MetricsRequestReturnsMergedRegistry) {
   const std::string json = client.fetch_metrics_json();
   EXPECT_NE(json.find("aapc_netd_requests_total"), std::string::npos);
   EXPECT_NE(json.find("aapc_netd_request_seconds"), std::string::npos);
-  // Backend shard series appear with the shard label injected.
+  // The service's series appear as the service exports them, with no
+  // label added.
   EXPECT_NE(json.find("aapc_service_requests_total"), std::string::npos);
-  EXPECT_NE(json.find("\"shard\""), std::string::npos);
+  EXPECT_EQ(json.find("\"shard\""), std::string::npos);
 }
 
 TEST(NetdServerTest, InvalidTopologyAnswersStructuredErrorAndKeepsConnection) {
@@ -318,7 +317,6 @@ TEST(NetdServerTest, DispatchOverloadAnswersOverloadedWithRetryHint) {
   options.event_loops = 1;
   options.dispatch_threads = 1;
   options.dispatch_queue_capacity = 1;
-  options.shards = 1;
   options.service.compiler_threads = 1;
   options.service.queue_capacity = 1;
   const auto server = start_server(options);
@@ -397,38 +395,43 @@ TEST(NetdServerTest, MidFrameDisconnectIsCountedNotFatal) {
 
 TEST(NetdServerTest, StopDrainsInFlightRequestsGracefully) {
   ServerOptions options;
-  options.drain_deadline_seconds = 20;
+  options.drain_deadline_seconds = 60;
   const auto server = start_server(options);
-  std::atomic<bool> done{false};
-  std::atomic<bool> torn{false};
+  const Topology topo = topology::make_fat_tree(8, 4, 8);
+  ResponseFrame response;
+  std::string failure;
   std::thread tenant([&] {
     try {
       Client client("127.0.0.1", server->port());
-      Rng rng(77);
-      topology::RandomTreeOptions tree;
-      tree.switches = 4;
-      tree.machines = 20;
-      (void)client.compile(topology::make_random_tree(rng, tree), 256_KiB);
-    } catch (const RemoteError& e) {
-      // A request the drain could not start is failed structurally.
-      if (e.code() != ErrorCode::kShuttingDown) torn.store(true);
-    } catch (const std::exception&) {
-      torn.store(true);  // transport-level tear == abandoned mid-future
+      response = client.compile(topo, 64_KiB);
+    } catch (const std::exception& e) {
+      // kShuttingDown and a transport tear alike: a dispatched request
+      // must be answered in full.
+      failure = e.what();
     }
-    done.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // The service counts the miss before it submits the compilation, so
+  // once the counter reads 1 the request is dispatched and in flight.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server->metrics_snapshot().value("aapc_service_cache_misses_total") <
+             1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   server->stop();
   tenant.join();
-  EXPECT_TRUE(done.load());
-  EXPECT_FALSE(torn.load());
+  EXPECT_TRUE(failure.empty()) << failure;
+  service::ScheduleService reference;
+  EXPECT_EQ(response.schedule_json,
+            core::schedule_to_json(reference.compile(topo, 64_KiB).schedule,
+                                   topo.machine_count()));
   // Stopped means stopped: new connections are refused.
   EXPECT_THROW(Client("127.0.0.1", server->port()), Error);
 }
 
 TEST(NetdServerTest, ConcurrentConnectionsAllServedExactly) {
   ServerOptions options;
-  options.shards = 2;
   options.dispatch_threads = 4;
   const auto server = start_server(options);
   constexpr int kClients = 12;
@@ -508,7 +511,6 @@ ResponseFrame compile_until_fresh(Client& client, const Topology& topo,
 
 TEST(NetdChurnTest, DegradeServesStaleThenRevalidatesOverTheWire) {
   ServerOptions options;
-  options.shards = 1;  // exact invalidation accounting below
   options.fabric = make_fabric();
   const auto server = start_server(options);
   const Topology elected =
@@ -547,7 +549,6 @@ TEST(NetdChurnTest, DegradeServesStaleThenRevalidatesOverTheWire) {
 
 TEST(NetdChurnTest, TrunkFailureReelectsOntoTheBackupLink) {
   ServerOptions options;
-  options.shards = 1;
   options.fabric = make_fabric();
   const auto server = start_server(options);
   const Topology elected =
@@ -580,7 +581,6 @@ TEST(NetdChurnTest, TrunkFailureReelectsOntoTheBackupLink) {
 
 TEST(NetdChurnTest, DisconnectingOrMalformedEventsRejectedWithoutStateChange) {
   ServerOptions options;
-  options.shards = 1;
   options.fabric = make_fabric(/*redundant_trunk=*/false);
   const auto server = start_server(options);
   const Topology elected =

@@ -23,7 +23,7 @@ CompiledEntryPtr entry_with_form(const std::string& form) {
 }
 
 CacheKey key_of(std::uint64_t hash, std::uint32_t size_class = 16) {
-  return CacheKey{hash, size_class, 0};
+  return CacheKey{hash, size_class};
 }
 
 TEST(ScheduleCacheTest, MissThenHit) {

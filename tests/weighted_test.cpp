@@ -157,5 +157,45 @@ TEST(WeightedTest, SlownessFollowsTheMinimumRateOnThePath) {
   EXPECT_DOUBLE_EQ(message_slowness(topo, Message{0, 2}, rates), 2.0);
 }
 
+// The cases below degrade a switch-to-switch trunk: the only links a
+// churn event (a bridge-link event) can reach.
+
+TEST(WeightedTest, DegradedEdgeTrunkOfAChainIsAStrictWin) {
+  // s0 - s1 - s2 - s3, four machines each. Trunk s0-s1 (link 0) carries
+  // 4 x 12 = 48 messages each way; at half rate its weighted load is
+  // 96. The paper schedule's 64 phases all cost 2 and sum to 128; the
+  // weighted greedy packs the slow traffic into fewer phases.
+  const Topology topo = make_chain({4, 4, 4, 4});
+  LinkRates rates = nominal(topo);
+  const auto [a, b] = topo.link_endpoints(0);
+  ASSERT_FALSE(topo.is_machine(a) || topo.is_machine(b));
+  rates[0] = 0.5;
+  const Pattern pattern = aapc_pattern(topo);
+  const Schedule paper = build_aapc_schedule(topo);
+  const Schedule weighted = build_aapc_schedule_weighted(topo, rates);
+  EXPECT_TRUE(verify_schedule_pattern(topo, weighted, pattern, lax()).ok);
+  EXPECT_DOUBLE_EQ(weighted_pattern_load(topo, pattern, rates), 96.0);
+  EXPECT_EQ(paper.phase_count(), 64);
+  EXPECT_DOUBLE_EQ(weighted_schedule_cost(topo, paper, rates), 128.0);
+  EXPECT_DOUBLE_EQ(weighted_schedule_cost(topo, weighted, rates), 112.0);
+}
+
+TEST(WeightedTest, DegradedTrunkOfTheNetdStarKeepsThePaperSchedule) {
+  // The tree aapc_netd --fabric-switches 8 --fabric-machines 6 elects:
+  // a machine-less hub and eight leaves of six machines, trunks are
+  // links 0-7. Degrading any one trunk never beats the paper schedule.
+  const Topology topo = topology::make_star({0, 6, 6, 6, 6, 6, 6, 6, 6});
+  const Schedule paper = build_aapc_schedule(topo);
+  for (topology::LinkId trunk = 0; trunk < 8; ++trunk) {
+    for (const double factor : {0.5, 0.1}) {
+      LinkRates rates = nominal(topo);
+      rates[static_cast<std::size_t>(trunk)] = factor;
+      EXPECT_TRUE(
+          same_schedule(paper, build_aapc_schedule_weighted(topo, rates)))
+          << "trunk " << trunk << " at " << factor;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aapc::core
