@@ -93,7 +93,8 @@ struct Schedule {
   /// The phase holding messages[i]: a binary search over phase_begin.
   std::int32_t phase_of(std::int64_t i) const;
 
-  /// Builds a Schedule from the legacy phase-list shape (tests, JSON io).
+  /// Builds a Schedule from the legacy phase-list shape, for tests that
+  /// splice phases.
   static Schedule from_phase_lists(
       const std::vector<std::vector<Message>>& lists);
 

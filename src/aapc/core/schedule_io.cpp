@@ -1,9 +1,11 @@
 #include "aapc/core/schedule_io.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
+#include <limits>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/json.hpp"
 
 namespace aapc::core {
 
@@ -75,126 +77,44 @@ std::string schedule_to_json(const Schedule& schedule,
   });
 }
 
-namespace {
-
-/// Minimal recursive-descent reader for exactly the schedule grammar
-/// (objects with known keys, arrays, integers). Not a general JSON
-/// parser by design: unknown keys are rejected so format drift fails
-/// loudly.
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_space();
-    AAPC_REQUIRE(pos_ < text_.size() && text_[pos_] == c,
-                 "schedule JSON: expected '" << c << "' at offset " << pos_);
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_space();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string key() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      out.push_back(text_[pos_++]);
-    }
-    expect('"');
-    expect(':');
-    return out;
-  }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      out.push_back(text_[pos_++]);
-    }
-    expect('"');
-    return out;
-  }
-
-  std::int64_t integer() {
-    skip_space();
-    bool negative = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      negative = true;
-      ++pos_;
-    }
-    AAPC_REQUIRE(pos_ < text_.size() &&
-                     std::isdigit(static_cast<unsigned char>(text_[pos_])),
-                 "schedule JSON: expected integer at offset " << pos_);
-    std::int64_t value = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + (text_[pos_++] - '0');
-    }
-    return negative ? -value : value;
-  }
-
-  void finish() {
-    skip_space();
-    AAPC_REQUIRE(pos_ == text_.size(),
-                 "schedule JSON: trailing content at offset " << pos_);
-  }
-
- private:
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 Schedule schedule_from_json(std::string_view json,
                             std::int32_t expected_machines) {
-  Reader reader(json);
-  reader.expect('{');
+  constexpr std::int64_t kMaxMachines = std::numeric_limits<Rank>::max();
+  json::Reader reader(json, "schedule JSON");
+  Schedule schedule;
   std::int64_t machines = -1;
-  CollectiveKind kind = CollectiveKind::kAlltoall;
-  std::vector<std::vector<Message>> phases;
-  bool saw_phases = false;
+  // Ranks lie in [0, machines). The writer puts "machines" first, so the
+  // bound is known as ranks are read; `top` covers a file that gives it
+  // later.
+  std::int64_t top = -1;
+  reader.expect('{');
   do {
     const std::string field = reader.key();
     if (field == "machines") {
-      machines = reader.integer();
-      AAPC_REQUIRE(machines >= 0, "schedule JSON: negative machine count");
+      machines = reader.integer(0, kMaxMachines);
     } else if (field == "kind") {
-      kind = parse_collective_kind(reader.string_value());
+      schedule.kind = parse_collective_kind(reader.string());
     } else if (field == "phases") {
-      saw_phases = true;
+      if (schedule.phase_begin.empty()) schedule.phase_begin.push_back(0);
+      const std::int64_t rank_end = machines >= 0 ? machines : kMaxMachines;
       reader.expect('[');
       if (!reader.consume(']')) {
         do {
           reader.expect('[');
-          std::vector<Message> phase;
           if (!reader.consume(']')) {
             do {
               reader.expect('[');
-              const std::int64_t src = reader.integer();
+              const std::int64_t src = reader.integer(0, rank_end - 1);
               reader.expect(',');
-              const std::int64_t dst = reader.integer();
+              const std::int64_t dst = reader.integer(0, rank_end - 1);
               reader.expect(']');
-              phase.push_back(Message{static_cast<Rank>(src),
-                                      static_cast<Rank>(dst)});
+              top = std::max({top, src, dst});
+              schedule.messages.push_back(
+                  Message{static_cast<Rank>(src), static_cast<Rank>(dst)});
             } while (reader.consume(','));
             reader.expect(']');
           }
-          phases.push_back(std::move(phase));
+          schedule.phase_begin.push_back(schedule.message_count());
         } while (reader.consume(','));
         reader.expect(']');
       }
@@ -206,19 +126,14 @@ Schedule schedule_from_json(std::string_view json,
   reader.finish();
 
   AAPC_REQUIRE(machines >= 0, "schedule JSON: missing 'machines'");
-  AAPC_REQUIRE(saw_phases, "schedule JSON: missing 'phases'");
+  AAPC_REQUIRE(!schedule.phase_begin.empty(),
+               "schedule JSON: missing 'phases'");
   AAPC_REQUIRE(expected_machines < 0 || machines == expected_machines,
                "schedule JSON: machine count " << machines << " != expected "
                                                << expected_machines);
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    for (const Message& m : phases[p]) {
-      AAPC_REQUIRE(m.src >= 0 && m.src < machines && m.dst >= 0 &&
-                       m.dst < machines,
-                   "schedule JSON: rank out of range in phase " << p);
-    }
-  }
-  Schedule schedule = Schedule::from_phase_lists(phases);
-  schedule.kind = kind;
+  AAPC_REQUIRE(top < machines, "schedule JSON: rank " << top
+                                   << " out of range for " << machines
+                                   << " machines");
   return schedule;
 }
 

@@ -38,8 +38,9 @@ std::string schedule_to_json(const Schedule& schedule,
                              std::span<const Rank> rank_map);
 
 /// Parse a schedule from JSON; throws InvalidArgument on malformed
-/// input or ranks outside [0, machines). The embedded machine count
-/// must match `expected_machines` when that is >= 0.
+/// input or ranks outside [0, machines), read exactly and never wrapped
+/// (common/json.hpp). The embedded machine count must match
+/// `expected_machines` when that is >= 0.
 Schedule schedule_from_json(std::string_view json,
                             std::int32_t expected_machines = -1);
 

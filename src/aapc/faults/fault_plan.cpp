@@ -1,12 +1,11 @@
 #include "aapc/faults/fault_plan.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <limits>
 #include <sstream>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/json.hpp"
 #include "aapc/common/strings.hpp"
 
 namespace aapc::faults {
@@ -254,102 +253,6 @@ FaultSummary summarize(const FaultPlan& plan, std::int32_t link_count) {
   return summary;
 }
 
-namespace {
-
-/// Minimal recursive-descent reader for exactly the fault-plan grammar
-/// (objects with known keys, arrays, numbers, short strings). Unknown
-/// keys are rejected so format drift fails loudly — same policy as
-/// core::schedule_from_json.
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_space();
-    AAPC_REQUIRE(pos_ < text_.size() && text_[pos_] == c,
-                 "fault plan JSON: expected '" << c << "' at offset "
-                                               << pos_);
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_space();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      out.push_back(text_[pos_++]);
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string key() {
-    std::string out = string_value();
-    expect(':');
-    return out;
-  }
-
-  double number() {
-    skip_space();
-    // Strict JSON-grammar scan + std::from_chars: locale-independent
-    // (strtod honours LC_NUMERIC and accepts "inf"/"nan"/hex, none of
-    // which are JSON) and overflow is reported instead of saturating
-    // silently to HUGE_VAL.
-    const ParsedNumber parsed = parse_json_number(text_.substr(pos_));
-    AAPC_REQUIRE(parsed.length > 0,
-                 "fault plan JSON: expected number at offset " << pos_);
-    AAPC_REQUIRE(!parsed.out_of_range,
-                 "fault plan JSON: number at offset "
-                     << pos_ << " is out of range for a double: "
-                     << text_.substr(pos_, parsed.length));
-    pos_ += parsed.length;
-    return parsed.value;
-  }
-
-  /// A number that must be an integer representable in int32 (the
-  /// "link" / "rank" fields) — rejects 1.5, 1e12, -2^40 and friends
-  /// instead of letting a narrowing cast mangle them.
-  std::int32_t int32_value(const char* field) {
-    skip_space();
-    const std::size_t at = pos_;
-    const double value = number();
-    AAPC_REQUIRE(std::nearbyint(value) == value &&
-                     value >= std::numeric_limits<std::int32_t>::min() &&
-                     value <= std::numeric_limits<std::int32_t>::max(),
-                 "fault plan JSON: '" << field << "' at offset " << at
-                                      << " must be a 32-bit integer, got "
-                                      << value);
-    return static_cast<std::int32_t>(value);
-  }
-
-  void finish() {
-    skip_space();
-    AAPC_REQUIRE(pos_ == text_.size(),
-                 "fault plan JSON: trailing content at offset " << pos_);
-  }
-
- private:
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string fault_plan_to_json(const FaultPlan& plan) {
   plan.validate();
   std::ostringstream os;
@@ -377,7 +280,10 @@ std::string fault_plan_to_json(const FaultPlan& plan) {
 }
 
 FaultPlan fault_plan_from_json(std::string_view json) {
-  Reader reader(json);
+  // "link" and "rank" are 32-bit integers; validate() checks their signs.
+  constexpr std::int64_t kIdMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kIdMax = std::numeric_limits<std::int32_t>::max();
+  json::Reader reader(json, "fault plan JSON");
   FaultPlan plan;
   reader.expect('{');
   bool saw_events = false;
@@ -396,14 +302,15 @@ FaultPlan fault_plan_from_json(std::string_view json) {
         do {
           const std::string name = reader.key();
           if (name == "kind") {
-            kind = reader.string_value();
+            kind = reader.string();
           } else if (name == "time_ms") {
             event.when = milliseconds(reader.number());
             saw_time = true;
           } else if (name == "link") {
-            event.link = reader.int32_value("link");
+            event.link =
+                static_cast<std::int32_t>(reader.integer(kIdMin, kIdMax));
           } else if (name == "rank") {
-            event.rank = static_cast<Rank>(reader.int32_value("rank"));
+            event.rank = static_cast<Rank>(reader.integer(kIdMin, kIdMax));
           } else if (name == "factor") {
             event.factor = reader.number();
           } else {

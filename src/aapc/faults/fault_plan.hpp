@@ -136,6 +136,9 @@ FaultSummary summarize(const FaultPlan& plan, std::int32_t link_count);
 ///     {"kind":"link_up","time_ms":50,"link":0},
 ///     {"kind":"node_slowdown","time_ms":0,"rank":2,"factor":3.0},
 ///     {"kind":"node_crash","time_ms":80,"rank":1}]}
+/// "link" and "rank" are integer literals within int32 (common/json.hpp:
+/// 3.0 and 3e0 are not integers); the reader throws InvalidArgument on
+/// malformed input and validates the plan.
 std::string fault_plan_to_json(const FaultPlan& plan);
 FaultPlan fault_plan_from_json(std::string_view json);
 

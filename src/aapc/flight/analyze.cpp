@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/json.hpp"
 #include "aapc/core/schedule.hpp"
 #include "aapc/stp/stp.hpp"
 #include "aapc/sync/sync_plan.hpp"
@@ -32,28 +32,6 @@ double median(const std::vector<double>& values) {
 std::uint64_t transfer_key(std::int32_t src, std::int32_t dst) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
          static_cast<std::uint32_t>(dst);
-}
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 /// Per-(src, dst) send bookkeeping for stuck-transfer detection. Only
@@ -484,9 +462,7 @@ std::string AnalysisReport::to_json() const {
        << ",\"rank\":" << v.rank << ",\"link\":" << v.link
        << ",\"bridge_link\":" << v.bridge_link
        << ",\"severity\":" << v.severity << ",\"score\":" << v.score
-       << ",\"detail\":";
-    json_escape(os, v.detail);
-    os << "}";
+       << ",\"detail\":" << json::quote(v.detail) << "}";
   }
   os << "],\"rank_post_factor\":[";
   for (std::size_t i = 0; i < rank_post_factor.size(); ++i) {

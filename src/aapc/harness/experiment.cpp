@@ -1,11 +1,11 @@
 #include "aapc/harness/experiment.hpp"
 
-#include <cstdio>
 #include <memory>
 #include <sstream>
 
 #include "aapc/baselines/baselines.hpp"
 #include "aapc/common/error.hpp"
+#include "aapc/common/json.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
@@ -14,24 +14,10 @@
 namespace aapc::harness {
 
 std::string RunReport::to_json() const {
-  std::string escaped;
-  for (const char c : title) {
-    if (c == '"' || c == '\\') {
-      escaped.push_back('\\');
-      escaped.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      escaped += buffer;
-    } else {
-      escaped.push_back(c);
-    }
-  }
   // obs::to_json renders {"metrics":[...]}; splice the title ahead of
   // the metrics key so the array stays byte-identical to the obs form.
   const std::string metrics_json = obs::to_json(metrics);
-  return "{\"title\":\"" + escaped + "\"," + metrics_json.substr(1);
+  return "{\"title\":" + json::quote(title) + "," + metrics_json.substr(1);
 }
 
 TextTable ExperimentReport::completion_table() const {

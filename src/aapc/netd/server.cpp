@@ -275,7 +275,7 @@ class EventLoop {
 
   ~EventLoop() {
     if (thread_.joinable()) {
-      begin_stop();
+      begin_stop(Clock::now());
       thread_.join();
     }
     if (wake_fd_ >= 0) ::close(wake_fd_);
@@ -286,7 +286,10 @@ class EventLoop {
     thread_ = std::thread([this] { run(); });
   }
 
-  void begin_stop() {
+  /// The loop keeps flushing connections that hold output, closes each
+  /// once it drains, and closes the rest at `deadline`.
+  void begin_stop(Clock::time_point deadline) {
+    stop_deadline_ = deadline;
     stopping_.store(true, std::memory_order_release);
     wake();
   }
@@ -361,17 +364,34 @@ class EventLoop {
         if ((ev.events & EPOLLOUT) != 0) flush(conn);
       }
       process_pending();
-      if (stopping_.load(std::memory_order_acquire)) {
-        // Graceful exit: one best-effort flush so drained responses
-        // reach sockets, then teardown.
-        std::vector<ConnectionPtr> open;
-        open.reserve(conns_.size());
-        for (const auto& [fd, conn] : conns_) open.push_back(conn);
-        for (const ConnectionPtr& conn : open) flush(conn);
-        for (const ConnectionPtr& conn : open) close_connection(conn);
+      if (stopping_.load(std::memory_order_acquire) && close_drained()) {
         return;
       }
     }
+  }
+
+  /// Graceful exit, once per iteration after begin_stop(): a connection
+  /// whose output has drained closes (EPOLLOUT keeps flushing the
+  /// others). At the deadline the rest close too, each with unsent
+  /// bytes counting one dropped response. True once no connection is
+  /// left.
+  bool close_drained() {
+    const bool late = Clock::now() >= stop_deadline_;
+    std::vector<ConnectionPtr> open;
+    open.reserve(conns_.size());
+    for (const auto& [fd, conn] : conns_) open.push_back(conn);
+    for (const ConnectionPtr& conn : open) {
+      bool unsent;
+      {
+        const std::lock_guard<std::mutex> lock(conn->mutex);
+        if (conn->closed) continue;
+        unsent = conn->out_offset < conn->out.size();
+      }
+      if (unsent && !late) continue;
+      if (unsent) server_->response_drops.inc();
+      close_connection(conn);
+    }
+    return conns_.empty();
   }
 
   void process_pending() {
@@ -617,6 +637,8 @@ class EventLoop {
   int wake_fd_ = -1;
   std::thread thread_;
   std::atomic<bool> stopping_{false};
+  /// Written before stopping_ is set; read by the loop after it sees it.
+  Clock::time_point stop_deadline_;
 
   /// Loop-thread only.
   std::unordered_map<int, ConnectionPtr> conns_;
@@ -642,7 +664,8 @@ Server::Impl::Impl(const ServerOptions& opts)
       response_drops(registry.counter(
           "aapc_netd_response_drops_total",
           "Responses dropped because the client disconnected first "
-          "(EPIPE/ECONNRESET or closed before delivery)")),
+          "(EPIPE/ECONNRESET or closed before delivery) or had not read "
+          "them by the shutdown drain deadline")),
       request_frame_bytes(registry.histogram(
           "aapc_netd_request_frame_bytes",
           "Size of received request frames (header + payload)",
@@ -1024,10 +1047,11 @@ void Server::stop() {
   //    kShuttingDown frames instead of silent drops.
   impl.dispatcher->stop_and_join(/*abandon_remaining=*/true);
 
-  // 4. Stop event loops; each flushes pending responses best-effort
-  //    and closes its connections on the way out.
+  // 4. Stop event loops: each serves its connections until their
+  //    output drains (new requests get kShuttingDown), closing each as
+  //    it empties and the rest at the drain deadline.
   for (const std::unique_ptr<EventLoop>& loop : impl.loops) {
-    loop->begin_stop();
+    loop->begin_stop(deadline);
   }
   for (const std::unique_ptr<EventLoop>& loop : impl.loops) loop->join();
 }

@@ -24,10 +24,10 @@
 //   4. compiler-pool saturation  kOverloaded (ServiceOverloaded's hint)
 //
 // Shutdown drains: stop() closes the listener, fails *new* requests
-// with kShuttingDown, but lets everything already dispatched finish
-// (bounded by ServerOptions::drain_deadline_seconds) and flushes the
-// responses before closing connections — in-flight compilations are
-// never abandoned mid-future. SIGPIPE is ignored process-wide on
+// with kShuttingDown, but lets everything already dispatched finish and
+// flushes the responses, closing each connection once its output has
+// drained — in-flight compilations are never abandoned mid-future.
+// ServerOptions::drain_deadline_seconds bounds the whole drain. SIGPIPE is ignored process-wide on
 // start(); client disconnect mid-response shows up as a counted
 // EPIPE/ECONNRESET drop, not a crash.
 #pragma once
@@ -63,7 +63,9 @@ struct ServerOptions {
   /// Configuration of the backend ScheduleService.
   service::ServiceOptions service;
   /// stop() waits at most this long for dispatched requests to finish
-  /// before failing the not-yet-started remainder with kShuttingDown.
+  /// (failing the not-yet-started remainder with kShuttingDown) and for
+  /// clients to read their responses (closing the connections that
+  /// still hold output, counted in aapc_netd_response_drops_total).
   double drain_deadline_seconds = 10;
   /// Optional bridged fabric behind the serving path. When set, start()
   /// runs the 802.1D election, canonicalizes the elected machine-leaf
@@ -87,9 +89,10 @@ class Server {
   /// Binds, listens, and spawns acceptor + event loops + dispatchers.
   void start();
 
-  /// Graceful shutdown: close the listener, drain in-flight requests
-  /// (bounded by drain_deadline_seconds), flush responses, close
-  /// connections, join every thread. Idempotent.
+  /// Graceful shutdown: close the listener, drain in-flight requests,
+  /// flush responses until each connection's output drains, close
+  /// connections, join every thread; drain_deadline_seconds bounds it.
+  /// Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }

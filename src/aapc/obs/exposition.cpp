@@ -1,11 +1,11 @@
 #include "aapc/obs/exposition.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <cstdio>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/json.hpp"
 #include "aapc/common/strings.hpp"
 
 namespace aapc::obs {
@@ -68,157 +68,6 @@ std::string label_block(const Labels& labels, std::string_view extra_key = {},
   return out;
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-/// Strict reader for the to_json grammar — same policy as
-/// faults::fault_plan_from_json: known keys only, numbers parsed
-/// locale-independently via common/strings parse_json_number.
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_space();
-    AAPC_REQUIRE(pos_ < text_.size() && text_[pos_] == c,
-                 "metrics JSON: expected '" << c << "' at offset " << pos_);
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_space();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        AAPC_REQUIRE(pos_ < text_.size(),
-                     "metrics JSON: dangling escape at offset " << pos_);
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            AAPC_REQUIRE(pos_ + 4 <= text_.size(),
-                         "metrics JSON: truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              unsigned digit = 0;
-              if (h >= '0' && h <= '9') {
-                digit = static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                digit = static_cast<unsigned>(h - 'a') + 10;
-              } else if (h >= 'A' && h <= 'F') {
-                digit = static_cast<unsigned>(h - 'A') + 10;
-              } else {
-                throw InvalidArgument("metrics JSON: bad \\u escape");
-              }
-              code = code * 16 + digit;
-            }
-            AAPC_REQUIRE(code <= 0x7f,
-                         "metrics JSON: only ASCII \\u escapes supported");
-            c = static_cast<char>(code);
-            break;
-          }
-          default:
-            throw InvalidArgument("metrics JSON: unknown escape");
-        }
-      }
-      out.push_back(c);
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string key() {
-    std::string out = string_value();
-    expect(':');
-    return out;
-  }
-
-  /// One number token: the double value plus its raw text, so callers
-  /// that need exact 64-bit integers (counter values can exceed 2^53,
-  /// where a double round-trip silently rounds) can reparse the text.
-  struct NumberToken {
-    std::string text;
-    double value = 0;
-  };
-
-  NumberToken number_token() {
-    skip_space();
-    const ParsedNumber parsed = parse_json_number(text_.substr(pos_));
-    AAPC_REQUIRE(parsed.length > 0,
-                 "metrics JSON: expected number at offset " << pos_);
-    AAPC_REQUIRE(!parsed.out_of_range,
-                 "metrics JSON: number out of range at offset " << pos_);
-    NumberToken token{std::string(text_.substr(pos_, parsed.length)),
-                      parsed.value};
-    pos_ += parsed.length;
-    return token;
-  }
-
-  double number() { return number_token().value; }
-
-  std::int64_t integer() {
-    const double value = number();
-    const auto as_int = static_cast<std::int64_t>(value);
-    AAPC_REQUIRE(static_cast<double>(as_int) == value,
-                 "metrics JSON: expected integer, got " << value);
-    return as_int;
-  }
-
-  void finish() {
-    skip_space();
-    AAPC_REQUIRE(pos_ == text_.size(),
-                 "metrics JSON: trailing content at offset " << pos_);
-  }
-
- private:
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string to_prometheus_text(const RegistrySnapshot& snapshot) {
@@ -270,17 +119,15 @@ std::string to_json(const RegistrySnapshot& snapshot) {
   for (std::size_t i = 0; i < snapshot.series.size(); ++i) {
     const SeriesSnapshot& s = snapshot.series[i];
     if (i > 0) os << ',';
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"type\":\""
+    os << "{\"name\":" << json::quote(s.name) << ",\"type\":\""
        << metric_type_name(s.type) << "\"";
-    if (!s.help.empty()) {
-      os << ",\"help\":\"" << json_escape(s.help) << "\"";
-    }
+    if (!s.help.empty()) os << ",\"help\":" << json::quote(s.help);
     if (!s.labels.empty()) {
       os << ",\"labels\":{";
       for (std::size_t l = 0; l < s.labels.size(); ++l) {
         if (l > 0) os << ',';
-        os << '"' << json_escape(s.labels[l].first) << "\":\""
-           << json_escape(s.labels[l].second) << '"';
+        os << json::quote(s.labels[l].first) << ':'
+           << json::quote(s.labels[l].second);
       }
       os << '}';
     }
@@ -316,7 +163,9 @@ std::string to_json(const RegistrySnapshot& snapshot) {
 }
 
 RegistrySnapshot snapshot_from_json(std::string_view json) {
-  Reader reader(json);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  json::Reader reader(json, "metrics JSON");
   RegistrySnapshot snapshot;
   reader.expect('{');
   bool saw_metrics = false;
@@ -331,30 +180,30 @@ RegistrySnapshot snapshot_from_json(std::string_view json) {
         reader.expect('{');
         SeriesSnapshot s;
         std::string type_name;
-        Reader::NumberToken value_token;
-        bool saw_value = false;
+        // "value" is read once the type is known (a counter is an exact
+        // integer, a gauge a double), from a copy of the reader taken
+        // where the value starts.
+        std::optional<json::Reader> value_at;
         do {
           const std::string name = reader.key();
           if (name == "name") {
-            s.name = reader.string_value();
+            s.name = reader.string();
           } else if (name == "type") {
-            type_name = reader.string_value();
+            type_name = reader.string();
           } else if (name == "help") {
-            s.help = reader.string_value();
+            s.help = reader.string();
           } else if (name == "labels") {
             reader.expect('{');
             do {
               const std::string label_key = reader.key();
-              s.labels.emplace_back(label_key, reader.string_value());
+              s.labels.emplace_back(label_key, reader.string());
             } while (reader.consume(','));
             reader.expect('}');
           } else if (name == "value") {
-            // Deferred: counters reparse the raw text as int64 once the
-            // type is known (a double round-trip rounds above 2^53).
-            value_token = reader.number_token();
-            saw_value = true;
+            value_at = reader;
+            (void)reader.number();
           } else if (name == "count") {
-            s.histogram.count = reader.integer();
+            s.histogram.count = reader.integer(0, kMax);
           } else if (name == "sum") {
             s.histogram.sum = reader.number();
           } else if (name == "max") {
@@ -371,7 +220,7 @@ RegistrySnapshot snapshot_from_json(std::string_view json) {
             reader.expect('[');
             if (!reader.consume(']')) {
               do {
-                s.histogram.buckets.push_back(reader.integer());
+                s.histogram.buckets.push_back(reader.integer(0, kMax));
               } while (reader.consume(','));
               reader.expect(']');
             }
@@ -383,19 +232,10 @@ RegistrySnapshot snapshot_from_json(std::string_view json) {
         reader.expect('}');
         if (type_name == "counter") {
           s.type = MetricType::kCounter;
-          if (saw_value) {
-            const char* first = value_token.text.data();
-            const char* last = first + value_token.text.size();
-            const auto [end, ec] =
-                std::from_chars(first, last, s.counter);
-            AAPC_REQUIRE(ec == std::errc() && end == last,
-                         "metrics JSON: counter '"
-                             << s.name << "' value is not a 64-bit integer: "
-                             << value_token.text);
-          }
+          if (value_at) s.counter = value_at->integer(kMin, kMax);
         } else if (type_name == "gauge") {
           s.type = MetricType::kGauge;
-          if (saw_value) s.gauge = value_token.value;
+          if (value_at) s.gauge = value_at->number();
         } else if (type_name == "histogram") {
           s.type = MetricType::kHistogram;
           AAPC_REQUIRE(

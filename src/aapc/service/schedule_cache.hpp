@@ -1,4 +1,4 @@
-// Sharded LRU cache of compiled schedules.
+// LRU cache of compiled schedules.
 //
 // The unit of caching is one *canonical* compilation: the phase schedule
 // and the lowered per-rank programs produced for a canonical topology
@@ -8,10 +8,9 @@
 // without copying and eviction never invalidates a routine already
 // served.
 //
-// Sharding: the key hash picks a shard; each shard has its own mutex and
-// LRU list, so concurrent lookups for different topologies do not
-// serialize on one lock. Capacity is divided evenly across shards
-// (per-shard LRU, the standard approximation of global LRU).
+// One LRU list under one mutex: a lookup holds the lock only for a hash
+// probe, a form compare and a list splice, and eviction order is exact
+// LRU over the whole capacity.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +19,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "aapc/common/units.hpp"
 #include "aapc/core/collectives.hpp"
@@ -110,8 +109,8 @@ std::int64_t measure_footprint(const CompiledEntry& entry);
 
 using CompiledEntryPtr = std::shared_ptr<const CompiledEntry>;
 
-/// Counters aggregated over all shards. Hits and misses are the
-/// service's to count (a hit there also checks freshness).
+/// Cache counters. Hits and misses are the service's to count (a hit
+/// there also checks freshness).
 struct CacheStats {
   std::int64_t insertions = 0;
   std::int64_t evictions = 0;
@@ -122,9 +121,8 @@ struct CacheStats {
 
 class ScheduleCache {
  public:
-  /// `capacity` is the total entry budget, split evenly over `shards`
-  /// (each shard holds at least one entry).
-  ScheduleCache(std::size_t capacity, std::size_t shards);
+  /// `capacity` is the entry budget.
+  explicit ScheduleCache(std::size_t capacity);
 
   ScheduleCache(const ScheduleCache&) = delete;
   ScheduleCache& operator=(const ScheduleCache&) = delete;
@@ -137,31 +135,23 @@ class ScheduleCache {
   CompiledEntryPtr get(const CacheKey& key, const std::string& canonical_form,
                        const core::SparseNeighbors* neighbors = nullptr);
 
-  /// Inserts (or replaces) the entry for `key`, evicting the shard's
+  /// Inserts (or replaces) the entry for `key`, evicting the
   /// least-recently-used entry when over budget.
   void put(const CacheKey& key, CompiledEntryPtr entry);
 
   CacheStats stats() const;
-  std::size_t shard_count() const { return shards_.size(); }
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    /// Front = most recently used.
-    std::list<std::pair<CacheKey, CompiledEntryPtr>> lru;
-    std::unordered_map<CacheKey,
-                       std::list<std::pair<CacheKey, CompiledEntryPtr>>::iterator,
-                       CacheKeyHash>
-        index;
-    std::int64_t insertions = 0;
-    std::int64_t evictions = 0;
-    std::int64_t bytes = 0;
-  };
+  using Lru = std::list<std::pair<CacheKey, CompiledEntryPtr>>;
 
-  Shard& shard_for(const CacheKey& key);
-
-  std::size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  /// Front = most recently used.
+  Lru lru_;
+  std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> index_;
+  std::int64_t insertions_ = 0;
+  std::int64_t evictions_ = 0;
+  std::int64_t bytes_ = 0;
 };
 
 }  // namespace aapc::service

@@ -62,7 +62,7 @@ Bytes ScheduleService::size_class_bytes(std::uint32_t size_class) {
 }
 
 ScheduleService::ScheduleService(const ServiceOptions& options)
-    : cache_(options.cache_capacity, options.cache_shards),
+    : cache_(options.cache_capacity),
       cache_hits_(registry_.counter("aapc_service_cache_hits_total",
                                     "Requests served from the schedule cache")),
       cache_misses_(registry_.counter(
@@ -424,8 +424,8 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
       // request may have published this key between our miss above and
       // taking the in-flight lock (its marker is already gone), and
       // compiling again would break the one-compilation-per-key
-      // guarantee. Lock order in_flight -> shard is safe: no path holds
-      // a shard lock while taking the in-flight lock.
+      // guarantee. Lock order in_flight -> cache is safe: no path holds
+      // the cache lock while taking the in-flight lock.
       late_hit = cache_.get(key, canon.canonical_form, &canonical_neighbors);
       if (late_hit == nullptr) {
         promise = std::make_shared<std::promise<CompiledEntryPtr>>();
@@ -498,16 +498,16 @@ void ScheduleService::sync_mirrors() const {
   const CacheStats cache = cache_.stats();
   registry_
       .counter("aapc_service_cache_evictions_total",
-               "Entries displaced by the shard LRU policy")
+               "Entries displaced by the LRU policy")
       .set_total(cache.evictions);
   registry_
       .gauge("aapc_service_cache_entries",
-             "Compiled artifacts currently cached, all shards")
+             "Compiled artifacts currently cached")
       .set(static_cast<double>(cache.entries));
   registry_
       .gauge("aapc_service_cache_bytes",
              "Bytes held by cached entries (schedule arena, phase offsets, "
-             "op vectors, pair tables), all shards")
+             "op vectors, pair tables)")
       .set(static_cast<double>(cache.bytes));
   const CompilerPool::Stats pool = pool_.stats();
   registry_

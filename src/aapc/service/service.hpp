@@ -7,7 +7,7 @@
 //   request (topology, msize)
 //     -> canonicalize            relabeling-invariant identity + rank
 //                                permutation (service/canonical.hpp)
-//     -> sharded LRU cache       hit: hand out the cached canonical
+//     -> LRU cache               hit: hand out the cached canonical
 //                                entry and the caller's permutation
 //     -> in-flight coalescing    N concurrent misses on one canonical
 //                                key trigger exactly one compilation;
@@ -59,9 +59,8 @@ class ServiceOverloaded : public Error {
 };
 
 struct ServiceOptions {
-  /// Total cached entries across all shards.
+  /// Cached entries held before the least recently used is evicted.
   std::size_t cache_capacity = 256;
-  std::size_t cache_shards = 8;
   /// Compilation worker threads.
   std::int32_t compiler_threads = 4;
   /// Queued (not yet executing) compilations before submit rejects.

@@ -1,10 +1,10 @@
 #include "aapc/trace/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/json.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/common/table.hpp"
 
@@ -24,32 +24,6 @@ std::string to_csv(const std::vector<mpisim::MessageTrace>& trace) {
 }
 
 namespace {
-
-/// Minimal JSON string escaping for event/marker labels (quotes,
-/// backslashes, control characters).
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 void append_transfer_events(
     std::ostringstream& os, const std::vector<mpisim::MessageTrace>& trace,
@@ -98,8 +72,8 @@ std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace,
   for (const mpisim::FaultMarker& marker : markers) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(marker.label)
-       << "\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,"
+    os << "{\"name\":" << json::quote(marker.label)
+       << ",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,"
        << "\"tid\":\"faults\",\"ts\":"
        << format_double(to_microseconds(marker.time), 3) << '}';
   }

@@ -1,14 +1,18 @@
 // Unit tests for the aapc::common utilities.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "aapc/common/cli.hpp"
 #include "aapc/common/log.hpp"
 #include "aapc/common/error.hpp"
+#include "aapc/common/json.hpp"
 #include "aapc/common/rng.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/common/table.hpp"
@@ -205,6 +209,35 @@ TEST(StringsTest, FormatSizeRoundTrips) {
 TEST(StringsTest, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ", "), "");
+}
+
+TEST(JsonTest, QuoteThenStringReturnsEveryControlByteQuoteAndBackslash) {
+  std::string text = "\"\\";
+  for (int c = 0; c < 0x20; ++c) text.push_back(static_cast<char>(c));
+  text += "plain /";
+  const std::string quoted = json::quote(text);
+  json::Reader reader(quoted, "test JSON");
+  EXPECT_EQ(reader.string(), text);
+  reader.finish();
+  EXPECT_EQ(json::quote("a\tb\x01"), "\"a\\tb\\u0001\"");
+}
+
+TEST(JsonTest, IntegerIsAnExactLiteralWithinBounds) {
+  auto read = [](std::string_view text, std::int64_t lo, std::int64_t hi) {
+    json::Reader reader(text, "test JSON");
+    const std::int64_t value = reader.integer(lo, hi);
+    reader.finish();
+    return value;
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(read(" -7", -10, 10), -7);
+  EXPECT_EQ(read("9223372036854775807", 0, kMax), kMax);
+  for (const char* bad : {"3.0", "3e0", "1E3", "+1", "-", "x", "",
+                          "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_THROW(read(bad, -kMax, kMax), InvalidArgument) << bad;
+  }
+  EXPECT_THROW(read("11", 0, 10), InvalidArgument);
+  EXPECT_THROW(read("-1", 0, 10), InvalidArgument);
 }
 
 TEST(TableTest, RenderAlignsColumns) {

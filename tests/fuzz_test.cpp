@@ -170,9 +170,11 @@ TEST(FaultPlanNumbersTest, OverflowAndLocaleShapedInputsReject) {
         << bad;
   }
 
-  // "link"/"rank" must be exact 32-bit integers: fractions and values
-  // past INT32_MAX used to be narrowing-cast into garbage ids.
-  for (const char* bad : {"1.5", "3000000000", "-3000000000", "1e12"}) {
+  // "link"/"rank" must be exact 32-bit integer literals: fractions and
+  // values past INT32_MAX used to be narrowing-cast into garbage ids,
+  // and fraction or exponent spellings of an integer are not integers.
+  for (const char* bad :
+       {"1.5", "3000000000", "-3000000000", "1e12", "3.0", "3e0"}) {
     EXPECT_THROW(faults::fault_plan_from_json(event_with(
                      std::string("\"time_ms\":1,\"link\":") + bad)),
                  InvalidArgument)

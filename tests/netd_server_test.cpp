@@ -59,6 +59,39 @@ std::unique_ptr<Server> start_server(ServerOptions options = {}) {
   return server;
 }
 
+/// `count` alltoall requests for `topo` at 64 KiB, ids 0..count-1, as
+/// one byte string to pipeline on a connection.
+std::string pipelined_requests(const Topology& topo, std::uint64_t count) {
+  RequestFrame request;
+  request.message_bytes = 64_KiB;
+  request.tenant = "pipeline";
+  request.topology_text = topology::serialize_topology(topo);
+  std::string bytes;
+  for (std::uint64_t id = 0; id < count; ++id) {
+    request.request_id = id;
+    bytes += encode_request(request);
+  }
+  return bytes;
+}
+
+/// Waits (60 s at most) until the server has encoded `count` responses,
+/// as its response-frame histogram counts them.
+void wait_for_response_frames(const Server& server, std::uint64_t count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const obs::RegistrySnapshot snapshot = server.metrics_snapshot();
+    const obs::SeriesSnapshot* frames =
+        snapshot.find("aapc_netd_response_frame_bytes");
+    if (frames != nullptr &&
+        frames->histogram.count >= static_cast<std::int64_t>(count)) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ADD_FAILURE() << "the server did not encode " << count << " responses";
+}
+
 TEST(NetdServerTest, LoopbackResponsesBitIdenticalToInProcessService) {
   const auto server = start_server();
   Client client("127.0.0.1", server->port());
@@ -125,18 +158,7 @@ TEST(NetdServerTest, PipelinedLargeResponsesBitIdenticalToInProcessService) {
   client.send_raw(pipelined);
   // Read nothing until the server has encoded every response, so the
   // socket buffers fill first.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const obs::RegistrySnapshot snapshot = server->metrics_snapshot();
-    const obs::SeriesSnapshot* frames =
-        snapshot.find("aapc_netd_response_frame_bytes");
-    if (frames != nullptr &&
-        frames->histogram.count >= static_cast<std::int64_t>(kRequests)) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  wait_for_response_frames(*server, kRequests);
 
   std::vector<bool> answered(kRequests, false);
   for (std::uint64_t i = 0; i < kRequests; ++i) {
@@ -428,6 +450,80 @@ TEST(NetdServerTest, StopDrainsInFlightRequestsGracefully) {
                                    topo.machine_count()));
   // Stopped means stopped: new connections are refused.
   EXPECT_THROW(Client("127.0.0.1", server->port()), Error);
+}
+
+TEST(NetdServerTest, StopFlushesEveryQueuedResponseBeforeClosing) {
+  // Thirty-two ~0.6 MB answers on one connection, all encoded before
+  // stop() and read only once it has begun: ~19 MB, several times what
+  // the loopback socket buffers hold (~4 MB), so stop() must keep
+  // flushing until the client has read every byte.
+  ServerOptions options;
+  options.drain_deadline_seconds = 60;
+  const auto server = start_server(options);
+  const Topology topo = topology::make_fat_tree(8, 4, 8);
+  service::ScheduleService reference;
+  const std::string expected = core::schedule_to_json(
+      reference.compile(topo, 64_KiB).schedule, topo.machine_count());
+  constexpr std::uint64_t kRequests = 32;
+  Client client("127.0.0.1", server->port());
+  client.send_raw(pipelined_requests(topo, kRequests));
+  wait_for_response_frames(*server, kRequests);
+
+  std::thread stopper([&] { server->stop(); });
+  // stop() closes the listener first, so a refused connect means the
+  // shutdown is under way.
+  while (true) {
+    try {
+      Client probe("127.0.0.1", server->port());
+    } catch (const Error&) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::vector<bool> answered(kRequests, false);
+  std::uint64_t read = 0;
+  try {
+    for (; read < kRequests; ++read) {
+      const ResponseFrame response = decode_response(client.read_frame());
+      if (response.request_id >= kRequests ||
+          answered[response.request_id]) {
+        ADD_FAILURE() << "unexpected request id " << response.request_id;
+        break;
+      }
+      answered[response.request_id] = true;
+      EXPECT_EQ(response.schedule_json, expected)
+          << "request " << response.request_id;
+    }
+  } catch (const Error& e) {
+    ADD_FAILURE() << "after " << read << " of " << kRequests
+                  << " answers: " << e.what();
+  }
+  stopper.join();
+  EXPECT_EQ(read, kRequests);
+  EXPECT_EQ(server->metrics_snapshot().value("aapc_netd_response_drops_total"),
+            0.0);
+}
+
+TEST(NetdServerTest, StopClosesAnUnreadConnectionAtTheDrainDeadline) {
+  // A client that never reads cannot hold stop() past the drain
+  // deadline; its connection closes with output unsent, counted once.
+  ServerOptions options;
+  options.drain_deadline_seconds = 1;
+  const auto server = start_server(options);
+  constexpr std::uint64_t kRequests = 16;
+  Client client("127.0.0.1", server->port());
+  client.send_raw(
+      pipelined_requests(topology::make_fat_tree(8, 4, 8), kRequests));
+  wait_for_response_frames(*server, kRequests);
+  const auto begin = std::chrono::steady_clock::now();
+  server->stop();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - begin;
+  // The loops check the deadline at least every 100 ms; the rest of the
+  // second is slack for thread joins on a loaded host.
+  EXPECT_LT(took.count(), 2.0);
+  EXPECT_EQ(server->metrics_snapshot().value("aapc_netd_response_drops_total"),
+            1.0);
 }
 
 TEST(NetdServerTest, ConcurrentConnectionsAllServedExactly) {

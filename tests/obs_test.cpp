@@ -5,6 +5,7 @@
 // aapc_packet_* series from real runs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +199,19 @@ TEST(Exposition, JsonRoundTripIsExact) {
   EXPECT_EQ(to_json(parsed), json);
 }
 
+/// Histogram counts are integers read exactly: 2^53 + 1 has no double,
+/// so a reader that goes through one returns 2^53.
+TEST(Exposition, HistogramCountsParseExactlyPast2To53) {
+  const RegistrySnapshot parsed = snapshot_from_json(
+      R"({"metrics":[{"name":"aapc_lat_seconds","type":"histogram",)"
+      R"("count":9007199254740993,"sum":1,"max":1,"bounds":[1],)"
+      R"("buckets":[9007199254740993,0]}]})");
+  ASSERT_EQ(parsed.series.size(), 1u);
+  EXPECT_EQ(parsed.series[0].histogram.count, 9007199254740993);
+  EXPECT_EQ(parsed.series[0].histogram.buckets,
+            (std::vector<std::int64_t>{9007199254740993, 0}));
+}
+
 TEST(Exposition, JsonParserRejectsMalformedInput) {
   Registry r;
   r.counter("aapc_x_total").inc();
@@ -213,6 +227,17 @@ TEST(Exposition, JsonParserRejectsMalformedInput) {
   EXPECT_THROW(
       snapshot_from_json(R"({"metrics":[{"name":"a","type":"nope"}]})"),
       InvalidArgument);
+  // Histogram counts are integer literals: no fraction or exponent
+  // spelling, no negative count.
+  for (const char* count : {"3.0", "3e0", "1e3", "-1"}) {
+    EXPECT_THROW(
+        snapshot_from_json(
+            std::string(R"({"metrics":[{"name":"h","type":"histogram",)"
+                        R"("count":)") +
+            count + R"(,"bounds":[],"buckets":[0]}]})"),
+        InvalidArgument)
+        << count;
+  }
   // Out-of-range numbers are rejected, not saturated.
   EXPECT_THROW(
       snapshot_from_json(

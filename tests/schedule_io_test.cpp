@@ -100,6 +100,21 @@ TEST(ScheduleIoTest, RejectsRanksOutOfRange) {
                InvalidArgument);
   EXPECT_THROW(schedule_from_json("{\"machines\":2,\"phases\":[[[-1,0]]]}"),
                InvalidArgument);
+  // Wrapped into 32 bits, each of these is rank 1; read exactly, none is
+  // a rank of a 2-machine schedule. The second does not fit 64 bits.
+  for (const char* rank :
+       {"4294967297", "18446744073709551617", "-4294967295"}) {
+    EXPECT_THROW(schedule_from_json(std::string("{\"machines\":2,"
+                                                "\"phases\":[[[") +
+                                    rank + ",0]]]}"),
+                 InvalidArgument)
+        << rank;
+  }
+  // The bound holds when "machines" comes after the phases, too.
+  EXPECT_THROW(schedule_from_json("{\"phases\":[[[0,5]]],\"machines\":2}"),
+               InvalidArgument);
+  EXPECT_NO_THROW(
+      schedule_from_json("{\"phases\":[[[0,1]]],\"machines\":2}"));
 }
 
 TEST(ScheduleIoTest, MachineCountMismatchRejected) {

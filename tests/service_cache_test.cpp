@@ -1,4 +1,4 @@
-// Sharded LRU schedule-cache unit tests: hits and misses, LRU eviction
+// LRU schedule-cache unit tests: hits and misses, LRU eviction
 // order, collision guarding, byte accounting, and concurrent access.
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ CacheKey key_of(std::uint64_t hash, std::uint32_t size_class = 16) {
 }
 
 TEST(ScheduleCacheTest, MissThenHit) {
-  ScheduleCache cache(8, 2);
+  ScheduleCache cache(8);
   EXPECT_EQ(cache.get(key_of(1), "A"), nullptr);
   cache.put(key_of(1), entry_with_form("A"));
   const CompiledEntryPtr hit = cache.get(key_of(1), "A");
@@ -39,7 +39,7 @@ TEST(ScheduleCacheTest, MissThenHit) {
 }
 
 TEST(ScheduleCacheTest, DistinctSizeClassesAreDistinctEntries) {
-  ScheduleCache cache(8, 1);
+  ScheduleCache cache(8);
   cache.put(key_of(1, 10), entry_with_form("A"));
   EXPECT_EQ(cache.get(key_of(1, 11), "A"), nullptr);
   EXPECT_NE(cache.get(key_of(1, 10), "A"), nullptr);
@@ -48,16 +48,16 @@ TEST(ScheduleCacheTest, DistinctSizeClassesAreDistinctEntries) {
 TEST(ScheduleCacheTest, HashCollisionGuard) {
   // Same key, different canonical form: the cache must refuse to serve
   // the wrong topology's artifact.
-  ScheduleCache cache(8, 1);
+  ScheduleCache cache(8);
   cache.put(key_of(42), entry_with_form("A"));
   EXPECT_EQ(cache.get(key_of(42), "B"), nullptr);
   EXPECT_NE(cache.get(key_of(42), "A"), nullptr);
 }
 
 TEST(ScheduleCacheTest, LruEvictionOrder) {
-  // Single shard, capacity 2: inserting a third entry evicts the least
+  // Capacity 2: inserting a third entry evicts the least
   // recently used, and a get() refreshes recency.
-  ScheduleCache cache(2, 1);
+  ScheduleCache cache(2);
   cache.put(key_of(1), entry_with_form("A"));
   cache.put(key_of(2), entry_with_form("B"));
   EXPECT_NE(cache.get(key_of(1), "A"), nullptr);  // A is now MRU
@@ -70,7 +70,7 @@ TEST(ScheduleCacheTest, LruEvictionOrder) {
 }
 
 TEST(ScheduleCacheTest, ReplaceKeepsEntryCount) {
-  ScheduleCache cache(4, 1);
+  ScheduleCache cache(4);
   cache.put(key_of(1), entry_with_form("A"));
   cache.put(key_of(1), entry_with_form("A2"));
   EXPECT_EQ(cache.stats().entries, 1);
@@ -80,7 +80,7 @@ TEST(ScheduleCacheTest, ReplaceKeepsEntryCount) {
 }
 
 TEST(ScheduleCacheTest, EvictionDoesNotInvalidateServedEntries) {
-  ScheduleCache cache(1, 1);
+  ScheduleCache cache(1);
   cache.put(key_of(1), entry_with_form("A"));
   const CompiledEntryPtr held = cache.get(key_of(1), "A");
   cache.put(key_of(2), entry_with_form("B"));  // evicts A
@@ -99,9 +99,9 @@ CompiledEntryPtr entry_with_bytes(const std::string& form,
 }
 
 TEST(ScheduleCacheTest, BytesAreTheSumOverHeldEntries) {
-  // Single shard, capacity 2. The running sum must equal the held
+  // Capacity 2. The running sum must equal the held
   // entries' footprints after inserts, a replacement and evictions.
-  ScheduleCache cache(2, 1);
+  ScheduleCache cache(2);
   cache.put(key_of(1), entry_with_bytes("A", 100));
   cache.put(key_of(2), entry_with_bytes("B", 250));
   EXPECT_EQ(cache.stats().bytes, 350);
@@ -129,7 +129,6 @@ TEST(ScheduleCacheTest, ServiceExportsTheHeldBytes) {
   // it was built.
   ServiceOptions options;
   options.cache_capacity = 2;
-  options.cache_shards = 1;
   options.compiler_threads = 1;
   ScheduleService service(options);
   std::vector<CompiledEntryPtr> served;
@@ -153,16 +152,11 @@ TEST(ScheduleCacheTest, ServiceExportsTheHeldBytes) {
   }
 }
 
-TEST(ScheduleCacheTest, ShardCountClampedToCapacity) {
-  ScheduleCache cache(2, 16);
-  EXPECT_EQ(cache.shard_count(), 2u);
-}
-
 TEST(ScheduleCacheTest, ConcurrentMixedAccess) {
   // Hammer one cache from several threads: correctness here is "no
   // crash, no lost entries beyond capacity, some lookups hit" (run under
   // TSan in CI).
-  ScheduleCache cache(64, 8);
+  ScheduleCache cache(64);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   std::vector<std::int64_t> hits(kThreads, 0);

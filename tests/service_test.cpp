@@ -365,7 +365,6 @@ TEST(ScheduleServiceTest, CompileLatencyReservoirStaysBounded) {
   // it under the metrics lock). It is now a fixed-capacity ring.
   ServiceOptions options;
   options.cache_capacity = 2;  // force continuous evictions/compiles
-  options.cache_shards = 1;
   ScheduleService service(options);
   std::vector<Topology> topologies;
   for (int machines = 4; machines <= 9; ++machines) {
