@@ -4,6 +4,9 @@
 // exactly aapc_load(topology) phases.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "aapc/common/rng.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
@@ -87,6 +90,80 @@ TEST_P(ScheduleStep6RandomTest, RotateVariantOnRandomTrees) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleStep6RandomTest,
                          ::testing::Range<std::uint64_t>(0, 40));
+
+// The phases in which each directed switch-to-switch edge carries a
+// message, one entry per crossing message, in phase order. Edges with
+// a machine endpoint map to an empty list.
+std::vector<std::vector<std::int32_t>> trunk_phases(const Topology& topo,
+                                                    const Schedule& schedule) {
+  std::vector<std::vector<std::int32_t>> phases(
+      static_cast<std::size_t>(topo.directed_edge_count()));
+  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
+    for (const Message& m : schedule.phase(p)) {
+      for (const topology::EdgeId e :
+           topo.path(topo.machine_node(m.src), topo.machine_node(m.dst))) {
+        if (!topo.is_machine(topo.edge_source(e)) &&
+            !topo.is_machine(topo.edge_target(e))) {
+          phases[static_cast<std::size_t>(e)].push_back(p);
+        }
+      }
+    }
+  }
+  return phases;
+}
+
+// Every trunk either carries nothing or is a bottleneck in its
+// direction: one message in every phase. A slower trunk then slows
+// every phase equally, so no schedule over the same load does better.
+void expect_trunks_idle_or_full(const Topology& topo) {
+  const Schedule schedule = build_aapc_schedule(topo);
+  std::vector<std::int32_t> every_phase(
+      static_cast<std::size_t>(schedule.phase_count()));
+  std::iota(every_phase.begin(), every_phase.end(), 0);
+  const auto phases = trunk_phases(topo, schedule);
+  for (topology::EdgeId e = 0; e < topo.directed_edge_count(); ++e) {
+    const auto& crossed = phases[static_cast<std::size_t>(e)];
+    EXPECT_TRUE(crossed.empty() || crossed == every_phase)
+        << "edge " << e << " crosses " << crossed.size() << " of "
+        << schedule.phase_count() << " phases";
+  }
+}
+
+TEST(BottleneckTrafficTest, NetdStarTrunksAreIdleOrFull) {
+  // aapc_netd --fabric-switches S --fabric-machines M elects a
+  // machine-less hub with S leaves of M machines.
+  for (std::int32_t switches = 1; switches <= 8; ++switches) {
+    for (std::int32_t machines = 1; machines <= 6; ++machines) {
+      std::vector<std::int32_t> per_switch(
+          static_cast<std::size_t>(switches) + 1, machines);
+      per_switch[0] = 0;
+      SCOPED_TRACE(testing::Message() << switches << " leaves of "
+                                      << machines);
+      expect_trunks_idle_or_full(make_star(per_switch));
+    }
+  }
+}
+
+TEST(BottleneckTrafficTest, TwoSwitchFabricTrunkIsFull) {
+  expect_trunks_idle_or_full(make_chain({3, 3}));
+}
+
+TEST(BottleneckTrafficTest, EdgeStarLightTrunkCarriesBothWaysInTheSamePhases) {
+  // The aapc_churn fabric: s1 holds one machine, s2 and s3 four each.
+  // Link 0 joins the hub s0 to s1 and carries 8 messages each way; the
+  // loaded trunks need 20 phases. The up and down messages share their
+  // phases, so a slower link 0 costs the same phases in either order.
+  const Topology topo = make_star({0, 1, 4, 4});
+  const Schedule schedule = build_aapc_schedule(topo);
+  ASSERT_EQ(schedule.phase_count(), 20);
+  const auto [hub, leaf] = topo.link_endpoints(0);
+  const auto phases = trunk_phases(topo, schedule);
+  const auto& up = phases[static_cast<std::size_t>(topo.edge_between(leaf, hub))];
+  const auto& down =
+      phases[static_cast<std::size_t>(topo.edge_between(hub, leaf))];
+  EXPECT_EQ(up.size(), 8u);
+  EXPECT_EQ(up, down);
+}
 
 TEST(ScheduleStressTest, WideSingleSwitch) {
   expect_theorem_holds(topology::make_single_switch(64));
