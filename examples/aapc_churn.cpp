@@ -1,7 +1,7 @@
 // aapc_churn: churn chaos driver for the serving path.
 //
 // Boots an in-process aapc_netd Server whose ServerOptions::fabric is
-// the bench_churn edge star, then drives open-loop zipfian load at it
+// an edge star, then drives open-loop zipfian load at it
 // (the aapc_loadgen arrival model: arrivals scheduled on a global
 // clock, latencies measured from the scheduled arrival) while a
 // separate control connection injects live churn mid-load:
@@ -12,17 +12,19 @@
 // draw from the usual zipfian tenant pool and must ride through
 // unaffected.
 //
-// Every response for the fabric topology is timestamped with its
-// (epoch, stale) marking, and — with --verify, default on — its
-// schedule artifact is parsed and checked contention-free against the
-// caller's topology, so a schedule that does not fit the caller's tree
-// fails loudly.
+// Every response for the fabric topology is timestamped with its epoch
+// and must carry the same schedule JSON as the first one: a request
+// names one labeling and one size, and link events change no answer.
+// With --verify (default on) the schedule is also parsed and checked
+// contention-free against the caller's topology, so a schedule that
+// does not fit the caller's tree fails loudly.
 //
 // Exits nonzero when chaos gates fail:
-//   1  integrity failure (a served schedule was not contention-free)
+//   1  integrity failure (a served schedule was not contention-free,
+//      or a fabric answer differed from the first)
 //   2  availability (dropped requests, transport or connect failures)
-//   3  staleness window above --staleness-slo-ms for either churn
-//      event, or the stale-while-revalidate path never served stale
+//   3  no fabric answer at the acked epoch within --staleness-slo-ms of
+//      either churn ack
 //   4  epoch bookkeeping wrong (final epoch != 2), or p99 SLO missed
 //
 // Run:  ./aapc_churn --connections 8 --rps 300 --duration 3
@@ -65,9 +67,9 @@ namespace {
 using namespace aapc;
 using Clock = std::chrono::steady_clock;
 
-/// The bench_churn edge star (see bench/bench_churn.cpp): hub s1, one
-/// machine behind s3 on the trunk under churn (bridge link 0), four
-/// machines each behind s0 and s2.
+/// An edge star: hub s1, one machine behind s3 on the trunk under churn
+/// (bridge link 0), four machines each behind s0 and s2. Its elected
+/// tree is make_star({0, 1, 4, 4}) up to labeling.
 stp::BridgeNetwork make_edge_star() {
   stp::BridgeNetwork net;
   const stp::BridgeId s1 = net.add_bridge("s1", 0x8000'0000'0001ull);
@@ -87,15 +89,16 @@ stp::BridgeNetwork make_edge_star() {
 struct FabricSample {
   double at_seconds = 0;  // since load start
   std::uint64_t epoch = 0;
-  bool stale = false;
 };
 
 struct WorkerStats {
   std::vector<double> latencies_seconds;
   std::vector<FabricSample> fabric_samples;
+  /// The first fabric answer's schedule JSON; every later one must
+  /// equal it.
+  std::string first_fabric_json;
   std::int64_t served = 0;
   std::int64_t fabric_served = 0;
-  std::int64_t stale_served = 0;
   std::int64_t integrity_failures = 0;
   std::int64_t dropped = 0;
   std::int64_t transport_errors = 0;
@@ -117,7 +120,7 @@ int main(int argc, char** argv) {
   CliParser cli(
       "aapc_churn: open-loop zipfian load against an in-process aapc_netd\n"
       "server while live churn events degrade and restore a fabric trunk;\n"
-      "gates availability, schedule integrity, and the staleness window.");
+      "gates availability, schedule integrity, and the epoch window.");
   cli.add_flag("connections", "concurrent TCP connections", "8");
   cli.add_flag("rps", "aggregate offered arrival rate (requests/s)", "300");
   cli.add_flag("duration", "seconds of offered load", "3");
@@ -130,7 +133,7 @@ int main(int argc, char** argv) {
   cli.add_flag("verify",
                "check every fabric schedule contention-free", "true");
   cli.add_flag("staleness-slo-ms",
-               "max ms from a churn ack to the first fresh response",
+               "max ms from a churn ack to the first answer at its epoch",
                "1500");
   cli.add_flag("slo-p99-ms", "exit 4 unless p99 <= this (0 = no gate)", "0");
   cli.add_flag("metrics-out",
@@ -228,11 +231,15 @@ int main(int argc, char** argv) {
           mine.latencies_seconds.push_back(
               std::chrono::duration<double>(Clock::now() - arrival).count());
           ++mine.served;
-          if (response.stale) ++mine.stale_served;
           if (on_fabric) {
             ++mine.fabric_served;
-            mine.fabric_samples.push_back(FabricSample{
-                since_start(), response.epoch, response.stale});
+            mine.fabric_samples.push_back(
+                FabricSample{since_start(), response.epoch});
+            if (mine.first_fabric_json.empty()) {
+              mine.first_fabric_json = response.schedule_json;
+            } else if (response.schedule_json != mine.first_fabric_json) {
+              ++mine.integrity_failures;
+            }
             if (verify) {
               try {
                 const core::Schedule schedule = core::schedule_from_json(
@@ -255,7 +262,7 @@ int main(int argc, char** argv) {
 
   // The churn timeline, on its own control connection. Ack receipt is
   // the earliest instant a client could observe the new epoch, so the
-  // staleness window is measured from it.
+  // epoch window is measured from it.
   double degrade_ack_at = -1, restore_ack_at = -1;
   std::uint64_t degrade_epoch = 0, restore_epoch = 0;
   std::string churn_error;
@@ -289,14 +296,21 @@ int main(int argc, char** argv) {
   WorkerStats total;
   std::vector<double> latencies;
   std::vector<FabricSample> samples;
+  const std::string* first_json = nullptr;
   for (const WorkerStats& s : stats) {
+    if (!s.first_fabric_json.empty()) {
+      if (first_json == nullptr) {
+        first_json = &s.first_fabric_json;
+      } else if (s.first_fabric_json != *first_json) {
+        ++total.integrity_failures;
+      }
+    }
     latencies.insert(latencies.end(), s.latencies_seconds.begin(),
                      s.latencies_seconds.end());
     samples.insert(samples.end(), s.fabric_samples.begin(),
                    s.fabric_samples.end());
     total.served += s.served;
     total.fabric_served += s.fabric_served;
-    total.stale_served += s.stale_served;
     total.integrity_failures += s.integrity_failures;
     total.dropped += s.dropped;
     total.transport_errors += s.transport_errors;
@@ -306,13 +320,13 @@ int main(int argc, char** argv) {
   const double p50_ms = quantile_sorted(latencies, 0.50) * 1e3;
   const double p99_ms = quantile_sorted(latencies, 0.99) * 1e3;
 
-  // Staleness window per churn event: ack to the first fresh (stale ==
-  // false) fabric response at or above the acked epoch. -1 = never.
+  // Epoch window per churn event: ack to the first fabric response at
+  // or above the acked epoch. -1 = never.
   const auto window_ms = [&samples](double ack_at, std::uint64_t epoch) {
     if (ack_at < 0) return -1.0;
     double first = -1;
     for (const FabricSample& s : samples) {
-      if (s.at_seconds >= ack_at && !s.stale && s.epoch >= epoch &&
+      if (s.at_seconds >= ack_at && s.epoch >= epoch &&
           (first < 0 || s.at_seconds < first)) {
         first = s.at_seconds;
       }
@@ -327,7 +341,6 @@ int main(int argc, char** argv) {
             << ",\"duration_s\":" << elapsed
             << ",\"served\":" << total.served
             << ",\"fabric_served\":" << total.fabric_served
-            << ",\"stale_served\":" << total.stale_served
             << ",\"p50_ms\":" << p50_ms << ",\"p99_ms\":" << p99_ms
             << ",\"degrade_staleness_ms\":" << degrade_window_ms
             << ",\"restore_staleness_ms\":" << restore_window_ms
@@ -406,7 +419,8 @@ int main(int argc, char** argv) {
 
   if (total.integrity_failures > 0) {
     std::cerr << "FAIL: " << total.integrity_failures
-              << " served schedules were not contention-free\n";
+              << " served schedules were not contention-free or differed "
+                 "from the first fabric answer\n";
     return 1;
   }
   if (total.served == 0 || total.dropped > 0 || total.transport_errors > 0 ||
@@ -419,14 +433,9 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
-  if (total.stale_served == 0) {
-    std::cerr << "FAIL: the stale-while-revalidate path never served — "
-                 "churn did not land in the request window\n";
-    return 3;
-  }
   for (const double window : {degrade_window_ms, restore_window_ms}) {
     if (window < 0 || window > staleness_slo_ms) {
-      std::cerr << "FAIL: staleness window "
+      std::cerr << "FAIL: epoch window "
                 << (window < 0 ? std::string("unbounded")
                                : std::to_string(window) + " ms")
                 << " against the " << staleness_slo_ms << " ms SLO\n";

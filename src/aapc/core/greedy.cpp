@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "aapc/common/error.hpp"
-#include "aapc/core/weighted.hpp"
 
 namespace aapc::core {
 
@@ -82,37 +81,27 @@ Pattern neighbor_exchange_pattern(const topology::Topology& topo,
 }
 
 Schedule greedy_schedule(const topology::Topology& topo,
-                         const Pattern& pattern,
-                         const LinkRates& link_rate) {
+                         const Pattern& pattern) {
   AAPC_REQUIRE(topo.finalized(), "topology must be finalized");
-  if (!link_rate.empty()) require_link_rates(topo, link_rate);
   const std::int32_t machines = topo.machine_count();
 
-  // Precompute paths and slownesses, and validate.
+  // Precompute paths, and validate.
   std::vector<std::vector<topology::EdgeId>> paths;
-  std::vector<double> slowness(pattern.size(), 1.0);
   paths.reserve(pattern.size());
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    const Message& m = pattern[i];
+  for (const Message& m : pattern) {
     AAPC_REQUIRE(m.src >= 0 && m.src < machines && m.dst >= 0 &&
                      m.dst < machines,
                  "message rank out of range");
     AAPC_REQUIRE(m.src != m.dst, "self message " << m.src << "->" << m.dst);
     paths.push_back(
         topo.path(topo.machine_node(m.src), topo.machine_node(m.dst)));
-    if (!link_rate.empty()) {
-      slowness[i] = path_slowness(paths.back(), link_rate);
-    }
   }
 
-  // Placement order: slowest, then longest path, then input order.
+  // Placement order: longest path first, then input order.
   std::vector<std::size_t> order(pattern.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     if (slowness[a] != slowness[b]) {
-                       return slowness[a] > slowness[b];
-                     }
                      return paths[a].size() > paths[b].size();
                    });
 

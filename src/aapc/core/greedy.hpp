@@ -5,8 +5,8 @@
 // exchanges (the paper's related work cites Liu/Wang/Prasanna for
 // those). This module provides the natural baseline: greedy first-fit
 // phase assignment for any set of point-to-point messages on a tree.
-// It is the repository's one first-fit: irregular collectives, fault
-// repair and the weighted scheduler (core/weighted.hpp) all call it.
+// It is the repository's one first-fit: irregular collectives and fault
+// repair both call it.
 //
 // Guarantees:
 //  * phases are contention-free (first-fit never places two messages
@@ -33,26 +33,13 @@ using Pattern = std::vector<Message>;
 std::int64_t pattern_load(const topology::Topology& topo,
                           const Pattern& pattern);
 
-/// Relative capacity per physical link, in (0, 1] with 1 = nominal
-/// (the shape faults::link_factors_at produces). A non-empty vector
-/// must have one entry per topo.link_count(), every entry > 0 — a down
-/// link cannot carry a schedule, re-elect the tree first
-/// (faults::elect_residual).
-using LinkRates = std::vector<double>;
-
 /// First-fit greedy scheduling of `pattern`: each message goes into the
 /// first phase where every directed edge on its path is free. Messages
-/// are placed slowest first (slowness = 1 / min rate on the path,
-/// core/weighted.hpp), then longest path first, then in input order.
-/// An empty `link_rate` means nominal rates, where the order is simply
-/// longest path first. Because placement order is monotone in
-/// slowness, every phase is opened by the slowest message it will ever
-/// hold, which packs the traffic of degraded links into shared slow
-/// phases. Self-messages are rejected. The result passes
-/// core::verify_schedule with require_optimal_phase_count = false.
+/// are placed longest path first, then in input order. Self-messages
+/// are rejected. The result passes core::verify_schedule with
+/// require_optimal_phase_count = false.
 Schedule greedy_schedule(const topology::Topology& topo,
-                         const Pattern& pattern,
-                         const LinkRates& link_rate = {});
+                         const Pattern& pattern);
 
 /// The full AAPC pattern on `topo` (all ordered machine pairs), the
 /// input that makes greedy_schedule comparable with

@@ -901,7 +901,6 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
     response.request_id = request.request_id;
     response.cache_hit = served.cache_hit;
     response.coalesced = served.coalesced;
-    response.stale = served.stale;
     response.epoch = served.epoch;
     response.canonical_hash = canon.hash;
     response.schedule_json = core::schedule_to_json(

@@ -124,10 +124,8 @@ struct ResponseFrame {
   std::uint64_t request_id = 0;
   bool cache_hit = false;
   bool coalesced = false;
-  /// The artifact predates the last topology event on its links: it is
-  /// the schedule the service already held, served stale-while-
-  /// revalidate; a follow-up request returns the recompiled schedule
-  /// once the background refresh lands (docs/SERVICE.md §churn).
+  /// Kept in the v2 layout; the server always writes 0, since link
+  /// events mark no cached answer (docs/SERVICE.md "Topology churn").
   bool stale = false;
   /// Kept in the v3 layout; the server, which has one backend service,
   /// always writes 0.
@@ -174,7 +172,7 @@ struct ChurnAckFrame {
   std::uint64_t request_id = 0;
   /// Topology epoch after the event.
   std::uint64_t epoch = 0;
-  /// Cache entries the event invalidated.
+  /// Bound topologies routed over the event's link.
   std::uint64_t invalidated = 0;
   /// The event changed the elected spanning tree (the serving topology
   /// was re-bound to the new canonical hash).

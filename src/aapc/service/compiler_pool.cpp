@@ -9,12 +9,8 @@
 
 namespace aapc::service {
 
-CompilerPool::CompilerPool(std::int32_t threads, std::int32_t queue_capacity,
-                           std::int32_t background_capacity)
-    : queue_capacity_(static_cast<std::size_t>(std::max(queue_capacity, 1))),
-      background_capacity_(static_cast<std::size_t>(
-          background_capacity < 0 ? std::max(queue_capacity, 1)
-                                  : std::max(background_capacity, 1))) {
+CompilerPool::CompilerPool(std::int32_t threads, std::int32_t queue_capacity)
+    : queue_capacity_(static_cast<std::size_t>(std::max(queue_capacity, 1))) {
   AAPC_REQUIRE(threads >= 1, "compiler pool needs >= 1 thread");
   AAPC_REQUIRE(queue_capacity >= 1, "compiler pool queue capacity must be >= 1");
   workers_.reserve(static_cast<std::size_t>(threads));
@@ -49,20 +45,6 @@ void CompilerPool::submit(std::function<void()> task) {
         peak_queue_depth_, static_cast<std::int64_t>(queue_.size()));
   }
   work_available_.notify_one();
-}
-
-bool CompilerPool::try_submit_background(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (shutting_down_ || background_queue_.size() >= background_capacity_) {
-      ++background_rejected_;
-      return false;
-    }
-    background_queue_.push_back(std::move(task));
-    ++background_submitted_;
-  }
-  work_available_.notify_one();
-  return true;
 }
 
 void CompilerPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
@@ -127,35 +109,20 @@ void CompilerPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
 void CompilerPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
-    bool background = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock, [this] {
-        return shutting_down_ || !queue_.empty() || !background_queue_.empty();
-      });
-      // Strict priority: the background lane is only consulted when the
-      // foreground queue is empty.
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      } else if (!background_queue_.empty()) {
-        task = std::move(background_queue_.front());
-        background_queue_.pop_front();
-        background = true;
-      } else {
-        return;  // shutting down with nothing pending
-      }
+      work_available_.wait(
+          lock, [this] { return shutting_down_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // shutting down with nothing pending
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++busy_;
     }
     task();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       --busy_;
-      if (background) {
-        ++background_executed_;
-      } else {
-        ++executed_;
-      }
+      ++executed_;
     }
   }
 }
@@ -168,11 +135,6 @@ CompilerPool::Stats CompilerPool::stats() const {
   stats.rejected = rejected_;
   stats.queue_depth = static_cast<std::int64_t>(queue_.size());
   stats.peak_queue_depth = peak_queue_depth_;
-  stats.background_submitted = background_submitted_;
-  stats.background_executed = background_executed_;
-  stats.background_rejected = background_rejected_;
-  stats.background_queue_depth =
-      static_cast<std::int64_t>(background_queue_.size());
   return stats;
 }
 

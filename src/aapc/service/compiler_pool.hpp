@@ -35,17 +35,11 @@ class CompilerPool {
     std::int64_t rejected = 0;
     std::int64_t queue_depth = 0;       // current
     std::int64_t peak_queue_depth = 0;
-    std::int64_t background_submitted = 0;
-    std::int64_t background_executed = 0;
-    std::int64_t background_rejected = 0;
-    std::int64_t background_queue_depth = 0;  // current
   };
 
-  /// Starts `threads` workers. At most `queue_capacity` foreground tasks
-  /// may wait beyond the ones currently executing; the background lane
-  /// holds at most `background_capacity` (< 0 reuses `queue_capacity`).
-  CompilerPool(std::int32_t threads, std::int32_t queue_capacity,
-               std::int32_t background_capacity = -1);
+  /// Starts `threads` workers. At most `queue_capacity` tasks may wait
+  /// beyond the ones currently executing.
+  CompilerPool(std::int32_t threads, std::int32_t queue_capacity);
 
   /// Drains nothing: pending tasks are completed, then workers join.
   ~CompilerPool();
@@ -57,15 +51,6 @@ class CompilerPool {
   /// throw (wrap compilation in a promise and store exceptions there).
   /// Throws PoolSaturated when the queue is at capacity.
   void submit(std::function<void()> task);
-
-  /// Enqueues `task` on the background lane: workers drain the
-  /// foreground queue first, so background work (cache revalidation
-  /// after topology churn) never delays a foreground miss, and a full
-  /// background lane never consumes foreground queue capacity. Returns
-  /// false (dropping the task) when the lane is full or the pool is
-  /// shutting down — background work is best-effort by contract; the
-  /// caller re-schedules on the next stale hit.
-  bool try_submit_background(std::function<void()> task);
 
   /// Runs every task in `tasks` and returns when all have finished.
   /// The calling thread participates: it pulls tasks from a shared
@@ -88,20 +73,15 @@ class CompilerPool {
   void worker_loop();
 
   const std::size_t queue_capacity_;
-  const std::size_t background_capacity_;
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;
-  std::deque<std::function<void()>> background_queue_;
   bool shutting_down_ = false;
   std::size_t busy_ = 0;  // workers running a task
   std::int64_t submitted_ = 0;
   std::int64_t executed_ = 0;
   std::int64_t rejected_ = 0;
   std::int64_t peak_queue_depth_ = 0;
-  std::int64_t background_submitted_ = 0;
-  std::int64_t background_executed_ = 0;
-  std::int64_t background_rejected_ = 0;
   std::vector<std::thread> workers_;
 };
 

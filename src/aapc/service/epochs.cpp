@@ -1,15 +1,23 @@
 #include "aapc/service/epochs.hpp"
 
-#include <algorithm>
-
 #include "aapc/common/error.hpp"
 
 namespace aapc::service {
 
 namespace {
 
-double clamp_factor(double factor) {
-  return std::min(1.0, std::max(TopologyEpochs::kMinRate, factor));
+/// Removes `hash` from the reverse index of every link in `links`.
+void erase_reverse(
+    std::unordered_map<std::int32_t, std::unordered_set<std::uint64_t>>&
+        reverse,
+    std::uint64_t hash, const std::vector<std::int32_t>& links) {
+  for (const std::int32_t link : links) {
+    const auto rev = reverse.find(link);
+    if (rev != reverse.end()) {
+      rev->second.erase(hash);
+      if (rev->second.empty()) reverse.erase(rev);
+    }
+  }
 }
 
 }  // namespace
@@ -18,6 +26,8 @@ void TopologyEpochs::bind(std::uint64_t hash,
                           const std::vector<LinkBinding>& links,
                           std::int32_t canonical_link_count) {
   AAPC_REQUIRE(canonical_link_count >= 0, "negative canonical link count");
+  std::vector<std::int32_t> physical;
+  physical.reserve(links.size());
   for (const LinkBinding& b : links) {
     AAPC_REQUIRE(b.physical_link >= 0,
                  "binding with negative physical link " << b.physical_link);
@@ -26,44 +36,20 @@ void TopologyEpochs::bind(std::uint64_t hash,
                  "canonical link " << b.canonical_link
                                    << " out of range (count "
                                    << canonical_link_count << ")");
+    physical.push_back(b.physical_link);
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto old = bindings_.find(hash);
-  if (old != bindings_.end()) {
-    for (const LinkBinding& b : old->second.links) {
-      const auto rev = reverse_.find(b.physical_link);
-      if (rev != reverse_.end()) {
-        rev->second.erase(hash);
-        if (rev->second.empty()) reverse_.erase(rev);
-      }
-    }
-  }
-  Binding binding;
-  binding.links = links;
-  binding.rates.assign(static_cast<std::size_t>(canonical_link_count), 1.0);
-  for (const LinkBinding& b : links) {
-    const auto factor = link_factor_.find(b.physical_link);
-    if (factor != link_factor_.end()) {
-      binding.rates[static_cast<std::size_t>(b.canonical_link)] =
-          factor->second;
-      binding.degraded = true;
-    }
-    reverse_[b.physical_link].insert(hash);
-  }
-  bindings_[hash] = std::move(binding);
+  if (old != bindings_.end()) erase_reverse(reverse_, hash, old->second);
+  for (const std::int32_t link : physical) reverse_[link].insert(hash);
+  bindings_[hash] = std::move(physical);
 }
 
 void TopologyEpochs::unbind(std::uint64_t hash) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = bindings_.find(hash);
   if (it == bindings_.end()) return;
-  for (const LinkBinding& b : it->second.links) {
-    const auto rev = reverse_.find(b.physical_link);
-    if (rev != reverse_.end()) {
-      rev->second.erase(hash);
-      if (rev->second.empty()) reverse_.erase(rev);
-    }
-  }
+  erase_reverse(reverse_, hash, it->second);
   bindings_.erase(it);
 }
 
@@ -72,30 +58,13 @@ TopologyEpochs::EventResult TopologyEpochs::link_event(
   AAPC_REQUIRE(physical_link >= 0,
                "negative physical link " << physical_link);
   AAPC_REQUIRE(factor >= 0, "negative rate factor " << factor);
-  const double rate = clamp_factor(factor);
   const std::lock_guard<std::mutex> lock(mutex_);
   EventResult result;
   result.epoch = ++epoch_;
   ++link_events_;
-  if (rate >= 1.0) {
-    link_factor_.erase(physical_link);
-  } else {
-    link_factor_[physical_link] = rate;
-  }
   const auto rev = reverse_.find(physical_link);
   if (rev != reverse_.end()) {
-    for (const std::uint64_t hash : rev->second) {
-      invalidated_[hash] = epoch_;
-      ++result.invalidated;
-      Binding& binding = bindings_.at(hash);
-      binding.degraded = false;
-      for (const LinkBinding& b : binding.links) {
-        const auto f = link_factor_.find(b.physical_link);
-        binding.rates[static_cast<std::size_t>(b.canonical_link)] =
-            f != link_factor_.end() ? f->second : 1.0;
-        if (f != link_factor_.end()) binding.degraded = true;
-      }
-    }
+    result.invalidated = static_cast<std::int64_t>(rev->second.size());
   }
   invalidations_ += result.invalidated;
   return result;
@@ -104,25 +73,6 @@ TopologyEpochs::EventResult TopologyEpochs::link_event(
 std::uint64_t TopologyEpochs::epoch() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return epoch_;
-}
-
-std::uint64_t TopologyEpochs::invalidated_at(std::uint64_t hash) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = invalidated_.find(hash);
-  return it != invalidated_.end() ? it->second : 0;
-}
-
-TopologyEpochs::View TopologyEpochs::view(std::uint64_t hash) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  View view;
-  view.epoch = epoch_;
-  const auto stamp = invalidated_.find(hash);
-  if (stamp != invalidated_.end()) view.invalidated_at = stamp->second;
-  const auto binding = bindings_.find(hash);
-  if (binding != bindings_.end() && binding->second.degraded) {
-    view.rates = binding->second.rates;
-  }
-  return view;
 }
 
 TopologyEpochs::Stats TopologyEpochs::stats() const {

@@ -1,29 +1,17 @@
 // Topology-epoch feed: live link churn for the serving path.
 //
-// The schedule cache keys entries by *canonical* topology identity, so a
-// physical link event (degrade, failure, repair) must be translated into
-// "which cached canonical artifacts does this invalidate, and at what
-// rates should they be recompiled". TopologyEpochs is that translation
-// layer:
-//
-//   - The front-end (netd) *binds* each canonical hash it serves to the
-//     physical links the elected tree uses, carrying the link
-//     permutation canonicalize() computes (link_to_canonical). This
-//     builds a physical-link -> canonical-hash reverse index.
-//   - A link event bumps a global epoch and stamps exactly the bound
-//     hashes that use the link with that epoch (their invalidation
-//     epoch). Hashes on untouched links are not stamped; their cache
-//     entries survive verbatim.
-//   - Invalidation is *lazy*: nothing is evicted here. The service
-//     compares a cached entry's compile epoch against invalidated_at()
-//     on every hit — an older entry is served stale-while-revalidate
-//     (see service.hpp), so availability never drops on churn.
-//
-// Rates: every event records the link's residual rate (relative, 1.0 =
-// nominal). bind() seeds a new binding from the current physical rates,
-// so a hash bound *after* a degrade still sees the degraded world. The
-// per-binding rate vector lives in canonical link ids — exactly the
-// space the weighted scheduler (core/weighted.hpp) consumes.
+// The front-end (netd) binds each canonical hash it serves to the
+// physical links its elected tree uses. A link event (degrade, failure,
+// repair) bumps a global epoch and counts the bound hashes routed over
+// the link. Nothing is evicted and nothing recompiles: an answer depends
+// only on the request, never on link rates. On the fabrics the wire
+// serves, each trunk of the paper schedule is idle, carries one message
+// in every phase, or carries its up and down messages in the same
+// phases, so a slower trunk slows the held schedule no more than the
+// load bound at the new rates forces on any schedule (pinned by
+// BottleneckTrafficTest in schedule_property_test). An event that moves
+// the tree rebinds a new canonical hash, which keys its own entries
+// (docs/SERVICE.md "Topology churn: epochs").
 #pragma once
 
 #include <cstdint>
@@ -32,7 +20,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "aapc/core/weighted.hpp"
 #include "aapc/topology/topology.hpp"
 
 namespace aapc::service {
@@ -48,25 +35,11 @@ class TopologyEpochs {
     topology::LinkId canonical_link = -1;
   };
 
-  /// Atomic snapshot of one hash's churn state.
-  struct View {
-    /// Global epoch at snapshot time (stamped into responses).
-    std::uint64_t epoch = 0;
-    /// Epoch of the last event touching a link this hash is bound to;
-    /// 0 = never invalidated. A cached entry is fresh iff its compile
-    /// epoch is >= this.
-    std::uint64_t invalidated_at = 0;
-    /// Residual rates per canonical link, (0, 1]. Empty when the hash
-    /// is unbound or every bound link is at nominal rate — callers then
-    /// compile rate-blind.
-    core::LinkRates rates;
-  };
-
   struct EventResult {
     /// Epoch after this event's bump.
     std::uint64_t epoch = 0;
-    /// Bound hashes whose artifacts this event invalidated (exact: one
-    /// per bound hash using the link, zero for everything else).
+    /// Bound hashes routed over the event's link (exact: one per bound
+    /// hash using the link, zero for everything else).
     std::int64_t invalidated = 0;
   };
 
@@ -77,51 +50,31 @@ class TopologyEpochs {
     std::int64_t bound_topologies = 0;
   };
 
-  /// Rates below this clamp (a "down" link still bound, e.g. between
-  /// the event and the re-election that routes around it) so the
-  /// weighted scheduler's positivity requirement holds.
-  static constexpr double kMinRate = 1e-6;
-
   /// Declares that artifacts cached under `hash` route over `links`.
-  /// `canonical_link_count` sizes the rate vector (the canonical
-  /// topology's link count). Rebinding replaces the previous binding;
-  /// rates are seeded from the current physical link factors.
+  /// Each canonical link must lie in [0, canonical_link_count).
+  /// Rebinding replaces the previous binding.
   void bind(std::uint64_t hash, const std::vector<LinkBinding>& links,
             std::int32_t canonical_link_count);
 
-  /// Drops `hash` from the feed (its entries become permanently fresh
-  /// again only if never invalidated; the stamp survives unbinding).
+  /// Drops `hash` from the feed.
   void unbind(std::uint64_t hash);
 
   /// A physical link changed rate: `factor` is the residual relative
-  /// rate (1.0 restores nominal, 0 means down — clamped to kMinRate).
-  /// Bumps the epoch and invalidates exactly the hashes bound to
+  /// rate (1.0 restores nominal, 0 means down) and must not be
+  /// negative. Bumps the epoch and counts the hashes bound to
   /// `physical_link`.
   EventResult link_event(std::int32_t physical_link, double factor);
 
   std::uint64_t epoch() const;
-  /// 0 when `hash` was never invalidated.
-  std::uint64_t invalidated_at(std::uint64_t hash) const;
-  View view(std::uint64_t hash) const;
   Stats stats() const;
 
  private:
-  struct Binding {
-    std::vector<LinkBinding> links;
-    core::LinkRates rates;  // canonical link space
-    bool degraded = false;  // any rate below nominal
-  };
-
   mutable std::mutex mutex_;
   std::uint64_t epoch_ = 0;
   std::int64_t link_events_ = 0;
   std::int64_t invalidations_ = 0;
-  /// Current residual factor per physical link; absent = nominal.
-  std::unordered_map<std::int32_t, double> link_factor_;
-  std::unordered_map<std::uint64_t, Binding> bindings_;
-  /// Last event epoch per hash — kept outside bindings_ so the stamp
-  /// survives a re-election's unbind/rebind cycle.
-  std::unordered_map<std::uint64_t, std::uint64_t> invalidated_;
+  /// hash -> the physical links it is bound over.
+  std::unordered_map<std::uint64_t, std::vector<std::int32_t>> bindings_;
   /// physical link -> hashes bound over it (the reverse index).
   std::unordered_map<std::int32_t, std::unordered_set<std::uint64_t>> reverse_;
 };

@@ -39,8 +39,8 @@ void ScheduleCache::put(const CacheKey& key, CompiledEntryPtr entry) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    // Replace in place (a revalidation publishes a fresh entry under a
-    // key the cache already holds); keep MRU position.
+    // Replace in place (a second put of a key the cache already holds);
+    // keep MRU position.
     bytes_ += entry->footprint_bytes - it->second->second->footprint_bytes;
     it->second->second = std::move(entry);
     lru_.splice(lru_.begin(), lru_, it->second);

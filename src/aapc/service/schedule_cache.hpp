@@ -24,7 +24,6 @@
 #include "aapc/common/units.hpp"
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/schedule.hpp"
-#include "aapc/core/weighted.hpp"
 #include "aapc/mpisim/program.hpp"
 #include "aapc/topology/topology.hpp"
 
@@ -82,15 +81,6 @@ struct CompiledEntry {
   mpisim::ProgramSet programs;
   /// Representative message size of the entry's size class.
   Bytes class_bytes = 0;
-  /// Topology epoch (service/epochs.hpp) the entry was compiled
-  /// against. The service treats the entry as fresh iff this is >=
-  /// the hash's invalidation epoch; entries compiled before churn was
-  /// introduced (or for never-bound topologies) carry 0 and stay fresh
-  /// forever unless their links take an event.
-  std::uint64_t epoch = 0;
-  /// Residual link rates (canonical link space) the schedule was built
-  /// for; empty when compiled rate-blind at nominal rates.
-  core::LinkRates link_rates;
   /// The collective the entry realizes (mirrors schedule.kind; also
   /// compared on hits so a key collision across kinds is a miss).
   core::CollectiveKind kind = core::CollectiveKind::kAlltoall;
@@ -109,8 +99,7 @@ std::int64_t measure_footprint(const CompiledEntry& entry);
 
 using CompiledEntryPtr = std::shared_ptr<const CompiledEntry>;
 
-/// Cache counters. Hits and misses are the service's to count (a hit
-/// there also checks freshness).
+/// Cache counters. Hits and misses are the service's to count.
 struct CacheStats {
   std::int64_t insertions = 0;
   std::int64_t evictions = 0;

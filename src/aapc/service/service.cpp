@@ -9,7 +9,6 @@
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
-#include "aapc/core/weighted.hpp"
 #include "aapc/lowering/lower.hpp"
 #include "aapc/sync/sync_plan.hpp"
 
@@ -98,21 +97,7 @@ ScheduleService::ScheduleService(const ServiceOptions& options)
       compile_ranks_(registry_.gauge(
           "aapc_service_compile_ranks",
           "Machine count of the most recently compiled topology")),
-      stale_hits_(registry_.counter(
-          "aapc_service_stale_hits_total",
-          "Cache hits on entries invalidated by a topology event, served "
-          "stale-while-revalidate")),
-      revalidations_(registry_.counter(
-          "aapc_service_revalidations_total",
-          "Background recompilations that refreshed an invalidated entry")),
-      revalidation_failures_(registry_.counter(
-          "aapc_service_revalidation_failures_total",
-          "Background recompilations that threw instead of publishing")),
-      revalidation_seconds_(registry_.histogram(
-          "aapc_service_revalidation_seconds",
-          "Background revalidation latency (weighted recompilation)")),
-      pool_(options.compiler_threads, options.queue_capacity,
-            options.background_queue_capacity) {
+      pool_(options.compiler_threads, options.queue_capacity) {
   for (std::uint8_t raw = 0; core::collective_kind_valid(raw); ++raw) {
     requests_[raw] = &registry_.counter(
         "aapc_service_requests_total", "Compile requests received",
@@ -140,30 +125,16 @@ CacheKey ScheduleService::cache_key(
 
 CompiledEntryPtr ScheduleService::compile_entry(
     const std::string& canonical_form, Bytes class_bytes,
-    const TopologyEpochs::View& view, core::CollectiveKind kind,
-    const core::SparseNeighbors& neighbors) {
+    core::CollectiveKind kind, const core::SparseNeighbors& neighbors) {
   const Clock::time_point start = Clock::now();
   auto entry = std::make_shared<CompiledEntry>();
   entry->canonical_form = canonical_form;
   entry->canonical_topo = build_canonical_topology(canonical_form);
   entry->class_bytes = class_bytes;
-  entry->epoch = view.epoch;
   entry->kind = kind;
   entry->neighbors = neighbors;
   const topology::Topology& topo = entry->canonical_topo;
   compile_ranks_.set(static_cast<double>(topo.machine_count()));
-
-  // A degraded rate vector switches alltoall compilation to the
-  // weighted scheduler (core/weighted.hpp): the phase assignment
-  // minimizes the weighted bottleneck cost instead of the
-  // uniform-capacity phase count. Entries for topologies whose links
-  // are all nominal take the paper's pipeline unchanged. The ring
-  // pipelines are rate-independent by construction (every round
-  // crosses every ring edge once), so the other kinds never reroute.
-  const bool weighted =
-      kind == core::CollectiveKind::kAlltoall &&
-      static_cast<std::int32_t>(view.rates.size()) == topo.link_count() &&
-      !core::uniform_rates(view.rates);
 
   // Assignment and verification fan out to whatever pool workers are
   // idle; this thread participates, so saturation degrades to
@@ -178,9 +149,6 @@ CompiledEntryPtr ScheduleService::compile_entry(
     entry->schedule = core::build_reduce_scatter_schedule(topo);
   } else if (kind == core::CollectiveKind::kSparseAlltoall) {
     entry->schedule = core::build_sparse_alltoall_schedule(topo, neighbors);
-  } else if (weighted) {
-    entry->schedule = core::build_aapc_schedule_weighted(topo, view.rates);
-    entry->link_rates = view.rates;
   } else if (topo.machine_count() >= 3) {
     const core::Decomposition dec = core::decompose(topo);
     stage_decompose_seconds_.observe(seconds_since(stage));
@@ -196,12 +164,8 @@ CompiledEntryPtr ScheduleService::compile_entry(
 
   stage = Clock::now();
   if (kind == core::CollectiveKind::kAlltoall) {
-    // Weighted schedules trade extra phases for a lower weighted
-    // cost, so only contention-freeness and coverage apply.
-    core::VerifyOptions verify_options;
-    verify_options.require_optimal_phase_count = !weighted;
-    const core::VerifyReport report = core::verify_schedule(
-        topo, entry->schedule, verify_options, runner);
+    const core::VerifyReport report =
+        core::verify_schedule(topo, entry->schedule, {}, runner);
     AAPC_CHECK_MSG(report.ok, "compiled schedule failed verification:\n"
                                   << report.summary());
   } else {
@@ -238,52 +202,15 @@ CompiledEntryPtr ScheduleService::compile_entry(
   return entry;
 }
 
-void ScheduleService::schedule_revalidation(
-    const CacheKey& key, const std::string& canonical_form, Bytes class_bytes,
-    std::uint64_t hash, core::CollectiveKind kind,
-    const core::SparseNeighbors& neighbors) {
-  {
-    const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-    if (!revalidating_.insert(key).second) return;  // one per key
-  }
-  auto task = [this, key, canonical_form, class_bytes, hash, kind, neighbors] {
-    const Clock::time_point start = Clock::now();
-    try {
-      // Snapshot the epoch feed at compile start: if another event
-      // lands mid-compile, the published entry's epoch predates it and
-      // the next hit revalidates again.
-      const TopologyEpochs::View view = epochs_.view(hash);
-      CompiledEntryPtr entry =
-          compile_entry(canonical_form, class_bytes, view, kind, neighbors);
-      // Counted before the put publishes the entry: a reader that sees
-      // the fresh entry also sees the count (and the count's latency).
-      revalidation_seconds_.observe(seconds_since(start));
-      revalidations_.inc();
-      cache_.put(key, entry);
-    } catch (...) {
-      revalidation_failures_.inc();
-    }
-    const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-    revalidating_.erase(key);
-  };
-  if (!pool_.try_submit_background(std::move(task))) {
-    // Lane full: drop silently (pool counts it); the marker goes away
-    // so the next stale hit retries.
-    const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-    revalidating_.erase(key);
-  }
-}
-
 ServedEntry ScheduleService::finish(const Canonicalization& canon,
                                     CompiledEntryPtr entry, bool cache_hit,
-                                    bool coalesced, bool stale,
+                                    bool coalesced,
                                     std::uint64_t epoch) const {
   ServedEntry served;
   served.entry = std::move(entry);
   served.to_canonical = canon.to_canonical;
   served.cache_hit = cache_hit;
   served.coalesced = coalesced;
-  served.stale = stale;
   served.epoch = epoch;
   return served;
 }
@@ -379,25 +306,12 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
   requests_[static_cast<std::size_t>(kind)]->inc();
   const CacheKey key = cache_key(canon, msize, kind, canonical_neighbors);
   const Bytes class_bytes = size_class_bytes(key.size_class);
-  const TopologyEpochs::View view = epochs_.view(canon.hash);
+  const std::uint64_t epoch = epochs_.epoch();
 
-  // A cached entry that predates a topology event on its links is
-  // served as held, stamped stale, while a weighted recompilation
-  // refreshes the cache in the background. A rate-only event leaves the
-  // canonical tree unchanged, so the held schedule is still
-  // contention-free and peak-bound; a tree move rebinds to a new hash.
-  // Invalidation is this lazy check — nothing was evicted, and hashes
-  // on untouched links never take the stale branch.
   auto serve_hit = [&](CompiledEntryPtr entry) {
     cache_hits_.inc();
-    const bool stale = entry->epoch < view.invalidated_at;
-    if (stale) {
-      stale_hits_.inc();
-      schedule_revalidation(key, canon.canonical_form, class_bytes,
-                            canon.hash, kind, canonical_neighbors);
-    }
     return finish(canon, std::move(entry), /*cache_hit=*/true,
-                  /*coalesced=*/false, stale, view.epoch);
+                  /*coalesced=*/false, epoch);
   };
 
   if (CompiledEntryPtr entry =
@@ -442,11 +356,11 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
     // The task owns the promise: it publishes to the cache, resolves
     // every coalesced waiter, and removes the in-flight marker (in that
     // order, so a request arriving after removal finds the cache entry).
-    auto task = [this, key, form = canon.canonical_form, class_bytes, view,
-                 kind, canonical_neighbors, task_promise = promise]() {
+    auto task = [this, key, form = canon.canonical_form, class_bytes, kind,
+                 canonical_neighbors, task_promise = promise]() {
       try {
         CompiledEntryPtr entry =
-            compile_entry(form, class_bytes, view, kind, canonical_neighbors);
+            compile_entry(form, class_bytes, kind, canonical_neighbors);
         cache_.put(key, entry);
         task_promise->set_value(std::move(entry));
       } catch (...) {
@@ -487,11 +401,10 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
     hash_collisions_.inc();
     AAPC_WARN("canonical hash collision (hash "
               << canon.hash << "); compiling inline without caching");
-    entry = compile_entry(canon.canonical_form, class_bytes, view, kind,
+    entry = compile_entry(canon.canonical_form, class_bytes, kind,
                           canonical_neighbors);
   }
-  return finish(canon, std::move(entry), /*cache_hit=*/false, !leader,
-                /*stale=*/false, view.epoch);
+  return finish(canon, std::move(entry), /*cache_hit=*/false, !leader, epoch);
 }
 
 void ScheduleService::sync_mirrors() const {
@@ -518,14 +431,6 @@ void ScheduleService::sync_mirrors() const {
       .gauge("aapc_service_peak_queue_depth",
              "High-water mark of the compiler pool queue")
       .set_max(static_cast<double>(pool.peak_queue_depth));
-  registry_
-      .gauge("aapc_service_background_queue_depth",
-             "Revalidations queued on the background lane")
-      .set(static_cast<double>(pool.background_queue_depth));
-  registry_
-      .counter("aapc_service_revalidations_dropped_total",
-               "Revalidations dropped because the background lane was full")
-      .set_total(pool.background_rejected);
   const TopologyEpochs::Stats epochs = epochs_.stats();
   registry_
       .gauge("aapc_service_epoch",
@@ -537,8 +442,8 @@ void ScheduleService::sync_mirrors() const {
       .set_total(epochs.link_events);
   registry_
       .counter("aapc_service_invalidations_total",
-               "Cache invalidations stamped by link events (one per bound "
-               "topology per event on its links)")
+               "Bound topologies routed over an event's link, summed over "
+               "link events")
       .set_total(epochs.invalidations);
   registry_
       .gauge("aapc_service_bound_topologies",

@@ -33,7 +33,6 @@
 #include <future>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "aapc/common/error.hpp"
@@ -65,11 +64,6 @@ struct ServiceOptions {
   std::int32_t compiler_threads = 4;
   /// Queued (not yet executing) compilations before submit rejects.
   std::int32_t queue_capacity = 64;
-  /// Queued background revalidations (stale-while-revalidate refresh
-  /// after topology churn). A full lane drops the revalidation — the
-  /// next stale hit re-schedules it — and never consumes foreground
-  /// queue capacity.
-  std::int32_t background_queue_capacity = 16;
 };
 
 /// The canonical artifact that serves one request, with the permutation
@@ -84,9 +78,8 @@ struct ServedEntry {
   bool cache_hit = false;
   /// Waited on a compilation started by a concurrent request.
   bool coalesced = false;
-  /// The artifact predates the last topology event on its links: it is
-  /// the held entry, served as is while a weighted recompilation
-  /// refreshes the cache in the background.
+  /// Always false: link events mark no entry, so no answer is stale.
+  /// Kept for callers that read it; the wire's stale byte is always 0.
   bool stale = false;
   /// Global topology epoch at serve time (see service/epochs.hpp).
   std::uint64_t epoch = 0;
@@ -136,11 +129,11 @@ class ScheduleService {
                           core::CollectiveKind kind,
                           const core::SparseNeighbors& neighbors = {});
 
-  /// The request path under compile(): cache lookup, in-flight
-  /// coalescing or compilation, and the stale-while-revalidate check,
-  /// with the same throws. Returns the canonical entry and the caller's
-  /// permutation without rewriting the schedule; compile() adds that
-  /// rewrite for in-process callers that read CompiledRoutine::schedule.
+  /// The request path under compile(): cache lookup, then in-flight
+  /// coalescing or compilation, with the same throws. Returns the
+  /// canonical entry and the caller's permutation without rewriting the
+  /// schedule; compile() adds that rewrite for in-process callers that
+  /// read CompiledRoutine::schedule.
   ServedEntry lookup(const topology::Topology& topo, Bytes msize,
                      const Canonicalization& canon, core::CollectiveKind kind,
                      const core::SparseNeighbors& neighbors = {});
@@ -173,28 +166,18 @@ class ScheduleService {
                      core::CollectiveKind kind,
                      const core::SparseNeighbors& canonical_neighbors) const;
 
-  /// The topology-epoch feed driving cache invalidation. The front-end
-  /// binds canonical hashes to physical links here and forwards link
-  /// events; the service consults it on every request.
+  /// The topology-epoch feed. The front-end binds canonical hashes to
+  /// physical links here and forwards link events; every answer carries
+  /// the feed's epoch at lookup time.
   TopologyEpochs& epochs() { return epochs_; }
   const TopologyEpochs& epochs() const { return epochs_; }
 
  private:
   CompiledEntryPtr compile_entry(const std::string& canonical_form,
-                                 Bytes class_bytes,
-                                 const TopologyEpochs::View& view,
-                                 core::CollectiveKind kind,
+                                 Bytes class_bytes, core::CollectiveKind kind,
                                  const core::SparseNeighbors& neighbors);
-  /// Enqueues one background weighted recompilation for `key` (no-op
-  /// when one is already pending — in-flight coalescing for the
-  /// revalidation path).
-  void schedule_revalidation(const CacheKey& key,
-                             const std::string& canonical_form,
-                             Bytes class_bytes, std::uint64_t hash,
-                             core::CollectiveKind kind,
-                             const core::SparseNeighbors& neighbors);
   ServedEntry finish(const Canonicalization& canon, CompiledEntryPtr entry,
-                     bool cache_hit, bool coalesced, bool stale,
+                     bool cache_hit, bool coalesced,
                      std::uint64_t epoch) const;
   double retry_after_hint() const;
   void record_compile_latency(double seconds);
@@ -208,12 +191,8 @@ class ScheduleService {
   std::unordered_map<CacheKey, std::shared_future<CompiledEntryPtr>,
                      CacheKeyHash>
       in_flight_;
-  /// Keys with a pending background revalidation (guarded by
-  /// in_flight_mutex_): at most one revalidation per key at a time.
-  std::unordered_set<CacheKey, CacheKeyHash> revalidating_;
 
-  /// Link-churn feed. Background revalidation tasks read it, so it is
-  /// declared before pool_ (destroyed after the pool joins).
+  /// Link-churn feed.
   TopologyEpochs epochs_;
 
   /// Source of truth for every aapc_service_* series. mutable: reads
@@ -226,8 +205,8 @@ class ScheduleService {
   /// constructor body (the registry hands out stable references).
   std::array<obs::Counter*, 4> requests_{};
   /// One of these two per request past validation, so hits + misses
-  /// equals requests: a hit found the key cached (fresh or stale), a
-  /// miss waited on a compilation (its own or a coalesced one).
+  /// equals requests: a hit found the key cached, a miss waited on a
+  /// compilation (its own or a coalesced one).
   obs::Counter& cache_hits_;
   obs::Counter& cache_misses_;
   obs::Counter& coalesced_waits_;
@@ -244,11 +223,6 @@ class ScheduleService {
   obs::Histogram& stage_sync_seconds_;
   obs::Histogram& stage_lower_seconds_;
   obs::Gauge& compile_ranks_;
-  /// Churn / stale-while-revalidate instrumentation.
-  obs::Counter& stale_hits_;
-  obs::Counter& revalidations_;
-  obs::Counter& revalidation_failures_;
-  obs::Histogram& revalidation_seconds_;
 
   /// Bounded ring of recent compile latencies (retry_after_hint's
   /// median). latency_ring_ holds at most kLatencyReservoirCapacity

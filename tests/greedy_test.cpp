@@ -10,7 +10,6 @@
 #include "aapc/core/greedy.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
-#include "aapc/core/weighted.hpp"
 #include "aapc/lowering/lower.hpp"
 #include "aapc/mpisim/executor.hpp"
 #include "aapc/trace/trace.hpp"
@@ -52,12 +51,9 @@ TEST(GreedyTest, SchedulesAreContentionFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden digests. greedy_schedule is the one first-fit: at nominal rates
-// it must place exactly as the longest-path-first greedy did, and at
-// degraded rates exactly as the slowest-first weighted greedy did. The
-// digests below come from the merged first-fit, which those two
-// functions' digests pinned to their placements, on the inputs the
-// greedy and weighted tests use.
+// Golden digests. greedy_schedule is the one first-fit: it must place
+// exactly as the longest-path-first greedy did, on the inputs the
+// greedy tests use.
 
 /// FNV-1a over the phase count and every (src, dst, phase) of the
 /// arena, in arena order; a message's phase is the one whose offsets
@@ -82,7 +78,6 @@ std::uint64_t digest(const Schedule& schedule) {
 struct FirstFitCase {
   Topology topo;
   Pattern pattern;
-  LinkRates rates;  // empty = nominal
 };
 
 /// The greedy tests' inputs: figure 1, the 20 random trees of
@@ -92,15 +87,15 @@ struct FirstFitCase {
 std::vector<FirstFitCase> nominal_cases() {
   std::vector<FirstFitCase> cases;
   const Topology figure1 = make_paper_figure1();
-  cases.push_back({figure1, aapc_pattern(figure1), {}});
+  cases.push_back({figure1, aapc_pattern(figure1)});
   Rng rng(77);
   for (int trial = 0; trial < 20; ++trial) {
     topology::RandomTreeOptions options;
     options.switches = static_cast<std::int32_t>(rng.next_in(1, 6));
     options.machines = static_cast<std::int32_t>(rng.next_in(3, 16));
     const Topology topo = topology::make_random_tree(rng, options);
-    cases.push_back({topo, aapc_pattern(topo), {}});
-    cases.push_back({topo, neighbor_exchange_pattern(topo, 2), {}});
+    cases.push_back({topo, aapc_pattern(topo)});
+    cases.push_back({topo, neighbor_exchange_pattern(topo, 2)});
   }
   const Topology chain33 = make_chain({3, 3});
   Pattern ring;
@@ -108,10 +103,9 @@ std::vector<FirstFitCase> nominal_cases() {
     ring.push_back(Message{r, static_cast<Rank>(r + 1)});
     ring.push_back(Message{static_cast<Rank>(r + 1), r});
   }
-  cases.push_back({chain33, ring, {}});
-  cases.push_back({make_single_switch(3),
-                   {Message{0, 1}, Message{0, 1}, Message{0, 1}},
-                   {}});
+  cases.push_back({chain33, ring});
+  cases.push_back(
+      {make_single_switch(3), {Message{0, 1}, Message{0, 1}, Message{0, 1}}});
   const Topology chain44 = make_chain({4, 4});
   Pattern random;
   Rng pairs(3);
@@ -120,62 +114,11 @@ std::vector<FirstFitCase> nominal_cases() {
     const auto dst = static_cast<Rank>(pairs.next_below(8));
     if (src != dst) random.push_back(Message{src, dst});
   }
-  cases.push_back({chain44, random, {}});
+  cases.push_back({chain44, random});
   const Topology single6 = make_single_switch(6);
-  cases.push_back({single6, scatter_pattern(single6, 2), {}});
-  cases.push_back({chain44, neighbor_exchange_pattern(chain44, 2), {}});
-  cases.push_back(
-      {make_single_switch(4), {Message{0, 1}, Message{2, 3}}, {}});
-  return cases;
-}
-
-/// The weighted tests' degraded-rate inputs, AAPC pattern throughout:
-/// the random trees and rates of
-/// SchedulesAreContentionFreeAndAboveTheWeightedBound and
-/// NeverCostsMoreThanSchedulingRateBlind, the two slow access links of
-/// GreedyAlignsSlowTrafficOfDegradedAccessLinks, and a half-rate trunk.
-std::vector<FirstFitCase> degraded_cases() {
-  std::vector<FirstFitCase> cases;
-  Rng bound_rng(4242);
-  for (int trial = 0; trial < 15; ++trial) {
-    topology::RandomTreeOptions options;
-    options.switches = static_cast<std::int32_t>(bound_rng.next_in(1, 5));
-    options.machines = static_cast<std::int32_t>(bound_rng.next_in(4, 14));
-    const Topology topo = topology::make_random_tree(bound_rng, options);
-    LinkRates rates(static_cast<std::size_t>(topo.link_count()), 1.0);
-    for (double& r : rates) {
-      const std::uint64_t pick = bound_rng.next_in(0, 3);
-      r = pick == 0 ? 0.25 : (pick == 1 ? 0.5 : 1.0);
-    }
-    cases.push_back({topo, aapc_pattern(topo), rates});
-  }
-  Rng blind_rng(99);
-  for (int trial = 0; trial < 15; ++trial) {
-    topology::RandomTreeOptions options;
-    options.switches = static_cast<std::int32_t>(blind_rng.next_in(1, 4));
-    options.machines = static_cast<std::int32_t>(blind_rng.next_in(4, 12));
-    const Topology topo = topology::make_random_tree(blind_rng, options);
-    LinkRates rates(static_cast<std::size_t>(topo.link_count()), 1.0);
-    for (double& r : rates) r = blind_rng.next_in(0, 2) == 0 ? 0.5 : 1.0;
-    cases.push_back({topo, aapc_pattern(topo), rates});
-  }
-  const Topology chain33 = make_chain({3, 3});
-  LinkRates access(static_cast<std::size_t>(chain33.link_count()), 1.0);
-  for (const Rank slow : {0, 3}) {
-    const topology::NodeId node = chain33.machine_node(slow);
-    access[static_cast<std::size_t>(chain33.edge_link(
-        chain33.edge_between(node, chain33.parent(node))))] = 0.25;
-  }
-  cases.push_back({chain33, aapc_pattern(chain33), access});
-  const Topology chain22 = make_chain({2, 2});
-  LinkRates trunk(static_cast<std::size_t>(chain22.link_count()), 1.0);
-  for (topology::LinkId l = 0; l < chain22.link_count(); ++l) {
-    const auto [a, b] = chain22.link_endpoints(l);
-    if (!chain22.is_machine(a) && !chain22.is_machine(b)) {
-      trunk[static_cast<std::size_t>(l)] = 0.5;
-    }
-  }
-  cases.push_back({chain22, aapc_pattern(chain22), trunk});
+  cases.push_back({single6, scatter_pattern(single6, 2)});
+  cases.push_back({chain44, neighbor_exchange_pattern(chain44, 2)});
+  cases.push_back({make_single_switch(4), {Message{0, 1}, Message{2, 3}}});
   return cases;
 }
 
@@ -184,7 +127,7 @@ void expect_digests(const std::vector<FirstFitCase>& cases,
   ASSERT_EQ(cases.size(), golden.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const FirstFitCase& c = cases[i];
-    const Schedule schedule = greedy_schedule(c.topo, c.pattern, c.rates);
+    const Schedule schedule = greedy_schedule(c.topo, c.pattern);
     EXPECT_EQ(digest(schedule), golden[i]) << "case " << i;
     EXPECT_TRUE(verify_schedule_pattern(c.topo, schedule, c.pattern, lax()).ok)
         << "case " << i;
@@ -210,31 +153,6 @@ TEST(FirstFitGoldenTest, NominalRatesPlaceLongestPathFirst) {
       0x34bb54b68819ce62ull, 0x1b97fda0fe1ef7adull, 0x4c9e434abcde908bull,
       0x2788e8667af51a61ull, 0xd03dddb4ebd5e2aeull,
   });
-}
-
-TEST(FirstFitGoldenTest, DegradedRatesPlaceSlowestFirst) {
-  expect_digests(degraded_cases(), {
-      0xd04114e2612db8a8ull, 0x5d5d9d8a4e301fe4ull, 0x3007844252c0d0bdull,
-      0xf1a203eb157013edull, 0x6e24edc1b715ec12ull, 0xa0e8ee66c8fa2342ull,
-      0x84709c5c400448eeull, 0xe76b6e70b304ffd6ull, 0xd11ec72c9c3fe2a0ull,
-      0x42608218d2da18a3ull, 0x28b5b5cd315975c8ull, 0xa34bf5aff4937221ull,
-      0xd8b8218ee25b1690ull, 0x5a2763e8b7298012ull, 0xc2def14893513ec5ull,
-      0x0c871f6cb3c89dc3ull, 0x25f0979f0769f1e9ull, 0xc1dd103ce81835e2ull,
-      0x59690ada2470613eull, 0x8af68b194189ba58ull, 0xb47e23db996f83efull,
-      0x035dfbed76803e43ull, 0x2a8252cb5a38efa8ull, 0xf10dabfd8d842e38ull,
-      0xb62e8246ba34a70bull, 0xaaa6310e1a0cd431ull, 0xe9948e73f36389b1ull,
-      0x7ba9f26624a9ffdcull, 0x0de30cc90d661902ull, 0xcce56a87626e264cull,
-      0xbcfb05ded509ffecull, 0x045e3a8dd5de7639ull,
-  });
-}
-
-TEST(FirstFitGoldenTest, EmptyRatesEqualNominalRates) {
-  for (const FirstFitCase& c : nominal_cases()) {
-    const LinkRates nominal(static_cast<std::size_t>(c.topo.link_count()),
-                            1.0);
-    EXPECT_EQ(digest(greedy_schedule(c.topo, c.pattern)),
-              digest(greedy_schedule(c.topo, c.pattern, nominal)));
-  }
 }
 
 TEST(GreedyTest, NeverBeatsTheOptimalSchedulerOnAapc) {

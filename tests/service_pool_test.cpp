@@ -93,32 +93,27 @@ TEST(CompilerPoolTest, ParallelismActuallyOverlaps) {
   EXPECT_EQ(finished.load(), 4);
 }
 
-TEST(CompilerPoolTest, BackgroundLaneRunsAfterEveryForegroundTask) {
-  // One worker parked on a latch; background tasks enqueued *before*
-  // the foreground ones must still execute after all of them — workers
-  // consult the background lane only when the foreground queue is empty.
+TEST(CompilerPoolTest, QueuedTasksRunInSubmissionOrder) {
+  // One worker parked on a latch while two tasks queue behind it: they
+  // must run first in, first out.
   std::mutex mutex;
   std::condition_variable cv;
   bool release = false;
   std::vector<int> order;
   std::mutex order_mutex;
-  std::atomic<int> done{0};
   auto record = [&](int tag) {
     return [&, tag] {
       const std::lock_guard<std::mutex> lock(order_mutex);
       order.push_back(tag);
-      done.fetch_add(1);
     };
   };
   {
-    CompilerPool pool(1, 8, 8);
+    CompilerPool pool(1, 8);
     pool.submit([&] {
       std::unique_lock<std::mutex> lock(mutex);
       cv.wait(lock, [&] { return release; });
     });
     while (pool.stats().queue_depth > 0) std::this_thread::yield();
-    EXPECT_TRUE(pool.try_submit_background(record(100)));
-    EXPECT_TRUE(pool.try_submit_background(record(101)));
     pool.submit(record(1));
     pool.submit(record(2));
     {
@@ -126,53 +121,10 @@ TEST(CompilerPoolTest, BackgroundLaneRunsAfterEveryForegroundTask) {
       release = true;
     }
     cv.notify_all();
-    // Wait on the pool's own counters, not on the tasks' `done`: a
-    // worker counts a task only after it returns, so `done` can reach 4
-    // while the last count is still pending.
-    CompilerPool::Stats stats = pool.stats();
-    while (stats.executed + stats.background_executed < 5) {
-      std::this_thread::yield();
-      stats = pool.stats();
-    }
-    EXPECT_EQ(done.load(), 4);
-    EXPECT_EQ(stats.background_submitted, 2);
-    EXPECT_EQ(stats.background_executed, 2);
-    EXPECT_EQ(stats.executed, 3);  // latch task + the two foreground tags
-  }
-  ASSERT_EQ(order.size(), 4u);
+  }  // destructor drains the queue and joins
+  ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(order[2], 100);
-  EXPECT_EQ(order[3], 101);
-}
-
-TEST(CompilerPoolTest, BackgroundLaneIsBoundedAndIndependent) {
-  // Background overflow drops (returns false) without consuming any
-  // foreground capacity, and a full foreground queue still rejects via
-  // PoolSaturated with the background lane untouched.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  CompilerPool pool(1, 2, 2);
-  pool.submit([&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return release; });
-  });
-  while (pool.stats().queue_depth > 0) std::this_thread::yield();
-  EXPECT_TRUE(pool.try_submit_background([] {}));
-  EXPECT_TRUE(pool.try_submit_background([] {}));
-  EXPECT_FALSE(pool.try_submit_background([] {}));  // lane full: dropped
-  EXPECT_EQ(pool.stats().background_rejected, 1);
-  // The foreground queue still has its full capacity.
-  pool.submit([] {});
-  pool.submit([] {});
-  EXPECT_THROW(pool.submit([] {}), PoolSaturated);
-  EXPECT_EQ(pool.stats().background_queue_depth, 2);
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
 }
 
 TEST(CompilerPoolTest, RunTasksRunsEveryTaskExactlyOnce) {
