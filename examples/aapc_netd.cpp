@@ -25,6 +25,7 @@
 // — at shutdown.
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include <thread>
 
 #include "aapc/common/cli.hpp"
+#include "aapc/common/error.hpp"
 #include "aapc/netd/server.hpp"
 #include "aapc/obs/exposition.hpp"
 #include "aapc/stp/stp.hpp"
@@ -77,24 +79,34 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Counts are read against the width of the field they land in, so an
+  // out-of-range value is an error instead of a truncated setting.
+  constexpr std::uint64_t kMaxCount = INT32_MAX;
   netd::ServerOptions options;
-  options.host = cli.get_or("host", "127.0.0.1");
-  options.port = static_cast<std::uint16_t>(cli.get_u64("port", 18211));
-  options.event_loops = static_cast<std::int32_t>(cli.get_u64("event-loops", 2));
-  options.dispatch_threads =
-      static_cast<std::int32_t>(cli.get_u64("dispatch-threads", 4));
-  options.dispatch_queue_capacity =
-      static_cast<std::int32_t>(cli.get_u64("dispatch-queue", 256));
-  options.admission.max_connections =
-      static_cast<std::int64_t>(cli.get_u64("max-connections", 4096));
-  options.admission.tenant_rate = cli.get_double("tenant-rate", 0);
-  options.admission.tenant_burst = cli.get_double("tenant-burst", 64);
-  options.service.cache_capacity = cli.get_u64("cache-capacity", 512);
-  options.service.compiler_threads =
-      static_cast<std::int32_t>(cli.get_u64("compiler-threads", 4));
-  options.service.queue_capacity =
-      static_cast<std::int32_t>(cli.get_u64("queue-capacity", 128));
-  options.drain_deadline_seconds = cli.get_double("drain-deadline", 10);
+  try {
+    options.host = cli.get_or("host", "127.0.0.1");
+    options.port =
+        static_cast<std::uint16_t>(cli.get_u64("port", 18211, UINT16_MAX));
+    options.event_loops =
+        static_cast<std::int32_t>(cli.get_u64("event-loops", 2, kMaxCount));
+    options.dispatch_threads = static_cast<std::int32_t>(
+        cli.get_u64("dispatch-threads", 4, kMaxCount));
+    options.dispatch_queue_capacity = static_cast<std::int32_t>(
+        cli.get_u64("dispatch-queue", 256, kMaxCount));
+    options.admission.max_connections = static_cast<std::int64_t>(
+        cli.get_u64("max-connections", 4096, INT64_MAX));
+    options.admission.tenant_rate = cli.get_double("tenant-rate", 0);
+    options.admission.tenant_burst = cli.get_double("tenant-burst", 64);
+    options.service.cache_capacity = cli.get_u64("cache-capacity", 512);
+    options.service.compiler_threads = static_cast<std::int32_t>(
+        cli.get_u64("compiler-threads", 4, kMaxCount));
+    options.service.queue_capacity = static_cast<std::int32_t>(
+        cli.get_u64("queue-capacity", 128, kMaxCount));
+    options.drain_deadline_seconds = cli.get_double("drain-deadline", 10);
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
   const double duration = cli.get_double("duration", 0);
 
   const std::int64_t fabric_switches =

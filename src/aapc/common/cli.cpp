@@ -80,6 +80,15 @@ std::uint64_t CliParser::get_u64(const std::string& name,
   return fallback;
 }
 
+std::uint64_t CliParser::get_u64(const std::string& name,
+                                 std::uint64_t fallback,
+                                 std::uint64_t max) const {
+  const std::uint64_t value = get_u64(name, fallback);
+  AAPC_REQUIRE(value <= max,
+               "--" << name << " " << value << " is above " << max);
+  return value;
+}
+
 double CliParser::get_double(const std::string& name, double fallback) const {
   if (const auto it = values_.find(name); it != values_.end()) {
     return std::stod(it->second);

@@ -29,6 +29,10 @@ class CliParser {
   std::string get_or(const std::string& name,
                      const std::string& fallback) const;
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
+  /// Same, but throws InvalidArgument when the value exceeds `max`, so a
+  /// caller narrowing to a smaller type never truncates.
+  std::uint64_t get_u64(const std::string& name, std::uint64_t fallback,
+                        std::uint64_t max) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

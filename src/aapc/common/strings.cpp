@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <system_error>
 
@@ -72,11 +73,13 @@ std::uint64_t parse_u64(std::string_view text) {
   const std::string_view body = trim(text);
   AAPC_REQUIRE(!body.empty(), "expected integer, got empty string");
   std::uint64_t value = 0;
-  for (char c : body) {
-    AAPC_REQUIRE(c >= '0' && c <= '9',
-                 "expected integer, got '" << std::string(text) << "'");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const char* end = body.data() + body.size();
+  const std::from_chars_result result =
+      std::from_chars(body.data(), end, value);
+  AAPC_REQUIRE(result.ec != std::errc::result_out_of_range,
+               "integer '" << std::string(text) << "' exceeds 2^64 - 1");
+  AAPC_REQUIRE(result.ec == std::errc() && result.ptr == end,
+               "expected integer, got '" << std::string(text) << "'");
   return value;
 }
 
@@ -97,7 +100,10 @@ std::uint64_t parse_size(std::string_view text) {
   } else if (last == 'B' || last == 'b') {
     body.remove_suffix(1);
   }
-  return parse_u64(body) * multiplier;
+  const std::uint64_t value = parse_u64(body);
+  AAPC_REQUIRE(value <= UINT64_MAX / multiplier,
+               "size '" << std::string(text) << "' exceeds 2^64 - 1 bytes");
+  return value * multiplier;
 }
 
 std::string format_size(std::uint64_t bytes) {

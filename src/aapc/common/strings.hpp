@@ -33,10 +33,12 @@ bool starts_with(std::string_view text, std::string_view prefix);
 std::string join(const std::vector<std::string>& parts,
                  std::string_view separator);
 
-/// Parse a non-negative integer; throws InvalidArgument on junk.
+/// Parse a non-negative decimal integer; throws InvalidArgument on junk
+/// or on a value above 2^64 - 1.
 std::uint64_t parse_u64(std::string_view text);
 
-/// Parse a size with optional K/M/G suffix (powers of two), e.g. "64K".
+/// Parse a size with optional K/M/G suffix (powers of two), e.g. "64K";
+/// throws InvalidArgument when the size does not fit 64 bits.
 std::uint64_t parse_size(std::string_view text);
 
 /// Render a byte count compactly ("64K", "1M", "1000").

@@ -190,6 +190,16 @@ TEST(StringsTest, ParseU64) {
   EXPECT_EQ(parse_u64(" 123 "), 123u);
   EXPECT_THROW(parse_u64("12x"), InvalidArgument);
   EXPECT_THROW(parse_u64(""), InvalidArgument);
+  EXPECT_THROW(parse_u64("-1"), InvalidArgument);
+  EXPECT_THROW(parse_u64("+1"), InvalidArgument);
+}
+
+TEST(StringsTest, ParseU64RejectsValuesPast2To64) {
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_THROW(parse_u64("18446744073709551616"), InvalidArgument);
+  // Wrapped to 1 before the read checked overflow.
+  EXPECT_THROW(parse_u64("18446744073709551617"), InvalidArgument);
+  EXPECT_THROW(parse_u64("99999999999999999999999"), InvalidArgument);
 }
 
 TEST(StringsTest, ParseSizeSuffixes) {
@@ -198,6 +208,15 @@ TEST(StringsTest, ParseSizeSuffixes) {
   EXPECT_EQ(parse_size("1G"), 1024u * 1024 * 1024);
   EXPECT_EQ(parse_size("100"), 100u);
   EXPECT_EQ(parse_size("100B"), 100u);
+}
+
+TEST(StringsTest, ParseSizeRejectsProductsPast2To64) {
+  EXPECT_EQ(parse_size("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_size("17179869183G"), 17179869183ull << 30);
+  // Wrapped to 0 before the multiply was checked.
+  EXPECT_THROW(parse_size("17179869184G"), InvalidArgument);
+  EXPECT_THROW(parse_size("18014398509481984K"), InvalidArgument);
+  EXPECT_THROW(parse_size("18446744073709551616"), InvalidArgument);
 }
 
 TEST(StringsTest, FormatSizeRoundTrips) {
@@ -292,6 +311,21 @@ TEST(CliTest, SeparateValueToken) {
   const char* argv[] = {"prog", "--topo", "file.topo"};
   ASSERT_TRUE(cli.parse(3, argv));
   EXPECT_EQ(cli.get("topo"), "file.topo");
+}
+
+TEST(CliTest, BoundedIntegersRejectValuesAboveTheBound) {
+  CliParser cli("usage");
+  cli.add_flag("port", "listen port");
+  cli.add_flag("threads", "workers");
+  cli.add_flag("count", "items");
+  const char* argv[] = {"prog", "--port=70000", "--threads=2147483648",
+                        "--count=18446744073709551616"};
+  ASSERT_TRUE(cli.parse(4, argv));
+  EXPECT_THROW(cli.get_u64("port", 0, UINT16_MAX), InvalidArgument);
+  EXPECT_EQ(cli.get_u64("port", 0, UINT32_MAX), 70000u);
+  EXPECT_THROW(cli.get_u64("threads", 0, INT32_MAX), InvalidArgument);
+  EXPECT_THROW(cli.get_u64("count", 0), InvalidArgument);
+  EXPECT_EQ(cli.get_u64("absent", 7, 7), 7u);
 }
 
 TEST(CliTest, DefaultsApply) {
