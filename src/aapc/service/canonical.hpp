@@ -45,9 +45,9 @@ struct Canonicalization {
   /// link in the canonical topology. Derived from the same preorder
   /// walk that assigns ranks: build_canonical_topology creates nodes in
   /// form-string order and links one per non-root node, so the link of
-  /// the k-th created node is canonical LinkId k-1. This is what lets
-  /// the churn layer (service/epochs.hpp) translate a physical link
-  /// event into the canonical link space cached artifacts live in.
+  /// the k-th created node is canonical LinkId k-1. A front-end binds
+  /// its physical links to canonical links through this map
+  /// (TopologyEpochs::bind, service/epochs.hpp).
   std::vector<topology::LinkId> link_to_canonical;
 };
 
