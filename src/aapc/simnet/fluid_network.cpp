@@ -42,6 +42,9 @@ FluidNetwork::FluidNetwork(const topology::Topology& topo,
   row_flow_count_.assign(rows, 0);
   row_flows_.resize(rows);
   row_active_pos_.assign(rows, -1);
+  row_marked_.assign(rows, 0);
+  row_could_bind_.assign(rows, 0);
+  row_seen_.assign(rows, 0);
   fill_capacity_.assign(rows, 0.0);
   fill_count_.assign(rows, 0);
   fill_share_.assign(rows, 0.0);
@@ -77,6 +80,7 @@ FluidNetwork::FluidNetwork(const topology::Topology& topo,
           params.effective_bandwidth() * params.switch_fabric_links;
     }
   }
+  bind_limit_ = bind_limit();
 }
 
 FlowId FluidNetwork::add_flow(topology::NodeId src, topology::NodeId dst,
@@ -147,6 +151,7 @@ void FluidNetwork::activate(FlowId id) {
       std::max<std::int64_t>(stats_.max_concurrent_flows, active_count_);
   for (std::size_t k = 0; k < len; ++k) {
     const auto row = static_cast<std::size_t>(cons_scratch_[k]);
+    mark_row(row);
     if (row_flow_count_[row]++ == 0) {
       row_active_pos_[row] =
           static_cast<std::int32_t>(active_rows_.size());
@@ -187,6 +192,7 @@ void FluidNetwork::detach_flow(FlowId id, double credited_bytes) {
         }
       }
     }
+    mark_row(row);
     if (--row_flow_count_[row] == 0) {
       const auto apos = static_cast<std::size_t>(row_active_pos_[row]);
       active_rows_[apos] = active_rows_.back();
@@ -434,20 +440,28 @@ void FluidNetwork::apply_capacity(topology::LinkId link,
   AAPC_REQUIRE(bytes_per_sec >= 0, "negative link capacity");
   link_capacity_[static_cast<std::size_t>(link)] = bytes_per_sec;
   const double protocol = params_.protocol_efficiency;
-  row_base_capacity_[static_cast<std::size_t>(2 * link)] =
-      bytes_per_sec * protocol;
-  row_base_capacity_[static_cast<std::size_t>(2 * link + 1)] =
-      bytes_per_sec * protocol;
+  for (const topology::EdgeId e : {2 * link, 2 * link + 1}) {
+    row_base_capacity_[static_cast<std::size_t>(e)] = bytes_per_sec * protocol;
+    mark_row(static_cast<std::size_t>(e));
+  }
   // A machine endpoint's duplex cap derives from its (single) access
   // link, which is this link exactly when the machine touches it.
   const topology::NodeId ends[2] = {topo_.edge_source(2 * link),
                                     topo_.edge_target(2 * link)};
   for (const topology::NodeId node : ends) {
     if (topo_.is_machine(node)) {
-      row_base_capacity_[static_cast<std::size_t>(
-          topo_.directed_edge_count() + node)] =
+      const auto row =
+          static_cast<std::size_t>(topo_.directed_edge_count() + node);
+      row_base_capacity_[row] =
           2.0 * bytes_per_sec * protocol * params_.duplex_efficiency;
+      mark_row(row);
     }
+  }
+  // Which node rows can bind depends on B, so a new B regroups flows.
+  const double limit = bind_limit();
+  if (limit != bind_limit_) {
+    bind_limit_ = limit;
+    refill_all_next_ = true;
   }
   rates_dirty_ = true;
   ++stats_.capacity_changes;
@@ -477,23 +491,60 @@ void FluidNetwork::publish_metrics(obs::Registry& registry) const {
   }
 }
 
+// Why a node row whose base share exceeds B never binds: every unfixed
+// flow crosses an edge row, and an edge row offers its unfixed flows at
+// most its capacity, which is at most B, so no round's level exceeds B.
+// A row that is not the bottleneck of a round only gains share as its
+// flows are fixed below it, so its share stays at least its base share,
+// above B (1 + 1e-6) and thus above every level's 1e-9 tie window.
+double FluidNetwork::bind_limit() const {
+  double largest = 0;
+  for (std::size_t e = 0; e < stats_.edge_bytes.size(); ++e) {
+    largest = std::max(largest, row_base_capacity_[e]);
+  }
+  // Contention efficiency is at most 1 or a floor above it, unless a
+  // negative penalty lets it grow without bound.
+  const double efficiency =
+      params_.node_contention_penalty < 0 ||
+              params_.trunk_contention_penalty < 0
+          ? std::numeric_limits<double>::infinity()
+          : std::max({1.0, params_.node_efficiency_floor,
+                      params_.trunk_efficiency_floor});
+  return largest > 0 ? largest * efficiency * (1 + 1e-6) : 0.0;
+}
+
+bool FluidNetwork::init_fill_row(std::size_t row) {
+  // Edge rows: usable capacity shrinks with the number of concurrent
+  // flows (incast / trunk congestion). Node rows: the duplex cap on the
+  // combined send+receive rate of one host, or a switch fabric cap.
+  const std::int32_t count = row_flow_count_[row];
+  fill_count_[row] = count;
+  if (row < stats_.edge_bytes.size()) {
+    fill_capacity_[row] =
+        row_base_capacity_[row] *
+        params_.contention_efficiency(edge_is_machine_[row] != 0, count);
+    return true;
+  }
+  fill_capacity_[row] = row_base_capacity_[row];
+  return row_base_capacity_[row] <= bind_limit_ * count;
+}
+
 void FluidNetwork::recompute_rates() {
   rates_dirty_ = false;
   ++stats_.rate_recomputations;
-  const std::int32_t edge_rows = topo_.directed_edge_count();
-  // Per-recompute scratch, initialized for active rows only. Edge rows:
-  // usable capacity shrinks with the number of concurrent flows (incast
-  // / trunk congestion). Machine rows: the duplex cap on combined
-  // send+receive rate of one host.
+  if (refill_all_next_ || !refill_touched()) refill_all();
+}
+
+void FluidNetwork::refill_all() {
+  for (const std::int32_t row : marked_rows_) {
+    row_marked_[static_cast<std::size_t>(row)] = 0;
+  }
+  marked_rows_.clear();
+  fill_rows_.clear();
   for (const std::int32_t c : active_rows_) {
-    const auto idx = static_cast<std::size_t>(c);
-    fill_count_[idx] = row_flow_count_[idx];
-    fill_capacity_[idx] =
-        c < edge_rows
-            ? row_base_capacity_[idx] *
-                  params_.contention_efficiency(edge_is_machine_[idx] != 0,
-                                                row_flow_count_[idx])
-            : row_base_capacity_[idx];
+    const bool bind = init_fill_row(static_cast<std::size_t>(c));
+    row_could_bind_[static_cast<std::size_t>(c)] = bind;
+    if (bind) fill_rows_.push_back(c);
   }
   const std::size_t n = active_.size();
   flow_fixed_.assign(n, 0);
@@ -502,21 +553,142 @@ void FluidNetwork::recompute_rates() {
   for (std::size_t i = 0; i < n; ++i) {
     unfixed_list_[i] = static_cast<std::int64_t>(i);
   }
+  next_completion_ = kNever;
+  completable_now_ = false;
+  refill_all_next_ = progressive_fill();
+  stats_.refilled_flows += static_cast<std::int64_t>(n);
+}
 
+// A refill of every flow splits into components: flows linked by rows
+// that can bind. A round fixes only flows on rows at its level, and
+// fixing a flow changes only its own rows, so a component that no marked
+// row reaches keeps its rates bit for bit. The one link between
+// components is the 1e-9 tie window: a round fixes a row of another
+// component whose share lies just above its level at that level. Hence:
+//  - an untouched rate near, but not equal to, a refilled level sends
+//    the call to a full refill;
+//  - a filling that fixed any row at a level its share only came near
+//    sends the next call to a full refill, since the rates it left may
+//    carry a level of a component that later changes alone.
+bool FluidNetwork::refill_touched() {
+  const std::size_t n = active_.size();
+  if (++walk_epoch_ == 0) {  // the stamps wrapped around
+    std::fill(row_seen_.begin(), row_seen_.end(), 0);
+    std::fill(flow_seen_.begin(), flow_seen_.end(), 0);
+    walk_epoch_ = 1;
+  }
+  if (flow_seen_.size() < n) flow_seen_.resize(n, 0);
+  if (flow_fixed_.size() < n) {
+    flow_fixed_.resize(n, 0);
+    flow_candidate_.resize(n, 0);
+  }
+  // The walk collects active positions in unfixed_list_ and the rows
+  // that can bind in fill_rows_; every row of a reached flow gets its
+  // fill scratch reset. take_flows is false once the walk holds more
+  // than half of the active flows.
+  unfixed_list_.clear();
+  fill_rows_.clear();
+  const auto take_flows = [&](std::size_t row) {
+    if (2 * static_cast<std::size_t>(row_flow_count_[row]) > n) return false;
+    for (const FlowId id : row_flows_[row]) {
+      const auto p = static_cast<std::size_t>(
+          flows_[static_cast<std::size_t>(id)].active_pos);
+      if (flow_seen_[p] != walk_epoch_) {
+        flow_seen_[p] = walk_epoch_;
+        unfixed_list_.push_back(static_cast<std::int64_t>(p));
+      }
+    }
+    return 2 * unfixed_list_.size() <= n;
+  };
+  // Marked rows to follow are compacted to the front of marked_rows_
+  // before any flow is taken, so a row holding most flows ends the walk
+  // at once.
+  std::size_t follow = 0;
+  for (const std::int32_t r : marked_rows_) {
+    const auto row = static_cast<std::size_t>(r);
+    row_marked_[row] = 0;
+    if (row_flow_count_[row] == 0) continue;
+    row_seen_[row] = walk_epoch_;
+    const bool bind = init_fill_row(row);
+    if (bind) fill_rows_.push_back(r);
+    // A row that stopped binding is followed too: its flows' rates were
+    // filled while it could bind.
+    if (bind || row_could_bind_[row]) {
+      if (2 * static_cast<std::size_t>(row_flow_count_[row]) > n) {
+        return false;
+      }
+      marked_rows_[follow++] = r;
+    }
+    row_could_bind_[row] = bind;
+  }
+  marked_rows_.resize(follow);
+  for (const std::int32_t r : marked_rows_) {
+    if (!take_flows(static_cast<std::size_t>(r))) return false;
+  }
+  marked_rows_.clear();
+  const std::int32_t* const pool = act_cons_pool_.data();
+  for (std::size_t i = 0; i < unfixed_list_.size(); ++i) {
+    const auto p = static_cast<std::size_t>(unfixed_list_[i]);
+    const std::int32_t* const cons = pool + act_cons_off_[p];
+    for (std::int32_t k = 0; k < act_cons_len_[p]; ++k) {
+      const auto row = static_cast<std::size_t>(cons[k]);
+      if (row_seen_[row] == walk_epoch_) continue;
+      row_seen_[row] = walk_epoch_;
+      if (init_fill_row(row)) {
+        fill_rows_.push_back(cons[k]);
+        if (!take_flows(row)) return false;
+      }
+    }
+  }
+
+  std::sort(unfixed_list_.begin(), unfixed_list_.end());
+  for (const std::int64_t p : unfixed_list_) {
+    flow_fixed_[static_cast<std::size_t>(p)] = 0;
+  }
+  stats_.refilled_flows += static_cast<std::int64_t>(unfixed_list_.size());
+  next_completion_ = kNever;
+  completable_now_ = false;
+  const bool near_tie = progressive_fill();
+  // Fold in the untouched flows at the current time: a completion time
+  // cached at an earlier recomputation can differ in the last bit,
+  // because remaining drains with rounding.
+  std::sort(levels_.begin(), levels_.end());
+  for (std::size_t p = 0; p < n; ++p) {
+    if (flow_seen_[p] == walk_epoch_) continue;
+    const double rate = act_rate_[p];
+    for (auto it = std::lower_bound(levels_.begin(), levels_.end(),
+                                    rate * (1 - 4e-9));
+         it != levels_.end() && *it <= rate * (1 + 4e-9); ++it) {
+      if (*it != rate && *it <= rate * (1 + 2e-9) &&
+          rate <= *it * (1 + 2e-9)) {
+        return false;
+      }
+    }
+    if (rate > 0) {
+      next_completion_ =
+          std::min(next_completion_, now_ + act_remaining_[p] / rate);
+    }
+    if (act_remaining_[p] <= kTimeEpsilon) completable_now_ = true;
+  }
+  refill_all_next_ = near_tie;
+  return true;
+}
+
+bool FluidNetwork::progressive_fill() {
   // Progressive filling: repeatedly saturate the row with the smallest
   // fair share, fixing its flows at that rate. Only flows on a
   // bottleneck row can be fixed in a round. Both discovery strategies
   // below visit the fixable flows in ascending active_ position, so
   // tie-breaking matches a full in-order scan of the active flows
   // exactly.
-  std::size_t unfixed = n;
-  next_completion_ = kNever;
-  completable_now_ = false;
+  std::size_t unfixed = unfixed_list_.size();
+  levels_.clear();
+  bool near_tie = false;
   while (unfixed > 0) {
     // One division per row: the bottleneck collect below compares the
     // cached round-start shares instead of re-dividing.
     double min_share = std::numeric_limits<double>::infinity();
-    for (const std::int32_t c : active_rows_) {
+    for (const std::int32_t c : fill_rows_) {
       const auto idx = static_cast<std::size_t>(c);
       if (fill_count_[idx] > 0) {
         fill_share_[idx] = fill_capacity_[idx] / fill_count_[idx];
@@ -524,16 +696,18 @@ void FluidNetwork::recompute_rates() {
       }
     }
     AAPC_CHECK(min_share < std::numeric_limits<double>::infinity());
+    levels_.push_back(min_share);
     // Bottleneck rows this round, plus the combined length of their flow
     // lists (which include already-fixed flows).
     bottleneck_rows_.clear();
     std::size_t budget = 0;
-    for (const std::int32_t c : active_rows_) {
+    for (const std::int32_t c : fill_rows_) {
       const auto idx = static_cast<std::size_t>(c);
       if (fill_count_[idx] > 0 &&
           fill_share_[idx] <= min_share * (1 + 1e-9)) {
         bottleneck_rows_.push_back(c);
         budget += row_flows_[idx].size();
+        near_tie = near_tie || fill_share_[idx] != min_share;
       }
     }
 
@@ -627,6 +801,7 @@ void FluidNetwork::recompute_rates() {
   }
   // Between recomputations rates are constant, so the cached
   // now + remaining/rate values stay valid as time advances.
+  return near_tie;
 }
 
 }  // namespace aapc::simnet

@@ -14,10 +14,12 @@
 // the event loop.
 //
 // Hot-path data structures (see docs/SIMULATOR.md, "Complexity & data
-// structures"): progressive filling walks only the *active-row set*
-// (capacity rows with at least one flow) and discovers bottleneck flows
-// through per-row flow lists; pending activations live in a min-heap;
-// the earliest completion is cached once per rate recomputation.
+// structures"): a rate recomputation refills only the flows reachable
+// from the rows an event changed, through rows that can bind, and
+// every other flow keeps its rate; the filling scans only rows that can
+// bind and discovers bottleneck flows through per-row flow lists;
+// pending activations live in a min-heap; the earliest completion is
+// cached once per rate recomputation.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,10 @@ struct NetworkStats {
   std::vector<double> edge_bytes;
   /// Number of max-min rate recomputations performed.
   std::int64_t rate_recomputations = 0;
+  /// Flows put through progressive filling, summed over recomputations:
+  /// the active flows of a full refill, the reached flows of a local
+  /// one (a local refill redone in full counts both).
+  std::int64_t refilled_flows = 0;
   /// Completed flows.
   std::int64_t completed_flows = 0;
   /// Peak number of simultaneously active flows (a direct measure of
@@ -223,6 +229,31 @@ class FluidNetwork {
   void apply_capacity(topology::LinkId link, double bytes_per_sec);
   void compact_cons_pool();
   void recompute_rates();
+  /// Refills only the flows reachable from marked rows; false (rates
+  /// then undefined) when every flow must be refilled instead.
+  bool refill_touched();
+  /// Refills every active flow.
+  void refill_all();
+  /// Max-min filling of unfixed_list_ (ascending active positions) over
+  /// the rows in fill_rows_, whose fill scratch must be initialized;
+  /// folds the rounds into next_completion_ / completable_now_ and
+  /// records each round's level in levels_. Returns true when a round
+  /// fixed a row whose share only came within the tie window of its
+  /// level.
+  bool progressive_fill();
+  /// Resets the fill scratch of one active row; returns whether the row
+  /// can bind (see bind_limit_).
+  bool init_fill_row(std::size_t row);
+  void mark_row(std::size_t row) {
+    if (!row_marked_[row]) {
+      row_marked_[row] = 1;
+      marked_rows_.push_back(static_cast<std::int32_t>(row));
+    }
+  }
+  /// B (1 + 1e-6), where B is the largest capacity an edge row can offer
+  /// one flow: the largest edge base capacity times the largest
+  /// contention efficiency.
+  double bind_limit() const;
 
   /// Min-heap ordering for scheduled capacity changes: earliest first,
   /// registration order among equal times.
@@ -309,6 +340,25 @@ class FluidNetwork {
   std::vector<std::int64_t> candidates_;   // active_ positions, scratch
   std::vector<std::int64_t> unfixed_list_; // active_ positions, ascending
   std::vector<std::int32_t> bottleneck_rows_;  // scratch per round
+  std::vector<std::int32_t> fill_rows_;        // rows the filling scans
+  std::vector<double> levels_;                 // per filling round
+
+  // Component-local refills. Rows whose flow count or base capacity
+  // changed since the last recomputation are marked; the recomputation
+  // refills the flows reachable from them through rows that can bind.
+  std::vector<std::int32_t> marked_rows_;
+  std::vector<char> row_marked_;
+  /// Whether each row could bind when a recomputation last looked at it.
+  std::vector<char> row_could_bind_;
+  double bind_limit_ = 0;
+  /// The next recomputation refills every flow: B changed, or the last
+  /// filling fixed a row at a level its own share only came near.
+  bool refill_all_next_ = false;
+  /// Walk membership: a row or active position belongs to the current
+  /// walk when its stamp equals walk_epoch_.
+  std::vector<std::uint32_t> row_seen_;
+  std::vector<std::uint32_t> flow_seen_;
+  std::uint32_t walk_epoch_ = 0;
 };
 
 }  // namespace aapc::simnet

@@ -23,6 +23,11 @@ void publish_network_stats(obs::Registry& registry, const NetworkStats& stats,
                "Max-min fair progressive-filling passes")
       .inc(stats.rate_recomputations);
   registry
+      .counter("aapc_simnet_refilled_flows_total",
+               "Flows put through progressive filling, summed over "
+               "rate recomputations")
+      .inc(stats.refilled_flows);
+  registry
       .counter("aapc_simnet_flows_canceled_total",
                "Flows canceled before completion (watchdog reposts)")
       .inc(stats.canceled_flows);

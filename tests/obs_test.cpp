@@ -339,6 +339,9 @@ TEST(Wiring, ExecutorExportsExecutorAndSimnetSeries) {
             static_cast<double>(result.network_stats.completed_flows));
   EXPECT_EQ(snap.value("aapc_simnet_rate_recomputations_total"),
             static_cast<double>(result.network_stats.rate_recomputations));
+  EXPECT_GT(result.network_stats.refilled_flows, 0);
+  EXPECT_EQ(snap.value("aapc_simnet_refilled_flows_total"),
+            static_cast<double>(result.network_stats.refilled_flows));
   EXPECT_EQ(snap.value("aapc_simnet_max_concurrent_flows"),
             static_cast<double>(result.network_stats.max_concurrent_flows));
   EXPECT_GT(snap.value("aapc_simnet_busy_row_seconds"), 0.0);
