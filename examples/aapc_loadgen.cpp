@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "aapc/common/cli.hpp"
+#include "aapc/common/error.hpp"
 #include "aapc/common/rng.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/core/schedule_io.hpp"
@@ -118,27 +119,39 @@ int main(int argc, char** argv) {
   }
 
   const std::string host = cli.get_or("host", "127.0.0.1");
-  const std::uint16_t port =
-      static_cast<std::uint16_t>(cli.get_u64("port", 18211));
-  const std::int64_t connections =
-      static_cast<std::int64_t>(cli.get_u64("connections", 64));
+  // Integers are read against the width of the field they land in, so
+  // an out-of-range value is an error instead of a truncated setting.
+  std::uint16_t port = 0;
+  std::int64_t connections = 0;
+  std::int64_t total_requests = 0;
+  std::size_t pool_size = 0;
+  std::int64_t tenants = 0;
+  std::uint64_t seed = 0;
+  std::int64_t max_retries = 0;
+  try {
+    port = static_cast<std::uint16_t>(cli.get_u64("port", 18211, UINT16_MAX));
+    connections = static_cast<std::int64_t>(
+        cli.get_u64("connections", 64, INT64_MAX));
+    total_requests =
+        static_cast<std::int64_t>(cli.get_u64("requests", 0, INT64_MAX));
+    pool_size = cli.get_u64("topologies", 8, SIZE_MAX);
+    tenants = static_cast<std::int64_t>(cli.get_u64("tenants", 4, INT64_MAX));
+    seed = cli.get_u64("seed", 1);
+    max_retries =
+        static_cast<std::int64_t>(cli.get_u64("max-retries", 8, INT64_MAX));
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
   const double rps = cli.get_double("rps", 200);
   const double duration = cli.get_double("duration", 5);
-  std::int64_t total_requests =
-      static_cast<std::int64_t>(cli.get_u64("requests", 0));
   if (total_requests <= 0) {
     total_requests = static_cast<std::int64_t>(rps * duration);
   }
-  const std::size_t pool_size = cli.get_u64("topologies", 8);
   const double zipf_s = cli.get_double("zipf", 1.1);
-  const std::int64_t tenants =
-      static_cast<std::int64_t>(cli.get_u64("tenants", 4));
-  const std::uint64_t seed = cli.get_u64("seed", 1);
   const bool verify = cli.get_bool("verify", true);
   const core::CollectiveKind kind =
       core::parse_collective_kind(cli.get_or("kind", "alltoall"));
-  const std::int64_t max_retries =
-      static_cast<std::int64_t>(cli.get_u64("max-retries", 8));
   const double slo_p99_ms = cli.get_double("slo-p99-ms", 0);
   const double min_hit_rate = cli.get_double("min-hit-rate", -1);
   const Bytes sizes[] = {8_KiB, 64_KiB, 256_KiB};

@@ -36,7 +36,9 @@
 #include <vector>
 
 #include "aapc/common/cli.hpp"
+#include "aapc/common/error.hpp"
 #include "aapc/common/rng.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/netd/client.hpp"
 #include "aapc/obs/exposition.hpp"
@@ -85,36 +87,44 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::int64_t requests =
-      static_cast<std::int64_t>(cli.get_u64("requests", 200));
-  const std::int64_t threads =
-      static_cast<std::int64_t>(cli.get_u64("threads", 8));
-  const std::size_t pool_size = cli.get_u64("topologies", 8);
   const double zipf_s = cli.get_double("zipf", 1.1);
-  const std::uint64_t seed = cli.get_u64("seed", 1);
   const double min_hit_rate = cli.get_double("min-hit-rate", -1);
   const bool remote = cli.has("connect");
+  // Integers are read against the width of the field they land in, so
+  // an out-of-range value is an error instead of a truncated setting.
+  std::int64_t requests = 0;
+  std::int64_t threads = 0;
+  std::size_t pool_size = 0;
+  std::uint64_t seed = 0;
   std::string remote_host = "127.0.0.1";
   std::uint16_t remote_port = 0;
-  if (remote) {
-    const std::string endpoint = cli.get("connect");
-    const std::size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos || colon + 1 == endpoint.size()) {
-      std::cerr << "FAIL: --connect expects host:port, got \"" << endpoint
-                << "\"\n";
-      return 1;
-    }
-    remote_host = endpoint.substr(0, colon);
-    remote_port = static_cast<std::uint16_t>(
-        std::stoul(endpoint.substr(colon + 1)));
-  }
-
   service::ServiceOptions options;
-  options.cache_capacity = cli.get_u64("cache-capacity", 256);
-  options.compiler_threads =
-      static_cast<std::int32_t>(cli.get_u64("compiler-threads", 4));
-  options.queue_capacity =
-      static_cast<std::int32_t>(cli.get_u64("queue-capacity", 64));
+  try {
+    requests =
+        static_cast<std::int64_t>(cli.get_u64("requests", 200, INT64_MAX));
+    threads = static_cast<std::int64_t>(cli.get_u64("threads", 8, INT64_MAX));
+    pool_size = cli.get_u64("topologies", 8, SIZE_MAX);
+    seed = cli.get_u64("seed", 1);
+    options.cache_capacity = cli.get_u64("cache-capacity", 256, SIZE_MAX);
+    options.compiler_threads = static_cast<std::int32_t>(
+        cli.get_u64("compiler-threads", 4, INT32_MAX));
+    options.queue_capacity = static_cast<std::int32_t>(
+        cli.get_u64("queue-capacity", 64, INT32_MAX));
+    if (remote) {
+      const std::string endpoint = cli.get("connect");
+      const std::size_t colon = endpoint.rfind(':');
+      AAPC_REQUIRE(colon != std::string::npos && colon + 1 < endpoint.size(),
+                   "--connect expects host:port, got \"" << endpoint << "\"");
+      remote_host = endpoint.substr(0, colon);
+      const std::uint64_t port = parse_u64(endpoint.substr(colon + 1));
+      AAPC_REQUIRE(port <= UINT16_MAX,
+                   "--connect port " << port << " is above " << UINT16_MAX);
+      remote_port = static_cast<std::uint16_t>(port);
+    }
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
 
   const std::vector<Topology> pool =
       examples::make_tenant_pool(pool_size, seed);
