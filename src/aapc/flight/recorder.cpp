@@ -46,17 +46,16 @@ std::uint64_t Ring::snapshot(std::vector<Event>& out) const {
     const std::atomic<std::uint64_t>* slot =
         slots_() + static_cast<std::size_t>(i & mask_) * kWordsPerSlot;
     for (std::uint32_t w = 0; w < kWordsPerSlot; ++w) {
-      copy.push_back(slot[w].load(std::memory_order_relaxed));
+      copy.push_back(slot[w].load(std::memory_order_acquire));
     }
   }
   // A writer that wrapped during the copy may have rewritten the slots
   // of the oldest entries (entry i shares a slot with entry
   // i + capacity). The writer retires entry i via begin_ *before*
-  // touching its slot, so after the acquire fence (pairing with
-  // push()'s release fence) any entry whose copy could be torn is
-  // already excluded by begin_. A quiescent full ring retains all
-  // `capacity` entries.
-  std::atomic_thread_fence(std::memory_order_acquire);
+  // touching its slot, and a word copied from a rewrite was acquired
+  // from push()'s release store, so the begin_ load below (ordered
+  // after those acquires) already excludes any entry whose copy could
+  // be torn. A quiescent full ring retains all `capacity` entries.
   const std::uint64_t safe_first = begin_().load(std::memory_order_relaxed);
   const std::uint64_t begin = std::max(first, safe_first);
   if (begin < published) {

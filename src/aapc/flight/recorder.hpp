@@ -113,9 +113,12 @@ class Ring {
   // words_[0] = head (entries published, complete and readable),
   // words_[1] = begin (first entry index whose slot is still intact),
   // words_[2..] = slots. The writer advances begin *before* clobbering
-  // a wrapped slot (release fence), so a reader that copied clobbered
-  // words is guaranteed to also observe the advanced begin and discard
-  // them — a quiescent full ring retains all `capacity` entries. The
+  // a wrapped slot and stores slot words with release order, and the
+  // reader loads them with acquire order, so a reader that copied
+  // clobbered words is guaranteed to also observe the advanced begin
+  // and discard them — a quiescent full ring retains all `capacity`
+  // entries. The ordering lives on the atomics themselves, where
+  // ThreadSanitizer can check it (it does not model fences). The
   // cursors live in the slots' allocation so the push hot path chases
   // one pointer, and the heap keeps them address-stable while Ring
   // stays movable (vector<Ring> growth).
@@ -215,16 +218,14 @@ inline void Ring::push(const Event& event) noexcept {
   const std::uint64_t head = head_().load(std::memory_order_relaxed);
   if (head >= capacity_) {
     // About to clobber the slot of entry head - capacity: retire it
-    // first, with a release fence so the slot stores below cannot
-    // become visible before the retirement (pairs with the acquire
-    // fence in snapshot).
+    // first. Each slot store below is a release, so a snapshot that
+    // acquires any rewritten word also sees this retirement.
     begin_().store(head - capacity_ + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
   }
   std::atomic<std::uint64_t>* slot =
       slots_() + static_cast<std::size_t>(head & mask_) * kWordsPerSlot;
   for (std::uint32_t w = 0; w < kWordsPerSlot; ++w) {
-    slot[w].store(packed[w], std::memory_order_relaxed);
+    slot[w].store(packed[w], std::memory_order_release);
   }
   // Release-publish: a snapshot that observes head > i has the complete
   // words of entry i (unless the slot was since rewritten — handled by
