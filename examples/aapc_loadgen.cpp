@@ -128,6 +128,11 @@ int main(int argc, char** argv) {
   std::int64_t tenants = 0;
   std::uint64_t seed = 0;
   std::int64_t max_retries = 0;
+  double rps = 0;
+  double duration = 0;
+  double zipf_s = 0;
+  double slo_p99_ms = 0;
+  double min_hit_rate = 0;
   try {
     port = static_cast<std::uint16_t>(cli.get_u64("port", 18211, UINT16_MAX));
     connections = static_cast<std::int64_t>(
@@ -136,24 +141,27 @@ int main(int argc, char** argv) {
         static_cast<std::int64_t>(cli.get_u64("requests", 0, INT64_MAX));
     pool_size = cli.get_u64("topologies", 8, SIZE_MAX);
     tenants = static_cast<std::int64_t>(cli.get_u64("tenants", 4, INT64_MAX));
+    AAPC_REQUIRE(tenants >= 1, "--tenants must be at least 1");
     seed = cli.get_u64("seed", 1);
     max_retries =
         static_cast<std::int64_t>(cli.get_u64("max-retries", 8, INT64_MAX));
+    // Arrival i is scheduled at i / rps, so the rate must be positive.
+    rps = cli.get_double("rps", 200);
+    AAPC_REQUIRE(rps > 0, "--rps must be above 0, got " << rps);
+    duration = cli.get_double("duration", 5);
+    zipf_s = cli.get_double("zipf", 1.1);
+    slo_p99_ms = cli.get_double("slo-p99-ms", 0);
+    min_hit_rate = cli.get_double("min-hit-rate", -1);
   } catch (const InvalidArgument& e) {
     std::cerr << "FAIL: " << e.what() << "\n";
     return 1;
   }
-  const double rps = cli.get_double("rps", 200);
-  const double duration = cli.get_double("duration", 5);
   if (total_requests <= 0) {
     total_requests = static_cast<std::int64_t>(rps * duration);
   }
-  const double zipf_s = cli.get_double("zipf", 1.1);
   const bool verify = cli.get_bool("verify", true);
   const core::CollectiveKind kind =
       core::parse_collective_kind(cli.get_or("kind", "alltoall"));
-  const double slo_p99_ms = cli.get_double("slo-p99-ms", 0);
-  const double min_hit_rate = cli.get_double("min-hit-rate", -1);
   const Bytes sizes[] = {8_KiB, 64_KiB, 256_KiB};
   constexpr std::size_t kSizeCount = sizeof(sizes) / sizeof(sizes[0]);
 

@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
                "per-tenant requests/second quota (0 disables)", "0");
   cli.add_flag("tenant-burst", "per-tenant burst allowance", "64");
   cli.add_flag("cache-capacity", "schedule-cache entries", "512");
-  cli.add_flag("compiler-threads", "compiler pool workers", "4");
-  cli.add_flag("queue-capacity", "compiler pool queue bound", "128");
+  cli.add_flag("compiler-threads",
+               "compiler pool workers lent to each compile's passes", "4");
   cli.add_flag("fabric-switches",
                "leaf switches of the churnable star fabric (0 = no fabric, "
                "churn frames rejected)", "0");
@@ -83,6 +83,7 @@ int main(int argc, char** argv) {
   // out-of-range value is an error instead of a truncated setting.
   constexpr std::uint64_t kMaxCount = INT32_MAX;
   netd::ServerOptions options;
+  double duration = 0;
   try {
     options.host = cli.get_or("host", "127.0.0.1");
     options.port =
@@ -100,14 +101,12 @@ int main(int argc, char** argv) {
     options.service.cache_capacity = cli.get_u64("cache-capacity", 512);
     options.service.compiler_threads = static_cast<std::int32_t>(
         cli.get_u64("compiler-threads", 4, kMaxCount));
-    options.service.queue_capacity = static_cast<std::int32_t>(
-        cli.get_u64("queue-capacity", 128, kMaxCount));
     options.drain_deadline_seconds = cli.get_double("drain-deadline", 10);
+    duration = cli.get_double("duration", 0);
   } catch (const InvalidArgument& e) {
     std::cerr << "FAIL: " << e.what() << "\n";
     return 1;
   }
-  const double duration = cli.get_double("duration", 0);
 
   const std::int64_t fabric_switches =
       static_cast<std::int64_t>(cli.get_u64("fabric-switches", 0));

@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   cli.add_flag("topologies", "distinct clusters in the tenant pool", "8");
   cli.add_flag("zipf", "zipf exponent for cluster popularity", "1.1");
   cli.add_flag("cache-capacity", "schedule-cache entries", "256");
-  cli.add_flag("compiler-threads", "compiler pool workers", "4");
-  cli.add_flag("queue-capacity", "compiler pool queue bound", "64");
+  cli.add_flag("compiler-threads",
+               "compiler pool workers lent to each compile's passes", "4");
   cli.add_flag("seed", "workload rng seed", "1");
   cli.add_flag("connect",
                "host:port of a running aapc_netd; drive it over TCP instead "
@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const double zipf_s = cli.get_double("zipf", 1.1);
-  const double min_hit_rate = cli.get_double("min-hit-rate", -1);
   const bool remote = cli.has("connect");
+  double zipf_s = 0;
+  double min_hit_rate = 0;
   // Integers are read against the width of the field they land in, so
   // an out-of-range value is an error instead of a truncated setting.
   std::int64_t requests = 0;
@@ -100,6 +100,8 @@ int main(int argc, char** argv) {
   std::uint16_t remote_port = 0;
   service::ServiceOptions options;
   try {
+    zipf_s = cli.get_double("zipf", 1.1);
+    min_hit_rate = cli.get_double("min-hit-rate", -1);
     requests =
         static_cast<std::int64_t>(cli.get_u64("requests", 200, INT64_MAX));
     threads = static_cast<std::int64_t>(cli.get_u64("threads", 8, INT64_MAX));
@@ -108,8 +110,6 @@ int main(int argc, char** argv) {
     options.cache_capacity = cli.get_u64("cache-capacity", 256, SIZE_MAX);
     options.compiler_threads = static_cast<std::int32_t>(
         cli.get_u64("compiler-threads", 4, INT32_MAX));
-    options.queue_capacity = static_cast<std::int32_t>(
-        cli.get_u64("queue-capacity", 64, INT32_MAX));
     if (remote) {
       const std::string endpoint = cli.get("connect");
       const std::size_t colon = endpoint.rfind(':');
@@ -173,9 +173,6 @@ int main(int argc, char** argv) {
             }
             counters.served.fetch_add(1);
             break;
-          } catch (const service::ServiceOverloaded&) {
-            counters.retries.fetch_add(1);
-            std::this_thread::yield();
           } catch (const netd::RemoteError& e) {
             if (e.code() == netd::ErrorCode::kOverloaded ||
                 e.code() == netd::ErrorCode::kQuotaExceeded) {

@@ -1,5 +1,7 @@
 #include "aapc/common/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <sstream>
 
 #include "aapc/common/error.hpp"
@@ -90,10 +92,18 @@ std::uint64_t CliParser::get_u64(const std::string& name,
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {
-  if (const auto it = values_.find(name); it != values_.end()) {
-    return std::stod(it->second);
-  }
-  return fallback;
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::string_view body = trim(it->second);
+  const char* end = body.data() + body.size();
+  double value = 0;
+  const std::from_chars_result result =
+      std::from_chars(body.data(), end, value);
+  AAPC_REQUIRE(result.ec == std::errc() && result.ptr == end &&
+                   std::isfinite(value),
+               "--" << name << " expects a finite number, got '"
+                    << it->second << "'");
+  return value;
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {

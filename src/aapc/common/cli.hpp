@@ -33,6 +33,8 @@ class CliParser {
   /// caller narrowing to a smaller type never truncates.
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback,
                         std::uint64_t max) const;
+  /// Reads the whole value as a finite decimal number; throws
+  /// InvalidArgument on junk, trailing junk, nan, inf and overflow.
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

@@ -1,10 +1,10 @@
 // Admission control for the netd front-end: per-tenant token-bucket
 // request quotas and a global connection cap, enforced *before* a
-// request reaches the dispatch queue or the schedule service. This is the
-// outermost of the three pressure valves (tenant quota -> dispatch
-// queue bound -> compiler-pool backpressure); each rejects with a
-// structured error frame carrying a retry-after hint rather than
-// dropping the connection. Semantics are documented in docs/NETD.md.
+// request reaches the dispatch queue or the schedule service. These are
+// the outer two of the three pressure valves (connection cap -> tenant
+// quota -> dispatch queue bound); each rejects with a structured error
+// frame carrying a retry-after hint rather than dropping the
+// connection. Semantics are documented in docs/NETD.md.
 #pragma once
 
 #include <chrono>

@@ -795,9 +795,8 @@ obs::Counter& Server::Impl::reject_counter(ErrorCode code) {
 
 double Server::Impl::overload_retry_hint() const {
   // Expected queue drain time: depth x a nominal 50 ms compile over the
-  // dispatcher width. Deliberately coarse — the precise hint for pool
-  // saturation comes from ServiceOverloaded itself; this one only
-  // covers the front-end queue filling faster than dispatch.
+  // dispatcher width. Deliberately coarse: each dispatcher compiles its
+  // own misses, so the queue drains at the dispatchers' pace.
   const double depth =
       static_cast<double>(dispatcher != nullptr ? dispatcher->queue_depth()
                                                 : 0);
@@ -913,10 +912,6 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
     response_frame_bytes.observe(static_cast<double>(bytes.size()));
     request_seconds.observe(seconds_since(item.arrival));
     deliver(item.conn, std::move(bytes));
-  } catch (const service::ServiceOverloaded& overloaded) {
-    reject_counter(ErrorCode::kOverloaded).inc();
-    fail_request(item.conn, request.request_id, ErrorCode::kOverloaded,
-                 overloaded.retry_after_seconds(), overloaded.what());
   } catch (const InvalidArgument& e) {
     reject_counter(ErrorCode::kInvalidRequest).inc();
     fail_request(item.conn, request.request_id, ErrorCode::kInvalidRequest, 0,
@@ -1022,8 +1017,9 @@ void Server::stop() {
   impl.listen_fd = -1;
 
   // 2. Drain: wait (bounded) for everything already dispatched. The
-  //    compiler pool keeps running, so in-flight compilations complete
-  //    rather than being abandoned mid-future.
+  //    dispatchers keep running, so in-flight compilations (each on its
+  //    dispatcher's thread) complete rather than being abandoned
+  //    mid-future.
   const Clock::time_point deadline =
       Clock::now() +
       std::chrono::duration_cast<Clock::duration>(

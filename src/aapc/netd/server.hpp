@@ -10,8 +10,10 @@
 //                        frames, answers protocol/quota/drain errors
 //                        inline, enqueues compile work
 //   M dispatchers        parse topology, canonicalize, run
-//                        ScheduleService::lookup, encode the response
-//                        and hand it back to the connection's loop
+//                        ScheduleService::lookup (a miss compiles on
+//                        the dispatcher's own thread), encode the
+//                        response and hand it back to the connection's
+//                        loop
 //
 // The server owns one ScheduleService: its cache, compiler pool,
 // in-flight coalescing and topology-epoch feed serve every connection.
@@ -21,7 +23,8 @@
 //   1. connection cap            kConnectionLimit (frame, then close)
 //   2. per-tenant token bucket   kQuotaExceeded
 //   3. bounded dispatch queue    kOverloaded
-//   4. compiler-pool saturation  kOverloaded (ServiceOverloaded's hint)
+// At most M compilations run at once, one per dispatcher, so the
+// dispatch queue is the one place a backlog of misses can wait.
 //
 // Shutdown drains: stop() closes the listener, fails *new* requests
 // with kShuttingDown, but lets everything already dispatched finish and

@@ -67,7 +67,7 @@ enum class FrameType : std::uint8_t {
 
 enum class ErrorCode : std::uint32_t {
   kInvalidRequest = 1,   // malformed topology / size / tenant
-  kOverloaded = 2,       // dispatch queue or compiler pool saturated
+  kOverloaded = 2,       // dispatch queue full
   kQuotaExceeded = 3,    // tenant token bucket empty
   kConnectionLimit = 4,  // connection admission refused
   kShuttingDown = 5,     // server draining, resubmit elsewhere/later
@@ -143,8 +143,9 @@ struct ResponseFrame {
 struct ErrorFrame {
   std::uint64_t request_id = 0;
   ErrorCode code = ErrorCode::kInternal;
-  /// Backoff hint in milliseconds (0 = none); carries
-  /// ServiceOverloaded::retry_after_seconds across the wire.
+  /// Backoff hint in milliseconds (0 = none): the dispatch queue's
+  /// drain estimate for kOverloaded, the time until a token accrues
+  /// for kQuotaExceeded.
   std::uint32_t retry_after_ms = 0;
   std::string message;
 };

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <utility>
 
 namespace aapc::service {
@@ -26,25 +25,6 @@ CompilerPool::~CompilerPool() {
   }
   work_available_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-}
-
-void CompilerPool::submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    AAPC_REQUIRE(!shutting_down_, "compiler pool is shutting down");
-    if (queue_.size() >= queue_capacity_) {
-      ++rejected_;
-      throw PoolSaturated("compiler pool saturated: " +
-                          std::to_string(queue_.size()) +
-                          " task(s) queued (capacity " +
-                          std::to_string(queue_capacity_) + ")");
-    }
-    queue_.push_back(std::move(task));
-    ++submitted_;
-    peak_queue_depth_ = std::max(
-        peak_queue_depth_, static_cast<std::int64_t>(queue_.size()));
-  }
-  work_available_.notify_one();
 }
 
 void CompilerPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
@@ -81,10 +61,10 @@ void CompilerPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
       }
     }
   };
-  // Helpers go only to idle workers that no queued task has claimed,
-  // so a helper never takes a queue slot from a compile request or
-  // waits behind one. With every worker busy (or the pool shutting
-  // down) the caller drains the whole batch itself.
+  // Helpers go only to idle workers that no queued helper has claimed,
+  // so a helper never waits behind another batch's helper. With every
+  // worker busy (or the pool shutting down) the caller drains the
+  // whole batch itself.
   std::size_t helpers = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -132,7 +112,6 @@ CompilerPool::Stats CompilerPool::stats() const {
   Stats stats;
   stats.submitted = submitted_;
   stats.executed = executed_;
-  stats.rejected = rejected_;
   stats.queue_depth = static_cast<std::int64_t>(queue_.size());
   stats.peak_queue_depth = peak_queue_depth_;
   return stats;

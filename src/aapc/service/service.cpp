@@ -1,10 +1,11 @@
 #include "aapc/service/service.hpp"
 
-#include <algorithm>
 #include <chrono>
+#include <exception>
 #include <sstream>
 #include <utility>
 
+#include "aapc/common/error.hpp"
 #include "aapc/common/log.hpp"
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/scheduler.hpp"
@@ -70,9 +71,6 @@ ScheduleService::ScheduleService(const ServiceOptions& options)
       coalesced_waits_(registry_.counter(
           "aapc_service_coalesced_waits_total",
           "Requests that waited on a concurrent compilation of their key")),
-      rejected_(registry_.counter(
-          "aapc_service_rejected_total",
-          "Requests rejected with ServiceOverloaded (pool backpressure)")),
       hash_collisions_(registry_.counter(
           "aapc_service_hash_collisions_total",
           "Canonical-hash collisions compiled inline, uncached")),
@@ -97,14 +95,15 @@ ScheduleService::ScheduleService(const ServiceOptions& options)
       compile_ranks_(registry_.gauge(
           "aapc_service_compile_ranks",
           "Machine count of the most recently compiled topology")),
-      pool_(options.compiler_threads, options.queue_capacity) {
+      // The queue holds only helper jobs, never more than the idle
+      // workers, so a capacity of one slot per worker never binds.
+      pool_(options.compiler_threads, options.compiler_threads) {
   for (std::uint8_t raw = 0; core::collective_kind_valid(raw); ++raw) {
     requests_[raw] = &registry_.counter(
         "aapc_service_requests_total", "Compile requests received",
         obs::Labels{{"kind", core::collective_kind_name(
                                  static_cast<core::CollectiveKind>(raw))}});
   }
-  latency_ring_.reserve(kLatencyReservoirCapacity);
 }
 
 CacheKey ScheduleService::cache_key(const Canonicalization& canon,
@@ -195,7 +194,7 @@ CompiledEntryPtr ScheduleService::compile_entry(
   stage_lower_seconds_.observe(seconds_since(stage));
   entry->footprint_bytes = measure_footprint(*entry);
   const double compile_seconds = seconds_since(start);
-  record_compile_latency(compile_seconds);
+  compile_seconds_.observe(compile_seconds);
   AAPC_DEBUG("compiled canonical topology ("
              << entry->canonical_topo.machine_count() << " machines, class "
              << class_bytes << " B) in " << format_seconds(compile_seconds));
@@ -213,46 +212,6 @@ ServedEntry ScheduleService::finish(const Canonicalization& canon,
   served.coalesced = coalesced;
   served.epoch = epoch;
   return served;
-}
-
-double ScheduleService::retry_after_hint() const {
-  // Expected time for the backlog to drain: (queued + executing) tasks
-  // at the observed median compile cost over the worker count, floored
-  // at a small constant so a cold service still suggests a real pause.
-  // The median comes from the bounded recent-latency ring via
-  // nth_element — this runs on the rejection path, so no full sort and
-  // no unbounded history under the lock.
-  double median = 0.05;
-  {
-    const std::lock_guard<std::mutex> lock(latency_mutex_);
-    if (!latency_ring_.empty()) {
-      std::vector<double> recent = latency_ring_;
-      const auto mid = recent.begin() +
-                       static_cast<std::ptrdiff_t>(recent.size() / 2);
-      std::nth_element(recent.begin(), mid, recent.end());
-      median = std::max(*mid, 1e-3);
-    }
-  }
-  const CompilerPool::Stats pool = pool_.stats();
-  const double backlog =
-      static_cast<double>(pool.queue_depth + pool_.thread_count());
-  return median * backlog / static_cast<double>(pool_.thread_count());
-}
-
-void ScheduleService::record_compile_latency(double seconds) {
-  compile_seconds_.observe(seconds);
-  const std::lock_guard<std::mutex> lock(latency_mutex_);
-  if (latency_ring_.size() < kLatencyReservoirCapacity) {
-    latency_ring_.push_back(seconds);
-  } else {
-    latency_ring_[latency_next_] = seconds;
-    latency_next_ = (latency_next_ + 1) % kLatencyReservoirCapacity;
-  }
-}
-
-std::size_t ScheduleService::latency_reservoir_size() const {
-  const std::lock_guard<std::mutex> lock(latency_mutex_);
-  return latency_ring_.size();
 }
 
 CompiledRoutine ScheduleService::compile(const topology::Topology& topo,
@@ -320,11 +279,9 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
   }
 
   // Miss: coalesce with an in-flight compilation of the same key, or
-  // become the one request that submits it.
+  // become the one request that compiles it.
   std::shared_future<CompiledEntryPtr> future;
-  // shared_ptr because std::function requires copyable callables and
-  // std::promise is move-only.
-  std::shared_ptr<std::promise<CompiledEntryPtr>> promise;
+  std::promise<CompiledEntryPtr> promise;
   bool leader = false;
   CompiledEntryPtr late_hit;
   {
@@ -342,8 +299,7 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
       // the cache lock while taking the in-flight lock.
       late_hit = cache_.get(key, canon.canonical_form, &canonical_neighbors);
       if (late_hit == nullptr) {
-        promise = std::make_shared<std::promise<CompiledEntryPtr>>();
-        future = promise->get_future().share();
+        future = promise.get_future().share();
         in_flight_.emplace(key, future);
         leader = true;
       }
@@ -353,42 +309,30 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
   cache_misses_.inc();
 
   if (leader) {
-    // The task owns the promise: it publishes to the cache, resolves
-    // every coalesced waiter, and removes the in-flight marker (in that
-    // order, so a request arriving after removal finds the cache entry).
-    auto task = [this, key, form = canon.canonical_form, class_bytes, kind,
-                 canonical_neighbors, task_promise = promise]() {
-      try {
-        CompiledEntryPtr entry =
-            compile_entry(form, class_bytes, kind, canonical_neighbors);
-        cache_.put(key, entry);
-        task_promise->set_value(std::move(entry));
-      } catch (...) {
-        task_promise->set_exception(std::current_exception());
-      }
+    // The leader compiles on its own thread and publishes to the cache,
+    // resolves every coalesced waiter, and removes the in-flight marker
+    // (in that order, so a request arriving after removal finds the
+    // cache entry). A failed compilation reaches the waiters through
+    // the future and this caller through the rethrow, and the marker
+    // goes away so a retry compiles afresh.
+    CompiledEntryPtr entry;
+    std::exception_ptr failure;
+    try {
+      entry = compile_entry(canon.canonical_form, class_bytes, kind,
+                            canonical_neighbors);
+      cache_.put(key, entry);
+      promise.set_value(entry);
+    } catch (...) {
+      failure = std::current_exception();
+      promise.set_exception(failure);
+    }
+    {
       const std::lock_guard<std::mutex> lock(in_flight_mutex_);
       in_flight_.erase(key);
-    };
-    try {
-      pool_.submit(std::move(task));
-    } catch (const PoolSaturated& saturated) {
-      // Fail this request and every waiter already coalesced onto it;
-      // the in-flight marker goes away so a retry can submit afresh.
-      // (submit only throws before taking ownership of the task, so the
-      // promise is still ours to resolve here.)
-      rejected_.inc();
-      const double retry_after = retry_after_hint();
-      ServiceOverloaded overloaded(
-          std::string(saturated.what()) + " — retry after " +
-              format_seconds(retry_after),
-          retry_after);
-      promise->set_exception(std::make_exception_ptr(overloaded));
-      {
-        const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-        in_flight_.erase(key);
-      }
-      throw overloaded;
     }
+    if (failure != nullptr) std::rethrow_exception(failure);
+    return finish(canon, std::move(entry), /*cache_hit=*/false,
+                  /*coalesced=*/false, epoch);
   }
 
   CompiledEntryPtr entry = future.get();  // rethrows compilation errors
@@ -404,7 +348,8 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
     entry = compile_entry(canon.canonical_form, class_bytes, kind,
                           canonical_neighbors);
   }
-  return finish(canon, std::move(entry), /*cache_hit=*/false, !leader, epoch);
+  return finish(canon, std::move(entry), /*cache_hit=*/false,
+                /*coalesced=*/true, epoch);
 }
 
 void ScheduleService::sync_mirrors() const {
@@ -425,11 +370,11 @@ void ScheduleService::sync_mirrors() const {
   const CompilerPool::Stats pool = pool_.stats();
   registry_
       .gauge("aapc_service_queue_depth",
-             "Compilations queued but not yet executing")
+             "Compiler-pool helper jobs queued but not yet running")
       .set(static_cast<double>(pool.queue_depth));
   registry_
       .gauge("aapc_service_peak_queue_depth",
-             "High-water mark of the compiler pool queue")
+             "High-water mark of aapc_service_queue_depth")
       .set_max(static_cast<double>(pool.peak_queue_depth));
   const TopologyEpochs::Stats epochs = epochs_.stats();
   registry_

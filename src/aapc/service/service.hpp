@@ -12,9 +12,9 @@
 //     -> in-flight coalescing    N concurrent misses on one canonical
 //                                key trigger exactly one compilation;
 //                                the rest wait on its shared future
-//     -> compiler pool           bounded queue; when saturated the
-//                                request is rejected with a retry-after
-//                                hint instead of queueing unboundedly
+//     -> compile                 on the leader's own thread; assign and
+//                                verify borrow idle compiler-pool
+//                                workers
 //
 // Compiled artifacts live in canonical rank labeling and are immutable.
 // A response maps the shared schedule through the caller's rank
@@ -24,7 +24,7 @@
 // relabeled copy (compile, core::relabel_schedule). The lowered programs
 // are rewritten only for a caller that asks
 // (CompiledRoutine::caller_programs). See docs/SERVICE.md for the
-// architecture, cache-key definition, and backpressure contract.
+// architecture, cache-key definition, and where backpressure lives.
 #pragma once
 
 #include <array>
@@ -35,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "aapc/common/error.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/obs/metrics.hpp"
 #include "aapc/service/canonical.hpp"
@@ -45,25 +44,12 @@
 
 namespace aapc::service {
 
-/// Thrown when the compiler pool's bounded queue is full. Callers should
-/// back off for at least `retry_after_seconds` before resubmitting.
-class ServiceOverloaded : public Error {
- public:
-  ServiceOverloaded(const std::string& what, double retry_after_seconds)
-      : Error(what), retry_after_seconds_(retry_after_seconds) {}
-  double retry_after_seconds() const { return retry_after_seconds_; }
-
- private:
-  double retry_after_seconds_;
-};
-
 struct ServiceOptions {
   /// Cached entries held before the least recently used is evicted.
   std::size_t cache_capacity = 256;
-  /// Compilation worker threads.
+  /// Pool workers lent to a compilation's assign and verify passes;
+  /// the compilation itself runs on the requesting thread.
   std::int32_t compiler_threads = 4;
-  /// Queued (not yet executing) compilations before submit rejects.
-  std::int32_t queue_capacity = 64;
 };
 
 /// The canonical artifact that serves one request, with the permutation
@@ -105,8 +91,9 @@ class ScheduleService {
 
   /// Compiles (or serves from cache) the AAPC routine for `topo` at
   /// message size `msize`, blocking until the artifact is available.
-  /// Throws ServiceOverloaded when a compilation would be required but
-  /// the pool queue is full; rethrows compilation errors verbatim.
+  /// A miss compiles on the calling thread unless a concurrent request
+  /// is already compiling the key; compilation errors are rethrown
+  /// verbatim.
   CompiledRoutine compile(const topology::Topology& topo, Bytes msize);
 
   /// Same, reusing a canonicalization the caller already computed, so
@@ -152,12 +139,6 @@ class ScheduleService {
   static std::uint32_t size_class(Bytes msize);
   static Bytes size_class_bytes(std::uint32_t size_class);
 
-  /// Recent compile latencies retained for retry_after_hint's median —
-  /// a bounded ring, never the full service history (exposed, with the
-  /// capacity, for the boundedness regression test).
-  static constexpr std::size_t kLatencyReservoirCapacity = 256;
-  std::size_t latency_reservoir_size() const;
-
   /// The cache key `compile` uses for a request (exposed for tests).
   /// The two-argument form keys an alltoall request; the full form
   /// takes the kind and the *canonical* normalized neighbor sets.
@@ -179,8 +160,6 @@ class ScheduleService {
   ServedEntry finish(const Canonicalization& canon, CompiledEntryPtr entry,
                      bool cache_hit, bool coalesced,
                      std::uint64_t epoch) const;
-  double retry_after_hint() const;
-  void record_compile_latency(double seconds);
   /// Mirrors the cache/pool counters (owned by those components) into
   /// the registry so snapshots carry every service series.
   void sync_mirrors() const;
@@ -197,20 +176,18 @@ class ScheduleService {
 
   /// Source of truth for every aapc_service_* series. mutable: reads
   /// (metrics_snapshot) sync mirror series, which registers them on
-  /// first use. Declared before the instrument references below and
-  /// before pool_ (whose tasks record into the histogram).
+  /// first use. Declared before the instrument references below.
   mutable obs::Registry registry_;
   /// aapc_service_requests_total{kind=...}, one series per collective
   /// kind, indexed by the kind's wire byte. Registered in the
   /// constructor body (the registry hands out stable references).
   std::array<obs::Counter*, 4> requests_{};
   /// One of these two per request past validation, so hits + misses
-  /// equals requests: a hit found the key cached, a miss waited on a
-  /// compilation (its own or a coalesced one).
+  /// equals requests: a hit found the key cached, a miss compiled it
+  /// (the leader) or waited on the leader's compilation.
   obs::Counter& cache_hits_;
   obs::Counter& cache_misses_;
   obs::Counter& coalesced_waits_;
-  obs::Counter& rejected_;
   obs::Counter& hash_collisions_;
   obs::Histogram& compile_seconds_;
   /// Per-stage compile-time breakdown (decompose -> assign -> sync ->
@@ -224,17 +201,7 @@ class ScheduleService {
   obs::Histogram& stage_lower_seconds_;
   obs::Gauge& compile_ranks_;
 
-  /// Bounded ring of recent compile latencies (retry_after_hint's
-  /// median). latency_ring_ holds at most kLatencyReservoirCapacity
-  /// entries; latency_next_ is the overwrite cursor once full.
-  mutable std::mutex latency_mutex_;
-  std::vector<double> latency_ring_;
-  std::size_t latency_next_ = 0;
-
-  // Declared last on purpose: members are destroyed in reverse order,
-  // and the pool's destructor drains and joins workers whose tasks
-  // touch cache_, in_flight_, and the latency buffer above. The pool
-  // must die first so no task outlives the members it uses.
+  /// Idle workers lent to compile_entry's assign and verify batches.
   CompilerPool pool_;
 };
 

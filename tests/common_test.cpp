@@ -328,6 +328,40 @@ TEST(CliTest, BoundedIntegersRejectValuesAboveTheBound) {
   EXPECT_EQ(cli.get_u64("absent", 7, 7), 7u);
 }
 
+TEST(CliTest, DoublesRejectJunkTrailingJunkAndNonFiniteValues) {
+  // The whole token must be one finite number, and a bad one throws
+  // InvalidArgument naming the flag (the examples print it as FAIL).
+  for (const std::string text : {"abc", "5xyz", "nan", "inf", "-inf",
+                                 "1e400", ""}) {
+    CliParser cli("usage");
+    cli.add_flag("rps", "rate");
+    const std::string arg = "--rps=" + text;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(cli.parse(2, argv));
+    try {
+      cli.get_double("rps", 0);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--rps"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CliTest, DoublesReadNegativeAndFractionalValues) {
+  CliParser cli("usage");
+  cli.add_flag("min-hit-rate", "gate", "-1");
+  cli.add_flag("rps", "rate");
+  cli.add_flag("zipf", "exponent");
+  const char* argv[] = {"prog", "--min-hit-rate", "-1", "--rps", "2.5e2",
+                        "--zipf=1.1"};
+  ASSERT_TRUE(cli.parse(6, argv));
+  EXPECT_EQ(cli.get_double("min-hit-rate", 0), -1.0);
+  EXPECT_EQ(cli.get_double("rps", 0), 250.0);
+  EXPECT_EQ(cli.get_double("zipf", 0), 1.1);
+  EXPECT_EQ(cli.get_double("absent", 0.5), 0.5);
+}
+
 TEST(CliTest, DefaultsApply) {
   CliParser cli("usage");
   cli.add_flag("msize", "message size", "8K");

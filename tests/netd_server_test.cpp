@@ -340,7 +340,6 @@ TEST(NetdServerTest, DispatchOverloadAnswersOverloadedWithRetryHint) {
   options.dispatch_threads = 1;
   options.dispatch_queue_capacity = 1;
   options.service.compiler_threads = 1;
-  options.service.queue_capacity = 1;
   const auto server = start_server(options);
 
   constexpr int kClients = 8;
@@ -355,7 +354,8 @@ TEST(NetdServerTest, DispatchOverloadAnswersOverloadedWithRetryHint) {
         Client client("127.0.0.1", server->port());
         Rng rng(1000 + static_cast<std::uint64_t>(t));
         // Distinct random clusters: every request is a cache miss, so
-        // the single compiler saturates and the valves must speak.
+        // the single dispatcher compiles while its one-slot queue fills
+        // and the queue must answer for the rest.
         topology::RandomTreeOptions tree;
         tree.switches = 3;
         tree.machines = 16;

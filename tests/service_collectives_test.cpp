@@ -26,7 +26,6 @@ using topology::Topology;
 ServiceOptions small_service() {
   ServiceOptions options;
   options.compiler_threads = 2;
-  options.queue_capacity = 16;
   return options;
 }
 

@@ -1,6 +1,7 @@
-// Compiler-pool unit tests: execution, bounded-queue backpressure,
-// shutdown draining, and run_tasks fan-out. (Coalescing lives in the
-// service layer and is covered by service_test.cpp.)
+// Compiler-pool unit tests: run_tasks fan-out onto idle workers, the
+// inline fallback when none is idle, and configuration checks.
+// (Coalescing lives in the service layer and is covered by
+// service_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,55 +17,7 @@
 namespace aapc::service {
 namespace {
 
-TEST(CompilerPoolTest, ExecutesEverySubmittedTask) {
-  std::atomic<int> executed{0};
-  {
-    CompilerPool pool(4, 64);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&executed] { executed.fetch_add(1); });
-    }
-  }  // destructor drains the queue and joins
-  EXPECT_EQ(executed.load(), 50);
-}
-
-TEST(CompilerPoolTest, StatsCountSubmissions) {
-  CompilerPool pool(2, 16);
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&executed] { executed.fetch_add(1); });
-  }
-  // Spin until the queue drains (bounded by the test timeout).
-  while (executed.load() < 10) std::this_thread::yield();
-  const CompilerPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, 10);
-  EXPECT_EQ(stats.rejected, 0);
-  EXPECT_GE(stats.peak_queue_depth, 0);
-}
-
-TEST(CompilerPoolTest, SaturatedQueueRejects) {
-  // One worker blocked on a latch; queue capacity 2. The third queued
-  // submission must throw PoolSaturated, and the counter must show it.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  CompilerPool pool(1, 2);
-  pool.submit([&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return release; });
-  });
-  // Wait until the worker has picked up the blocking task, so both
-  // subsequent submissions sit in the queue.
-  while (pool.stats().queue_depth > 0) std::this_thread::yield();
-  pool.submit([] {});
-  pool.submit([] {});
-  EXPECT_THROW(pool.submit([] {}), PoolSaturated);
-  EXPECT_EQ(pool.stats().rejected, 1);
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
-}
+using Clock = std::chrono::steady_clock;
 
 TEST(CompilerPoolTest, RejectsInvalidConfig) {
   EXPECT_THROW(CompilerPool(0, 4), InvalidArgument);
@@ -72,64 +25,32 @@ TEST(CompilerPoolTest, RejectsInvalidConfig) {
 }
 
 TEST(CompilerPoolTest, ParallelismActuallyOverlaps) {
-  // With 4 workers, 4 tasks that each wait for all 4 to start can only
-  // finish if they run concurrently.
-  CompilerPool pool(4, 8);
+  // With 4 idle workers, a batch of 5 tasks that each wait for all 5 to
+  // start can only finish in time if the caller and 4 helpers run them
+  // at once.
+  constexpr int kWorkers = 4;
+  constexpr int kTasks = kWorkers + 1;
+  CompilerPool pool(kWorkers, 8);
   std::atomic<int> started{0};
-  std::atomic<int> finished{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.submit([&] {
-      started.fetch_add(1);
-      while (started.load() < 4) std::this_thread::yield();
-      finished.fetch_add(1);
-    });
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (finished.load() < 4 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(finished.load(), 4);
-}
-
-TEST(CompilerPoolTest, QueuedTasksRunInSubmissionOrder) {
-  // One worker parked on a latch while two tasks queue behind it: they
-  // must run first in, first out.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  std::vector<int> order;
-  std::mutex order_mutex;
-  auto record = [&](int tag) {
-    return [&, tag] {
-      const std::lock_guard<std::mutex> lock(order_mutex);
-      order.push_back(tag);
-    };
-  };
-  {
-    CompilerPool pool(1, 8);
-    pool.submit([&] {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [&] { return release; });
-    });
-    while (pool.stats().queue_depth > 0) std::this_thread::yield();
-    pool.submit(record(1));
-    pool.submit(record(2));
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      release = true;
+  std::atomic<int> overlapped{0};
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(30);
+  std::vector<std::function<void()>> tasks(kTasks, [&] {
+    started.fetch_add(1);
+    while (started.load() < kTasks && Clock::now() < deadline) {
+      std::this_thread::yield();
     }
-    cv.notify_all();
-  }  // destructor drains the queue and joins
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
+    if (started.load() == kTasks) overlapped.fetch_add(1);
+  });
+  pool.run_tasks(tasks);
+  EXPECT_EQ(overlapped.load(), kTasks);
+  const CompilerPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.submitted, kWorkers);  // one helper per idle worker
+  EXPECT_LE(stats.peak_queue_depth, kWorkers);
 }
 
 TEST(CompilerPoolTest, RunTasksRunsEveryTaskExactlyOnce) {
-  // From outside the pool (idle workers help) and from inside a worker's
-  // own task (the caller drains alongside whatever helpers it got).
+  // From outside the pool (idle workers help) and from inside a helper's
+  // task (a nested batch gets whatever workers are still idle).
   CompilerPool pool(4, 64);
   constexpr int kTasks = 1000;
   const auto check_batch = [&pool] {
@@ -144,52 +65,69 @@ TEST(CompilerPoolTest, RunTasksRunsEveryTaskExactlyOnce) {
     return wrong;
   };
   EXPECT_EQ(check_batch(), 0);
-  std::atomic<int> nested_wrong{-1};
-  pool.submit([&] { nested_wrong = check_batch(); });
-  CompilerPool::Stats stats = pool.stats();
-  while (stats.queue_depth > 0 || nested_wrong.load() < 0) {
+
+  // Two outer tasks that wait for each other run on two threads, so at
+  // least one of them runs on a helper and nests its batch there. Wait
+  // out the first batch's straggling helpers so a worker is idle.
+  while (pool.stats().executed < pool.stats().submitted) {
     std::this_thread::yield();
-    stats = pool.stats();
   }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<int> nested_wrong{0};
+  std::atomic<int> nested_on_helper{0};
+  std::vector<std::function<void()>> outer(2, [&] {
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+    if (std::this_thread::get_id() != caller) nested_on_helper.fetch_add(1);
+    nested_wrong.fetch_add(check_batch());
+  });
+  pool.run_tasks(outer);
+  EXPECT_GE(nested_on_helper.load(), 1);
   EXPECT_EQ(nested_wrong.load(), 0);
 }
 
-TEST(CompilerPoolTest, RunTasksWithEveryWorkerBusyRunsInline) {
-  // Both workers are busy — one of them is the caller — so no helper is
-  // offered: the whole batch runs on the calling worker, and the queue
-  // never sees a helper job.
-  CompilerPool pool(2, 8);
-  std::atomic<int> started{0};
-  std::atomic<bool> batch_done{false};
-  std::vector<std::thread::id> ran(16);
-  std::thread::id caller;
-  CompilerPool::Stats before;
-  CompilerPool::Stats after;
-  pool.submit([&] {
-    started.fetch_add(1);
-    while (started.load() < 2) std::this_thread::yield();
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < ran.size(); ++i) {
-      tasks.push_back([&ran, i] { ran[i] = std::this_thread::get_id(); });
-    }
-    before = pool.stats();
+TEST(CompilerPoolTest, RunTasksWithEveryWorkerHeldRunsInline) {
+  // Another thread's batch holds both workers (and its own thread) in
+  // tasks blocked on a latch, so a second batch gets no helper: it runs
+  // wholly on its caller, and the queue never sees a helper job for it.
+  constexpr int kWorkers = 2;
+  CompilerPool pool(kWorkers, 8);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> held{0};
+  std::thread blocked([&] {
+    std::vector<std::function<void()>> tasks(kWorkers + 1, [&] {
+      held.fetch_add(1);
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, [&] { return release; });
+    });
     pool.run_tasks(tasks);
-    after = pool.stats();
-    caller = std::this_thread::get_id();
-    batch_done = true;
   });
-  pool.submit([&] {
-    started.fetch_add(1);
-    while (!batch_done.load()) std::this_thread::yield();
-  });
-  // The pool counts a task after it returns; waiting on that count
-  // also makes the first task's writes visible here.
-  while (pool.stats().executed < 2) std::this_thread::yield();
-  for (const std::thread::id& id : ran) EXPECT_EQ(id, caller);
-  EXPECT_EQ(before.queue_depth, 0);
-  EXPECT_EQ(after.queue_depth, 0);
+  while (held.load() < kWorkers + 1) std::this_thread::yield();
+
+  const CompilerPool::Stats before = pool.stats();
+  std::vector<std::thread::id> ran(16);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    tasks.push_back([&ran, i] { ran[i] = std::this_thread::get_id(); });
+  }
+  pool.run_tasks(tasks);
+  const CompilerPool::Stats after = pool.stats();
+  for (const std::thread::id& id : ran) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(before.submitted, kWorkers);  // the blocked batch's helpers
   EXPECT_EQ(after.submitted, before.submitted);
-  EXPECT_EQ(pool.stats().submitted, 2);  // the two submits, no helper
+  EXPECT_EQ(after.queue_depth, 0);
+
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  blocked.join();
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // End-to-end schedule-compilation service tests: cache hits across
 // isomorphic relabelings, in-flight request coalescing (the acceptance
 // bar: 64 concurrent requests for one canonical key perform exactly one
-// compilation), backpressure rejection, metrics accounting, and
+// compilation), concurrent distinct misses, metrics accounting, and
 // executability of the rewritten programs on the caller's topology.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <thread>
@@ -171,7 +170,6 @@ TEST(ScheduleServiceTest, CoalescingCompilesExactlyOnce) {
   EXPECT_EQ(metrics.value("aapc_service_cache_hits_total") +
                 metrics.value("aapc_service_cache_misses_total"),
             kRequests);
-  EXPECT_EQ(metrics.value("aapc_service_rejected_total"), 0.0);
 }
 
 TEST(ScheduleServiceTest, ManyTopologiesConcurrently) {
@@ -179,7 +177,6 @@ TEST(ScheduleServiceTest, ManyTopologiesConcurrently) {
   // every distinct (topology, class) compiles at most once.
   ServiceOptions options;
   options.compiler_threads = 4;
-  options.queue_capacity = 256;
   ScheduleService service(options);
   std::vector<Topology> topologies;
   topologies.push_back(topology::make_single_switch(6));
@@ -215,86 +212,29 @@ TEST(ScheduleServiceTest, ManyTopologiesConcurrently) {
   EXPECT_LE(compilations(metrics), 4);
 }
 
-TEST(ScheduleServiceTest, BackpressureRejectsWithRetryAfter) {
-  // One worker, queue capacity 1, and distinct topologies so nothing
-  // coalesces: the third simultaneous compilation has nowhere to go.
-  ServiceOptions options;
-  options.compiler_threads = 1;
-  options.queue_capacity = 1;
-  ScheduleService service(options);
-  std::vector<Topology> topologies;
-  for (int machines = 16; machines <= 40; machines += 2) {
-    topologies.push_back(topology::make_single_switch(machines));
-  }
-  std::atomic<int> rejected{0};
-  std::atomic<int> served{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < topologies.size(); ++t) {
-    threads.emplace_back([&, t] {
-      try {
-        service.compile(topologies[t], 64_KiB);
-        served.fetch_add(1);
-      } catch (const ServiceOverloaded& overloaded) {
-        EXPECT_GT(overloaded.retry_after_seconds(), 0);
-        rejected.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(served.load() + rejected.load(),
-            static_cast<int>(topologies.size()));
-  // With 13 concurrent compilations against 1 worker + 1 queue slot,
-  // some must be rejected — and the metrics must agree.
-  EXPECT_GT(rejected.load(), 0);
-  EXPECT_EQ(service.metrics_snapshot().value("aapc_service_rejected_total"),
-            rejected.load());
-  // Rejected keys retry successfully once the backlog drains.
-  for (const Topology& topo : topologies) {
-    for (;;) {
-      try {
-        service.compile(topo, 64_KiB);
-        break;
-      } catch (const ServiceOverloaded&) {
-        std::this_thread::yield();
-      }
-    }
-  }
-  EXPECT_EQ(
-      service.metrics_snapshot().value("aapc_service_hash_collisions_total"),
-      0.0);
-}
-
-TEST(ScheduleServiceTest, BurstOfDistinctKeysIsNeverRejected) {
-  // 40 callers ask one fresh service (4 workers, 64 queue slots) for 40
-  // size classes of a 256-rank fat tree at once. At most 36 requests
-  // wait while 4 compile, so none may be rejected. Each compile fans its
-  // assignment passes out on the pool; helpers go only to idle workers,
-  // so they never take the queue slots those requests need. (The cache
-  // keeps all 40 entries, about 0.4 GB here; 512 ranks would need 2 GB.)
+TEST(ScheduleServiceTest, BurstOfDistinctKeysCompilesEachOnce) {
+  // 40 callers ask one fresh service for 40 size classes of a 64-rank
+  // fat tree at once. Each caller leads its own key and compiles it on
+  // its own thread, borrowing whichever pool workers are idle, so every
+  // request is served and every key compiles exactly once.
   ScheduleService service;
-  const Topology topo = topology::make_fat_tree(8, 4, 8);
+  const Topology topo = topology::make_fat_tree(4, 4, 4);
   const Canonicalization canon = canonicalize(topo);
   constexpr int kCallers = 40;
   std::atomic<int> served{0};
-  std::atomic<int> overloaded{0};
   std::vector<std::thread> threads;
   for (int c = 0; c < kCallers; ++c) {
     threads.emplace_back([&, c] {
-      try {
-        service.lookup(topo, Bytes{1} << c, canon,
-                       core::CollectiveKind::kAlltoall);
-        served.fetch_add(1);
-      } catch (const ServiceOverloaded&) {
-        overloaded.fetch_add(1);
-      }
+      const ServedEntry entry = service.lookup(
+          topo, Bytes{1} << c, canon, core::CollectiveKind::kAlltoall);
+      if (!entry.cache_hit && !entry.coalesced) served.fetch_add(1);
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(overloaded.load(), 0);
   EXPECT_EQ(served.load(), kCallers);
   const obs::RegistrySnapshot metrics = service.metrics_snapshot();
-  EXPECT_EQ(metrics.value("aapc_service_rejected_total"), 0.0);
   EXPECT_EQ(metrics.value("aapc_service_cache_misses_total"), kCallers);
+  EXPECT_EQ(compilations(metrics), kCallers);
 }
 
 TEST(ScheduleServiceTest, SizeClassMath) {
@@ -357,36 +297,6 @@ TEST(ScheduleServiceTest, SizeClassRejectsOversizedRequests) {
     EXPECT_NE(std::string(error.what()).find("largest size class"),
               std::string::npos);
   }
-}
-
-TEST(ScheduleServiceTest, CompileLatencyReservoirStaysBounded) {
-  // Regression: the latency buffer used to grow by one entry per
-  // compilation forever (and retry_after_hint fully sorted a copy of
-  // it under the metrics lock). It is now a fixed-capacity ring.
-  ServiceOptions options;
-  options.cache_capacity = 2;  // force continuous evictions/compiles
-  ScheduleService service(options);
-  std::vector<Topology> topologies;
-  for (int machines = 4; machines <= 9; ++machines) {
-    topologies.push_back(topology::make_single_switch(machines));
-  }
-  std::int64_t compiles = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (const Topology& topo : topologies) {
-      service.compile(topo, 8_KiB);
-      ++compiles;
-      EXPECT_LE(service.latency_reservoir_size(),
-                ScheduleService::kLatencyReservoirCapacity);
-    }
-  }
-  // The tiny cache can hold 2 of 6 topologies: most requests recompile,
-  // yet the reservoir never exceeds its capacity while the metrics
-  // histogram still counts every compilation.
-  const std::int64_t compiled = compilations(service.metrics_snapshot());
-  EXPECT_GT(compiled, 6);
-  EXPECT_EQ(service.latency_reservoir_size(),
-            std::min<std::size_t>(static_cast<std::size_t>(compiled),
-                                  ScheduleService::kLatencyReservoirCapacity));
 }
 
 TEST(ScheduleServiceTest, MetricsExposeRegistrySeries) {
