@@ -19,6 +19,7 @@
 // fails. See EXPERIMENTS.md §E13.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -237,20 +238,31 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  bool skip_overhead = false;
+  std::int64_t rounds = 0;
+  std::int64_t inner = 0;
+  double gate = 0;
+  try {
+    skip_overhead = cli.get_bool("skip-overhead", false);
+    rounds = static_cast<std::int64_t>(cli.get_u64("rounds", 25, INT64_MAX));
+    inner = static_cast<std::int64_t>(cli.get_u64("inner", 20, INT64_MAX));
+    gate = cli.get_double("max-overhead-pct", 2.0);
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
+
   const int missed = run_localization_sweep();
   if (missed > 0) {
     std::cout << "FAIL: " << missed << " injected fault(s) not localized\n";
     return 1;
   }
-  if (cli.get_bool("skip-overhead", false)) {
+  if (skip_overhead) {
     std::cout << "PASS: all faults localized (overhead gate skipped)\n";
     return 0;
   }
 
-  const double overhead_pct =
-      measure_overhead(static_cast<std::int64_t>(cli.get_u64("rounds", 25)),
-                       static_cast<std::int64_t>(cli.get_u64("inner", 20)));
-  const double gate = cli.get_double("max-overhead-pct", 2.0);
+  const double overhead_pct = measure_overhead(rounds, inner);
   std::cout << "  overhead: " << format_double(overhead_pct, 2) << "% (gate "
             << format_double(gate, 1) << "%)\n";
   if (overhead_pct >= gate) {

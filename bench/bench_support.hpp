@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "aapc/common/cli.hpp"
+#include "aapc/common/error.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/harness/experiment.hpp"
 #include "aapc/topology/io.hpp"
@@ -30,13 +31,20 @@ inline int run_topology_bench(const std::string& title,
   }
 
   harness::ExperimentConfig config;
-  config.net.link_bandwidth_bytes_per_sec =
-      mbps_to_bytes_per_sec(cli.get_double("bandwidth-mbps", 100.0));
-  config.exec.wakeup_jitter_max =
-      microseconds(cli.get_double("jitter-us", 1000.0));
-  config.msizes.clear();
-  for (const std::string& token : split(cli.get("msizes"), ',')) {
-    config.msizes.push_back(parse_size(token));
+  bool csv = false;
+  try {
+    config.net.link_bandwidth_bytes_per_sec =
+        mbps_to_bytes_per_sec(cli.get_double("bandwidth-mbps", 100.0));
+    config.exec.wakeup_jitter_max =
+        microseconds(cli.get_double("jitter-us", 1000.0));
+    config.msizes.clear();
+    for (const std::string& token : split(cli.get("msizes"), ',')) {
+      config.msizes.push_back(parse_size(token));
+    }
+    csv = cli.get_bool("csv", false);
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
   }
 
   std::cout << topology::describe_topology(
@@ -46,7 +54,7 @@ inline int run_topology_bench(const std::string& title,
   const harness::ExperimentReport report =
       harness::run_experiment(topo, title, suite, config);
   std::cout << report.to_string();
-  if (cli.get_bool("csv", false)) {
+  if (csv) {
     std::cout << "\ncompletion_ms CSV\n"
               << report.completion_table().render_csv()
               << "\nthroughput_mbps CSV\n"

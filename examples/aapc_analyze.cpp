@@ -355,14 +355,13 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text();
     return 0;
   }
-  const Bytes msize = parse_size(cli.get_or("msize", "32K"));
-  const std::uint32_t ring_capacity =
-      static_cast<std::uint32_t>(cli.get_u64("ring", 4096));
-  const double severity = cli.get_double("severity", 3.0);
-  const bool json = cli.get_bool("json", false);
-  const std::string out_dir = cli.get_or("out", "");
-
   try {
+    const Bytes msize = parse_size(cli.get_or("msize", "32K"));
+    const std::uint32_t ring_capacity =
+        static_cast<std::uint32_t>(cli.get_u64("ring", 4096));
+    const double severity = cli.get_double("severity", 3.0);
+    const bool json = cli.get_bool("json", false);
+    const std::string out_dir = cli.get_or("out", "");
     if (cli.has("load")) return run_load(cli.get("load"), json);
     if (cli.has("plan")) {
       return run_plan(cli.get("plan"), msize, ring_capacity, json, out_dir);

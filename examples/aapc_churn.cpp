@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
   const double factor = cli.get_double("factor", 0.5);
   const double fabric_share = cli.get_double("fabric-share", 0.5);
   const std::uint64_t seed = cli.get_u64("seed", 1);
-  const bool verify = cli.get_bool("verify", true);
   const double staleness_slo_ms = cli.get_double("staleness-slo-ms", 1500);
   const double slo_p99_ms = cli.get_double("slo-p99-ms", 0);
   const std::int64_t total_requests =
@@ -183,7 +182,9 @@ int main(int argc, char** argv) {
   options.port = 0;  // ephemeral
   options.fabric = fabric;
   netd::Server server(options);
+  bool verify = true;
   try {
+    verify = cli.get_bool("verify", true);
     server.start();
   } catch (const std::exception& e) {
     std::cerr << "FAIL: " << e.what() << "\n";

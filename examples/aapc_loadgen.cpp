@@ -133,6 +133,8 @@ int main(int argc, char** argv) {
   double zipf_s = 0;
   double slo_p99_ms = 0;
   double min_hit_rate = 0;
+  bool verify = true;
+  core::CollectiveKind kind = core::CollectiveKind::kAlltoall;
   try {
     port = static_cast<std::uint16_t>(cli.get_u64("port", 18211, UINT16_MAX));
     connections = static_cast<std::int64_t>(
@@ -152,6 +154,12 @@ int main(int argc, char** argv) {
     zipf_s = cli.get_double("zipf", 1.1);
     slo_p99_ms = cli.get_double("slo-p99-ms", 0);
     min_hit_rate = cli.get_double("min-hit-rate", -1);
+    verify = cli.get_bool("verify", true);
+    try {
+      kind = core::parse_collective_kind(cli.get_or("kind", "alltoall"));
+    } catch (const InvalidArgument& e) {
+      throw InvalidArgument(std::string("--kind: ") + e.what());
+    }
   } catch (const InvalidArgument& e) {
     std::cerr << "FAIL: " << e.what() << "\n";
     return 1;
@@ -159,9 +167,6 @@ int main(int argc, char** argv) {
   if (total_requests <= 0) {
     total_requests = static_cast<std::int64_t>(rps * duration);
   }
-  const bool verify = cli.get_bool("verify", true);
-  const core::CollectiveKind kind =
-      core::parse_collective_kind(cli.get_or("kind", "alltoall"));
   const Bytes sizes[] = {8_KiB, 64_KiB, 256_KiB};
   constexpr std::size_t kSizeCount = sizeof(sizes) / sizeof(sizes[0]);
 

@@ -1,8 +1,8 @@
 // aapc_netd: the TCP serving front-end for the schedule-compilation
-// service. Binds a listening socket, spawns the epoll event loops and
-// the ScheduleService backend, and serves the binary protocol
-// of docs/NETD.md until --duration elapses or SIGINT/SIGTERM arrives;
-// shutdown drains in-flight compilations (bounded by
+// service. Binds a listening socket, spawns the epoll event loop, the
+// dispatchers and the ScheduleService backend, and serves the binary
+// protocol of docs/NETD.md until --duration elapses or SIGINT/SIGTERM
+// arrives; shutdown drains in-flight compilations (bounded by
 // --drain-deadline) before closing connections.
 //
 // Run:  ./aapc_netd --port 18211
@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
       "length-prefixed binary protocol of docs/NETD.md.");
   cli.add_flag("host", "listen address", "127.0.0.1");
   cli.add_flag("port", "listen port (0 = ephemeral)", "18211");
-  cli.add_flag("event-loops", "epoll event-loop threads", "2");
   cli.add_flag("dispatch-threads", "compile dispatch workers", "4");
   cli.add_flag("dispatch-queue", "dispatch queue bound", "256");
   cli.add_flag("max-connections", "concurrent connection cap", "4096");
@@ -84,12 +83,12 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kMaxCount = INT32_MAX;
   netd::ServerOptions options;
   double duration = 0;
+  std::int64_t fabric_switches = 0;
+  std::int64_t fabric_machines = 0;
   try {
     options.host = cli.get_or("host", "127.0.0.1");
     options.port =
         static_cast<std::uint16_t>(cli.get_u64("port", 18211, UINT16_MAX));
-    options.event_loops =
-        static_cast<std::int32_t>(cli.get_u64("event-loops", 2, kMaxCount));
     options.dispatch_threads = static_cast<std::int32_t>(
         cli.get_u64("dispatch-threads", 4, kMaxCount));
     options.dispatch_queue_capacity = static_cast<std::int32_t>(
@@ -103,15 +102,15 @@ int main(int argc, char** argv) {
         cli.get_u64("compiler-threads", 4, kMaxCount));
     options.drain_deadline_seconds = cli.get_double("drain-deadline", 10);
     duration = cli.get_double("duration", 0);
+    fabric_switches = static_cast<std::int64_t>(
+        cli.get_u64("fabric-switches", 0, INT64_MAX));
+    fabric_machines = static_cast<std::int64_t>(
+        cli.get_u64("fabric-machines", 4, INT64_MAX));
   } catch (const InvalidArgument& e) {
     std::cerr << "FAIL: " << e.what() << "\n";
     return 1;
   }
 
-  const std::int64_t fabric_switches =
-      static_cast<std::int64_t>(cli.get_u64("fabric-switches", 0));
-  const std::int64_t fabric_machines =
-      static_cast<std::int64_t>(cli.get_u64("fabric-machines", 4));
   if (fabric_switches > 0) {
     stp::BridgeNetwork fabric;
     const stp::BridgeId hub = fabric.add_bridge("hub", 0x8000'0000'0001ull);

@@ -76,10 +76,13 @@ std::string CliParser::get_or(const std::string& name,
 
 std::uint64_t CliParser::get_u64(const std::string& name,
                                  std::uint64_t fallback) const {
-  if (const auto it = values_.find(name); it != values_.end()) {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  try {
     return parse_size(it->second);
+  } catch (const InvalidArgument& e) {
+    throw InvalidArgument("--" + name + ": " + e.what());
   }
-  return fallback;
 }
 
 std::uint64_t CliParser::get_u64(const std::string& name,
@@ -107,10 +110,14 @@ double CliParser::get_double(const std::string& name, double fallback) const {
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {
-  if (const auto it = values_.find(name); it != values_.end()) {
-    return it->second == "true" || it->second == "1" || it->second == "yes";
-  }
-  return fallback;
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  AAPC_REQUIRE(value == "false" || value == "0" || value == "no",
+               "--" << name << " expects true, false, 1, 0, yes or no, got '"
+                    << value << "'");
+  return false;
 }
 
 std::string CliParser::help_text() const {

@@ -28,6 +28,8 @@ class CliParser {
   std::string get(const std::string& name) const;
   std::string get_or(const std::string& name,
                      const std::string& fallback) const;
+  /// Reads an integer with an optional K/M/G suffix; throws
+  /// InvalidArgument naming the flag on junk and on overflow.
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
   /// Same, but throws InvalidArgument when the value exceeds `max`, so a
   /// caller narrowing to a smaller type never truncates.
@@ -36,6 +38,8 @@ class CliParser {
   /// Reads the whole value as a finite decimal number; throws
   /// InvalidArgument on junk, trailing junk, nan, inf and overflow.
   double get_double(const std::string& name, double fallback) const;
+  /// Reads true/1/yes or false/0/no (a bare flag reads "true"); throws
+  /// InvalidArgument naming the flag on any other value.
   bool get_bool(const std::string& name, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -61,11 +61,6 @@ void AdmissionControl::release_connection() {
   AAPC_CHECK(active_connections_ >= 0);
 }
 
-std::int64_t AdmissionControl::active_connections() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return active_connections_;
-}
-
 bool AdmissionControl::try_admit_request(const std::string& tenant,
                                          double* retry_after_seconds) {
   if (options_.tenant_rate <= 0) return true;

@@ -4,7 +4,9 @@
 // the outer two of the three pressure valves (connection cap -> tenant
 // quota -> dispatch queue bound); each rejects with a structured error
 // frame carrying a retry-after hint rather than dropping the
-// connection. Semantics are documented in docs/NETD.md.
+// connection. The server's one event loop runs both: the cap when it
+// accepts a connection, the quota when it decodes a request. Semantics
+// are documented in docs/NETD.md.
 #pragma once
 
 #include <chrono>
@@ -51,7 +53,7 @@ struct AdmissionOptions {
   double tenant_burst = 64;
 };
 
-/// Thread-safe admission state shared by acceptor and event loops.
+/// Thread-safe admission state; the server's event loop is its caller.
 class AdmissionControl {
  public:
   explicit AdmissionControl(const AdmissionOptions& options);
@@ -60,7 +62,6 @@ class AdmissionControl {
   /// the cap is reached (the caller sends kConnectionLimit and closes).
   bool try_admit_connection();
   void release_connection();
-  std::int64_t active_connections() const;
 
   /// Tenant quota check at request admission; `retry_after_seconds`
   /// is set on refusal. Unknown tenants get a fresh full bucket.
@@ -74,7 +75,7 @@ class AdmissionControl {
 
   AdmissionOptions options_;
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::int64_t active_connections_ = 0;
   std::unordered_map<std::string, TokenBucket> buckets_;
 };

@@ -56,11 +56,6 @@ void Client::close() {
   }
 }
 
-void Client::shutdown_write() {
-  AAPC_REQUIRE(fd_ >= 0, "client is not connected");
-  ::shutdown(fd_, SHUT_WR);
-}
-
 template <typename Fn>
 auto Client::with_retry(Fn&& op) -> decltype(op()) {
   double backoff = options_.initial_backoff_seconds;

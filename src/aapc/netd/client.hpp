@@ -98,10 +98,6 @@ class Client {
   void send_raw(std::string_view bytes);
   Frame read_frame();
 
-  /// Half-close test support: shuts down the write side.
-  void shutdown_write();
-
-  bool connected() const { return fd_ >= 0; }
   void close();
 
   /// Reconnect attempts taken over the client's lifetime (tests assert

@@ -3,9 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -55,19 +53,19 @@ std::vector<double> frame_bytes_bounds() {
 
 }  // namespace
 
-class EventLoop;
 class Dispatcher;
 
-/// One accepted socket. The event loop owns reads and all socket
-/// teardown; dispatchers only append encoded response bytes under
-/// `mutex` and ask the loop to flush. Once `closed` flips (peer hung
-/// up, write error, shutdown) appends are dropped and counted — a
-/// client that disconnects mid-response costs a counter, not a crash.
-/// Each DispatchItem holds a ConnectionPtr, so teardown never frees a
-/// connection that a dispatched request will still answer.
+/// One accepted socket. The event loop owns its reads and its close().
+/// Any thread with a frame for it appends the frame under `mutex` and
+/// sends what the socket takes; the loop sends the rest on EPOLLOUT. A
+/// thread that must end the connection (a send error, or a drained
+/// close-after-flush) shuts the socket down, and the loop closes it on
+/// the hang-up that follows. Once `closed` flips, frames are dropped and
+/// counted — a client that disconnects mid-response costs a counter,
+/// not a crash. Each DispatchItem holds a ConnectionPtr, so teardown
+/// never frees a connection that a dispatched request will still answer.
 struct Connection {
   int fd = -1;
-  EventLoop* loop = nullptr;
   /// Loop-thread only: incremental input framing.
   FrameDecoder decoder;
 
@@ -76,7 +74,6 @@ struct Connection {
   std::size_t out_offset = 0;
   bool closed = false;
   bool close_after_flush = false;
-  bool flush_queued = false;
 
   /// Appends a frame to `out` (mutex held). An idle connection takes
   /// the frame's buffer as is, so a megabyte response is not copied
@@ -87,6 +84,45 @@ struct Connection {
     } else {
       out.append(bytes);
     }
+  }
+
+  /// Sends pending output until done or EAGAIN (mutex held). Output the
+  /// socket does not take now waits for the loop's next EPOLLOUT.
+  void send_queued() {
+    while (out_offset < out.size()) {
+      const ssize_t n = ::send(fd, out.data() + out_offset,
+                               out.size() - out_offset, MSG_NOSIGNAL);
+      if (n >= 0) {
+        out_offset += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EINTR) continue;
+      // EPIPE/ECONNRESET: the peer vanished mid-response. SIGPIPE is
+      // ignored process-wide, so this is a clean error path; the loop's
+      // teardown counts the unsent output as a drop.
+      shut_down();
+      return;
+    }
+    if (out_offset == out.size()) {
+      out.clear();
+      out_offset = 0;
+      if (close_after_flush) shut_down();
+    } else if (out_offset >= out.size() / 2) {
+      // Compacting only at half bounds the memmove by the bytes sent
+      // since the last one, instead of moving a large frame's tail
+      // after every partial send while other senders wait.
+      out.erase(0, out_offset);
+      out_offset = 0;
+    }
+  }
+
+  /// Ends the connection from any thread (mutex held). The fd stays
+  /// open, so it cannot be reused under a sender; the shutdown raises a
+  /// hang-up on which the loop closes it.
+  void shut_down() {
+    ::shutdown(fd, SHUT_RDWR);
+    closed = true;
   }
 };
 
@@ -103,19 +139,27 @@ struct Server::Impl {
   explicit Impl(const ServerOptions& opts);
   ~Impl();
 
-  // acceptor
-  void accept_loop();
+  // the event loop (its thread only)
+  void run_loop();
+  void accept_connections();
   void refuse_connection(int fd, ErrorCode code, const std::string& message);
+  void handle_readable(const ConnectionPtr& conn);
+  void handle_frame(const ConnectionPtr& conn, const Frame& frame);
+  bool close_drained();
+  void close_connection(const ConnectionPtr& conn);
 
-  // dispatcher side
-  void handle_compile(const DispatchItem& item);
-  void deliver(const ConnectionPtr& conn, std::string bytes);
+  // any thread
+  void deliver(const ConnectionPtr& conn, std::string bytes,
+               bool close_after = false);
   void fail_request(const ConnectionPtr& conn, std::uint64_t request_id,
                     ErrorCode code, double retry_after_seconds,
                     const std::string& message);
 
-  // fabric churn (event-loop threads, serialized by fabric_mutex)
-  void bind_elected_tree();  // fabric_mutex held
+  // dispatcher side
+  void handle_compile(const DispatchItem& item);
+
+  // fabric churn (the constructor, then the event loop)
+  void bind_elected_tree();
   ChurnAckFrame apply_churn(const ChurnEventFrame& event);
 
   obs::Counter& reject_counter(ErrorCode code);
@@ -140,26 +184,33 @@ struct Server::Impl {
   obs::Counter& reelections;
 
   service::ScheduleService service;
-  std::vector<std::unique_ptr<EventLoop>> loops;
   std::unique_ptr<Dispatcher> dispatcher;
 
   /// Serving-fabric state: the committed fault timeline (event times are
   /// a synthetic sequence number — churn frames carry no clock), the
   /// tree its last election produced, and the canonical hash currently
   /// bound into the service's epoch feed.
-  std::mutex fabric_mutex;
   faults::FaultPlan fabric_plan;
   stp::SpanningTree fabric_tree;
   std::uint64_t fabric_hash = 0;
   std::int64_t fabric_seq = 0;
 
-  std::thread acceptor;
+  /// Written by start() before the loop starts.
   int listen_fd = -1;
+  int epoll_fd = -1;
   std::uint16_t bound_port = 0;
-  std::atomic<bool> accept_stop{false};
+
   std::atomic<bool> draining{false};
   std::atomic<std::int64_t> in_flight_requests{0};
-  std::atomic<std::size_t> next_loop{0};
+  std::atomic<bool> stopping{false};
+  /// Written before `stopping` is set; read by the loop after it sees it.
+  Clock::time_point stop_deadline;
+
+  /// Loop-thread only.
+  bool listening = true;
+  std::unordered_map<int, ConnectionPtr> conns;
+
+  std::thread loop;  // declared after everything it uses
 };
 
 // ---------------------------------------------------------------------------
@@ -259,394 +310,260 @@ class Dispatcher {
 // ---------------------------------------------------------------------------
 // Event loop
 
-class EventLoop {
- public:
-  explicit EventLoop(Server::Impl* server) : server_(server) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    AAPC_CHECK_MSG(epoll_fd_ >= 0,
-                   "epoll_create1: " << std::strerror(errno));
-    wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    AAPC_CHECK_MSG(wake_fd_ >= 0, "eventfd: " << std::strerror(errno));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_fd_;
-    AAPC_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) == 0);
-  }
-
-  ~EventLoop() {
-    if (thread_.joinable()) {
-      begin_stop(Clock::now());
-      thread_.join();
+void Server::Impl::run_loop() {
+  std::vector<epoll_event> events(128);
+  while (true) {
+    // The timeout is the tick on which a stopping loop looks at its
+    // connections again when no socket has anything to say.
+    const int n = ::epoll_wait(epoll_fd, events.data(),
+                               static_cast<int>(events.size()),
+                               /*timeout ms=*/100);
+    if (n < 0 && errno != EINTR) {
+      AAPC_WARN("epoll_wait failed: " << std::strerror(errno));
+      break;
     }
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  }
-
-  void start() {
-    thread_ = std::thread([this] { run(); });
-  }
-
-  /// The loop keeps flushing connections that hold output, closes each
-  /// once it drains, and closes the rest at `deadline`.
-  void begin_stop(Clock::time_point deadline) {
-    stop_deadline_ = deadline;
-    stopping_.store(true, std::memory_order_release);
-    wake();
-  }
-
-  void join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  /// Acceptor hand-off: the loop thread registers the fd on its next
-  /// iteration (epoll registration stays single-threaded per loop).
-  void adopt(int fd) {
-    {
-      const std::lock_guard<std::mutex> lock(pending_mutex_);
-      new_fds_.push_back(fd);
-    }
-    wake();
-  }
-
-  /// Any thread: the connection has fresh output to write. Appending
-  /// bytes alone is not enough under edge-triggered epoll — a socket
-  /// that has been writable all along produces no new EPOLLOUT edge,
-  /// so the loop must attempt the write itself.
-  void request_flush(const ConnectionPtr& conn) {
-    {
-      const std::lock_guard<std::mutex> conn_lock(conn->mutex);
-      if (conn->closed || conn->flush_queued) return;
-      conn->flush_queued = true;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_flushes_.push_back(conn);
-    }
-    wake();
-  }
-
- private:
-  void wake() {
-    const std::uint64_t one = 1;
-    // A full eventfd counter still wakes the poller; short writes are
-    // impossible for 8 bytes.
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  }
-
-  void run() {
-    std::vector<epoll_event> events(128);
-    while (true) {
-      const int n = ::epoll_wait(epoll_fd_, events.data(),
-                                 static_cast<int>(events.size()),
-                                 /*timeout ms=*/100);
-      if (n < 0 && errno != EINTR) {
-        AAPC_WARN("epoll_wait failed: " << std::strerror(errno));
-        break;
-      }
-      for (int i = 0; i < std::max(n, 0); ++i) {
-        const epoll_event& ev = events[static_cast<std::size_t>(i)];
-        if (ev.data.fd == wake_fd_) {
-          std::uint64_t drain;
-          while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
-          }
-          continue;
-        }
-        const auto it = conns_.find(ev.data.fd);
-        if (it == conns_.end()) continue;
-        ConnectionPtr conn = it->second;  // keep alive across teardown
+    for (int i = 0; i < std::max(n, 0); ++i) {
+      const epoll_event& ev = events[static_cast<std::size_t>(i)];
+      if (ev.data.fd == listen_fd) {
         if ((ev.events & (EPOLLHUP | EPOLLERR)) != 0) {
-          close_connection(conn);
-          continue;
+          // stop() shut the listener down.
+          ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
+          ::close(listen_fd);
+          listening = false;
+        } else {
+          accept_connections();
         }
-        if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) {
-          handle_readable(conn);
-        }
-        if ((ev.events & EPOLLOUT) != 0) flush(conn);
+        continue;
       }
-      process_pending();
-      if (stopping_.load(std::memory_order_acquire) && close_drained()) {
-        return;
+      const auto it = conns.find(ev.data.fd);
+      if (it == conns.end()) continue;
+      const ConnectionPtr conn = it->second;  // keep alive across teardown
+      if ((ev.events & (EPOLLHUP | EPOLLERR)) != 0) {
+        close_connection(conn);
+        continue;
       }
-    }
-  }
-
-  /// Graceful exit, once per iteration after begin_stop(): a connection
-  /// whose output has drained closes (EPOLLOUT keeps flushing the
-  /// others). At the deadline the rest close too, each with unsent
-  /// bytes counting one dropped response. True once no connection is
-  /// left.
-  bool close_drained() {
-    const bool late = Clock::now() >= stop_deadline_;
-    std::vector<ConnectionPtr> open;
-    open.reserve(conns_.size());
-    for (const auto& [fd, conn] : conns_) open.push_back(conn);
-    for (const ConnectionPtr& conn : open) {
-      bool unsent;
-      {
+      if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) handle_readable(conn);
+      if ((ev.events & EPOLLOUT) != 0) {
         const std::lock_guard<std::mutex> lock(conn->mutex);
-        if (conn->closed) continue;
-        unsent = conn->out_offset < conn->out.size();
+        if (!conn->closed) conn->send_queued();
       }
-      if (unsent && !late) continue;
-      if (unsent) server_->response_drops.inc();
-      close_connection(conn);
     }
-    return conns_.empty();
+    if (stopping.load(std::memory_order_acquire) && close_drained()) return;
   }
+}
 
-  void process_pending() {
-    std::vector<int> fds;
-    std::vector<ConnectionPtr> flushes;
-    {
-      const std::lock_guard<std::mutex> lock(pending_mutex_);
-      fds.swap(new_fds_);
-      flushes.swap(pending_flushes_);
-    }
-    for (const int fd : fds) register_connection(fd);
-    for (const ConnectionPtr& conn : flushes) {
-      {
-        const std::lock_guard<std::mutex> lock(conn->mutex);
-        conn->flush_queued = false;
+void Server::Impl::accept_connections() {
+  while (true) {
+    const int fd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      // EINVAL: stop() shut the listener down; its hang-up closes it.
+      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR &&
+          errno != EINVAL) {
+        AAPC_WARN("accept4 failed: " << std::strerror(errno));
       }
-      flush(conn);
+      return;
     }
-  }
-
-  void register_connection(int fd) {
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    conn->loop = this;
+    connections_total.inc();
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (!admission.try_admit_connection()) {
+      refuse_connection(fd, ErrorCode::kConnectionLimit,
+                        "connection limit reached");
+      continue;
+    }
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
     ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
       AAPC_WARN("epoll_ctl(ADD) failed: " << std::strerror(errno));
       ::close(fd);
-      server_->admission.release_connection();
-      server_->connections_active.add(-1);
-      return;
+      admission.release_connection();
+      continue;
     }
-    conns_.emplace(fd, std::move(conn));
+    auto conn = std::make_shared<Connection>();
+    conn->fd = fd;
+    conns.emplace(fd, std::move(conn));
+    connections_active.add(1);
   }
+}
 
-  void handle_readable(const ConnectionPtr& conn) {
-    char buf[64 * 1024];
-    bool peer_closed = false;
-    while (true) {
-      const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        conn->decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-        continue;
-      }
-      if (n == 0) {
-        peer_closed = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      peer_closed = true;  // ECONNRESET and friends
+void Server::Impl::refuse_connection(int fd, ErrorCode code,
+                                     const std::string& message) {
+  reject_counter(code).inc();
+  ErrorFrame error;
+  error.code = code;
+  error.retry_after_ms = to_retry_ms(0.5);
+  error.message = message;
+  const std::string bytes = encode_error(error);
+  // Best-effort: the socket buffer of a fresh connection always holds
+  // one small frame, so the client sees a structured refusal rather
+  // than a bare RST.
+  [[maybe_unused]] const ssize_t n =
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+  ::close(fd);
+}
+
+void Server::Impl::handle_readable(const ConnectionPtr& conn) {
+  char buf[64 * 1024];
+  bool peer_closed = false;
+  while (true) {
+    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      conn->decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+      continue;
+    }
+    if (n == 0) {
+      peer_closed = true;
       break;
     }
-    try {
-      while (std::optional<Frame> frame = conn->decoder.next()) {
-        handle_frame(conn, *frame);
-        bool closed;
-        {
-          const std::lock_guard<std::mutex> lock(conn->mutex);
-          closed = conn->closed || conn->close_after_flush;
-        }
-        if (closed) return;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EINTR) continue;
+    peer_closed = true;  // ECONNRESET and friends
+    break;
+  }
+  try {
+    while (std::optional<Frame> frame = conn->decoder.next()) {
+      handle_frame(conn, *frame);
+      bool closed;
+      {
+        const std::lock_guard<std::mutex> lock(conn->mutex);
+        closed = conn->closed;
       }
-    } catch (const ProtocolError& e) {
-      // Malformed stream: answer with a structured error, then close.
-      // The decoder is poisoned, so no further frames are parsed.
-      server_->reject_counter(ErrorCode::kProtocol).inc();
-      ErrorFrame error;
-      error.code = ErrorCode::kProtocol;
-      error.message = e.what();
-      send_from_loop(conn, encode_error(error), /*close_after=*/true);
+      if (closed) return;
+    }
+  } catch (const ProtocolError& e) {
+    // Malformed stream: answer with a structured error, then close.
+    // The decoder is poisoned, so no further frames are parsed.
+    reject_counter(ErrorCode::kProtocol).inc();
+    ErrorFrame error;
+    error.code = ErrorCode::kProtocol;
+    error.message = e.what();
+    deliver(conn, encode_error(error), /*close_after=*/true);
+    return;
+  }
+  if (peer_closed) {
+    if (conn->decoder.buffered() > 0) {
+      // Disconnect mid-frame: bytes of a frame that never completed.
+      midframe_disconnects.inc();
+    }
+    close_connection(conn);
+  }
+}
+
+void Server::Impl::handle_frame(const ConnectionPtr& conn,
+                                const Frame& frame) {
+  switch (frame.header.type) {
+    case FrameType::kRequest: {
+      RequestFrame request;
+      try {
+        request = decode_request(frame);
+      } catch (const ProtocolError&) {
+        throw;  // framing damage: poison + close (caller handles)
+      } catch (const InvalidArgument& e) {
+        // Well-framed request with bad semantics (out-of-range kind
+        // byte, neighbor sets on a non-sparse kind): the stream is
+        // intact, so answer structurally and keep the connection —
+        // the same contract as churn-event validation below.
+        reject_counter(ErrorCode::kInvalidRequest).inc();
+        fail_request(conn, frame.header.request_id,
+                     ErrorCode::kInvalidRequest, 0, e.what());
+        return;
+      }
+      if (draining.load(std::memory_order_acquire)) {
+        reject_counter(ErrorCode::kShuttingDown).inc();
+        fail_request(conn, request.request_id, ErrorCode::kShuttingDown,
+                     /*retry_after_seconds=*/1.0, "server is draining");
+        return;
+      }
+      double retry_after = 0;
+      if (!admission.try_admit_request(request.tenant, &retry_after)) {
+        reject_counter(ErrorCode::kQuotaExceeded).inc();
+        fail_request(conn, request.request_id, ErrorCode::kQuotaExceeded,
+                     retry_after,
+                     "tenant '" + request.tenant + "' exceeded its "
+                     "request quota");
+        return;
+      }
+      DispatchItem item;
+      item.conn = conn;
+      item.request = request;
+      item.arrival = Clock::now();
+      item.request_frame_bytes = kHeaderSize + frame.payload.size();
+      if (!dispatcher->try_submit(std::move(item))) {
+        reject_counter(ErrorCode::kOverloaded).inc();
+        fail_request(conn, request.request_id, ErrorCode::kOverloaded,
+                     overload_retry_hint(), "dispatch queue is full");
+      }
       return;
     }
-    if (peer_closed) {
-      if (conn->decoder.buffered() > 0) {
-        // Disconnect mid-frame: bytes of a frame that never completed.
-        server_->midframe_disconnects.inc();
-      }
-      close_connection(conn);
+    case FrameType::kMetricsRequest: {
+      deliver(conn, encode_metrics_response(frame.header.request_id,
+                                            obs::to_json(merged_snapshot())));
+      return;
     }
-  }
-
-  void handle_frame(const ConnectionPtr& conn, const Frame& frame) {
-    switch (frame.header.type) {
-      case FrameType::kRequest: {
-        RequestFrame request;
-        try {
-          request = decode_request(frame);
-        } catch (const ProtocolError&) {
-          throw;  // framing damage: poison + close (caller handles)
-        } catch (const InvalidArgument& e) {
-          // Well-framed request with bad semantics (out-of-range kind
-          // byte, neighbor sets on a non-sparse kind): the stream is
-          // intact, so answer structurally and keep the connection —
-          // the same contract as churn-event validation below.
-          server_->reject_counter(ErrorCode::kInvalidRequest).inc();
-          reply_error(conn, frame.header.request_id,
-                      ErrorCode::kInvalidRequest, 0, e.what());
-          return;
-        }
-        if (server_->draining.load(std::memory_order_acquire)) {
-          server_->reject_counter(ErrorCode::kShuttingDown).inc();
-          reply_error(conn, request.request_id, ErrorCode::kShuttingDown,
-                      /*retry_after_seconds=*/1.0, "server is draining");
-          return;
-        }
-        double retry_after = 0;
-        if (!server_->admission.try_admit_request(request.tenant,
-                                                  &retry_after)) {
-          server_->reject_counter(ErrorCode::kQuotaExceeded).inc();
-          reply_error(conn, request.request_id, ErrorCode::kQuotaExceeded,
-                      retry_after,
-                      "tenant '" + request.tenant + "' exceeded its "
-                      "request quota");
-          return;
-        }
-        DispatchItem item;
-        item.conn = conn;
-        item.request = request;
-        item.arrival = Clock::now();
-        item.request_frame_bytes = kHeaderSize + frame.payload.size();
-        if (!server_->dispatcher->try_submit(std::move(item))) {
-          server_->reject_counter(ErrorCode::kOverloaded).inc();
-          reply_error(conn, request.request_id, ErrorCode::kOverloaded,
-                      server_->overload_retry_hint(),
-                      "dispatch queue is full");
-        }
-        return;
+    case FrameType::kChurnEvent: {
+      // Applied inline on the loop thread: churn is an operator feed
+      // (a handful of events per incident), and applying before the
+      // next read guarantees compile requests later on this
+      // connection observe the bumped epoch.
+      const ChurnEventFrame event = decode_churn_event(frame);
+      try {
+        ChurnAckFrame ack = apply_churn(event);
+        ack.request_id = event.request_id;
+        deliver(conn, encode_churn_ack(ack));
+      } catch (const InvalidArgument& e) {
+        churn_rejects.inc();
+        reject_counter(ErrorCode::kInvalidRequest).inc();
+        fail_request(conn, event.request_id, ErrorCode::kInvalidRequest, 0,
+                     e.what());
       }
-      case FrameType::kMetricsRequest: {
-        send_from_loop(conn,
-                       encode_metrics_response(
-                           frame.header.request_id,
-                           obs::to_json(server_->merged_snapshot())),
-                       /*close_after=*/false);
-        return;
-      }
-      case FrameType::kChurnEvent: {
-        // Applied inline on the loop thread: churn is an operator feed
-        // (a handful of events per incident), and applying before the
-        // next read guarantees compile requests later on this
-        // connection observe the bumped epoch.
-        const ChurnEventFrame event = decode_churn_event(frame);
-        try {
-          ChurnAckFrame ack = server_->apply_churn(event);
-          ack.request_id = event.request_id;
-          send_from_loop(conn, encode_churn_ack(ack),
-                         /*close_after=*/false);
-        } catch (const InvalidArgument& e) {
-          server_->churn_rejects.inc();
-          server_->reject_counter(ErrorCode::kInvalidRequest).inc();
-          reply_error(conn, event.request_id, ErrorCode::kInvalidRequest, 0,
-                      e.what());
-        }
-        return;
-      }
-      default:
-        throw ProtocolError(
-            "frame type " +
-            std::to_string(static_cast<int>(frame.header.type)) +
-            " is not valid from a client");
+      return;
     }
+    default:
+      throw ProtocolError(
+          "frame type " +
+          std::to_string(static_cast<int>(frame.header.type)) +
+          " is not valid from a client");
   }
+}
 
-  void reply_error(const ConnectionPtr& conn, std::uint64_t request_id,
-                   ErrorCode code, double retry_after_seconds,
-                   const std::string& message) {
-    ErrorFrame error;
-    error.request_id = request_id;
-    error.code = code;
-    error.retry_after_ms = to_retry_ms(retry_after_seconds);
-    error.message = message;
-    send_from_loop(conn, encode_error(error), /*close_after=*/false);
-  }
-
-  void send_from_loop(const ConnectionPtr& conn, std::string bytes,
-                      bool close_after) {
+/// Graceful exit, once per iteration after stop(): a connection whose
+/// output has drained closes (EPOLLOUT keeps sending the others), and
+/// at the deadline the rest close too. True once nothing is open.
+bool Server::Impl::close_drained() {
+  const bool late = Clock::now() >= stop_deadline;
+  std::vector<ConnectionPtr> open;
+  open.reserve(conns.size());
+  for (const auto& [fd, conn] : conns) open.push_back(conn);
+  for (const ConnectionPtr& conn : open) {
+    bool sending;
     {
       const std::lock_guard<std::mutex> lock(conn->mutex);
-      if (conn->closed) return;
-      conn->queue(std::move(bytes));
-      conn->close_after_flush = conn->close_after_flush || close_after;
+      sending = !conn->closed && conn->out_offset < conn->out.size();
     }
-    flush(conn);
+    if (!sending || late) close_connection(conn);
   }
+  return conns.empty() && !listening;
+}
 
-  /// Writes pending output until done or EAGAIN (loop thread only).
-  void flush(const ConnectionPtr& conn) {
-    bool should_close = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      if (conn->closed) return;
-      while (conn->out_offset < conn->out.size()) {
-        const ssize_t n =
-            ::send(conn->fd, conn->out.data() + conn->out_offset,
-                   conn->out.size() - conn->out_offset, MSG_NOSIGNAL);
-        if (n >= 0) {
-          conn->out_offset += static_cast<std::size_t>(n);
-          continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        // EPIPE/ECONNRESET: the peer vanished mid-response. SIGPIPE is
-        // ignored process-wide, so this is a clean error path.
-        server_->response_drops.inc();
-        should_close = true;
-        break;
-      }
-      if (!should_close) {
-        if (conn->out_offset == conn->out.size()) {
-          conn->out.clear();
-          conn->out_offset = 0;
-          should_close = conn->close_after_flush;
-        } else if (conn->out_offset >= conn->out.size() / 2) {
-          // Compacting only at half bounds the memmove by the bytes
-          // sent since the last one, instead of moving a large frame's
-          // tail after every partial send while dispatchers wait.
-          conn->out.erase(0, conn->out_offset);
-          conn->out_offset = 0;
-        }
-      }
-    }
-    if (should_close) close_connection(conn);
+/// The one teardown, once per connection. Output the peer never took
+/// counts one dropped response, whatever ended the connection: a reset,
+/// a hang-up, a send error or the drain deadline.
+void Server::Impl::close_connection(const ConnectionPtr& conn) {
+  bool unsent;
+  {
+    const std::lock_guard<std::mutex> lock(conn->mutex);
+    conn->closed = true;
+    unsent = conn->out_offset < conn->out.size();
   }
-
-  void close_connection(const ConnectionPtr& conn) {
-    {
-      const std::lock_guard<std::mutex> lock(conn->mutex);
-      if (conn->closed) return;
-      conn->closed = true;
-    }
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-    ::close(conn->fd);
-    conns_.erase(conn->fd);
-    server_->admission.release_connection();
-    server_->connections_active.add(-1);
-  }
-
-  Server::Impl* server_;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  std::thread thread_;
-  std::atomic<bool> stopping_{false};
-  /// Written before stopping_ is set; read by the loop after it sees it.
-  Clock::time_point stop_deadline_;
-
-  /// Loop-thread only.
-  std::unordered_map<int, ConnectionPtr> conns_;
-
-  std::mutex pending_mutex_;
-  std::vector<int> new_fds_;
-  std::vector<ConnectionPtr> pending_flushes_;
-};
+  if (unsent) response_drops.inc();
+  ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::close(conn->fd);
+  conns.erase(conn->fd);
+  admission.release_connection();
+  connections_active.add(-1);
+}
 
 // ---------------------------------------------------------------------------
 // Server::Impl
@@ -663,9 +580,9 @@ Server::Impl::Impl(const ServerOptions& opts)
           "Peers that hung up with a partial frame buffered")),
       response_drops(registry.counter(
           "aapc_netd_response_drops_total",
-          "Responses dropped because the client disconnected first "
-          "(EPIPE/ECONNRESET or closed before delivery) or had not read "
-          "them by the shutdown drain deadline")),
+          "Responses dropped: one per connection that closed with "
+          "output unsent (reset, hang-up, send error or the shutdown "
+          "drain deadline), one per answer for a closed connection")),
       request_frame_bytes(registry.histogram(
           "aapc_netd_request_frame_bytes",
           "Size of received request frames (header + payload)",
@@ -688,10 +605,7 @@ Server::Impl::Impl(const ServerOptions& opts)
           "aapc_netd_reelections_total",
           "Churn events that changed the elected spanning tree")),
       service(opts.service) {
-  AAPC_REQUIRE(options.event_loops >= 1,
-               "ServerOptions::event_loops must be >= 1");
   if (options.fabric != nullptr) {
-    const std::lock_guard<std::mutex> lock(fabric_mutex);
     fabric_tree = stp::compute_spanning_tree(*options.fabric);
     bind_elected_tree();
   }
@@ -732,7 +646,6 @@ ChurnAckFrame Server::Impl::apply_churn(const ChurnEventFrame& event) {
                "churn event names bridge link " << event.link
                    << " but the fabric has " << fabric.bridge_link_count());
 
-  const std::lock_guard<std::mutex> lock(fabric_mutex);
   const SimTime when = static_cast<SimTime>(fabric_seq + 1);
   faults::FaultEvent fault;
   double factor = 1.0;
@@ -783,7 +696,9 @@ ChurnAckFrame Server::Impl::apply_churn(const ChurnEventFrame& event) {
   return ack;
 }
 
-Server::Impl::~Impl() = default;
+Server::Impl::~Impl() {
+  if (epoll_fd >= 0) ::close(epoll_fd);
+}
 
 obs::Counter& Server::Impl::reject_counter(ErrorCode code) {
   // Registration is idempotent and cheap after first use; causes are a
@@ -805,64 +720,20 @@ double Server::Impl::overload_retry_hint() const {
   return 0.05 * (depth + workers) / workers;
 }
 
-void Server::Impl::refuse_connection(int fd, ErrorCode code,
-                                     const std::string& message) {
-  reject_counter(code).inc();
-  ErrorFrame error;
-  error.code = code;
-  error.retry_after_ms = to_retry_ms(0.5);
-  error.message = message;
-  const std::string bytes = encode_error(error);
-  // Best-effort: the socket buffer of a fresh connection always holds
-  // one small frame, so the client sees a structured refusal rather
-  // than a bare RST.
-  [[maybe_unused]] const ssize_t n =
-      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-  ::close(fd);
-}
-
-void Server::Impl::accept_loop() {
-  while (!accept_stop.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout ms=*/100);
-    if (ready <= 0) continue;
-    while (true) {
-      const int fd =
-          ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-        if (accept_stop.load(std::memory_order_acquire)) return;
-        AAPC_WARN("accept4 failed: " << std::strerror(errno));
-        break;
-      }
-      connections_total.inc();
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      if (!admission.try_admit_connection()) {
-        refuse_connection(fd, ErrorCode::kConnectionLimit,
-                          "connection limit reached");
-        continue;
-      }
-      connections_active.add(1);
-      const std::size_t loop_index =
-          next_loop.fetch_add(1, std::memory_order_relaxed) % loops.size();
-      loops[loop_index]->adopt(fd);
-    }
-  }
-}
-
-void Server::Impl::deliver(const ConnectionPtr& conn, std::string bytes) {
-  bool dropped;
-  {
-    const std::lock_guard<std::mutex> lock(conn->mutex);
-    dropped = conn->closed;
-    if (!dropped) conn->queue(std::move(bytes));
-  }
-  if (dropped) {
+/// Any thread: queues a frame and sends what the socket takes now. The
+/// sockets are edge-triggered, and one that has been writable all along
+/// raises no new EPOLLOUT, so the thread that queues must try the send.
+/// A frame for a closed connection is dropped and counted.
+void Server::Impl::deliver(const ConnectionPtr& conn, std::string bytes,
+                           bool close_after) {
+  const std::lock_guard<std::mutex> lock(conn->mutex);
+  if (conn->closed) {
     response_drops.inc();
     return;
   }
-  conn->loop->request_flush(conn);
+  conn->queue(std::move(bytes));
+  if (close_after) conn->close_after_flush = true;
+  conn->send_queued();
 }
 
 void Server::Impl::fail_request(const ConnectionPtr& conn,
@@ -944,12 +815,6 @@ std::uint16_t Server::port() const {
   return impl_->bound_port;
 }
 
-std::int64_t Server::active_connections() const {
-  AAPC_REQUIRE(impl_ != nullptr, "Server::active_connections() before "
-                                 "start()");
-  return impl_->admission.active_connections();
-}
-
 obs::RegistrySnapshot Server::metrics_snapshot() const {
   AAPC_REQUIRE(impl_ != nullptr, "Server::metrics_snapshot() before start()");
   return impl_->merged_snapshot();
@@ -990,31 +855,32 @@ void Server::start() {
                            &bound_len) == 0);
   impl.bound_port = ntohs(bound.sin_port);
 
-  for (std::int32_t i = 0; i < options_.event_loops; ++i) {
-    impl.loops.push_back(std::make_unique<EventLoop>(&impl));
-  }
-  for (const std::unique_ptr<EventLoop>& loop : impl.loops) loop->start();
+  impl.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  AAPC_CHECK_MSG(impl.epoll_fd >= 0,
+                 "epoll_create1: " << std::strerror(errno));
+  epoll_event ev{};
+  ev.events = EPOLLIN;  // level-triggered: a failed accept4 is retried
+  ev.data.fd = impl.listen_fd;
+  AAPC_CHECK(::epoll_ctl(impl.epoll_fd, EPOLL_CTL_ADD, impl.listen_fd, &ev) ==
+             0);
+
   impl.dispatcher = std::make_unique<Dispatcher>(
       &impl, options_.dispatch_threads, options_.dispatch_queue_capacity);
-  impl.acceptor = std::thread([this] { impl_->accept_loop(); });
+  impl.loop = std::thread([&impl] { impl.run_loop(); });
   running_.store(true, std::memory_order_release);
   AAPC_INFO("aapc_netd listening on " << options_.host << ":"
-                                      << impl.bound_port << " ("
-                                      << options_.event_loops
-                                      << " event loops)");
+                                      << impl.bound_port);
 }
 
 void Server::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   Impl& impl = *impl_;
 
-  // 1. Stop admitting: no new connections, new requests get
-  //    kShuttingDown error frames.
+  // 1. Stop admitting: new requests get kShuttingDown error frames, and
+  //    the shut-down listener refuses new connections. The loop closes
+  //    it on the hang-up the shutdown raises.
   impl.draining.store(true, std::memory_order_release);
-  impl.accept_stop.store(true, std::memory_order_release);
-  if (impl.acceptor.joinable()) impl.acceptor.join();
-  ::close(impl.listen_fd);
-  impl.listen_fd = -1;
+  ::shutdown(impl.listen_fd, SHUT_RDWR);
 
   // 2. Drain: wait (bounded) for everything already dispatched. The
   //    dispatchers keep running, so in-flight compilations (each on its
@@ -1042,13 +908,12 @@ void Server::stop() {
   //    kShuttingDown frames instead of silent drops.
   impl.dispatcher->stop_and_join(/*abandon_remaining=*/true);
 
-  // 4. Stop event loops: each serves its connections until their
+  // 4. Stop the event loop: it serves its connections until their
   //    output drains (new requests get kShuttingDown), closing each as
   //    it empties and the rest at the drain deadline.
-  for (const std::unique_ptr<EventLoop>& loop : impl.loops) {
-    loop->begin_stop(deadline);
-  }
-  for (const std::unique_ptr<EventLoop>& loop : impl.loops) loop->join();
+  impl.stop_deadline = deadline;
+  impl.stopping.store(true, std::memory_order_release);
+  impl.loop.join();
 }
 
 }  // namespace aapc::netd

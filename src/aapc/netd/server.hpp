@@ -4,16 +4,20 @@
 //
 // Threading model (non-blocking, edge-triggered epoll):
 //
-//   acceptor thread      accept4(), connection admission, round-robin
-//                        hand-off to an event loop
-//   N event loops        epoll_wait per loop; reads bytes, decodes
-//                        frames, answers protocol/quota/drain errors
-//                        inline, enqueues compile work
+//   1 event loop         owns the listener and every connection:
+//                        accept4() and connection admission, reads,
+//                        frame decoding, protocol/quota/drain errors
+//                        answered inline, compile work enqueued, and
+//                        every close()
 //   M dispatchers        parse topology, canonicalize, run
 //                        ScheduleService::lookup (a miss compiles on
 //                        the dispatcher's own thread), encode the
-//                        response and hand it back to the connection's
-//                        loop
+//                        response and send it themselves
+//
+// Whichever thread has a frame appends it under the connection's mutex
+// and sends until EAGAIN; the loop resumes a partial write on EPOLLOUT.
+// A thread that must end a connection shuts the socket down, and the
+// loop closes it on the hang-up that follows.
 //
 // The server owns one ScheduleService: its cache, compiler pool,
 // in-flight coalescing and topology-epoch feed serve every connection.
@@ -26,13 +30,14 @@
 // At most M compilations run at once, one per dispatcher, so the
 // dispatch queue is the one place a backlog of misses can wait.
 //
-// Shutdown drains: stop() closes the listener, fails *new* requests
+// Shutdown drains: stop() shuts the listener down, fails *new* requests
 // with kShuttingDown, but lets everything already dispatched finish and
 // flushes the responses, closing each connection once its output has
 // drained — in-flight compilations are never abandoned mid-future.
-// ServerOptions::drain_deadline_seconds bounds the whole drain. SIGPIPE is ignored process-wide on
-// start(); client disconnect mid-response shows up as a counted
-// EPIPE/ECONNRESET drop, not a crash.
+// ServerOptions::drain_deadline_seconds bounds the whole drain. SIGPIPE
+// is ignored process-wide on start(); a connection that ends with
+// output unsent (reset, hang-up, send error, drain deadline) counts one
+// dropped response, not a crash.
 #pragma once
 
 #include <atomic>
@@ -55,8 +60,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with Server::port().
   std::uint16_t port = 0;
-  /// Event-loop (epoll) threads.
-  std::int32_t event_loops = 2;
   /// Compile-dispatch worker threads.
   std::int32_t dispatch_threads = 4;
   /// Requests queued for dispatch before kOverloaded rejections.
@@ -89,7 +92,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns acceptor + event loops + dispatchers.
+  /// Binds, listens, and spawns the event loop and the dispatchers.
   void start();
 
   /// Graceful shutdown: close the listener, drain in-flight requests,
@@ -101,7 +104,6 @@ class Server {
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// The bound port (after start()).
   std::uint16_t port() const;
-  std::int64_t active_connections() const;
 
   /// Merged registry snapshot: the netd front-end series plus the
   /// backend service's aapc_service_* series — one document for the
@@ -109,7 +111,6 @@ class Server {
   obs::RegistrySnapshot metrics_snapshot() const;
 
  private:
-  friend class EventLoop;
   friend class Dispatcher;
   struct Impl;
 

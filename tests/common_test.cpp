@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "aapc/common/cli.hpp"
@@ -360,6 +361,39 @@ TEST(CliTest, DoublesReadNegativeAndFractionalValues) {
   EXPECT_EQ(cli.get_double("rps", 0), 250.0);
   EXPECT_EQ(cli.get_double("zipf", 0), 1.1);
   EXPECT_EQ(cli.get_double("absent", 0.5), 0.5);
+}
+
+TEST(CliTest, BooleansAcceptSixSpellingsAndRejectTheRest) {
+  // A typo must not read as false: --verify ture would otherwise turn
+  // verification off without a word.
+  for (const std::string text : {"ture", "2", ""}) {
+    CliParser cli("usage");
+    cli.add_flag("verify", "check answers", "true");
+    const std::string arg = "--verify=" + text;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(cli.parse(2, argv));
+    try {
+      cli.get_bool("verify", true);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--verify"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const auto& [text, expected] :
+       std::vector<std::pair<std::string, bool>>{{"true", true},
+                                                 {"1", true},
+                                                 {"yes", true},
+                                                 {"false", false},
+                                                 {"0", false},
+                                                 {"no", false}}) {
+    CliParser cli("usage");
+    cli.add_flag("verify", "check answers", "true");
+    const std::string arg = "--verify=" + text;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(cli.parse(2, argv));
+    EXPECT_EQ(cli.get_bool("verify", !expected), expected) << text;
+  }
 }
 
 TEST(CliTest, DefaultsApply) {

@@ -2,9 +2,14 @@
 // docs/NETD.md): bit-identity of TCP responses against the in-process
 // ScheduleService, the pressure valves (quota, connection cap,
 // dispatch overload) answering with structured error frames, protocol
-// violations, mid-frame disconnects, graceful drain, and concurrent
-// connections. Sizes stay moderate so the suite is TSan-friendly.
+// violations, mid-frame disconnects, resets with answers queued,
+// graceful drain, and concurrent connections. Sizes stay moderate so
+// the suite is TSan-friendly.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -336,7 +341,6 @@ TEST(NetdServerTest, ConnectionCapRefusesWithStructuredFrame) {
 
 TEST(NetdServerTest, DispatchOverloadAnswersOverloadedWithRetryHint) {
   ServerOptions options;
-  options.event_loops = 1;
   options.dispatch_threads = 1;
   options.dispatch_queue_capacity = 1;
   options.service.compiler_threads = 1;
@@ -519,11 +523,62 @@ TEST(NetdServerTest, StopClosesAnUnreadConnectionAtTheDrainDeadline) {
   server->stop();
   const std::chrono::duration<double> took =
       std::chrono::steady_clock::now() - begin;
-  // The loops check the deadline at least every 100 ms; the rest of the
+  // The loop checks the deadline at least every 100 ms; the rest of the
   // second is slack for thread joins on a loaded host.
   EXPECT_LT(took.count(), 2.0);
   EXPECT_EQ(server->metrics_snapshot().value("aapc_netd_response_drops_total"),
             1.0);
+}
+
+TEST(NetdServerTest, ResetWithAnswersQueuedCountsADropAndKeepsServing) {
+  // Sixteen ~0.6 MB answers pipelined on one connection, more than the
+  // loopback socket buffers take, then a reset (SO_LINGER 0) before the
+  // client reads a byte: the connection closes with output unsent, and
+  // that counts as a dropped response.
+  const auto server = start_server();
+  const Topology topo = topology::make_fat_tree(8, 4, 8);
+  constexpr std::uint64_t kRequests = 16;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string requests = pipelined_requests(topo, kRequests);
+  for (std::size_t sent = 0; sent < requests.size();) {
+    const ssize_t n = ::send(fd, requests.data() + sent,
+                             requests.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  wait_for_response_frames(*server, kRequests);
+  const linger reset{/*l_onoff=*/1, /*l_linger=*/0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+            0);
+  ::close(fd);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  double drops = 0;
+  double active = -1;
+  while (std::chrono::steady_clock::now() < deadline) {
+    const obs::RegistrySnapshot snapshot = server->metrics_snapshot();
+    drops = snapshot.value("aapc_netd_response_drops_total");
+    active = snapshot.value("aapc_netd_connections_active");
+    if (drops >= 1 && active == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(drops, 1.0);
+  EXPECT_EQ(active, 0.0);
+
+  Client fresh("127.0.0.1", server->port());
+  service::ScheduleService reference;
+  EXPECT_EQ(fresh.compile(topo, 64_KiB).schedule_json,
+            core::schedule_to_json(reference.compile(topo, 64_KiB).schedule,
+                                   topo.machine_count()));
 }
 
 TEST(NetdServerTest, ConcurrentConnectionsAllServedExactly) {
