@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/json.hpp"
@@ -11,70 +14,104 @@ namespace aapc::core {
 
 namespace {
 
-/// The one writer: `label(r)` is the rank written for schedule rank r.
-template <class Label>
-std::string write_json(const Schedule& schedule, std::int32_t machine_count,
-                       const Label& label) {
-  char machines[16];
-  const std::size_t width = static_cast<std::size_t>(
-      std::to_chars(machines, machines + sizeof machines, machine_count).ptr -
-      machines);
-  // Served ranks lie in [0, machine_count) (the reader enforces it), so
-  // none is wider than machine_count and a message takes at most
-  // ",[src,dst]". 64 covers the header, the kind and the closing "]}".
-  // A schedule breaking that range still serializes, with a regrowth.
-  std::string out;
-  out.reserve(64 + 3 * static_cast<std::size_t>(schedule.phase_count()) +
-              (2 * width + 4) * schedule.messages.size());
-  out.append("{\"machines\":");
-  out.append(machines, width);
-  // Alltoall is implicit so pre-kind schedule JSON stays byte-identical
-  // (determinism goldens, netd loadgen byte-compare).
-  if (schedule.kind != CollectiveKind::kAlltoall) {
-    out.append(",\"kind\":\"");
-    out.append(collective_kind_name(schedule.kind));
-    out.push_back('"');
-  }
-  out.append(",\"phases\":[");
-  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
-    if (p > 0) out.push_back(',');
-    out.push_back('[');
-    const PhaseSpan phase = schedule.phase(p);
-    for (std::size_t i = 0; i < phase.size(); ++i) {
-      constexpr std::ptrdiff_t kRankChars = 11;  // "-2147483648"
-      char text[2 * kRankChars + 4];
-      char* end = text;
-      if (i > 0) *end++ = ',';
-      *end++ = '[';
-      end = std::to_chars(end, end + kRankChars, label(phase[i].src)).ptr;
-      *end++ = ',';
-      end = std::to_chars(end, end + kRankChars, label(phase[i].dst)).ptr;
-      *end++ = ']';
-      out.append(text, static_cast<std::size_t>(end - text));
-    }
-    out.push_back(']');
-  }
-  out.append("]}");
-  return out;
-}
+/// A rank's decimal text. Each entry is copied at its full width and the
+/// cursor advances by `size`, so the writer keeps kMaxChars bytes of
+/// slack past the end until it is done.
+struct LabelText {
+  static constexpr std::size_t kMaxChars = 11;  // "-2147483648"
+  char chars[kMaxChars] = {};
+  std::uint8_t size = 0;
+};
 
 }  // namespace
 
+void append_schedule_json(std::string& out, const Schedule& schedule,
+                          std::int32_t machine_count,
+                          std::span<const Rank> rank_map) {
+  // Each label is formatted once per answer, not once per message.
+  std::vector<LabelText> labels(rank_map.size());
+  for (std::size_t r = 0; r < rank_map.size(); ++r) {
+    LabelText& label = labels[r];
+    label.size = static_cast<std::uint8_t>(
+        std::to_chars(label.chars, label.chars + LabelText::kMaxChars,
+                      rank_map[r])
+            .ptr -
+        label.chars);
+  }
+  std::string head = "{\"machines\":" + std::to_string(machine_count);
+  // Alltoall is implicit so pre-kind schedule JSON stays byte-identical
+  // (determinism goldens, netd loadgen byte-compare).
+  if (schedule.kind != CollectiveKind::kAlltoall) {
+    head += ",\"kind\":\"";
+    head += collective_kind_name(schedule.kind);
+    head += '"';
+  }
+  head += ",\"phases\":[";
+
+  // The exact size, and every rank checked against the table, before
+  // `out` changes. Each message is "[src,dst]" and a comma. Each phase is
+  // "[", its messages, a "]" when it has none, and a comma. The last
+  // comma of a list becomes its "]", and "}" ends the object.
+  const auto n = static_cast<std::int64_t>(labels.size());
+  const std::int32_t phases = schedule.phase_count();
+  std::size_t size = head.size() + 1 + 4 * schedule.messages.size();
+  for (std::int32_t p = 0; p < phases; ++p) {
+    size += schedule.phase_size(p) == 0 ? 3 : 2;
+  }
+  if (phases == 0) size += 1;  // no comma to become the "]"
+  for (const Message& m : schedule.messages) {
+    for (const Rank r : {m.src, m.dst}) {
+      AAPC_REQUIRE(r >= 0 && r < n,
+                   "schedule rank " << r << " outside [0, " << n << ")");
+    }
+    size += labels[static_cast<std::size_t>(m.src)].size +
+            labels[static_cast<std::size_t>(m.dst)].size;
+  }
+
+  const std::size_t begin = out.size();
+  out.resize(begin + size + LabelText::kMaxChars);
+  char* cursor = std::copy(head.begin(), head.end(), out.data() + begin);
+  const auto put = [&cursor](const LabelText& label) {
+    std::memcpy(cursor, label.chars, LabelText::kMaxChars);
+    cursor += label.size;
+  };
+  for (std::int32_t p = 0; p < phases; ++p) {
+    *cursor++ = '[';
+    const PhaseSpan phase = schedule.phase(p);
+    for (const Message& m : phase) {
+      *cursor++ = '[';
+      put(labels[static_cast<std::size_t>(m.src)]);
+      *cursor++ = ',';
+      put(labels[static_cast<std::size_t>(m.dst)]);
+      *cursor++ = ']';
+      *cursor++ = ',';
+    }
+    if (!phase.empty()) --cursor;  // the last comma becomes the ']'
+    *cursor++ = ']';
+    *cursor++ = ',';
+  }
+  if (phases > 0) --cursor;
+  *cursor++ = ']';
+  *cursor++ = '}';
+  AAPC_CHECK(cursor == out.data() + begin + size);
+  out.resize(begin + size);
+}
+
 std::string schedule_to_json(const Schedule& schedule,
                              std::int32_t machine_count) {
-  return write_json(schedule, machine_count, [](Rank r) { return r; });
+  AAPC_REQUIRE(machine_count >= 0,
+               "machine count " << machine_count << " is negative");
+  std::vector<Rank> identity(static_cast<std::size_t>(machine_count));
+  std::iota(identity.begin(), identity.end(), Rank{0});
+  return schedule_to_json(schedule, machine_count, identity);
 }
 
 std::string schedule_to_json(const Schedule& schedule,
                              std::int32_t machine_count,
                              std::span<const Rank> rank_map) {
-  const auto n = static_cast<Rank>(rank_map.size());
-  return write_json(schedule, machine_count, [&](Rank r) {
-    AAPC_REQUIRE(r >= 0 && r < n, "schedule rank " << r
-                                      << " not covered by the rank map (size "
-                                      << n << ")");
-    return rank_map[static_cast<std::size_t>(r)];
-  });
+  std::string out;
+  append_schedule_json(out, schedule, machine_count, rank_map);
+  return out;
 }
 
 Schedule schedule_from_json(std::string_view json,

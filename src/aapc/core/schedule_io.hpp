@@ -26,16 +26,27 @@
 namespace aapc::core {
 
 /// Serialize to the JSON format above (stable field order, no
-/// whitespace dependence for parsing).
+/// whitespace dependence for parsing). Throws InvalidArgument for a rank
+/// outside [0, machine_count), which the reader would reject too.
 std::string schedule_to_json(const Schedule& schedule,
                              std::int32_t machine_count);
 
 /// Same, writing rank r as rank_map[r]: the JSON of
 /// relabel_schedule(schedule, rank_map) without building that schedule.
-/// Throws InvalidArgument for a rank outside the map.
+/// Throws InvalidArgument for a rank outside [0, rank_map.size()).
 std::string schedule_to_json(const Schedule& schedule,
                              std::int32_t machine_count,
                              std::span<const Rank> rank_map);
+
+/// The one writer behind both overloads: appends that JSON to `out`, so
+/// a caller can write it straight into a buffer that already holds a
+/// prefix (netd's response frame). It formats each rank_map entry once,
+/// checks every rank and sums the exact size in one pass, grows `out`
+/// once, then copies two labels and four punctuation bytes per message.
+/// On a throw `out` is unchanged.
+void append_schedule_json(std::string& out, const Schedule& schedule,
+                          std::int32_t machine_count,
+                          std::span<const Rank> rank_map);
 
 /// Parse a schedule from JSON; throws InvalidArgument on malformed
 /// input or ranks outside [0, machines), read exactly and never wrapped

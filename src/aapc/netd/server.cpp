@@ -763,21 +763,24 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
   }
   requests.inc();
   try {
-    // The caller-labeled JSON is written straight from the canonical
-    // entry through the permutation; no relabeled schedule is built.
+    // The caller-labeled JSON is written from the canonical entry
+    // through the permutation, straight into the frame; no relabeled
+    // schedule and no JSON string of its own is built.
     service::ServedEntry served = service.lookup(
         topo, request.message_bytes, canon, request.kind, request.neighbors);
+    const std::vector<topology::Rank> to_caller =
+        core::invert_permutation(served.to_canonical);
     ResponseFrame response;
     response.request_id = request.request_id;
     response.cache_hit = served.cache_hit;
     response.coalesced = served.coalesced;
     response.epoch = served.epoch;
     response.canonical_hash = canon.hash;
-    response.schedule_json = core::schedule_to_json(
-        served.entry->schedule, topo.machine_count(),
-        core::invert_permutation(served.to_canonical));
     response.to_canonical = std::move(served.to_canonical);
-    std::string bytes = encode_response(response);
+    std::string bytes = encode_response(response, [&](std::string& frame) {
+      core::append_schedule_json(frame, served.entry->schedule,
+                                 topo.machine_count(), to_caller);
+    });
     request_frame_bytes.observe(
         static_cast<double>(item.request_frame_bytes));
     response_frame_bytes.observe(static_cast<double>(bytes.size()));

@@ -31,15 +31,19 @@ ByteWriter begin_frame(FrameType type, std::uint64_t request_id,
   return w;
 }
 
-std::string finish_frame(ByteWriter w) {
-  std::string frame = w.take();
+/// Overwrites the little-endian u32 at `at`.
+void patch_u32(std::string& frame, std::size_t at, std::uint32_t value) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
+std::string finish_frame(std::string frame) {
   const std::size_t payload = frame.size() - kHeaderSize;
   AAPC_REQUIRE(payload <= kMaxPayload,
                "frame payload of " << payload << " bytes exceeds kMaxPayload");
-  // payload_length is the header's last field, little-endian.
-  for (std::size_t i = 0; i < 4; ++i) {
-    frame[kHeaderSize - 4 + i] = static_cast<char>((payload >> (8 * i)) & 0xff);
-  }
+  // payload_length is the header's last field.
+  patch_u32(frame, kHeaderSize - 4, static_cast<std::uint32_t>(payload));
   return frame;
 }
 
@@ -107,7 +111,7 @@ std::string encode_request(const RequestFrame& request) {
       w.u32(static_cast<std::uint32_t>(v));
     }
   }
-  return finish_frame(std::move(w));
+  return finish_frame(w.take());
 }
 
 std::string encode_request_v2(const RequestFrame& request) {
@@ -119,15 +123,16 @@ std::string encode_request_v2(const RequestFrame& request) {
   w.u64(request.message_bytes);
   w.str(request.tenant);
   w.str(request.topology_text);
-  return finish_frame(std::move(w));
+  return finish_frame(w.take());
 }
 
-std::string encode_response(const ResponseFrame& response) {
+std::string encode_response(
+    const ResponseFrame& response,
+    const std::function<void(std::string& frame)>& append_json) {
   ByteWriter w = begin_frame(FrameType::kResponse, response.request_id);
-  // The whole frame: fixed fields, to_canonical, the JSON string. With
-  // it reserved, the JSON, most of a large response, is copied once.
-  w.reserve(kHeaderSize + 32 + 4 * response.to_canonical.size() +
-            response.schedule_json.size());
+  // Everything before the JSON, so append_json's one growth of the
+  // buffer is the only reallocation.
+  w.reserve(kHeaderSize + 32 + 4 * response.to_canonical.size());
   w.u8(response.cache_hit ? 1 : 0);
   w.u8(response.coalesced ? 1 : 0);
   w.u8(response.stale ? 1 : 0);
@@ -139,8 +144,21 @@ std::string encode_response(const ResponseFrame& response) {
   for (const topology::Rank rank : response.to_canonical) {
     w.u32(static_cast<std::uint32_t>(rank));
   }
-  w.str(response.schedule_json);
-  return finish_frame(std::move(w));
+  w.u32(0);  // the JSON's length, patched once it is written
+  std::string frame = w.take();
+  const std::size_t json_begin = frame.size();
+  append_json(frame);
+  // A JSON too long for its u32 is past kMaxPayload, which finish_frame
+  // rejects.
+  patch_u32(frame, json_begin - 4,
+            static_cast<std::uint32_t>(frame.size() - json_begin));
+  return finish_frame(std::move(frame));
+}
+
+std::string encode_response(const ResponseFrame& response) {
+  return encode_response(response, [&response](std::string& frame) {
+    frame.append(response.schedule_json);
+  });
 }
 
 std::string encode_error(const ErrorFrame& error) {
@@ -148,18 +166,19 @@ std::string encode_error(const ErrorFrame& error) {
   w.u32(static_cast<std::uint32_t>(error.code));
   w.u32(error.retry_after_ms);
   w.str(error.message);
-  return finish_frame(std::move(w));
+  return finish_frame(w.take());
 }
 
 std::string encode_metrics_request(std::uint64_t request_id) {
-  return finish_frame(begin_frame(FrameType::kMetricsRequest, request_id));
+  return finish_frame(
+      begin_frame(FrameType::kMetricsRequest, request_id).take());
 }
 
 std::string encode_metrics_response(std::uint64_t request_id,
                                     std::string_view json) {
   ByteWriter w = begin_frame(FrameType::kMetricsResponse, request_id);
   w.str(json);
-  return finish_frame(std::move(w));
+  return finish_frame(w.take());
 }
 
 RequestFrame decode_request(const Frame& frame) {
@@ -278,7 +297,7 @@ std::string encode_churn_event(const ChurnEventFrame& event) {
   w.u32(static_cast<std::uint32_t>(event.link));
   // f64 crosses the wire as its IEEE-754 bit pattern in a u64.
   w.u64(std::bit_cast<std::uint64_t>(event.factor));
-  return finish_frame(std::move(w));
+  return finish_frame(w.take());
 }
 
 std::string encode_churn_ack(const ChurnAckFrame& ack) {
@@ -286,7 +305,7 @@ std::string encode_churn_ack(const ChurnAckFrame& ack) {
   w.u64(ack.epoch);
   w.u64(ack.invalidated);
   w.u8(ack.reelected ? 1 : 0);
-  return finish_frame(std::move(w));
+  return finish_frame(w.take());
 }
 
 ChurnEventFrame decode_churn_event(const Frame& frame) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -187,6 +188,17 @@ std::string encode_request(const RequestFrame& request);
 /// client puts on the wire. Kept for interoperability tests; requires
 /// an alltoall request with no neighbor sets.
 std::string encode_request_v2(const RequestFrame& request);
+/// The one response encoder: writes the header, the fixed fields,
+/// `to_canonical` and a placeholder for the JSON's length, then calls
+/// `append_json(frame)` to append the schedule JSON to the frame buffer
+/// itself, and patches the lengths. `response.schedule_json` is not read.
+/// netd writes the caller-labeled JSON straight into the frame this way,
+/// so a served answer is written once. Throws when the payload exceeds
+/// kMaxPayload.
+std::string encode_response(
+    const ResponseFrame& response,
+    const std::function<void(std::string& frame)>& append_json);
+/// Encodes `response.schedule_json` through the encoder above.
 std::string encode_response(const ResponseFrame& response);
 std::string encode_error(const ErrorFrame& error);
 std::string encode_metrics_request(std::uint64_t request_id);

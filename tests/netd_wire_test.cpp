@@ -15,6 +15,8 @@
 
 #include "aapc/common/rng.hpp"
 #include "aapc/common/units.hpp"
+#include "aapc/core/schedule_io.hpp"
+#include "aapc/core/scheduler.hpp"
 #include "aapc/netd/wire.hpp"
 #include "aapc/topology/generators.hpp"
 #include "aapc/topology/io.hpp"
@@ -159,6 +161,84 @@ TEST(NetdWireTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded.epoch, 41u);
   EXPECT_EQ(decoded.to_canonical, response.to_canonical);
   EXPECT_EQ(decoded.schedule_json, response.schedule_json);
+}
+
+void expect_same_response(const ResponseFrame& a, const ResponseFrame& b) {
+  EXPECT_EQ(a.request_id, b.request_id);
+  EXPECT_EQ(a.cache_hit, b.cache_hit);
+  EXPECT_EQ(a.coalesced, b.coalesced);
+  EXPECT_EQ(a.stale, b.stale);
+  EXPECT_EQ(a.shard, b.shard);
+  EXPECT_EQ(a.canonical_hash, b.canonical_hash);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.to_canonical, b.to_canonical);
+  EXPECT_EQ(a.schedule_json, b.schedule_json);
+}
+
+// netd appends the schedule JSON to the frame through a callback; the
+// frame must be the one the string encoder makes of the same JSON.
+TEST(NetdWireTest, AppendingEncoderMatchesTheStringEncoder) {
+  const topology::Topology fat_tree = topology::make_fat_tree(8, 4, 8);
+  const std::int32_t n = fat_tree.machine_count();
+  const core::Schedule schedule = core::build_aapc_schedule(fat_tree);
+  std::vector<topology::Rank> to_canonical(static_cast<std::size_t>(n));
+  for (topology::Rank r = 0; r < n; ++r) {
+    to_canonical[static_cast<std::size_t>(r)] = r;
+  }
+  Rng rng(27);
+  rng.shuffle(to_canonical);
+  const std::vector<topology::Rank> to_caller =
+      core::invert_permutation(to_canonical);
+
+  ResponseFrame response;
+  response.request_id = 11;
+  response.cache_hit = true;
+  response.coalesced = true;
+  response.canonical_hash = 0x0123456789abcdefull;
+  response.epoch = 2;
+  const auto append_string = [&response](std::string& frame) {
+    frame.append(response.schedule_json);
+  };
+  for (const std::string& json :
+       {std::string(), std::string("{\"machines\":4,\"phases\":[]}")}) {
+    response.schedule_json = json;
+    const std::string expected = encode_response(response);
+    EXPECT_EQ(encode_response(response, append_string), expected);
+    expect_same_response(decode_response(decode_single(expected)), response);
+  }
+
+  // The served path: a 256-rank answer (0.6 MB) written in the frame.
+  response.to_canonical = to_canonical;
+  response.schedule_json = core::schedule_to_json(schedule, n, to_caller);
+  ASSERT_GT(response.schedule_json.size(), 600'000u);
+  const std::string expected = encode_response(response);
+  ResponseFrame without_json = response;
+  without_json.schedule_json.clear();
+  const std::string appended =
+      encode_response(without_json, [&](std::string& frame) {
+        core::append_schedule_json(frame, schedule, n, to_caller);
+      });
+  EXPECT_EQ(appended, expected);
+  expect_same_response(decode_response(decode_single(appended)), response);
+}
+
+TEST(NetdWireTest, ResponsePastMaxPayloadThrowsFromBothEncoders) {
+  ResponseFrame response;
+  response.to_canonical = {1, 0, 2};
+  // The payload before the JSON: 24 bytes of fixed fields, the rank
+  // count and three ranks, and the JSON's length.
+  const std::size_t fixed = 24 + 4 + 4 * 3 + 4;
+  const auto append_string = [&response](std::string& frame) {
+    frame.append(response.schedule_json);
+  };
+  response.schedule_json.assign(kMaxPayload - fixed, 'x');
+  EXPECT_EQ(encode_response(response).size(), kHeaderSize + kMaxPayload);
+  EXPECT_EQ(encode_response(response, append_string).size(),
+            kHeaderSize + kMaxPayload);
+  response.schedule_json.push_back('x');
+  EXPECT_THROW((void)encode_response(response), InvalidArgument);
+  EXPECT_THROW((void)encode_response(response, append_string),
+               InvalidArgument);
 }
 
 TEST(NetdWireTest, ChurnEventRoundTrip) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -165,34 +166,122 @@ TEST(ScheduleIoTest, GoldenDigests) {
   EXPECT_EQ(fnv1a(paper), 0x5f4904bd511b08c1ull);
 }
 
+/// The JSON of `schedule` with rank r written as std::to_string(map[r]):
+/// the format spelled out one field at a time, to check the writer's
+/// sized copies against.
+std::string reference_json(const Schedule& schedule, std::int32_t machines,
+                           const std::vector<Rank>& map) {
+  std::string out = "{\"machines\":" + std::to_string(machines);
+  if (schedule.kind != CollectiveKind::kAlltoall) {
+    out += std::string(",\"kind\":\"") + collective_kind_name(schedule.kind) +
+           "\"";
+  }
+  out += ",\"phases\":[";
+  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
+    if (p > 0) out += ",";
+    out += "[";
+    const PhaseSpan phase = schedule.phase(p);
+    for (std::size_t i = 0; i < phase.size(); ++i) {
+      if (i > 0) out += ",";
+      out += "[" + std::to_string(map[static_cast<std::size_t>(phase[i].src)]) +
+             "," + std::to_string(map[static_cast<std::size_t>(phase[i].dst)]) +
+             "]";
+    }
+    out += "]";
+  }
+  return out + "]}";
+}
+
+std::vector<Rank> identity_map(std::int32_t n) {
+  std::vector<Rank> map(static_cast<std::size_t>(n));
+  for (Rank r = 0; r < n; ++r) map[static_cast<std::size_t>(r)] = r;
+  return map;
+}
+
+/// `phases` phases of random messages over `n` ranks; the first, the
+/// middle and the last phase are empty.
+Schedule random_schedule(std::int32_t n, std::int32_t phases, Rng& rng) {
+  const auto rank = [&] {
+    return static_cast<Rank>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  std::vector<std::vector<Message>> lists(static_cast<std::size_t>(phases));
+  for (std::int32_t p = 0; p < phases; ++p) {
+    if (p == 0 || p == phases / 2 || p == phases - 1) continue;
+    const std::int64_t size = rng.next_in(1, 2 * n);
+    for (std::int64_t i = 0; i < size; ++i) {
+      const Rank src = rank();
+      lists[static_cast<std::size_t>(p)].push_back(Message{src, rank()});
+    }
+  }
+  return Schedule::from_phase_lists(lists);
+}
+
 // netd writes the caller-labeled JSON straight from the canonical entry
 // through a rank map; it must equal the JSON of the relabeled schedule.
 TEST(ScheduleIoTest, RankMapJsonEqualsRelabeledScheduleJson) {
   const Topology fat_tree = topology::make_fat_tree(4, 2, 4);
   const Topology figure1 = make_paper_figure1();
-  const std::vector<std::pair<const Topology*, Schedule>> cases = {
-      {&fat_tree, build_aapc_schedule(fat_tree)},
-      {&fat_tree, build_allgather_schedule(fat_tree)},
-      {&figure1, build_aapc_schedule(figure1)},
-      {&figure1, build_allgather_schedule(figure1)},
-  };
   Rng rng(2005);
-  for (const auto& [topo, schedule] : cases) {
-    const std::int32_t n = topo->machine_count();
+  // 1200 ranks, so the labels run from 1 to 4 digits.
+  constexpr std::int32_t kSyntheticRanks = 1200;
+  const Schedule synthetic = random_schedule(kSyntheticRanks, 9, rng);
+  ASSERT_EQ(synthetic.phase_size(0), 0);
+  ASSERT_EQ(synthetic.phase_size(4), 0);
+  ASSERT_EQ(synthetic.phase_size(8), 0);
+  const std::vector<std::pair<std::int32_t, Schedule>> cases = {
+      {fat_tree.machine_count(), build_aapc_schedule(fat_tree)},
+      {fat_tree.machine_count(), build_allgather_schedule(fat_tree)},
+      {figure1.machine_count(), build_aapc_schedule(figure1)},
+      {figure1.machine_count(), build_allgather_schedule(figure1)},
+      {kSyntheticRanks, synthetic},
+  };
+  for (const auto& [n, schedule] : cases) {
     for (int trial = 0; trial < 8; ++trial) {
-      std::vector<Rank> perm(static_cast<std::size_t>(n));
-      for (Rank r = 0; r < n; ++r) perm[static_cast<std::size_t>(r)] = r;
+      std::vector<Rank> perm = identity_map(n);
       rng.shuffle(perm);
-      EXPECT_EQ(schedule_to_json(schedule, n, perm),
-                schedule_to_json(relabel_schedule(schedule, perm), n))
+      const std::string json = schedule_to_json(schedule, n, perm);
+      EXPECT_EQ(json, schedule_to_json(relabel_schedule(schedule, perm), n))
           << collective_kind_name(schedule.kind) << " on " << n
           << " ranks, trial " << trial;
+      EXPECT_EQ(json, reference_json(schedule, n, perm));
     }
     // The identity map is the two-argument writer.
-    std::vector<Rank> identity(static_cast<std::size_t>(n));
-    for (Rank r = 0; r < n; ++r) identity[static_cast<std::size_t>(r)] = r;
-    EXPECT_EQ(schedule_to_json(schedule, n, identity),
+    EXPECT_EQ(schedule_to_json(schedule, n, identity_map(n)),
               schedule_to_json(schedule, n));
+  }
+}
+
+// Labels of every width, the widest (INT32_MIN, 11 chars) included, on
+// the last message: pins the exact-size pass and the last full-width
+// label copy, which lands in the slack past the end.
+TEST(ScheduleIoTest, ExtremeLabelsMatchToString) {
+  const std::vector<Rank> map = {std::numeric_limits<Rank>::min(),
+                                 std::numeric_limits<Rank>::max(), -1, 0,
+                                 7};
+  for (Rank last = 0; last < 5; ++last) {
+    const Schedule schedule = Schedule::from_phase_lists(
+        {{Message{0, 1}, Message{2, 3}},
+         {},
+         {Message{4, 0}, Message{3, last}}});
+    const std::string json = schedule_to_json(schedule, 5, map);
+    EXPECT_EQ(json, reference_json(schedule, 5, map)) << "last label " << last;
+  }
+}
+
+TEST(ScheduleIoTest, AppendKeepsThePrefix) {
+  const Topology fat_tree = topology::make_fat_tree(4, 2, 4);
+  const std::int32_t n = fat_tree.machine_count();
+  const Schedule schedule = build_allgather_schedule(fat_tree);
+  std::vector<Rank> perm = identity_map(n);
+  Rng rng(27);
+  rng.shuffle(perm);
+  const std::string json = schedule_to_json(schedule, n, perm);
+  const std::string prefix("frame\0header", 12);
+  for (const std::size_t reserved : {std::size_t{0}, std::size_t{1} << 20}) {
+    std::string out = prefix;
+    out.reserve(reserved);
+    append_schedule_json(out, schedule, n, perm);
+    EXPECT_EQ(out, prefix + json) << "reserved " << reserved;
   }
 }
 
@@ -201,6 +290,19 @@ TEST(ScheduleIoTest, RankMapMustCoverEveryRank) {
       Schedule::from_phase_lists({{Message{0, 1}}, {Message{2, 0}}});
   const std::vector<Rank> short_map = {1, 0};
   EXPECT_THROW(schedule_to_json(schedule, 3, short_map), InvalidArgument);
+  // The identity writer takes ranks in [0, machines), as the reader does.
+  const Schedule at_machines =
+      Schedule::from_phase_lists({{Message{0, 1}}, {Message{1, 3}}});
+  const Schedule negative =
+      Schedule::from_phase_lists({{Message{-1, 0}}, {Message{1, 2}}});
+  EXPECT_THROW(schedule_to_json(at_machines, 3), InvalidArgument);
+  EXPECT_THROW(schedule_to_json(negative, 3), InvalidArgument);
+  EXPECT_NO_THROW(schedule_to_json(at_machines, 4));
+  // A rejected append leaves the buffer as it was.
+  std::string out = "prefix";
+  EXPECT_THROW(append_schedule_json(out, negative, 3, identity_map(3)),
+               InvalidArgument);
+  EXPECT_EQ(out, "prefix");
 }
 
 }  // namespace
