@@ -19,7 +19,8 @@
 // contention-free against the caller's topology, so a schedule that
 // does not fit the caller's tree fails loudly.
 //
-// Exits nonzero when chaos gates fail:
+// Exits 1 with a FAIL line, before starting the server, on a flag value
+// it cannot read. Exits nonzero when chaos gates fail:
 //   1  integrity failure (a served schedule was not contention-free,
 //      or a fabric answer differed from the first)
 //   2  availability (dropped requests, transport or connect failures)
@@ -148,15 +149,34 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::int64_t connections =
-      static_cast<std::int64_t>(cli.get_u64("connections", 8));
-  const double rps = cli.get_double("rps", 300);
-  const double duration = cli.get_double("duration", 3);
-  const double factor = cli.get_double("factor", 0.5);
-  const double fabric_share = cli.get_double("fabric-share", 0.5);
-  const std::uint64_t seed = cli.get_u64("seed", 1);
-  const double staleness_slo_ms = cli.get_double("staleness-slo-ms", 1500);
-  const double slo_p99_ms = cli.get_double("slo-p99-ms", 0);
+  std::int64_t connections = 0;
+  double rps = 0;
+  double duration = 0;
+  double factor = 0;
+  double fabric_share = 0;
+  std::uint64_t seed = 0;
+  double staleness_slo_ms = 0;
+  double slo_p99_ms = 0;
+  std::size_t pool_size = 0;
+  double zipf_s = 0;
+  bool verify = true;
+  try {
+    connections = static_cast<std::int64_t>(
+        cli.get_u64("connections", 8, INT64_MAX));
+    rps = cli.get_double("rps", 300);
+    duration = cli.get_double("duration", 3);
+    factor = cli.get_double("factor", 0.5);
+    fabric_share = cli.get_double("fabric-share", 0.5);
+    seed = cli.get_u64("seed", 1);
+    staleness_slo_ms = cli.get_double("staleness-slo-ms", 1500);
+    slo_p99_ms = cli.get_double("slo-p99-ms", 0);
+    pool_size = cli.get_u64("topologies", 6, SIZE_MAX);
+    zipf_s = cli.get_double("zipf", 1.1);
+    verify = cli.get_bool("verify", true);
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
   const std::int64_t total_requests =
       static_cast<std::int64_t>(rps * duration);
   const Bytes msize = 64_KiB;
@@ -168,23 +188,21 @@ int main(int argc, char** argv) {
   const std::string fabric_text =
       topology::serialize_topology(tree.topology);
 
-  const std::vector<topology::Topology> pool = examples::make_tenant_pool(
-      cli.get_u64("topologies", 6), seed);
+  const std::vector<topology::Topology> pool =
+      examples::make_tenant_pool(pool_size, seed);
   std::vector<std::string> pool_text;
   pool_text.reserve(pool.size());
   for (const topology::Topology& topo : pool) {
     pool_text.push_back(topology::serialize_topology(topo));
   }
-  const examples::ZipfSampler zipf(pool.size(), cli.get_double("zipf", 1.1));
+  const examples::ZipfSampler zipf(pool.size(), zipf_s);
 
   netd::ServerOptions options;
   options.host = "127.0.0.1";
   options.port = 0;  // ephemeral
   options.fabric = fabric;
   netd::Server server(options);
-  bool verify = true;
   try {
-    verify = cli.get_bool("verify", true);
     server.start();
   } catch (const std::exception& e) {
     std::cerr << "FAIL: " << e.what() << "\n";
