@@ -27,13 +27,14 @@ namespace aapc::service {
 /// Canonical identity of a topology plus the mapping back to the caller.
 struct Canonicalization {
   /// Stable 64-bit content hash of `canonical_form` (FNV-1a; identical
-  /// across processes and platforms). The cache key component.
+  /// across processes and platforms). It picks the cache key's bucket.
   std::uint64_t hash = 0;
 
   /// AHU encoding of the tree rooted at its center: machines render as
   /// "M", switches as "S(...)" with child encodings concatenated in
   /// sorted order. Any two isomorphic topologies produce byte-identical
-  /// forms; the cache stores it to rule out hash collisions exactly.
+  /// forms; the cache key holds it, so two trees whose hashes collide
+  /// never share an entry.
   std::string canonical_form;
 
   /// to_canonical[caller rank] = rank of the same machine in the

@@ -1,5 +1,7 @@
 #include "aapc/service/schedule_cache.hpp"
 
+#include <utility>
+
 #include "aapc/common/error.hpp"
 
 namespace aapc::service {
@@ -19,43 +21,59 @@ ScheduleCache::ScheduleCache(std::size_t capacity) : capacity_(capacity) {
   AAPC_REQUIRE(capacity >= 1, "cache capacity must be >= 1");
 }
 
-CompiledEntryPtr ScheduleCache::get(const CacheKey& key,
-                                    const std::string& canonical_form,
-                                    const core::SparseNeighbors* neighbors) {
+ScheduleCache::Claim ScheduleCache::claim(const CacheKey& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end() ||
-      it->second->second->canonical_form != canonical_form ||
-      it->second->second->kind != static_cast<core::CollectiveKind>(key.kind) ||
-      (neighbors != nullptr && it->second->second->neighbors != *neighbors)) {
-    return nullptr;
+  const auto [it, inserted] = slots_.try_emplace(key);
+  Slot& slot = it->second;
+  if (inserted) {
+    slot.pending = slot.done.get_future().share();
+    return {};
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  if (slot.entry == nullptr) return {nullptr, slot.pending};
+  lru_.splice(lru_.begin(), lru_, slot.lru);
+  return {slot.entry, {}};
 }
 
-void ScheduleCache::put(const CacheKey& key, CompiledEntryPtr entry) {
+void ScheduleCache::publish(const CacheKey& key, CompiledEntryPtr entry) {
   AAPC_REQUIRE(entry != nullptr, "cache cannot store a null entry");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Replace in place (a second put of a key the cache already holds);
-    // keep MRU position.
-    bytes_ += entry->footprint_bytes - it->second->second->footprint_bytes;
-    it->second->second = std::move(entry);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+  std::promise<CompiledEntryPtr> done;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = slots_.find(key);
+    AAPC_CHECK_MSG(it != slots_.end() && it->second.entry == nullptr,
+                   "publish of a key that is not being compiled");
+    // The one allocation comes first: if it throws, the key is still
+    // claimed and the leader's fail() releases its waiters.
+    lru_.push_front(&it->first);
+    Slot& slot = it->second;
+    slot.lru = lru_.begin();
+    slot.entry = entry;
+    done = std::move(slot.done);
+    slot.pending = {};
+    bytes_ += entry->footprint_bytes;
+    ++insertions_;
+    while (lru_.size() > capacity_) {
+      const auto victim = slots_.find(*lru_.back());
+      bytes_ -= victim->second.entry->footprint_bytes;
+      lru_.pop_back();
+      slots_.erase(victim);
+      ++evictions_;
+    }
   }
-  bytes_ += entry->footprint_bytes;
-  lru_.emplace_front(key, std::move(entry));
-  index_.emplace(key, lru_.begin());
-  ++insertions_;
-  while (lru_.size() > capacity_) {
-    bytes_ -= lru_.back().second->footprint_bytes;
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
+  done.set_value(std::move(entry));
+}
+
+void ScheduleCache::fail(const CacheKey& key, std::exception_ptr error) {
+  std::promise<CompiledEntryPtr> done;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = slots_.find(key);
+    AAPC_CHECK_MSG(it != slots_.end() && it->second.entry == nullptr,
+                   "fail of a key that is not being compiled");
+    done = std::move(it->second.done);
+    slots_.erase(it);
   }
+  done.set_exception(std::move(error));
 }
 
 CacheStats ScheduleCache::stats() const {

@@ -71,9 +71,6 @@ ScheduleService::ScheduleService(const ServiceOptions& options)
       coalesced_waits_(registry_.counter(
           "aapc_service_coalesced_waits_total",
           "Requests that waited on a concurrent compilation of their key")),
-      hash_collisions_(registry_.counter(
-          "aapc_service_hash_collisions_total",
-          "Canonical-hash collisions compiled inline, uncached")),
       compile_seconds_(registry_.histogram(
           "aapc_service_compile_seconds",
           "End-to-end compilation latency of one canonical artifact")),
@@ -107,31 +104,28 @@ ScheduleService::ScheduleService(const ServiceOptions& options)
 }
 
 CacheKey ScheduleService::cache_key(const Canonicalization& canon,
-                                    Bytes msize) const {
-  return cache_key(canon, msize, core::CollectiveKind::kAlltoall, {});
-}
-
-CacheKey ScheduleService::cache_key(
-    const Canonicalization& canon, Bytes msize, core::CollectiveKind kind,
-    const core::SparseNeighbors& canonical_neighbors) const {
-  CacheKey key{canon.hash, size_class(msize)};
-  key.kind = static_cast<std::uint8_t>(kind);
+                                    Bytes msize, core::CollectiveKind kind,
+                                    core::SparseNeighbors canonical_neighbors) {
+  CacheKey key;
+  key.topology_hash = canon.hash;
   if (kind == core::CollectiveKind::kSparseAlltoall) {
     key.pattern_hash = core::sparse_pattern_hash(canonical_neighbors);
   }
+  key.size_class = size_class(msize);
+  key.kind = kind;
+  key.canonical_form = canon.canonical_form;
+  key.neighbors = std::move(canonical_neighbors);
   return key;
 }
 
-CompiledEntryPtr ScheduleService::compile_entry(
-    const std::string& canonical_form, Bytes class_bytes,
-    core::CollectiveKind kind, const core::SparseNeighbors& neighbors) {
+CompiledEntryPtr ScheduleService::compile_entry(const CacheKey& key) {
   const Clock::time_point start = Clock::now();
+  const core::CollectiveKind kind = key.kind;
+  const core::SparseNeighbors& neighbors = key.neighbors;
+  const Bytes class_bytes = size_class_bytes(key.size_class);
   auto entry = std::make_shared<CompiledEntry>();
-  entry->canonical_form = canonical_form;
-  entry->canonical_topo = build_canonical_topology(canonical_form);
+  entry->canonical_topo = build_canonical_topology(key.canonical_form);
   entry->class_bytes = class_bytes;
-  entry->kind = kind;
-  entry->neighbors = neighbors;
   const topology::Topology& topo = entry->canonical_topo;
   compile_ranks_.set(static_cast<double>(topo.machine_count()));
 
@@ -263,93 +257,36 @@ ServedEntry ScheduleService::lookup(const topology::Topology& topo,
                      << core::collective_kind_name(kind));
   }
   requests_[static_cast<std::size_t>(kind)]->inc();
-  const CacheKey key = cache_key(canon, msize, kind, canonical_neighbors);
-  const Bytes class_bytes = size_class_bytes(key.size_class);
+  const CacheKey key =
+      cache_key(canon, msize, kind, std::move(canonical_neighbors));
   const std::uint64_t epoch = epochs_.epoch();
 
-  auto serve_hit = [&](CompiledEntryPtr entry) {
+  ScheduleCache::Claim claim = cache_.claim(key);
+  if (claim.entry != nullptr) {
     cache_hits_.inc();
-    return finish(canon, std::move(entry), /*cache_hit=*/true,
+    return finish(canon, std::move(claim.entry), /*cache_hit=*/true,
                   /*coalesced=*/false, epoch);
-  };
-
-  if (CompiledEntryPtr entry =
-          cache_.get(key, canon.canonical_form, &canonical_neighbors)) {
-    return serve_hit(std::move(entry));
   }
-
-  // Miss: coalesce with an in-flight compilation of the same key, or
-  // become the one request that compiles it.
-  std::shared_future<CompiledEntryPtr> future;
-  std::promise<CompiledEntryPtr> promise;
-  bool leader = false;
-  CompiledEntryPtr late_hit;
-  {
-    const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-    const auto it = in_flight_.find(key);
-    if (it != in_flight_.end()) {
-      future = it->second;
-      coalesced_waits_.inc();
-    } else {
-      // Double-check the cache before becoming the leader: another
-      // request may have published this key between our miss above and
-      // taking the in-flight lock (its marker is already gone), and
-      // compiling again would break the one-compilation-per-key
-      // guarantee. Lock order in_flight -> cache is safe: no path holds
-      // the cache lock while taking the in-flight lock.
-      late_hit = cache_.get(key, canon.canonical_form, &canonical_neighbors);
-      if (late_hit == nullptr) {
-        future = promise.get_future().share();
-        in_flight_.emplace(key, future);
-        leader = true;
-      }
-    }
-  }
-  if (late_hit != nullptr) return serve_hit(std::move(late_hit));
   cache_misses_.inc();
-
-  if (leader) {
-    // The leader compiles on its own thread and publishes to the cache,
-    // resolves every coalesced waiter, and removes the in-flight marker
-    // (in that order, so a request arriving after removal finds the
-    // cache entry). A failed compilation reaches the waiters through
-    // the future and this caller through the rethrow, and the marker
-    // goes away so a retry compiles afresh.
-    CompiledEntryPtr entry;
-    std::exception_ptr failure;
-    try {
-      entry = compile_entry(canon.canonical_form, class_bytes, kind,
-                            canonical_neighbors);
-      cache_.put(key, entry);
-      promise.set_value(entry);
-    } catch (...) {
-      failure = std::current_exception();
-      promise.set_exception(failure);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-      in_flight_.erase(key);
-    }
-    if (failure != nullptr) std::rethrow_exception(failure);
-    return finish(canon, std::move(entry), /*cache_hit=*/false,
-                  /*coalesced=*/false, epoch);
+  if (!claim.leader()) {
+    coalesced_waits_.inc();
+    // Rethrows the leader's compilation error.
+    return finish(canon, claim.pending.get(), /*cache_hit=*/false,
+                  /*coalesced=*/true, epoch);
   }
-
-  CompiledEntryPtr entry = future.get();  // rethrows compilation errors
-  if (entry->canonical_form != canon.canonical_form ||
-      entry->kind != kind || entry->neighbors != canonical_neighbors) {
-    // 64-bit hash collision between two distinct canonical forms (or,
-    // for sparse, two distinct neighbor patterns): the in-flight
-    // compilation we waited on was for the other request. Serve
-    // correctness over throughput: compile inline, uncached.
-    hash_collisions_.inc();
-    AAPC_WARN("canonical hash collision (hash "
-              << canon.hash << "); compiling inline without caching");
-    entry = compile_entry(canon.canonical_form, class_bytes, kind,
-                          canonical_neighbors);
+  // The leader compiles on its own thread. A failure reaches the
+  // waiters through fail() and this caller through the rethrow, and the
+  // next claim of the key compiles afresh.
+  CompiledEntryPtr entry;
+  try {
+    entry = compile_entry(key);
+    cache_.publish(key, entry);
+  } catch (...) {
+    cache_.fail(key, std::current_exception());
+    throw;
   }
   return finish(canon, std::move(entry), /*cache_hit=*/false,
-                /*coalesced=*/true, epoch);
+                /*coalesced=*/false, epoch);
 }
 
 void ScheduleService::sync_mirrors() const {

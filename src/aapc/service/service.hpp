@@ -7,14 +7,14 @@
 //   request (topology, msize)
 //     -> canonicalize            relabeling-invariant identity + rank
 //                                permutation (service/canonical.hpp)
-//     -> LRU cache               hit: hand out the cached canonical
-//                                entry and the caller's permutation
-//     -> in-flight coalescing    N concurrent misses on one canonical
-//                                key trigger exactly one compilation;
-//                                the rest wait on its shared future
+//     -> claim the exact key     hit: hand out the cached canonical
+//                                entry and the caller's permutation;
+//                                a compilation in flight: wait on it,
+//                                so N concurrent misses on one key
+//                                compile once (service/schedule_cache.hpp)
 //     -> compile                 on the leader's own thread; assign and
 //                                verify borrow idle compiler-pool
-//                                workers
+//                                workers; then publish to the cache
 //
 // Compiled artifacts live in canonical rank labeling and are immutable.
 // A response maps the shared schedule through the caller's rank
@@ -28,11 +28,7 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <future>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "aapc/common/units.hpp"
@@ -116,8 +112,9 @@ class ScheduleService {
                           core::CollectiveKind kind,
                           const core::SparseNeighbors& neighbors = {});
 
-  /// The request path under compile(): cache lookup, then in-flight
-  /// coalescing or compilation, with the same throws. Returns the
+  /// The request path under compile(): a cache claim, then a wait on
+  /// the compilation in flight or a compilation of its own, with the
+  /// same throws. Returns the
   /// canonical entry and the caller's permutation without rewriting the
   /// schedule; compile() adds that rewrite for in-process callers that
   /// read CompiledRoutine::schedule.
@@ -140,12 +137,11 @@ class ScheduleService {
   static Bytes size_class_bytes(std::uint32_t size_class);
 
   /// The cache key `compile` uses for a request (exposed for tests).
-  /// The two-argument form keys an alltoall request; the full form
-  /// takes the kind and the *canonical* normalized neighbor sets.
-  CacheKey cache_key(const Canonicalization& canon, Bytes msize) const;
-  CacheKey cache_key(const Canonicalization& canon, Bytes msize,
-                     core::CollectiveKind kind,
-                     const core::SparseNeighbors& canonical_neighbors) const;
+  /// `canonical_neighbors` are the normalized neighbor sets in
+  /// canonical ranks, empty for every kind but sparse_alltoall.
+  static CacheKey cache_key(const Canonicalization& canon, Bytes msize,
+                            core::CollectiveKind kind,
+                            core::SparseNeighbors canonical_neighbors);
 
   /// The topology-epoch feed. The front-end binds canonical hashes to
   /// physical links here and forwards link events; every answer carries
@@ -154,9 +150,7 @@ class ScheduleService {
   const TopologyEpochs& epochs() const { return epochs_; }
 
  private:
-  CompiledEntryPtr compile_entry(const std::string& canonical_form,
-                                 Bytes class_bytes, core::CollectiveKind kind,
-                                 const core::SparseNeighbors& neighbors);
+  CompiledEntryPtr compile_entry(const CacheKey& key);
   ServedEntry finish(const Canonicalization& canon, CompiledEntryPtr entry,
                      bool cache_hit, bool coalesced,
                      std::uint64_t epoch) const;
@@ -165,11 +159,6 @@ class ScheduleService {
   void sync_mirrors() const;
 
   ScheduleCache cache_;
-
-  std::mutex in_flight_mutex_;
-  std::unordered_map<CacheKey, std::shared_future<CompiledEntryPtr>,
-                     CacheKeyHash>
-      in_flight_;
 
   /// Link-churn feed.
   TopologyEpochs epochs_;
@@ -188,7 +177,6 @@ class ScheduleService {
   obs::Counter& cache_hits_;
   obs::Counter& cache_misses_;
   obs::Counter& coalesced_waits_;
-  obs::Counter& hash_collisions_;
   obs::Histogram& compile_seconds_;
   /// Per-stage compile-time breakdown (decompose -> assign -> sync ->
   /// lower) plus the size of the topology last compiled; exported with

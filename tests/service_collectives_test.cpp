@@ -1,9 +1,9 @@
 // Regression tests for the cache-key collision bugfix: distinct
 // collective kinds on the same topology and message size must never
-// alias — not in the cache key, not in the stored entry, not in the
-// in-flight coalescing map. Also covers the service's sparse-alltoall
-// path (canonical neighbor relabeling, pattern-hash keying) and the
-// per-kind request counters.
+// alias — not in the cache key, and so neither in a cached entry nor in
+// a compilation in flight. Also covers the service's sparse-alltoall
+// path (canonical neighbor relabeling, exact neighbor-set keying) and
+// the per-kind request counters.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -43,7 +43,8 @@ TEST(ServiceCollectivesTest, EveryKindGetsADistinctCacheKey) {
   const Canonicalization canon = canonicalize(topo);
   const Bytes msize = 64 * 1024;
 
-  const CacheKey alltoall = service.cache_key(canon, msize);
+  const CacheKey alltoall =
+      service.cache_key(canon, msize, CollectiveKind::kAlltoall, {});
   const CacheKey allgather =
       service.cache_key(canon, msize, CollectiveKind::kAllgather, {});
   const CacheKey reduce_scatter =
@@ -52,11 +53,8 @@ TEST(ServiceCollectivesTest, EveryKindGetsADistinctCacheKey) {
       canon, msize, CollectiveKind::kSparseAlltoall,
       core::normalize_neighbors(topo.machine_count(), ring_neighbors(8)));
 
-  // The two-argument form is exactly the alltoall key.
-  EXPECT_EQ(alltoall,
-            service.cache_key(canon, msize, CollectiveKind::kAlltoall, {}));
-  // Pairwise distinct: the kind byte (and, for sparse, the pattern
-  // hash) participates in equality.
+  // Pairwise distinct: the kind (and, for sparse, the neighbor sets)
+  // participates in equality.
   const std::vector<CacheKey> keys{alltoall, allgather, reduce_scatter,
                                    sparse};
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -113,7 +111,6 @@ TEST(ServiceCollectivesTest, KindsNeverShareCacheEntries) {
   EXPECT_EQ(snap.total("aapc_service_requests_total"), 5.0);
   EXPECT_EQ(snap.value("aapc_service_cache_misses_total"), 3.0);
   EXPECT_EQ(snap.value("aapc_service_cache_hits_total"), 2.0);
-  EXPECT_EQ(snap.value("aapc_service_hash_collisions_total"), 0.0);
 
   // Per-kind request counters carry the split.
   EXPECT_EQ(snap.value("aapc_service_requests_total",

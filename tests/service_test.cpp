@@ -237,6 +237,59 @@ TEST(ScheduleServiceTest, BurstOfDistinctKeysCompilesEachOnce) {
   EXPECT_EQ(compilations(metrics), kCallers);
 }
 
+TEST(ScheduleServiceTest, EvictionOnPublishUnderConcurrency) {
+  // A one-entry cache. Six callers each lead a distinct key at once, so
+  // each publish evicts the entry before it while other keys compile;
+  // then all six ask at once for the first key, which those publishes
+  // evicted. Every request is answered, and a key compiles once in
+  // each round in which it misses.
+  ServiceOptions options;
+  options.cache_capacity = 1;
+  options.compiler_threads = 2;
+  ScheduleService service(options);
+  const Topology topo = topology::make_single_switch(6);
+  const Canonicalization canon = canonicalize(topo);
+  constexpr int kCallers = 6;
+  const Bytes first = Bytes{1} << 10;
+  std::atomic<int> answered{0};
+  std::atomic<int> compiled{0};
+  auto ask = [&](Bytes msize) {
+    try {
+      const ServedEntry served = service.lookup(
+          topo, msize, canon, core::CollectiveKind::kAlltoall);
+      if (served.entry != nullptr) answered.fetch_add(1);
+      if (!served.cache_hit && !served.coalesced) compiled.fetch_add(1);
+    } catch (...) {
+    }
+  };
+  auto round = [&](auto msize_of) {
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kCallers; ++c) {
+      threads.emplace_back([&, c] { ask(msize_of(c)); });
+    }
+    for (std::thread& thread : threads) thread.join();
+  };
+  ask(first);
+  round([&](int c) { return first << (c + 1); });
+  EXPECT_EQ(compiled.load(), 1 + kCallers);
+  round([&](int) { return first; });
+  EXPECT_EQ(compiled.load(), 2 + kCallers);
+
+  constexpr int kRequests = 1 + 2 * kCallers;
+  EXPECT_EQ(answered.load(), kRequests);
+  const obs::RegistrySnapshot metrics = service.metrics_snapshot();
+  EXPECT_EQ(compilations(metrics), 2 + kCallers);
+  EXPECT_LE(metrics.value("aapc_service_cache_entries"), 1.0);
+  // Every compilation published one insertion; all but the last held
+  // entry were evicted.
+  EXPECT_EQ(metrics.value("aapc_service_cache_evictions_total"),
+            static_cast<double>(compilations(metrics) - 1));
+  EXPECT_EQ(metrics.total("aapc_service_requests_total"), kRequests);
+  EXPECT_EQ(metrics.value("aapc_service_cache_hits_total") +
+                metrics.value("aapc_service_cache_misses_total"),
+            kRequests);
+}
+
 TEST(ScheduleServiceTest, SizeClassMath) {
   EXPECT_EQ(ScheduleService::size_class(1), 0u);
   EXPECT_EQ(ScheduleService::size_class(2), 1u);
@@ -313,9 +366,8 @@ TEST(ScheduleServiceTest, MetricsExposeRegistrySeries) {
   EXPECT_EQ(snap.value("aapc_service_requests_total",
                        obs::Labels{{"kind", "allgather"}}),
             0.0);
-  // One outcome per request: the cold request is one miss (its
-  // late-hit recheck under the in-flight lock does not count again),
-  // the warm one a hit.
+  // One outcome per request: the cold request is one miss, the warm
+  // one a hit.
   EXPECT_EQ(snap.value("aapc_service_cache_hits_total"), 1.0);
   EXPECT_EQ(snap.value("aapc_service_cache_misses_total"), 1.0);
   EXPECT_EQ(snap.value("aapc_service_cache_entries"), 1.0);
