@@ -206,7 +206,7 @@ struct Server::Impl {
   /// Written before `stopping` is set; read by the loop after it sees it.
   Clock::time_point stop_deadline;
 
-  /// Loop-thread only.
+  /// Loop-thread only, and ~Impl after the loop's join.
   bool listening = true;
   std::unordered_map<int, ConnectionPtr> conns;
 
@@ -697,6 +697,12 @@ ChurnAckFrame Server::Impl::apply_churn(const ChurnEventFrame& event) {
 }
 
 Server::Impl::~Impl() {
+  // The loop closes the listener on the hang-up that stop() raises and
+  // clears `listening`; the loop has been joined (or never started) by
+  // now. Close it here only when the loop did not, so a number that may
+  // have been reused is never closed twice: start() threw after
+  // socket(), or the loop ended on an epoll_wait error.
+  if (listening && listen_fd >= 0) ::close(listen_fd);
   if (epoll_fd >= 0) ::close(epoll_fd);
 }
 

@@ -14,11 +14,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "aapc/common/error.hpp"
 #include "aapc/common/rng.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/core/schedule_io.hpp"
@@ -625,6 +627,40 @@ TEST(NetdServerTest, ConcurrentConnectionsAllServedExactly) {
   const obs::RegistrySnapshot snapshot = server->metrics_snapshot();
   EXPECT_GE(snapshot.total("aapc_netd_requests_total"),
             static_cast<double>(kClients * kRequestsEach));
+}
+
+/// Open descriptors of this process.
+std::int64_t open_descriptors() {
+  std::int64_t count = 0;
+  for ([[maybe_unused]] const auto& fd :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(NetdServerTest, FailedStartLeaksNoDescriptor) {
+  // start() throws after socket() on an address it cannot parse and on
+  // a port another server holds (EADDRINUSE); neither may leave the
+  // listening socket open.
+  ServerOptions holder_options;
+  holder_options.service.compiler_threads = 1;
+  holder_options.dispatch_threads = 1;
+  const auto holder = start_server(holder_options);
+  ServerOptions bad_host;
+  bad_host.host = "not-an-address";
+  bad_host.service.compiler_threads = 1;
+  ServerOptions port_in_use;
+  port_in_use.port = holder->port();
+  port_in_use.service.compiler_threads = 1;
+  const std::int64_t before = open_descriptors();
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    for (const ServerOptions& options : {bad_host, port_in_use}) {
+      Server server(options);
+      EXPECT_THROW(server.start(), Error);
+    }
+  }
+  EXPECT_EQ(open_descriptors(), before);
 }
 
 // ---------------------------------------------------------------------------
