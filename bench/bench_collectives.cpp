@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "aapc/common/cli.hpp"
-#include "aapc/common/strings.hpp"
+#include "aapc/common/error.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/scheduler.hpp"
@@ -118,10 +118,19 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text();
     return 0;
   }
-  const Bytes msize = aapc::parse_size(cli.get("msize"));
-  const double bandwidth =
-      aapc::mbps_to_bytes_per_sec(cli.get_double("bandwidth-mbps", 100.0));
-  const double gate = cli.get_double("gate", 0.95);
+  Bytes msize = 0;
+  double bandwidth = 0;
+  double gate = 0;
+  try {
+    msize = cli.get_u64("msize", 256 * 1024);
+    bandwidth =
+        aapc::mbps_to_bytes_per_sec(cli.get_double("bandwidth-mbps", 100.0));
+    AAPC_REQUIRE(bandwidth > 0, "--bandwidth-mbps must be above 0");
+    gate = cli.get_double("gate", 0.95);
+  } catch (const aapc::InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
 
   struct Fixture {
     std::string name;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "aapc/common/cli.hpp"
+#include "aapc/common/error.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/harness/resilience.hpp"
 #include "aapc/stp/stp.hpp"
@@ -67,9 +68,16 @@ int main(int argc, char** argv) {
   }
 
   harness::ResilienceScenario base;
-  base.msize = parse_size(cli.get("msize"));
-  base.exec.wakeup_jitter_max = microseconds(cli.get_double("jitter-us", 1000.0));
-  const SimTime onset = milliseconds(cli.get_double("onset-ms", 400.0));
+  SimTime onset = 0;
+  try {
+    base.msize = cli.get_u64("msize", 64 * 1024);
+    base.exec.wakeup_jitter_max =
+        microseconds(cli.get_double("jitter-us", 1000.0));
+    onset = milliseconds(cli.get_double("onset-ms", 400.0));
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
 
   // ---- 1. severity sweep, no redundancy ----
   std::cout << "== severity sweep: s0-s1 trunk degraded at "

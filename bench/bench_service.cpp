@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "aapc/common/cli.hpp"
+#include "aapc/common/error.hpp"
 #include "aapc/common/table.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/service/service.hpp"
@@ -101,9 +102,24 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text();
     return 0;
   }
-  const int repeats = static_cast<int>(cli.get_u64("repeats", 9));
-  const int warm_iters = static_cast<int>(cli.get_u64("warm-iters", 200));
-  const int tenants = static_cast<int>(cli.get_u64("tenants", 64));
+  // Each count sizes a vector whose median is read, so it starts at 1.
+  int repeats = 0;
+  int warm_iters = 0;
+  int tenants = 0;
+  try {
+    const auto count = [&cli](const std::string& name,
+                              std::uint64_t fallback) {
+      const std::uint64_t value = cli.get_u64(name, fallback, INT32_MAX);
+      AAPC_REQUIRE(value >= 1, "--" << name << " must be at least 1");
+      return static_cast<int>(value);
+    };
+    repeats = count("repeats", 9);
+    warm_iters = count("warm-iters", 200);
+    tenants = count("tenants", 64);
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
   const Bytes msize = 64_KiB;
 
   struct Cluster {
@@ -120,7 +136,7 @@ int main(int argc, char** argv) {
 
   TextTable table;
   table.set_header({"cluster", "cold compile", "cache hit", "speedup",
-                    "64-way coalesced"});
+                    std::to_string(tenants) + "-way coalesced"});
   bool ok = true;
   for (const Cluster& cluster : clusters) {
     const double cold = cold_seconds(cluster.topo, msize, repeats);

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "aapc/common/cli.hpp"
+#include "aapc/common/error.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/common/table.hpp"
 #include "aapc/core/scheduler.hpp"
@@ -49,17 +51,24 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text();
     return 0;
   }
-  const std::string which = cli.get("topology");
+  std::string which;
+  harness::ExperimentConfig config;
+  config.msizes.clear();
+  try {
+    which = cli.get("topology");
+    AAPC_REQUIRE(which == "a" || which == "b" || which == "c",
+                 "--topology expects a, b or c, got '" << which << "'");
+    for (const std::string& token : split(cli.get("msizes"), ',')) {
+      config.msizes.push_back(parse_size(token));
+    }
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
   const topology::Topology topo =
       which == "b"   ? topology::make_paper_topology_b()
       : which == "c" ? topology::make_paper_topology_c()
                      : topology::make_paper_topology_a();
-
-  harness::ExperimentConfig config;
-  config.msizes.clear();
-  for (const std::string& token : split(cli.get("msizes"), ',')) {
-    config.msizes.push_back(parse_size(token));
-  }
 
   std::vector<harness::NamedAlgorithm> algorithms;
   algorithms.push_back(

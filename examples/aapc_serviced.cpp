@@ -108,8 +108,12 @@ int main(int argc, char** argv) {
     pool_size = cli.get_u64("topologies", 8, SIZE_MAX);
     seed = cli.get_u64("seed", 1);
     options.cache_capacity = cli.get_u64("cache-capacity", 256, SIZE_MAX);
+    AAPC_REQUIRE(options.cache_capacity >= 1,
+                 "--cache-capacity must be at least 1");
     options.compiler_threads = static_cast<std::int32_t>(
         cli.get_u64("compiler-threads", 4, INT32_MAX));
+    AAPC_REQUIRE(options.compiler_threads >= 1,
+                 "--compiler-threads must be at least 1");
     if (remote) {
       const std::string endpoint = cli.get("connect");
       const std::size_t colon = endpoint.rfind(':');

@@ -10,7 +10,10 @@
 // MPICH, and the generated routine.
 //
 // Run:  ./matrix_transpose [--matrix-sizes 1024,2048,4096] [--paper c]
+#include <cstdint>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "aapc/common/cli.hpp"
 #include "aapc/common/error.hpp"
@@ -30,7 +33,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string which = cli.get("paper");
+  // A block of (N/P)^2 doubles must count its bytes in 64 bits.
+  constexpr std::uint64_t kMaxN = std::uint64_t{1} << 30;
+  std::string which;
+  std::vector<std::int64_t> sizes;
+  try {
+    which = cli.get("paper");
+    AAPC_REQUIRE(which == "a" || which == "b" || which == "c",
+                 "--paper expects a, b or c, got '" << which << "'");
+    for (const std::string& token : split(cli.get("matrix-sizes"), ',')) {
+      const std::uint64_t n = parse_u64(token);
+      AAPC_REQUIRE(n <= kMaxN,
+                   "--matrix-sizes: " << n << " is above " << kMaxN);
+      sizes.push_back(static_cast<std::int64_t>(n));
+    }
+  } catch (const InvalidArgument& e) {
+    std::cerr << "FAIL: " << e.what() << "\n";
+    return 1;
+  }
   const topology::Topology topo =
       which == "a"   ? topology::make_paper_topology_a()
       : which == "b" ? topology::make_paper_topology_b()
@@ -46,8 +66,7 @@ int main(int argc, char** argv) {
 
   TextTable table;
   table.set_header({"N", "block", "LAM", "MPICH", "Ours", "best"});
-  for (const std::string& token : split(cli.get("matrix-sizes"), ',')) {
-    const std::int64_t n = static_cast<std::int64_t>(parse_u64(token));
+  for (const std::int64_t n : sizes) {
     const std::int64_t rows_per_machine = n / machines;
     if (rows_per_machine == 0) {
       std::cerr << "skipping N=" << n << " (fewer rows than machines)\n";
