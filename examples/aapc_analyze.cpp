@@ -106,7 +106,6 @@ RecordedRun run_recorded(const Fabric& fabric, Bytes msize,
   meta.effective_bandwidth = net.effective_bandwidth();
   meta.send_overhead = net.send_overhead;
   meta.recv_overhead = net.recv_overhead;
-  meta.sync_tag_base = recorder.sync_tag_base();
   meta.label = std::move(label);
 
   mpisim::Executor executor(topo, net, exec);

@@ -17,6 +17,15 @@ namespace aapc::flight {
 
 namespace {
 
+/// A rank is a straggler when its normalized post-cost factor reaches
+/// this (1.3 = 30% above the fleet).
+constexpr double kStragglerThreshold = 1.3;
+/// A link is degraded when its normalized min excess reaches this.
+constexpr double kLinkExcessThreshold = 1.25;
+/// Post-cost estimates prefer the last kRecentWindow posts so a
+/// late-onset straggler is still caught from an overwritten ring.
+constexpr std::size_t kRecentWindow = 16;
+
 double percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0;
   std::sort(values.begin(), values.end());
@@ -60,8 +69,7 @@ AnalysisReport analyze(const FlightDump& dump,
                        const topology::Topology& topo,
                        const core::Schedule* schedule,
                        const sync::SyncPlan* plan,
-                       const stp::SpanningTree* tree,
-                       const AnalyzeOptions& options) {
+                       const stp::SpanningTree* tree) {
   const std::int32_t ranks = dump.meta.rank_count;
   AAPC_REQUIRE(ranks == topo.machine_count(),
                "flight dump has " << ranks << " ranks but the topology has "
@@ -159,10 +167,9 @@ AnalysisReport analyze(const FlightDump& dump,
   for (std::int32_t r = 0; r < ranks; ++r) {
     const std::vector<double>& f = factors[static_cast<std::size_t>(r)];
     if (f.empty()) continue;
-    const auto window = static_cast<std::size_t>(
-        std::max<std::int32_t>(1, options.recent_window));
     const std::vector<double> recent(
-        f.end() - static_cast<std::ptrdiff_t>(std::min(window, f.size())),
+        f.end() -
+            static_cast<std::ptrdiff_t>(std::min(kRecentWindow, f.size())),
         f.end());
     const double estimate = std::max(median(f), median(recent));
     report.rank_post_factor[static_cast<std::size_t>(r)] = estimate;
@@ -262,7 +269,7 @@ AnalysisReport analyze(const FlightDump& dump,
       const double factor =
           report.rank_post_factor[static_cast<std::size_t>(r)];
       const double normalized = factor / fleet_factor;
-      if (factor <= 0 || normalized < options.straggler_threshold) continue;
+      if (factor <= 0 || normalized < kStragglerThreshold) continue;
       Verdict v;
       v.kind = VerdictKind::kStragglerRank;
       v.rank = r;
@@ -294,7 +301,7 @@ AnalysisReport analyze(const FlightDump& dump,
       const double link_signal = lossy_run ? percentile(acc.excesses, 0.25)
                                            : acc.min_excess;
       const double normalized = link_signal / baseline_excess;
-      if (normalized < options.link_excess_threshold) continue;
+      if (normalized < kLinkExcessThreshold) continue;
       if (std::any_of(report.verdicts.begin(), report.verdicts.end(),
                       [&](const Verdict& v) {
                         return v.kind == VerdictKind::kDownLink &&

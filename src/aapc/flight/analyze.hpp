@@ -85,17 +85,6 @@ struct LinkUsage {
   std::int64_t stuck = 0;
 };
 
-struct AnalyzeOptions {
-  /// A rank is a straggler when its normalized post-cost factor
-  /// reaches this (1.3 = 30% above the fleet).
-  double straggler_threshold = 1.3;
-  /// A link is degraded when its normalized min excess reaches this.
-  double link_excess_threshold = 1.25;
-  /// Post-cost estimates prefer the last `recent_window` posts so a
-  /// late-onset straggler is still caught from an overwritten ring.
-  std::int32_t recent_window = 16;
-};
-
 struct AnalysisReport {
   /// Ranked findings, most confident first. Empty = healthy run.
   std::vector<Verdict> verdicts;
@@ -137,7 +126,6 @@ AnalysisReport analyze(const FlightDump& dump,
                        const topology::Topology& topo,
                        const core::Schedule* schedule = nullptr,
                        const sync::SyncPlan* plan = nullptr,
-                       const stp::SpanningTree* tree = nullptr,
-                       const AnalyzeOptions& options = {});
+                       const stp::SpanningTree* tree = nullptr);
 
 }  // namespace aapc::flight

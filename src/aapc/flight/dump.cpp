@@ -34,7 +34,7 @@ double bits_double(std::uint64_t bits) {
 FlightDump snapshot(const Recorder& recorder, DumpMeta meta) {
   meta.rank_count = recorder.rank_count();
   meta.ring_capacity = recorder.ring_capacity();
-  meta.sync_tag_base = recorder.sync_tag_base();
+  meta.sync_tag_base = Recorder::kSyncTagBase;
   FlightDump dump;
   dump.meta = std::move(meta);
   dump.ranks.resize(static_cast<std::size_t>(recorder.rank_count()));

@@ -79,10 +79,7 @@ Recorder::Recorder(std::int32_t rank_count, const RecorderParams& params) {
 }
 
 void Recorder::annotate(const core::Schedule& schedule,
-                        const sync::SyncPlan& plan,
-                        std::int32_t sync_tag_base) {
-  AAPC_REQUIRE(sync_tag_base > 0, "sync_tag_base must be positive");
-  sync_tag_base_ = sync_tag_base;
+                        const sync::SyncPlan& plan) {
   const std::int32_t ranks = rank_count();
   data_table_.assign(
       static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks),
@@ -115,9 +112,8 @@ void Recorder::annotate(const core::Schedule& schedule,
 
 void Recorder::stamp_annotation(std::int32_t rank, Event& event) const {
   std::uint64_t coords = kNoCoord;
-  if (event.tag >= sync_tag_base_) {
-    const auto idx =
-        static_cast<std::size_t>(event.tag - sync_tag_base_);
+  if (event.tag >= kSyncTagBase) {
+    const auto idx = static_cast<std::size_t>(event.tag - kSyncTagBase);
     if (idx >= sync_table_.size()) return;
     coords = sync_table_[idx];
   } else {

@@ -266,15 +266,15 @@ class Recorder {
   std::uint32_t ring_capacity() const {
     return rings_.empty() ? 0 : rings_.front().capacity();
   }
-  std::int32_t sync_tag_base() const { return sync_tag_base_; }
+  /// Tags >= this are sync tokens, numbered base + (index into
+  /// plan.edges): the lowering's convention, mpisim::kSyncTag.
+  static constexpr std::int32_t kSyncTagBase = 1 << 20;
 
   /// Installs the (src, dst) -> (phase, message) and sync-tag ->
   /// (phase, gated message) maps so subsequent events carry schedule
-  /// coordinates. Tags >= `sync_tag_base` are sync tokens, numbered
-  /// base + (index into plan.edges) — the lowering's convention. Call
-  /// before the run; the maps are read-only while recording.
-  void annotate(const core::Schedule& schedule, const sync::SyncPlan& plan,
-                std::int32_t sync_tag_base = 1 << 20);
+  /// coordinates. Call before the run; the maps are read-only while
+  /// recording.
+  void annotate(const core::Schedule& schedule, const sync::SyncPlan& plan);
 
   /// Hot path: packs and appends one event to `rank`'s ring.
   void record(std::int32_t rank, EventKind kind, std::int32_t peer,
@@ -304,13 +304,12 @@ class Recorder {
 
   std::vector<Ring> rings_;
   bool annotated_ = false;
-  std::int32_t sync_tag_base_ = 1 << 20;
   // Flat lookup tables, filled by annotate(): record() runs per
   // simulated event, and hash lookups there dominate the recorder's
   // overhead. Entries are (phase u32 << 32 | message u32) or kNoCoord.
   /// Indexed by src * rank_count + dst.
   std::vector<std::uint64_t> data_table_;
-  /// Indexed by tag - sync_tag_base (one entry per sync-plan edge).
+  /// Indexed by tag - kSyncTagBase (one entry per sync-plan edge).
   std::vector<std::uint64_t> sync_table_;
 };
 

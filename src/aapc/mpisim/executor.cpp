@@ -22,6 +22,13 @@ namespace aapc::mpisim {
 
 namespace {
 
+// The flight recorder reads tags at or above its base as sync tokens,
+// the lowering's convention.
+static_assert(flight::Recorder::kSyncTagBase == kSyncTag);
+
+/// The watchdog's first repost waits this long; each later one doubles.
+constexpr SimTime kTransferRetryBackoff = milliseconds(5.0);
+
 enum class RankState : std::uint8_t {
   kRunnable,
   kWait,      // blocked on one request
@@ -595,9 +602,7 @@ ExecutionResult Executor::run(const ProgramSet& set) {
       network.cancel_flow(flow);
       flow_bindings.erase(it);
       const SimTime backoff =
-          exec_params_.transfer_retry_backoff *
-          std::pow(exec_params_.transfer_backoff_multiplier,
-                   binding.attempts);
+          kTransferRetryBackoff * std::pow(2.0, binding.attempts);
       ++result.transfer_retries;
       if (binding.trace_index >= 0) {
         ++result.trace[static_cast<std::size_t>(binding.trace_index)].retries;

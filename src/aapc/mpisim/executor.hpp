@@ -221,14 +221,11 @@ struct ExecutorParams {
 
   /// Transfer watchdog: a matched transfer that has not drained within
   /// `transfer_timeout` of activating is canceled and reposted with
-  /// exponential backoff (transfer_retry_backoff *
-  /// transfer_backoff_multiplier^attempt), up to transfer_max_retries
+  /// exponential backoff (5 ms * 2^attempt), up to transfer_max_retries
   /// reposts; exhausting them throws TransferAborted. 0 disables the
   /// watchdog — stuck transfers then surface as ExecutionStalled.
   SimTime transfer_timeout = 0;
   std::int32_t transfer_max_retries = 3;
-  SimTime transfer_retry_backoff = milliseconds(5.0);
-  double transfer_backoff_multiplier = 2.0;
 
   /// Optional metrics sink: when set, the run exports the
   /// aapc_executor_* series (runs, messages by kind, per-transfer and

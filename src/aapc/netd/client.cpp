@@ -17,6 +17,13 @@
 
 namespace aapc::netd {
 
+namespace {
+
+/// Cap of the reconnect backoff, which doubles per attempt.
+constexpr double kMaxBackoffSeconds = 1.0;
+
+}  // namespace
+
 Client::Client(const std::string& host, std::uint16_t port,
                const ClientOptions& options)
     : host_(host), port_(port), options_(options) {
@@ -63,7 +70,7 @@ auto Client::with_retry(Fn&& op) -> decltype(op()) {
   const auto sleep_and_advance = [&](double seconds) {
     std::this_thread::sleep_for(std::chrono::duration<double>(
         std::max(0.0, seconds)));
-    backoff = std::min(backoff * 2, options_.max_backoff_seconds);
+    backoff = std::min(backoff * 2, kMaxBackoffSeconds);
   };
   while (true) {
     try {

@@ -39,10 +39,9 @@ struct ClientOptions {
   /// mid-frame). 0 disables reconnection — every transport error
   /// surfaces immediately, the pre-churn behavior.
   std::int32_t max_reconnects = 5;
-  /// Backoff before the first reconnect attempt; doubles per attempt.
+  /// Backoff before the first reconnect attempt; doubles per attempt,
+  /// up to 1 s.
   double initial_backoff_seconds = 0.05;
-  /// Backoff cap for the exponential schedule.
-  double max_backoff_seconds = 1.0;
   /// Also retry kOverloaded / kShuttingDown error frames (sleeping the
   /// server's retry-after hint, floored by the backoff schedule).
   /// Off by default: load generators usually want to *count* rejects.

@@ -133,7 +133,7 @@ TEST(RecorderTest, AnnotationStampsDataSyncAndRecvSide) {
     recorder.record(
         gated.src, EventKind::kSyncRelease,
         schedule.messages[static_cast<std::size_t>(edge.from)].src,
-        recorder.sync_tag_base() + 0, 4, 3.0, 2.5);
+        Recorder::kSyncTagBase + 0, 4, 3.0, 2.5);
     recorder.snapshot_rank(gated.src, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].phase, schedule.phase_of(edge.to));
@@ -267,7 +267,7 @@ TEST(ExecutorWiringTest, RecordsAnnotatedEventsWithoutPerturbing) {
     recorder.snapshot_rank(r, events);
     for (const Event& e : events) {
       saw[static_cast<int>(e.kind)] = true;
-      if (e.tag < recorder.sync_tag_base() &&
+      if (e.tag < Recorder::kSyncTagBase &&
           (e.kind == EventKind::kSendPost ||
            e.kind == EventKind::kSendComplete)) {
         // Every data event is annotated with its schedule coordinates.
