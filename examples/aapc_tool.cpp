@@ -96,11 +96,12 @@ int main(int argc, char** argv) {
       codegen::CodegenOptions options;
       options.function_name = cli.get("function-name");
       const std::string sync = cli.get("sync");
-      options.lowering.sync = sync == "barrier"
-                                  ? lowering::SyncMode::kBarrier
-                                  : sync == "none"
-                                        ? lowering::SyncMode::kNone
-                                        : lowering::SyncMode::kPairwise;
+      options.lowering.sync =
+          sync == "pairwise" ? lowering::SyncMode::kPairwise
+          : sync == "barrier" ? lowering::SyncMode::kBarrier
+          : sync == "none"
+              ? lowering::SyncMode::kNone
+              : throw InvalidArgument("unknown --sync mode '" + sync + "'");
       const core::Schedule schedule = core::build_aapc_schedule(topo);
       std::cout << codegen::generate_alltoall_c(topo, schedule, options);
       return 0;

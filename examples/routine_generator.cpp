@@ -38,6 +38,20 @@ int main(int argc, char** argv) {
   }
 
   try {
+    codegen::CodegenOptions options;
+    options.function_name = cli.get("function-name");
+    const std::string sync = cli.get("sync");
+    if (sync == "pairwise") {
+      options.lowering.sync = lowering::SyncMode::kPairwise;
+    } else if (sync == "barrier") {
+      options.lowering.sync = lowering::SyncMode::kBarrier;
+    } else if (sync == "none") {
+      options.lowering.sync = lowering::SyncMode::kNone;
+    } else {
+      throw InvalidArgument("unknown --sync mode '" + sync + "'");
+    }
+    options.lowering.reduce_redundant_syncs = !cli.get_bool("no-reduce", false);
+
     topology::Topology topo;
     if (cli.has("paper")) {
       const std::string which = cli.get("paper");
@@ -66,18 +80,6 @@ int main(int argc, char** argv) {
                 << report.summary() << '\n';
       return 1;
     }
-
-    codegen::CodegenOptions options;
-    options.function_name = cli.get("function-name");
-    const std::string sync = cli.get("sync");
-    if (sync == "barrier") {
-      options.lowering.sync = lowering::SyncMode::kBarrier;
-    } else if (sync == "none") {
-      options.lowering.sync = lowering::SyncMode::kNone;
-    } else {
-      options.lowering.sync = lowering::SyncMode::kPairwise;
-    }
-    options.lowering.reduce_redundant_syncs = !cli.get_bool("no-reduce", false);
 
     if (cli.get_bool("summary", false)) {
       lowering::LoweringInfo info;

@@ -39,10 +39,12 @@ int main(int argc, char** argv) {
       topo = topology::load_topology_file(cli.positional().front());
     } else {
       const std::string which = cli.get("paper");
-      topo = which == "a"   ? topology::make_paper_topology_a()
-             : which == "b" ? topology::make_paper_topology_b()
-             : which == "c" ? topology::make_paper_topology_c()
-                            : topology::make_paper_figure1();
+      topo = which == "a"      ? topology::make_paper_topology_a()
+             : which == "b"    ? topology::make_paper_topology_b()
+             : which == "c"    ? topology::make_paper_topology_c()
+             : which == "fig1" ? topology::make_paper_figure1()
+                               : throw InvalidArgument(
+                                     "unknown paper topology '" + which + "'");
     }
     const Bytes msize = parse_size(cli.get("msize"));
 
