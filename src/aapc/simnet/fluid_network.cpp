@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <functional>
-#include <string>
 
 #include "aapc/common/error.hpp"
-#include "aapc/simnet/metrics.hpp"
 
 namespace aapc::simnet {
 
@@ -469,26 +467,6 @@ void FluidNetwork::apply_capacity(topology::LinkId link,
 
 double FluidNetwork::aggregate_throughput() const {
   return now_ > 0 ? total_delivered_bytes_ / now_ : 0.0;
-}
-
-void FluidNetwork::publish_metrics(obs::Registry& registry) const {
-  publish_network_stats(registry, stats_, now_);
-  // Per-directed-edge utilization over [0, now()]: payload carried
-  // against the edge's effective capacity-time product. Edge rows are
-  // rows [0, directed_edge_count), so row_base_capacity_ already holds
-  // the protocol-derated bandwidth after any capacity events.
-  for (std::size_t e = 0; e < stats_.edge_bytes.size(); ++e) {
-    const double capacity = row_base_capacity_[e];
-    const double utilization = (now_ > 0 && capacity > 0)
-                                   ? stats_.edge_bytes[e] / (capacity * now_)
-                                   : 0.0;
-    registry
-        .gauge("aapc_simnet_edge_utilization",
-               "Delivered bytes over effective capacity x elapsed time, "
-               "per directed edge",
-               {{"edge", std::to_string(e)}})
-        .set(utilization);
-  }
 }
 
 // Why a node row whose base share exceeds B never binds: every unfixed

@@ -31,10 +31,6 @@
 #include "aapc/simnet/params.hpp"
 #include "aapc/topology/topology.hpp"
 
-namespace aapc::obs {
-class Registry;
-}  // namespace aapc::obs
-
 namespace aapc::simnet {
 
 using FlowId = std::int64_t;
@@ -146,14 +142,6 @@ class FluidNetwork {
   std::int64_t active_flow_count() const { return active_count_; }
 
   const NetworkStats& stats() const { return stats_; }
-
-  /// Exports this network's counters into `registry` under the
-  /// aapc_simnet_* series (docs/OBSERVABILITY.md): the NetworkStats
-  /// counters via simnet/metrics.hpp plus per-directed-edge
-  /// utilization over [0, now()]. Publish-time only — the hot path
-  /// never touches the registry. Call once, at the end of a run;
-  /// counters accumulate across networks sharing a registry.
-  void publish_metrics(obs::Registry& registry) const;
 
   /// Aggregate payload throughput over [0, now()]: total delivered bytes
   /// divided by elapsed time (bytes/sec).
