@@ -85,23 +85,15 @@ flight::AnalysisReport run_case(const Fabric& fabric,
       lowering::lower_schedule(topo, schedule, 32_KiB, lopts);
 
   flight::Recorder recorder(topo.machine_count());
-  recorder.annotate(schedule, sync_plan);
   const simnet::NetworkParams net;
   mpisim::ExecutorParams exec;
   exec.flight = &recorder;
   faults::compile(plan, net, topo.link_count(),
                   fabric.tree.link_of_bridge_link)
       .apply(exec);
-  mpisim::Executor executor(topo, net, exec);
-  const mpisim::ExecutionResult result = executor.run(set);
-
-  flight::DumpMeta meta;
-  meta.effective_bandwidth = net.effective_bandwidth();
-  meta.send_overhead = net.send_overhead;
-  meta.recv_overhead = net.recv_overhead;
-  meta.completion_time = result.completion_time;
-  const flight::FlightDump dump = flight::snapshot(recorder, meta);
-  return flight::analyze(dump, topo, &schedule, &sync_plan, &fabric.tree);
+  mpisim::Executor(topo, net, exec).run(set);
+  return flight::analyze(flight::snapshot(recorder, "bench_flight"), topo,
+                         &schedule, &sync_plan, &fabric.tree);
 }
 
 int run_localization_sweep() {
@@ -174,9 +166,7 @@ double measure_overhead(std::int64_t rounds, std::int64_t inner) {
   const topology::Topology topo = topology::make_single_switch(24);
   const mpisim::ProgramSet set = baselines::lam_alltoall(24, 65536);
   const simnet::NetworkParams net;
-  flight::RecorderParams rp;
-  rp.ring_capacity = 1024;  // TEMP experiment
-  flight::Recorder recorder(topo.machine_count(), rp);
+  flight::Recorder recorder(topo.machine_count());
 
   const auto sample = [&](bool with_recorder) {
     mpisim::ExecutorParams exec;

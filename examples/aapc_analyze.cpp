@@ -94,30 +94,13 @@ RecordedRun run_recorded(const Fabric& fabric, Bytes msize,
   flight::RecorderParams rparams;
   rparams.ring_capacity = ring_capacity;
   flight::Recorder recorder(topo.machine_count(), rparams);
-  recorder.annotate(run.schedule, run.plan);
   exec.flight = &recorder;
-
-  const simnet::NetworkParams net;
-  flight::DumpMeta meta;
-  meta.backend = exec.backend == mpisim::NetworkBackendKind::kPacket ? 1 : 0;
-  // The analyzer normalizes drain excess against the run's own healthy
-  // population, so the fluid calibration is a fine baseline for the
-  // packet backend too.
-  meta.effective_bandwidth = net.effective_bandwidth();
-  meta.send_overhead = net.send_overhead;
-  meta.recv_overhead = net.recv_overhead;
-  meta.label = std::move(label);
-
-  mpisim::Executor executor(topo, net, exec);
   try {
-    const mpisim::ExecutionResult result = executor.run(set);
-    meta.completion_time = result.completion_time;
-    meta.retransmissions = result.packet.retransmissions;
-    meta.segments_lost = result.packet.segments_lost;
+    mpisim::Executor(topo, simnet::NetworkParams{}, exec).run(set);
   } catch (const std::exception& error) {
     run.failure = error.what();  // the rings survived; dump them anyway
   }
-  run.dump = flight::snapshot(recorder, std::move(meta));
+  run.dump = flight::snapshot(recorder, std::move(label));
   return run;
 }
 
@@ -190,12 +173,11 @@ int run_inject(const std::string& kind, Bytes msize,
     exec.transfer_timeout = milliseconds(40.0);
     exec.transfer_max_retries = 2;
   } else if (kind == "lossy") {
-    exec.backend = mpisim::NetworkBackendKind::kPacket;
     // Heavy Bernoulli loss on both trunk directions: every crossing
     // transfer pays retransmissions, so even the trunk's *fastest*
     // transfer stays slow (what the analyzer keys on).
-    exec.packet.faults.edge_loss = {{2 * trunk_link, 0.15},
-                                    {2 * trunk_link + 1, 0.15}};
+    exec.packet.emplace().faults.edge_loss = {{2 * trunk_link, 0.15},
+                                              {2 * trunk_link + 1, 0.15}};
   } else {
     AAPC_REQUIRE(kind == "none", "unknown --inject class " << kind);
   }
@@ -313,8 +295,9 @@ int run_load(const std::string& path, bool json) {
                "dump has " << dump.meta.rank_count
                            << " ranks; aapc_analyze --load assumes the "
                               "built-in 4+4 fabric");
-  // Rebuild the schedule/plan the fabric's runs use, so the dependence
-  // graph and phase attribution are available offline too.
+  // Rebuild the schedule/plan the fabric's runs use, so transfers map
+  // to scheduled messages and the dependence graph is available offline
+  // too.
   const core::Schedule schedule = core::build_aapc_schedule(topo);
   const sync::SyncPlan plan = sync::build_sync_plan(topo, schedule);
   const flight::AnalysisReport report =
@@ -356,8 +339,8 @@ int main(int argc, char** argv) {
   }
   try {
     const Bytes msize = parse_size(cli.get_or("msize", "32K"));
-    const std::uint32_t ring_capacity =
-        static_cast<std::uint32_t>(cli.get_u64("ring", 4096));
+    const auto ring_capacity = static_cast<std::uint32_t>(
+        cli.get_u64("ring", 4096, flight::kMaxRingCapacity));
     const double severity = cli.get_double("severity", 3.0);
     const bool json = cli.get_bool("json", false);
     const std::string out_dir = cli.get_or("out", "");

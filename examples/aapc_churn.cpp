@@ -400,7 +400,6 @@ int main(int argc, char** argv) {
     const simnet::NetworkParams net;
     for (const bool degraded : {false, true}) {
       flight::Recorder recorder(topo.machine_count());
-      recorder.annotate(schedule, plan);
       mpisim::ExecutorParams exec;
       exec.flight = &recorder;
       if (degraded) {
@@ -410,16 +409,10 @@ int main(int argc, char** argv) {
                         tree.link_of_bridge_link)
             .apply(exec);
       }
-      mpisim::Executor executor(topo, net, exec);
-      const mpisim::ExecutionResult result = executor.run(set);
-      flight::DumpMeta meta;
-      meta.effective_bandwidth = net.effective_bandwidth();
-      meta.send_overhead = net.send_overhead;
-      meta.recv_overhead = net.recv_overhead;
-      meta.completion_time = result.completion_time;
-      meta.label = degraded ? "aapc_churn --flight (trunk degraded)"
-                            : "aapc_churn --flight (healthy)";
-      const flight::FlightDump dump = flight::snapshot(recorder, meta);
+      mpisim::Executor(topo, net, exec).run(set);
+      const flight::FlightDump dump = flight::snapshot(
+          recorder, degraded ? "aapc_churn --flight (trunk degraded)"
+                             : "aapc_churn --flight (healthy)");
       const std::string path =
           dir + (degraded ? "/churn_degraded.flt" : "/churn_healthy.flt");
       flight::write_dump_file(dump, path);

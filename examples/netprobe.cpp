@@ -269,20 +269,14 @@ int run_flight_probe(const std::string& dir) {
       lowering::lower_schedule(topo, schedule, 32_KiB, lopts);
 
   flight::Recorder recorder(topo.machine_count());
-  recorder.annotate(schedule, plan);
   const simnet::NetworkParams net;
   mpisim::ExecutorParams exec;
   exec.flight = &recorder;
   mpisim::Executor executor(topo, net, exec);
   const mpisim::ExecutionResult result = executor.run(set);
 
-  flight::DumpMeta meta;
-  meta.effective_bandwidth = net.effective_bandwidth();
-  meta.send_overhead = net.send_overhead;
-  meta.recv_overhead = net.recv_overhead;
-  meta.completion_time = result.completion_time;
-  meta.label = "netprobe --flight";
-  const flight::FlightDump dump = flight::snapshot(recorder, meta);
+  const flight::FlightDump dump =
+      flight::snapshot(recorder, "netprobe --flight");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/netprobe.flt";
   flight::write_dump_file(dump, path);

@@ -108,9 +108,9 @@ AnalysisReport analyze(const FlightDump& dump,
     for (const Event& e : log.events) {
       switch (e.kind) {
         case EventKind::kSendPost:
-          if (dump.meta.send_overhead > 0) {
+          if (dump.meta.run.send_overhead > 0) {
             factors[static_cast<std::size_t>(r)].push_back(
-                (e.time - e.aux) / dump.meta.send_overhead);
+                (e.time - e.aux) / dump.meta.run.send_overhead);
           }
           if (e.tag < dump.meta.sync_tag_base) {
             SendProgress& p = sends[transfer_key(r, e.peer)];
@@ -120,18 +120,18 @@ AnalysisReport analyze(const FlightDump& dump,
           }
           break;
         case EventKind::kRecvPost:
-          if (dump.meta.recv_overhead > 0) {
+          if (dump.meta.run.recv_overhead > 0) {
             factors[static_cast<std::size_t>(r)].push_back(
-                (e.time - e.aux) / dump.meta.recv_overhead);
+                (e.time - e.aux) / dump.meta.run.recv_overhead);
           }
           break;
         case EventKind::kSendComplete: {
           if (e.tag >= dump.meta.sync_tag_base) break;
           ++sends[transfer_key(r, e.peer)].completions;
           ++report.transfers_observed;
-          if (dump.meta.effective_bandwidth <= 0 || e.bytes <= 0) break;
+          if (dump.meta.run.effective_bandwidth <= 0 || e.bytes <= 0) break;
           const double expected = static_cast<double>(e.bytes) /
-                                  dump.meta.effective_bandwidth;
+                                  dump.meta.run.effective_bandwidth;
           if (expected <= 0) break;
           const double excess = (e.time - e.aux) / expected;
           all_excess.push_back(excess);
@@ -289,7 +289,7 @@ AnalysisReport analyze(const FlightDump& dump,
   // on a healthy link, a capacity loss slows them all.
   const double baseline_excess = percentile(all_excess, 0.25);
   const bool lossy_run =
-      dump.meta.backend == 1 && dump.meta.retransmissions > 0;
+      dump.meta.run.backend == 1 && dump.meta.run.retransmissions > 0;
   if (baseline_excess > 0) {
     for (const auto& [link, acc] : link_accum) {
       if (acc.transfers == 0) continue;
@@ -322,7 +322,7 @@ AnalysisReport analyze(const FlightDump& dump,
          << (lossy_run ? "p25" : "min") << " drain excess " << link_signal
          << "x vs fleet baseline " << baseline_excess << "x";
       if (lossy_run) {
-        os << "; " << dump.meta.retransmissions
+        os << "; " << dump.meta.run.retransmissions
            << " retransmissions on the packet backend";
       }
       v.detail = os.str();
@@ -358,7 +358,7 @@ AnalysisReport analyze(const FlightDump& dump,
   if (schedule != nullptr && plan != nullptr &&
       schedule->message_count() > 0) {
     const auto n = static_cast<std::size_t>(schedule->message_count());
-    // (src, dst) -> message id, for dumps recorded without annotation.
+    // (src, dst) -> the scheduled message a transfer carries.
     std::unordered_map<std::uint64_t, std::int32_t> message_of;
     message_of.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -375,15 +375,11 @@ AnalysisReport analyze(const FlightDump& dump,
             e.tag >= dump.meta.sync_tag_base) {
           continue;
         }
-        std::int32_t id = e.message;
-        if (id < 0) {
-          const auto it = message_of.find(transfer_key(r, e.peer));
-          if (it == message_of.end()) continue;
-          id = it->second;
-        }
-        if (id < 0 || static_cast<std::size_t>(id) >= n) continue;
-        activation[static_cast<std::size_t>(id)] = e.aux;
-        completion[static_cast<std::size_t>(id)] = e.time;
+        const auto it = message_of.find(transfer_key(r, e.peer));
+        if (it == message_of.end()) continue;
+        const auto id = static_cast<std::size_t>(it->second);
+        activation[id] = e.aux;
+        completion[id] = e.time;
       }
     }
     const sync::PlanAdjacency adjacency =

@@ -119,9 +119,9 @@ struct AnalysisReport {
 };
 
 /// Analyzes `dump` against the topology it ran on. `schedule`, `plan`,
-/// and `tree` are optional refinements: schedule+plan enable the
-/// dependence-graph/slack reconstruction (and phase attribution in
-/// details), `tree` maps culprit links back to bridge links.
+/// and `tree` are optional refinements: schedule+plan map each transfer
+/// to its scheduled message and enable the dependence-graph/slack
+/// reconstruction, `tree` maps culprit links back to bridge links.
 AnalysisReport analyze(const FlightDump& dump,
                        const topology::Topology& topo,
                        const core::Schedule* schedule = nullptr,

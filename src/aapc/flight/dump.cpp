@@ -1,6 +1,6 @@
 #include "aapc/flight/dump.hpp"
 
-#include <cstring>
+#include <bit>
 #include <fstream>
 #include <sstream>
 
@@ -12,31 +12,20 @@ namespace aapc::flight {
 namespace {
 
 // Sanity ceilings for decode: a header claiming more implies corruption
-// (the executor tops out orders of magnitude below both).
+// (the executor tops out orders of magnitude below both). A ring
+// capacity is checked against Ring's own limit, kMaxRingCapacity.
 constexpr std::uint32_t kMaxRanks = 1u << 20;
-constexpr std::uint32_t kMaxRingCapacity = 1u << 24;
 constexpr std::size_t kMaxLabel = 4096;
-
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 }  // namespace
 
-FlightDump snapshot(const Recorder& recorder, DumpMeta meta) {
-  meta.rank_count = recorder.rank_count();
-  meta.ring_capacity = recorder.ring_capacity();
-  meta.sync_tag_base = Recorder::kSyncTagBase;
+FlightDump snapshot(const Recorder& recorder, std::string label) {
   FlightDump dump;
-  dump.meta = std::move(meta);
+  dump.meta.rank_count = recorder.rank_count();
+  dump.meta.ring_capacity = recorder.ring_capacity();
+  dump.meta.sync_tag_base = Recorder::kSyncTagBase;
+  dump.meta.run = recorder.run;
+  dump.meta.label = std::move(label);
   dump.ranks.resize(static_cast<std::size_t>(recorder.rank_count()));
   for (std::int32_t r = 0; r < recorder.rank_count(); ++r) {
     RankLog& log = dump.ranks[static_cast<std::size_t>(r)];
@@ -51,14 +40,15 @@ std::string encode_dump(const FlightDump& dump) {
   w.u16(kDumpVersion);
   w.u32(static_cast<std::uint32_t>(dump.meta.rank_count));
   w.u32(dump.meta.ring_capacity);
-  w.u8(dump.meta.backend);
+  const RunContext& run = dump.meta.run;
+  w.u8(run.backend);
   w.u32(static_cast<std::uint32_t>(dump.meta.sync_tag_base));
-  w.u64(double_bits(dump.meta.effective_bandwidth));
-  w.u64(double_bits(dump.meta.send_overhead));
-  w.u64(double_bits(dump.meta.recv_overhead));
-  w.u64(double_bits(dump.meta.completion_time));
-  w.u64(static_cast<std::uint64_t>(dump.meta.retransmissions));
-  w.u64(static_cast<std::uint64_t>(dump.meta.segments_lost));
+  w.u64(std::bit_cast<std::uint64_t>(run.effective_bandwidth));
+  w.u64(std::bit_cast<std::uint64_t>(run.send_overhead));
+  w.u64(std::bit_cast<std::uint64_t>(run.recv_overhead));
+  w.u64(std::bit_cast<std::uint64_t>(run.completion_time));
+  w.u64(static_cast<std::uint64_t>(run.retransmissions));
+  w.u64(static_cast<std::uint64_t>(run.segments_lost));
   w.str(dump.meta.label);
   AAPC_REQUIRE(dump.ranks.size() ==
                    static_cast<std::size_t>(dump.meta.rank_count),
@@ -72,10 +62,8 @@ std::string encode_dump(const FlightDump& dump) {
       w.u32(static_cast<std::uint32_t>(e.peer));
       w.u32(static_cast<std::uint32_t>(e.tag));
       w.u64(static_cast<std::uint64_t>(e.bytes));
-      w.u32(static_cast<std::uint32_t>(e.phase));
-      w.u32(static_cast<std::uint32_t>(e.message));
-      w.u64(double_bits(e.time));
-      w.u64(double_bits(e.aux));
+      w.u64(std::bit_cast<std::uint64_t>(e.time));
+      w.u64(std::bit_cast<std::uint64_t>(e.aux));
     }
   }
   return w.take();
@@ -99,19 +87,19 @@ FlightDump decode_dump(std::string_view bytes) {
   AAPC_REQUIRE(dump.meta.ring_capacity <= kMaxRingCapacity,
                "flight dump: implausible ring capacity "
                    << dump.meta.ring_capacity);
-  dump.meta.backend = r.u8();
-  AAPC_REQUIRE(dump.meta.backend <= 1,
-               "flight dump: unknown backend "
-                   << static_cast<int>(dump.meta.backend));
+  RunContext& run = dump.meta.run;
+  run.backend = r.u8();
+  AAPC_REQUIRE(run.backend <= 1, "flight dump: unknown backend "
+                                     << static_cast<int>(run.backend));
   dump.meta.sync_tag_base = static_cast<std::int32_t>(r.u32());
   AAPC_REQUIRE(dump.meta.sync_tag_base > 0,
                "flight dump: sync_tag_base must be positive");
-  dump.meta.effective_bandwidth = bits_double(r.u64());
-  dump.meta.send_overhead = bits_double(r.u64());
-  dump.meta.recv_overhead = bits_double(r.u64());
-  dump.meta.completion_time = bits_double(r.u64());
-  dump.meta.retransmissions = static_cast<std::int64_t>(r.u64());
-  dump.meta.segments_lost = static_cast<std::int64_t>(r.u64());
+  run.effective_bandwidth = std::bit_cast<double>(r.u64());
+  run.send_overhead = std::bit_cast<double>(r.u64());
+  run.recv_overhead = std::bit_cast<double>(r.u64());
+  run.completion_time = std::bit_cast<double>(r.u64());
+  run.retransmissions = static_cast<std::int64_t>(r.u64());
+  run.segments_lost = static_cast<std::int64_t>(r.u64());
   dump.meta.label = r.str(kMaxLabel);
   dump.ranks.resize(rank_count);
   for (std::uint32_t rank = 0; rank < rank_count; ++rank) {
@@ -122,9 +110,9 @@ FlightDump decode_dump(std::string_view bytes) {
                  "flight dump: rank " << rank << " claims " << count
                                       << " events in a ring of "
                                       << dump.meta.ring_capacity);
-    // 41 bytes per record; checking up front turns an overlength count
+    // 33 bytes per record; checking up front turns an overlength count
     // into one error instead of a partial parse.
-    AAPC_REQUIRE(r.remaining() >= static_cast<std::size_t>(count) * 41,
+    AAPC_REQUIRE(r.remaining() >= static_cast<std::size_t>(count) * 33,
                  "flight dump: rank " << rank << " truncated ("
                                       << r.remaining() << " bytes for "
                                       << count << " events)");
@@ -140,10 +128,8 @@ FlightDump decode_dump(std::string_view bytes) {
       e.peer = static_cast<std::int32_t>(r.u32());
       e.tag = static_cast<std::int32_t>(r.u32());
       e.bytes = static_cast<std::int64_t>(r.u64());
-      e.phase = static_cast<std::int32_t>(r.u32());
-      e.message = static_cast<std::int32_t>(r.u32());
-      e.time = bits_double(r.u64());
-      e.aux = bits_double(r.u64());
+      e.time = std::bit_cast<double>(r.u64());
+      e.aux = std::bit_cast<double>(r.u64());
     }
   }
   r.expect_done("flight dump");

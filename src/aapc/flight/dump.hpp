@@ -15,29 +15,17 @@
 namespace aapc::flight {
 
 inline constexpr std::uint64_t kDumpMagic = 0x31544C4643504141ull;  // "AAPCFLT1"
-inline constexpr std::uint16_t kDumpVersion = 1;
+inline constexpr std::uint16_t kDumpVersion = 2;
 
-/// Run context stamped into the dump header. The caller fills the
-/// network calibration (the analyzer's expected-duration baseline) and
-/// outcome fields; snapshot() fills the recorder geometry.
+/// Dump header: the recorder's geometry, the run context the executor
+/// stamped into it, and a label. snapshot() fills all of it.
 struct DumpMeta {
   std::int32_t rank_count = 0;
   std::uint32_t ring_capacity = 0;
-  /// 0 = fluid backend, 1 = packet backend.
-  std::uint8_t backend = 0;
   /// Tags >= this are sync tokens (lowering convention, 2^20).
   std::int32_t sync_tag_base = 1 << 20;
-  /// Per-link goodput after protocol overhead, bytes/sec — what one
-  /// uncontended transfer should drain at.
-  double effective_bandwidth = 0;
-  double send_overhead = 0;
-  double recv_overhead = 0;
-  /// 0 when the run aborted or stalled before completing.
-  double completion_time = 0;
-  /// Packet-backend loss counters (0 on fluid runs).
-  std::int64_t retransmissions = 0;
-  std::int64_t segments_lost = 0;
-  /// Free-form run label ("netprobe --faults plan.json", ...).
+  RunContext run;
+  /// Free-form run label ("netprobe --flight", ...).
   std::string label;
 };
 
@@ -52,10 +40,9 @@ struct FlightDump {
   std::vector<RankLog> ranks;
 };
 
-/// Coherently snapshots every ring of `recorder` into a dump. `meta`
-/// provides the run context; rank_count/ring_capacity are overwritten
-/// from the recorder.
-FlightDump snapshot(const Recorder& recorder, DumpMeta meta);
+/// Coherently snapshots every ring of `recorder`, with its geometry and
+/// run context (Recorder::run), into a dump labelled `label`.
+FlightDump snapshot(const Recorder& recorder, std::string label);
 
 /// Binary encoding (little-endian, docs/FORMATS.md §5).
 std::string encode_dump(const FlightDump& dump);

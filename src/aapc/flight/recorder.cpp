@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "aapc/common/error.hpp"
-#include "aapc/core/schedule.hpp"
 #include "aapc/obs/metrics.hpp"
-#include "aapc/sync/sync_plan.hpp"
 
 namespace aapc::flight {
-
 
 const char* kind_name(EventKind kind) {
   switch (kind) {
@@ -26,6 +22,11 @@ const char* kind_name(EventKind kind) {
 }
 
 Ring::Ring(std::uint32_t capacity) {
+  // Checked before std::bit_ceil, which is undefined above 2^31, and
+  // before the slots are allocated.
+  AAPC_REQUIRE(capacity <= kMaxRingCapacity,
+               "flight ring capacity " << capacity << " is above "
+                                       << kMaxRingCapacity << " slots");
   capacity_ = std::max<std::uint32_t>(8, std::bit_ceil(capacity));
   mask_ = capacity_ - 1;
   words_ = std::make_unique<std::atomic<std::uint64_t>[]>(
@@ -33,7 +34,6 @@ Ring::Ring(std::uint32_t capacity) {
   head_().store(0, std::memory_order_relaxed);
   begin_().store(0, std::memory_order_relaxed);
 }
-
 
 std::uint64_t Ring::snapshot(std::vector<Event>& out) const {
   out.clear();
@@ -76,67 +76,6 @@ Recorder::Recorder(std::int32_t rank_count, const RecorderParams& params) {
   for (std::int32_t r = 0; r < rank_count; ++r) {
     rings_.emplace_back(params.ring_capacity);
   }
-}
-
-void Recorder::annotate(const core::Schedule& schedule,
-                        const sync::SyncPlan& plan) {
-  const std::int32_t ranks = rank_count();
-  data_table_.assign(
-      static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks),
-      kNoCoord);
-  auto coords = [](std::int32_t phase, std::int64_t message) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(phase))
-            << 32) |
-           static_cast<std::uint32_t>(static_cast<std::int32_t>(message));
-  };
-  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
-    for (std::int64_t i = schedule.phase_begin[p];
-         i < schedule.phase_begin[p + 1]; ++i) {
-      const core::Message& m = schedule.messages[static_cast<std::size_t>(i)];
-      if (m.src < 0 || m.src >= ranks || m.dst < 0 || m.dst >= ranks) {
-        continue;
-      }
-      data_table_[static_cast<std::size_t>(m.src) *
-                      static_cast<std::size_t>(ranks) +
-                  static_cast<std::size_t>(m.dst)] = coords(p, i);
-    }
-  }
-  sync_table_.assign(plan.edges.size(), kNoCoord);
-  for (std::size_t i = 0; i < plan.edges.size(); ++i) {
-    const std::int32_t gated = plan.edges[i].to;
-    if (gated < 0 || gated >= schedule.message_count()) continue;
-    sync_table_[i] = coords(schedule.phase_of(gated), gated);
-  }
-  annotated_ = true;
-}
-
-void Recorder::stamp_annotation(std::int32_t rank, Event& event) const {
-  std::uint64_t coords = kNoCoord;
-  if (event.tag >= kSyncTagBase) {
-    const auto idx = static_cast<std::size_t>(event.tag - kSyncTagBase);
-    if (idx >= sync_table_.size()) return;
-    coords = sync_table_[idx];
-  } else {
-    // Map the transfer to its scheduled (src, dst): the recording rank
-    // is the sender for send-side kinds and the receiver otherwise.
-    std::int32_t src = rank;
-    std::int32_t dst = event.peer;
-    if (event.kind == EventKind::kRecvPost ||
-        event.kind == EventKind::kRecvComplete) {
-      src = event.peer;
-      dst = rank;
-    }
-    const std::int32_t ranks = rank_count();
-    if (src < 0 || src >= ranks || dst < 0 || dst >= ranks) return;
-    coords = data_table_[static_cast<std::size_t>(src) *
-                             static_cast<std::size_t>(ranks) +
-                         static_cast<std::size_t>(dst)];
-  }
-  if (coords == kNoCoord) return;
-  event.phase = static_cast<std::int32_t>(
-      static_cast<std::uint32_t>(coords >> 32));
-  event.message =
-      static_cast<std::int32_t>(static_cast<std::uint32_t>(coords));
 }
 
 std::uint64_t Recorder::total_recorded() const {

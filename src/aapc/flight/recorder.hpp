@@ -3,34 +3,25 @@
 // fixed-capacity ring (single writer per rank, power-of-two slots,
 // overwrite-oldest); the executor records compact binary events —
 // send/recv post and completion, sync-token wait/release, watchdog
-// retry — stamped with sim-time and, when the recorder is annotated
-// with a schedule + sync plan, the phase/message ids. A snapshot can
-// run concurrently with writers (seqlock-style: entries that may have
+// retry — stamped with sim-time, and stamps the run's calibration and
+// outcome into the recorder (RunContext). A snapshot can run
+// concurrently with writers (seqlock-style: entries that may have
 // been overwritten mid-copy are discarded, never returned torn).
 //
 // The recorder never influences the simulation: recording is a handful
-// of relaxed atomic stores, and ExecutorParams::flight == nullptr (the
+// of atomic stores, and ExecutorParams::flight == nullptr (the
 // default) keeps the executor on a bit-identical recorder-free path.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 namespace aapc::obs {
 class Registry;
 }  // namespace aapc::obs
-
-namespace aapc::core {
-struct Schedule;
-}  // namespace aapc::core
-
-namespace aapc::sync {
-struct SyncPlan;
-}  // namespace aapc::sync
 
 namespace aapc::flight {
 
@@ -59,9 +50,8 @@ enum class EventKind : std::uint8_t {
 inline constexpr std::uint8_t kEventKindMax = 7;
 const char* kind_name(EventKind kind);
 
-/// One recorded event (decoded form; rings store it packed into four
-/// 64-bit words — see pack_event for the narrowing that implies:
-/// phase < 32768, bytes < 4 GiB, aux kept as an f32 offset from time).
+/// One recorded event (rings store it packed into four 64-bit words,
+/// see pack_event).
 struct Event {
   EventKind kind = EventKind::kSendPost;
   std::int32_t peer = -1;
@@ -71,11 +61,11 @@ struct Event {
   double time = 0;
   /// Kind-specific second timestamp (see EventKind).
   double aux = 0;
-  /// Schedule phase / message index; -1 unless the recorder was
-  /// annotated (annotate()) and the event maps to a scheduled message.
-  std::int32_t phase = -1;
-  std::int32_t message = -1;
 };
+
+/// Most slots a ring may have: Ring refuses more, and decode_dump
+/// rejects a dump that claims more.
+inline constexpr std::uint32_t kMaxRingCapacity = 1u << 24;
 
 /// Lock-free single-writer ring of Events. Slots are four atomic words;
 /// the writer publishes a monotonic head counter with release order
@@ -86,7 +76,8 @@ class Ring {
  public:
   static constexpr std::uint32_t kWordsPerSlot = 4;
 
-  /// `capacity` is rounded up to a power of two (minimum 8).
+  /// `capacity` is rounded up to a power of two (minimum 8); above
+  /// kMaxRingCapacity it throws InvalidArgument.
   explicit Ring(std::uint32_t capacity);
 
   Ring(Ring&&) noexcept = default;
@@ -136,77 +127,32 @@ class Ring {
 
 namespace detail {
 
-inline std::uint64_t double_bits(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-inline double bits_double(std::uint64_t bits) {
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-inline std::uint32_t float_bits(float v) {
-  std::uint32_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-inline float bits_float(std::uint32_t bits) {
-  float v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 // Slot layout (four words = 32 bytes, half a cache line, so each event
 // costs 6 stores and at most one dirty line):
-//   w0 = kind u8 | phase i16 << 16 | bytes u32 << 32
+//   w0 = kind u8 | bytes << 8
 //   w1 = peer u32 | tag u32 << 32
-//   w2 = message u32 | f32(time - aux) bits << 32
+//   w2 = aux f64 bits
 //   w3 = time f64 bits
-// The tight packing narrows three fields relative to Event, all far
-// beyond what simulations produce: phase is sign-extended i16 (valid
-// for phase in [-1, 32767]; even 4096-rank schedules stay below ~2 x
-// ranks phases), bytes saturates at 4 GiB - 1 per message, and aux is
-// reconstructed as time - delta with delta in f32 (~7 significant
-// digits on an interval that is microseconds to milliseconds long —
-// the analyzer consumes only such intervals). The dump file format
-// (FORMATS.md section 5) is unaffected: it serializes decoded Events
-// at full width.
+// Every field round-trips exactly; bytes keeps 56 bits (64 PiB).
 inline void pack_event(const Event& e,
                        std::uint64_t out[Ring::kWordsPerSlot]) {
-  const std::uint64_t bytes = static_cast<std::uint64_t>(
-      std::min<std::int64_t>(std::max<std::int64_t>(e.bytes, 0), 0xFFFFFFFF));
   out[0] = static_cast<std::uint64_t>(static_cast<std::uint8_t>(e.kind)) |
-           (static_cast<std::uint64_t>(static_cast<std::uint16_t>(e.phase))
-            << 16) |
-           (bytes << 32);
+           (static_cast<std::uint64_t>(e.bytes) << 8);
   out[1] = static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.peer)) |
            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.tag))
             << 32);
-  out[2] =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.message)) |
-      (static_cast<std::uint64_t>(
-           float_bits(static_cast<float>(e.time - e.aux)))
-       << 32);
-  out[3] = double_bits(e.time);
+  out[2] = std::bit_cast<std::uint64_t>(e.aux);
+  out[3] = std::bit_cast<std::uint64_t>(e.time);
 }
 
 inline Event unpack_event(const std::uint64_t w[Ring::kWordsPerSlot]) {
   Event e;
   e.kind = static_cast<EventKind>(static_cast<std::uint8_t>(w[0]));
-  e.phase = static_cast<std::int16_t>(static_cast<std::uint16_t>(w[0] >> 16));
-  e.bytes = static_cast<std::int64_t>(w[0] >> 32);
+  e.bytes = static_cast<std::int64_t>(w[0]) >> 8;
   e.peer = static_cast<std::int32_t>(static_cast<std::uint32_t>(w[1]));
   e.tag = static_cast<std::int32_t>(static_cast<std::uint32_t>(w[1] >> 32));
-  e.message = static_cast<std::int32_t>(static_cast<std::uint32_t>(w[2]));
-  e.time = bits_double(w[3]);
-  e.aux = e.time - static_cast<double>(
-                       bits_float(static_cast<std::uint32_t>(w[2] >> 32)));
+  e.aux = std::bit_cast<double>(w[2]);
+  e.time = std::bit_cast<double>(w[3]);
   return e;
 }
 
@@ -242,14 +188,33 @@ inline void Ring::push(const Event& event) noexcept {
 }
 
 struct RecorderParams {
-  /// Slots per rank ring; rounded up to a power of two. The default
-  /// (32 KiB of slots per rank) retains every event of a scheduled
-  /// alltoall on fabrics up to ~256 ranks while keeping each ring's
-  /// working set cache-resident — ring footprint, not the per-event
-  /// stores, dominates recorder overhead once rings outgrow the cache
-  /// (see EXPERIMENTS.md section E13). Larger fabrics overwrite oldest
-  /// first; the analyzer accepts partially overwritten rings.
+  /// Slots per rank ring; rounded up to a power of two, at most
+  /// kMaxRingCapacity. The default (32 KiB of slots per rank) retains
+  /// every event of a scheduled alltoall on fabrics up to ~256 ranks
+  /// while keeping each ring's working set cache-resident — ring
+  /// footprint, not the per-event stores, dominates recorder overhead
+  /// once rings outgrow the cache (see EXPERIMENTS.md section E13).
+  /// Larger fabrics overwrite oldest first; the analyzer accepts
+  /// partially overwritten rings.
   std::uint32_t ring_capacity = 1024;
+};
+
+/// What a dump needs to know about a run besides its events. The
+/// executor stamps it into the recorder it writes through: the backend
+/// and calibration when a run starts, the outcome when it completes.
+struct RunContext {
+  /// 0 = fluid backend, 1 = packet backend.
+  std::uint8_t backend = 0;
+  /// Per-link goodput after protocol overhead, bytes/sec — what one
+  /// uncontended transfer should drain at (the analyzer's baseline).
+  double effective_bandwidth = 0;
+  double send_overhead = 0;
+  double recv_overhead = 0;
+  /// 0 when the run aborted or stalled before completing.
+  double completion_time = 0;
+  /// Packet-backend loss counters (0 on fluid runs, stalls and aborts).
+  std::int64_t retransmissions = 0;
+  std::int64_t segments_lost = 0;
 };
 
 /// Per-rank event recorder the executor writes through
@@ -270,18 +235,11 @@ class Recorder {
   /// plan.edges): the lowering's convention, mpisim::kSyncTag.
   static constexpr std::int32_t kSyncTagBase = 1 << 20;
 
-  /// Installs the (src, dst) -> (phase, message) and sync-tag ->
-  /// (phase, gated message) maps so subsequent events carry schedule
-  /// coordinates. Call before the run; the maps are read-only while
-  /// recording.
-  void annotate(const core::Schedule& schedule, const sync::SyncPlan& plan);
-
   /// Hot path: packs and appends one event to `rank`'s ring.
   void record(std::int32_t rank, EventKind kind, std::int32_t peer,
               std::int32_t tag, std::int64_t bytes, double time, double aux) {
-    Event event{kind, peer, tag, bytes, time, aux, -1, -1};
-    if (annotated_) stamp_annotation(rank, event);
-    rings_[static_cast<std::size_t>(rank)].push(event);
+    rings_[static_cast<std::size_t>(rank)].push(
+        Event{kind, peer, tag, bytes, time, aux});
   }
 
   /// Total events recorded across all rings.
@@ -294,23 +252,14 @@ class Recorder {
   /// recorder's cumulative counts) and peak ring occupancy.
   void publish_metrics(obs::Registry& registry) const;
 
+  /// The context of the last run written through this recorder. The
+  /// executor sets it at the start and end of a run, on its own
+  /// thread, and flight::snapshot() copies it: unlike the rings, it is
+  /// plain data, so read it between runs.
+  RunContext run;
+
  private:
-  void stamp_annotation(std::int32_t rank, Event& event) const;
-
-  /// "No annotation" sentinel for the coordinate tables (a real
-  /// coordinate of phase 0 / message 0 packs to 0, so 0 cannot mark
-  /// absence).
-  static constexpr std::uint64_t kNoCoord = ~std::uint64_t{0};
-
   std::vector<Ring> rings_;
-  bool annotated_ = false;
-  // Flat lookup tables, filled by annotate(): record() runs per
-  // simulated event, and hash lookups there dominate the recorder's
-  // overhead. Entries are (phase u32 << 32 | message u32) or kNoCoord.
-  /// Indexed by src * rank_count + dst.
-  std::vector<std::uint64_t> data_table_;
-  /// Indexed by tag - kSyncTagBase (one entry per sync-plan edge).
-  std::vector<std::uint64_t> sync_table_;
 };
 
 }  // namespace aapc::flight

@@ -5,20 +5,11 @@
 
 #include "aapc/baselines/baselines.hpp"
 #include "aapc/common/error.hpp"
-#include "aapc/common/json.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
-#include "aapc/obs/exposition.hpp"
 
 namespace aapc::harness {
-
-std::string RunReport::to_json() const {
-  // obs::to_json renders {"metrics":[...]}; splice the title ahead of
-  // the metrics key so the array stays byte-identical to the obs form.
-  const std::string metrics_json = obs::to_json(metrics);
-  return "{\"title\":" + json::quote(title) + "," + metrics_json.substr(1);
-}
 
 TextTable ExperimentReport::completion_table() const {
   TextTable table;
@@ -61,14 +52,6 @@ std::string ExperimentReport::to_string() const {
   return os.str();
 }
 
-mpisim::ExecutionResult run_programs(const topology::Topology& topo,
-                                     const simnet::NetworkParams& net,
-                                     const mpisim::ExecutorParams& exec,
-                                     const mpisim::ProgramSet& set) {
-  mpisim::Executor executor(topo, net, exec);
-  return executor.run(set);
-}
-
 double aapc_mbps(std::int32_t machines, Bytes msize, SimTime completion) {
   const double m = static_cast<double>(machines);
   const double payload = m * (m - 1) * static_cast<double>(msize);
@@ -97,7 +80,7 @@ RunResult run_algorithm(const topology::Topology& topo,
     exec_params.jitter_seed = config.exec.jitter_seed +
                               static_cast<std::uint64_t>(i) * 0x9e37ull;
     const mpisim::ExecutionResult exec =
-        run_programs(topo, config.net, exec_params, set);
+        mpisim::Executor(topo, config.net, exec_params).run(set);
     total += exec.completion_time;
     messages = exec.message_count;
   }
@@ -149,24 +132,14 @@ ExperimentReport run_experiment(const topology::Topology& topo,
   for (const NamedAlgorithm& algo : algorithms) {
     report.algorithms.push_back(algo.name);
   }
-  // Every run of the sweep exports into one registry — the caller's if
-  // ExperimentConfig wired one in, else a sweep-local one — and the
-  // final snapshot ships in the report.
-  obs::Registry sweep_registry;
-  ExperimentConfig metered = config;
-  if (metered.exec.metrics == nullptr) {
-    metered.exec.metrics = &sweep_registry;
-  }
   for (const Bytes msize : config.msizes) {
     std::vector<RunResult> row;
     row.reserve(algorithms.size());
     for (const NamedAlgorithm& algo : algorithms) {
-      row.push_back(run_algorithm(topo, algo, msize, metered));
+      row.push_back(run_algorithm(topo, algo, msize, config));
     }
     report.results.push_back(std::move(row));
   }
-  report.telemetry.title = title;
-  report.telemetry.metrics = metered.exec.metrics->snapshot();
   return report;
 }
 

@@ -13,7 +13,6 @@
 #include "aapc/lowering/lower.hpp"
 #include "aapc/mpisim/executor.hpp"
 #include "aapc/mpisim/program.hpp"
-#include "aapc/obs/metrics.hpp"
 #include "aapc/topology/topology.hpp"
 
 namespace aapc::harness {
@@ -47,19 +46,6 @@ struct RunResult {
   std::int64_t messages = 0;   // matched point-to-point messages
 };
 
-/// Telemetry of one sweep: every series the runs exported into the
-/// experiment's registry (aapc_executor_*, aapc_simnet_* /
-/// aapc_packet_*), snapshot once when the sweep finishes.
-struct RunReport {
-  std::string title;
-  obs::RegistrySnapshot metrics;
-
-  /// {"title":"...","metrics":[...]} — the metrics array is exactly
-  /// obs::to_json's, so obs::snapshot_from_json accepts the "metrics"
-  /// portion unchanged.
-  std::string to_json() const;
-};
-
 /// A full sweep over algorithms x message sizes on one topology.
 struct ExperimentReport {
   std::string title;
@@ -67,11 +53,6 @@ struct ExperimentReport {
   std::vector<Bytes> msizes;
   std::vector<std::string> algorithms;
   std::vector<std::vector<RunResult>> results;  // [msize][algorithm]
-  /// Aggregated run telemetry (see RunReport). When
-  /// ExperimentConfig::exec.metrics is set the series also accumulate
-  /// into that caller-owned registry; otherwise a sweep-local registry
-  /// backs this snapshot.
-  RunReport telemetry;
 
   /// Paper-style completion table: one row per msize, ms per algorithm.
   TextTable completion_table() const;
@@ -80,13 +61,6 @@ struct ExperimentReport {
   /// Both tables with headers, ready to print.
   std::string to_string() const;
 };
-
-/// The one leg runner of every experiment: executes `set` once on
-/// `topo` and returns the executor's result.
-mpisim::ExecutionResult run_programs(const topology::Topology& topo,
-                                     const simnet::NetworkParams& net,
-                                     const mpisim::ExecutorParams& exec,
-                                     const mpisim::ProgramSet& set);
 
 /// Aggregate AAPC payload throughput in Mbps: |M| * (|M|-1) * msize
 /// bytes over `completion` regardless of any synchronization traffic;
@@ -111,7 +85,8 @@ std::vector<NamedAlgorithm> standard_suite(
     const topology::Topology& topo,
     const lowering::LoweringOptions& ours_options = {});
 
-/// Sweeps every algorithm over config.msizes.
+/// Sweeps every algorithm over config.msizes. Every run exports into
+/// config.exec.metrics when the caller sets it.
 ExperimentReport run_experiment(const topology::Topology& topo,
                                 const std::string& title,
                                 const std::vector<NamedAlgorithm>& algorithms,

@@ -7,7 +7,6 @@
 #include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
-#include "aapc/harness/experiment.hpp"
 
 namespace aapc::harness {
 
@@ -95,22 +94,21 @@ LossSweepReport run_loss_sweep(const topology::Topology& topo,
     SimTime baseline = 0;
     for (const double rate : config.loss_rates) {
       mpisim::ExecutorParams exec = config.exec;
-      exec.backend = mpisim::NetworkBackendKind::kPacket;
       exec.packet = config.packet;
-      exec.packet.transport = transport;
-      exec.packet.faults.loss_rate = rate;
+      exec.packet->transport = transport;
+      exec.packet->faults.loss_rate = rate;
 
       LossSweepCell cell;
       cell.transport = transport;
       cell.loss_rate = rate;
       try {
         const mpisim::ExecutionResult result =
-            run_programs(topo, config.net, exec, programs);
+            mpisim::Executor(topo, config.net, exec).run(programs);
         cell.completion = result.completion_time;
-        cell.segments_sent = result.packet.segments_sent;
-        cell.segments_lost = result.packet.segments_lost;
-        cell.segments_dropped = result.packet.segments_dropped;
-        cell.retransmissions = result.packet.retransmissions;
+        cell.segments_sent = result.packet->segments_sent;
+        cell.segments_lost = result.packet->segments_lost;
+        cell.segments_dropped = result.packet->segments_dropped;
+        cell.retransmissions = result.packet->retransmissions;
         cell.integrity_ok = result.integrity.ok();
         cell.integrity_summary = result.integrity.summary();
         report.messages_per_run = result.message_count;

@@ -40,7 +40,7 @@ struct LossSweepConfig {
   /// overwritten per cell.
   packetsim::PacketNetworkParams packet;
   simnet::NetworkParams net;
-  mpisim::ExecutorParams exec;  // backend forced to kPacket per cell
+  mpisim::ExecutorParams exec;  // `packet` replaced per cell
   lowering::LoweringOptions lowering;
 };
 

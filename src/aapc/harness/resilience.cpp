@@ -94,7 +94,8 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
       lowering::lower_schedule(topo, schedule, scenario.msize,
                                scenario.lowering);
   report.healthy_completion =
-      run_programs(topo, scenario.net, scenario.exec, programs)
+      mpisim::Executor(topo, scenario.net, scenario.exec)
+          .run(programs)
           .completion_time;
   report.healthy_mbps = mbps(report.healthy_completion);
 
@@ -107,7 +108,8 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
   compiled.apply(stale_exec);
   try {
     report.stale_completion =
-        run_programs(topo, scenario.net, stale_exec, programs)
+        mpisim::Executor(topo, scenario.net, stale_exec)
+            .run(programs)
             .completion_time;
     report.stale_completed = true;
     report.stale_mbps = mbps(report.stale_completion);
@@ -138,9 +140,9 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
   // splice boundary in this model).
   const core::Schedule prefix = slice_phases(schedule, 0, splice);
   report.prefix_completion =
-      run_programs(topo, scenario.net, scenario.exec,
-                   lowering::lower_schedule(topo, prefix, scenario.msize,
-                                            scenario.lowering))
+      mpisim::Executor(topo, scenario.net, scenario.exec)
+          .run(lowering::lower_schedule(topo, prefix, scenario.msize,
+                                        scenario.lowering))
           .completion_time;
 
   // Repair: re-elect on the residual bridge graph, reschedule the tail.
@@ -161,9 +163,10 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
   const std::vector<double> residual_caps = faults::residual_link_capacities(
       repair.residual, scenario.net, scenario.plan, repair_time);
   report.remainder_completion =
-      run_programs(repair.residual.topology,
-                   with_link_capacities(scenario.net, residual_caps),
-                   scenario.exec, remainder_programs)
+      mpisim::Executor(repair.residual.topology,
+                       with_link_capacities(scenario.net, residual_caps),
+                       scenario.exec)
+          .run(remainder_programs)
           .completion_time;
   report.repaired_completion = report.prefix_completion +
                                scenario.detection_latency +

@@ -120,14 +120,14 @@ ExecutionResult Executor::run(const ProgramSet& set) {
   // The network model behind the backend seam: fluid (default,
   // bit-identical to the pre-seam executor) or segment-level packet.
   std::unique_ptr<NetworkBackend> backend;
-  if (exec_params_.backend == NetworkBackendKind::kPacket) {
-    backend = std::make_unique<PacketBackend>(topo_, exec_params_.packet);
+  if (exec_params_.packet) {
+    backend = std::make_unique<PacketBackend>(topo_, *exec_params_.packet);
   } else {
     backend = std::make_unique<FluidBackend>(topo_, net_params_);
   }
   NetworkBackend& network = *backend;
   // Scripted link faults become ordinary network events up front (the
-  // packet backend rejects them — it models faults via packet.faults).
+  // packet backend rejects them — it models faults via packet->faults).
   for (const simnet::LinkCapacityEvent& event : exec_params_.capacity_events) {
     network.schedule_capacity_change(event.when, event.link,
                                      event.bandwidth_bytes_per_sec);
@@ -201,6 +201,14 @@ ExecutionResult Executor::run(const ProgramSet& set) {
                  "flight recorder covers " << flight->rank_count()
                                            << " ranks but the topology has "
                                            << ranks << " machines");
+    // The calibration a dump's analyzer measures against. The analyzer
+    // normalizes drain excess against the run's own transfers, so the
+    // fluid calibration serves the packet backend too. The outcome is
+    // stamped when the run completes and stays 0 if it throws.
+    flight->run = flight::RunContext{
+        static_cast<std::uint8_t>(exec_params_.packet ? 1 : 0),
+        net_params_.effective_bandwidth(), net_params_.send_overhead,
+        net_params_.recv_overhead};
   }
   obs::Histogram* transfer_seconds = nullptr;
   obs::Histogram* sync_wait_seconds = nullptr;
@@ -663,6 +671,13 @@ ExecutionResult Executor::run(const ProgramSet& set) {
                    [](const FaultMarker& a, const FaultMarker& b) {
                      return a.time < b.time;
                    });
+  if (flight != nullptr) {
+    flight->run.completion_time = result.completion_time;
+    if (result.packet) {
+      flight->run.retransmissions = result.packet->retransmissions;
+      flight->run.segments_lost = result.packet->segments_lost;
+    }
+  }
   if (metrics != nullptr) {
     if (flight != nullptr) flight->publish_metrics(*metrics);
     metrics->counter("aapc_executor_runs_total", "Program-set executions")
@@ -691,14 +706,14 @@ ExecutionResult Executor::run(const ProgramSet& set) {
                     "Completion time of one program-set execution")
         .observe(result.completion_time);
     // The network model's own series, from whichever backend ran.
-    if (result.packet.used) {
+    if (result.packet) {
       packetsim::PacketResult packet;
-      packet.segments_sent = result.packet.segments_sent;
-      packet.segments_dropped = result.packet.segments_dropped;
-      packet.retransmissions = result.packet.retransmissions;
-      packet.segments_lost = result.packet.segments_lost;
-      packet.segments_corrupted = result.packet.segments_corrupted;
-      packet.peak_queue_occupancy = result.packet.peak_queue_occupancy;
+      packet.segments_sent = result.packet->segments_sent;
+      packet.segments_dropped = result.packet->segments_dropped;
+      packet.retransmissions = result.packet->retransmissions;
+      packet.segments_lost = result.packet->segments_lost;
+      packet.segments_corrupted = result.packet->segments_corrupted;
+      packet.peak_queue_occupancy = result.packet->peak_queue_occupancy;
       packet.goodput_bytes_per_sec =
           result.completion_time > 0
               ? result.network_bytes / result.completion_time

@@ -71,13 +71,13 @@ void PacketBackend::schedule_capacity_change(SimTime, topology::LinkId,
 
 void PacketBackend::finish(ExecutionResult& result) const {
   const packetsim::PacketResult stats = net_.result();
-  result.packet.used = true;
-  result.packet.segments_sent = stats.segments_sent;
-  result.packet.segments_dropped = stats.segments_dropped;
-  result.packet.retransmissions = stats.retransmissions;
-  result.packet.segments_lost = stats.segments_lost;
-  result.packet.segments_corrupted = stats.segments_corrupted;
-  result.packet.peak_queue_occupancy = stats.peak_queue_occupancy;
+  PacketNetworkSummary& packet = result.packet.emplace();
+  packet.segments_sent = stats.segments_sent;
+  packet.segments_dropped = stats.segments_dropped;
+  packet.retransmissions = stats.retransmissions;
+  packet.segments_lost = stats.segments_lost;
+  packet.segments_corrupted = stats.segments_corrupted;
+  packet.peak_queue_occupancy = stats.peak_queue_occupancy;
 }
 
 }  // namespace aapc::mpisim

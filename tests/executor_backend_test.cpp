@@ -69,7 +69,7 @@ TEST(ExecutorBackendTest, FluidAndPacketAgreeOnPhaseStructure) {
   const ExecutionResult fluid_result = fluid_executor.run(programs);
 
   ExecutorParams packet = fluid;
-  packet.backend = NetworkBackendKind::kPacket;
+  packet.packet.emplace();
   Executor packet_executor(topo, {}, packet);
   const ExecutionResult packet_result = packet_executor.run(programs);
 
@@ -78,10 +78,10 @@ TEST(ExecutorBackendTest, FluidAndPacketAgreeOnPhaseStructure) {
   EXPECT_TRUE(packet_result.integrity.ok())
       << packet_result.integrity.summary();
   EXPECT_EQ(fluid_result.message_count, packet_result.message_count);
-  EXPECT_FALSE(fluid_result.packet.used);
-  EXPECT_TRUE(packet_result.packet.used);
-  EXPECT_GT(packet_result.packet.segments_sent, 0);
-  EXPECT_EQ(packet_result.packet.segments_lost, 0);  // zero-fault run
+  EXPECT_FALSE(fluid_result.packet.has_value());
+  ASSERT_TRUE(packet_result.packet.has_value());
+  EXPECT_GT(packet_result.packet->segments_sent, 0);
+  EXPECT_EQ(packet_result.packet->segments_lost, 0);  // zero-fault run
 
   // The pair-wise synchronization forces phase order per sender; both
   // backends must execute each sender's data messages in the same —
@@ -111,14 +111,13 @@ TEST(ExecutorBackendTest, PacketBackendCompletesUnderLoss) {
 
   ExecutorParams clean;
   clean.wakeup_jitter_max = 0;
-  clean.backend = NetworkBackendKind::kPacket;
-  clean.packet.transport =
+  clean.packet.emplace().transport =
       packetsim::PacketNetworkParams::Transport::kSelectiveRepeat;
   Executor clean_executor(topo, {}, clean);
   const ExecutionResult clean_result = clean_executor.run(programs);
 
   ExecutorParams lossy = clean;
-  lossy.packet.faults.loss_rate = 0.01;
+  lossy.packet->faults.loss_rate = 0.01;
   Executor lossy_executor(topo, {}, lossy);
   const ExecutionResult lossy_result = lossy_executor.run(programs);
 
@@ -126,8 +125,8 @@ TEST(ExecutorBackendTest, PacketBackendCompletesUnderLoss) {
   EXPECT_TRUE(lossy_result.integrity.ok())
       << lossy_result.integrity.summary();
   EXPECT_EQ(lossy_result.integrity.delivered, lossy_result.message_count);
-  EXPECT_GT(lossy_result.packet.segments_lost, 0);
-  EXPECT_GT(lossy_result.packet.retransmissions, 0);
+  EXPECT_GT(lossy_result.packet->segments_lost, 0);
+  EXPECT_GT(lossy_result.packet->retransmissions, 0);
   EXPECT_GT(lossy_result.completion_time, clean_result.completion_time);
 }
 
@@ -138,23 +137,22 @@ TEST(ExecutorBackendTest, PacketRunsAreDeterministic) {
       lowering::lower_schedule(topo, schedule, 16384);
   ExecutorParams exec;
   exec.wakeup_jitter_max = 0;
-  exec.backend = NetworkBackendKind::kPacket;
-  exec.packet.faults.loss_rate = 1e-3;
+  exec.packet.emplace().faults.loss_rate = 1e-3;
 
   Executor first(topo, {}, exec);
   Executor second(topo, {}, exec);
   const ExecutionResult a = first.run(programs);
   const ExecutionResult b = second.run(programs);
   EXPECT_EQ(a.completion_time, b.completion_time);  // bit-identical
-  EXPECT_EQ(a.packet.segments_lost, b.packet.segments_lost);
-  EXPECT_EQ(a.packet.retransmissions, b.packet.retransmissions);
+  EXPECT_EQ(a.packet->segments_lost, b.packet->segments_lost);
+  EXPECT_EQ(a.packet->retransmissions, b.packet->retransmissions);
 }
 
 TEST(ExecutorBackendTest, PacketBackendRejectsCapacityFaultEvents) {
   const Topology topo = make_single_switch(4);
   ExecutorParams exec;
   exec.wakeup_jitter_max = 0;
-  exec.backend = NetworkBackendKind::kPacket;
+  exec.packet.emplace();
   exec.capacity_events = {{0.001, 0, 0.0}};
   Executor executor(topo, {}, exec);
 

@@ -307,7 +307,7 @@ TEST_P(ParserFuzzTest, TruncatedInputsRejectCleanly) {
 }
 
 /// A small but representative flight dump: three ranks, a few events
-/// each (one ring overwritten), annotated-looking coordinates, a label.
+/// each (one ring overwritten), a run context, a label.
 std::string valid_flight_dump() {
   flight::Recorder recorder(3, flight::RecorderParams{.ring_capacity = 8});
   for (std::int32_t rank = 0; rank < 3; ++rank) {
@@ -319,13 +319,8 @@ std::string valid_flight_dump() {
                       i, 1024, 0.001 * i + 0.0009, 0.001 * i + 0.0005);
     }
   }
-  flight::DumpMeta meta;
-  meta.effective_bandwidth = 117.0e6;
-  meta.send_overhead = 60e-6;
-  meta.recv_overhead = 15e-6;
-  meta.completion_time = 0.02;
-  meta.label = "fuzz fixture";
-  return flight::encode_dump(flight::snapshot(recorder, meta));
+  recorder.run = flight::RunContext{0, 117.0e6, 60e-6, 15e-6, 0.02};
+  return flight::encode_dump(flight::snapshot(recorder, "fuzz fixture"));
 }
 
 TEST_P(ParserFuzzTest, FlightDumpTruncatedPrefixesRejectCleanly) {

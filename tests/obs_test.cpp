@@ -302,16 +302,16 @@ TEST(Concurrency, HammerWithConcurrentSnapshots) {
   EXPECT_EQ(lat->histogram.buckets[1], expected / 2);
 }
 
+/// `packet` runs the packet backend at its default settings.
 mpisim::ExecutionResult run_scheduled_alltoall(Registry& registry,
-                                               mpisim::NetworkBackendKind
-                                                   backend) {
+                                               bool packet) {
   const topology::Topology topo = topology::make_paper_figure1();
   const core::Schedule schedule = core::build_aapc_schedule(topo);
   const mpisim::ProgramSet set =
       lowering::lower_schedule(topo, schedule, 16_KiB, {});
   const simnet::NetworkParams net;
   mpisim::ExecutorParams exec;
-  exec.backend = backend;
+  if (packet) exec.packet.emplace();
   exec.metrics = &registry;
   mpisim::Executor executor(topo, net, exec);
   return executor.run(set);
@@ -320,7 +320,7 @@ mpisim::ExecutionResult run_scheduled_alltoall(Registry& registry,
 TEST(Wiring, ExecutorExportsExecutorAndSimnetSeries) {
   Registry registry;
   const mpisim::ExecutionResult result =
-      run_scheduled_alltoall(registry, mpisim::NetworkBackendKind::kFluid);
+      run_scheduled_alltoall(registry, false);
   const RegistrySnapshot snap = registry.snapshot();
 
   EXPECT_EQ(snap.value("aapc_executor_runs_total"), 1.0);
@@ -350,46 +350,42 @@ TEST(Wiring, ExecutorExportsExecutorAndSimnetSeries) {
   EXPECT_GT(snap.value("aapc_simnet_elapsed_seconds"), 0.0);
 
   // A second run into the same registry accumulates.
-  run_scheduled_alltoall(registry, mpisim::NetworkBackendKind::kFluid);
+  run_scheduled_alltoall(registry, false);
   EXPECT_EQ(registry.snapshot().value("aapc_executor_runs_total"), 2.0);
 }
 
 TEST(Wiring, PacketBackendExportsPacketSeries) {
   Registry registry;
   const mpisim::ExecutionResult result =
-      run_scheduled_alltoall(registry, mpisim::NetworkBackendKind::kPacket);
-  ASSERT_TRUE(result.packet.used);
+      run_scheduled_alltoall(registry, true);
+  ASSERT_TRUE(result.packet.has_value());
   const RegistrySnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.value("aapc_packet_segments_sent_total"),
-            static_cast<double>(result.packet.segments_sent));
+            static_cast<double>(result.packet->segments_sent));
   EXPECT_GT(snap.value("aapc_packet_segments_sent_total"), 0.0);
   ASSERT_NE(snap.find("aapc_packet_segments_dropped_total",
                       {{"mechanism", "queue_overflow"}}),
             nullptr);
   EXPECT_EQ(snap.value("aapc_packet_peak_queue_segments"),
-            static_cast<double>(result.packet.peak_queue_occupancy));
+            static_cast<double>(result.packet->peak_queue_occupancy));
   EXPECT_GT(snap.value("aapc_packet_goodput_bytes_per_second"), 0.0);
 }
 
-TEST(Wiring, ExperimentReportEmbedsRunTelemetry) {
+TEST(Wiring, ExperimentRunsExportIntoTheCallersRegistry) {
   const topology::Topology topo = topology::make_paper_figure1();
+  Registry registry;
   harness::ExperimentConfig config;
   config.msizes = {8_KiB};
   config.iterations = 1;
-  const harness::ExperimentReport report = harness::run_experiment(
-      topo, "obs telemetry probe", harness::standard_suite(topo), config);
-  EXPECT_EQ(report.telemetry.title, "obs telemetry probe");
+  config.exec.metrics = &registry;
+  harness::run_experiment(topo, "obs telemetry probe",
+                          harness::standard_suite(topo), config);
   // 3 algorithms x 1 msize x 1 iteration.
-  EXPECT_EQ(report.telemetry.metrics.value("aapc_executor_runs_total"), 3.0);
-
-  const std::string json = report.telemetry.to_json();
-  EXPECT_EQ(json.find("{\"title\":\"obs telemetry probe\","), 0u);
-  // The metrics portion is exactly the obs exporter's document.
-  const std::size_t at = json.find("\"metrics\"");
-  ASSERT_NE(at, std::string::npos);
-  const RegistrySnapshot parsed = snapshot_from_json("{" + json.substr(at));
-  EXPECT_EQ(parsed.series.size(), report.telemetry.metrics.series.size());
-  EXPECT_EQ(parsed.value("aapc_executor_runs_total"), 3.0);
+  const RegistrySnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.value("aapc_executor_runs_total"), 3.0);
+  const SeriesSnapshot* runs = snap.find("aapc_executor_run_seconds");
+  ASSERT_NE(runs, nullptr);
+  EXPECT_EQ(runs->histogram.count, 3);
 }
 
 }  // namespace
