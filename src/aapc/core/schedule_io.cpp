@@ -12,28 +12,15 @@
 
 namespace aapc::core {
 
-namespace {
-
-/// A rank's decimal text. Each entry is copied at its full width and the
-/// cursor advances by `size`, so the writer keeps kMaxChars bytes of
-/// slack past the end until it is done.
-struct LabelText {
-  static constexpr std::size_t kMaxChars = 11;  // "-2147483648"
-  char chars[kMaxChars] = {};
-  std::uint8_t size = 0;
-};
-
-}  // namespace
-
-void append_schedule_json(std::string& out, const Schedule& schedule,
-                          std::int32_t machine_count,
-                          std::span<const Rank> rank_map) {
-  // Each label is formatted once per answer, not once per message.
-  std::vector<LabelText> labels(rank_map.size());
+ScheduleJsonWriter::ScheduleJsonWriter(const Schedule& schedule,
+                                       std::int32_t machine_count,
+                                       std::span<const Rank> rank_map)
+    : schedule_(&schedule), labels_(rank_map.size()) {
+  // Each label is formatted once per document, not once per message.
   for (std::size_t r = 0; r < rank_map.size(); ++r) {
-    LabelText& label = labels[r];
+    Label& label = labels_[r];
     label.size = static_cast<std::uint8_t>(
-        std::to_chars(label.chars, label.chars + LabelText::kMaxChars,
+        std::to_chars(label.chars, label.chars + Label::kMaxChars,
                       rank_map[r])
             .ptr -
         label.chars);
@@ -48,11 +35,11 @@ void append_schedule_json(std::string& out, const Schedule& schedule,
   }
   head += ",\"phases\":[";
 
-  // The exact size, and every rank checked against the table, before
-  // `out` changes. Each message is "[src,dst]" and a comma. Each phase is
-  // "[", its messages, a "]" when it has none, and a comma. The last
-  // comma of a list becomes its "]", and "}" ends the object.
-  const auto n = static_cast<std::int64_t>(labels.size());
+  // The exact size, and every rank checked against the table. Each
+  // message is "[src,dst]" and a comma. Each phase is "[", its messages,
+  // a "]" when it has none, and a comma. The last comma of a list
+  // becomes its "]", and "}" ends the object.
+  const auto n = static_cast<std::int64_t>(labels_.size());
   const std::int32_t phases = schedule.phase_count();
   std::size_t size = head.size() + 1 + 4 * schedule.messages.size();
   for (std::int32_t p = 0; p < phases; ++p) {
@@ -64,37 +51,123 @@ void append_schedule_json(std::string& out, const Schedule& schedule,
       AAPC_REQUIRE(r >= 0 && r < n,
                    "schedule rank " << r << " outside [0, " << n << ")");
     }
-    size += labels[static_cast<std::size_t>(m.src)].size +
-            labels[static_cast<std::size_t>(m.dst)].size;
+    size += labels_[static_cast<std::size_t>(m.src)].size +
+            labels_[static_cast<std::size_t>(m.dst)].size;
   }
+  size_ = size;
 
-  const std::size_t begin = out.size();
-  out.resize(begin + size + LabelText::kMaxChars);
-  char* cursor = std::copy(head.begin(), head.end(), out.data() + begin);
-  const auto put = [&cursor](const LabelText& label) {
-    std::memcpy(cursor, label.chars, LabelText::kMaxChars);
-    cursor += label.size;
+  // The head is the first token.
+  AAPC_CHECK(head.size() <= kTokenRoom);
+  std::copy(head.begin(), head.end(), at_.token);
+  at_.token_size = static_cast<std::uint8_t>(head.size());
+}
+
+char* ScheduleJsonWriter::emit(char* cursor, const char* limit) {
+  // Writes the tokens in order: each phase's "[" (after a comma from
+  // the second phase on) together with its first message, each later
+  // message after a comma, the phase's "]" (an empty phase's "[]" is one
+  // token), then "]}". A message's labels are copied at their full
+  // width, which kTokenRoom leaves room for. The cursor's fields are
+  // kept in locals, which the byte stores cannot alias.
+  const Schedule& schedule = *schedule_;
+  const Message* const messages = schedule.messages.data();
+  const std::int64_t* const phase_begin = schedule.phase_begin.data();
+  const Label* const labels = labels_.data();
+  const std::int32_t phases = schedule.phase_count();
+  const char* const last_start = limit - kTokenRoom;
+  constexpr std::int64_t kMaxMessage = 4 + 2 * Label::kMaxChars;
+  std::int32_t phase = at_.phase;
+  std::int64_t message = at_.message;
+  const auto put = [labels](char* out, Rank rank) {
+    const Label& label = labels[static_cast<std::size_t>(rank)];
+    std::memcpy(out, label.chars, Label::kMaxChars);
+    return out + label.size;
   };
-  for (std::int32_t p = 0; p < phases; ++p) {
-    *cursor++ = '[';
-    const PhaseSpan phase = schedule.phase(p);
-    for (const Message& m : phase) {
+  const auto put_message = [&put](char* out, const Message& m) {
+    *out++ = '[';
+    out = put(out, m.src);
+    *out++ = ',';
+    out = put(out, m.dst);
+    *out++ = ']';
+    return out;
+  };
+  while (phase < phases && cursor <= last_start) {
+    const std::int64_t first = phase_begin[phase];
+    const std::int64_t last = phase_begin[phase + 1];
+    if (message == first) {
+      if (phase > 0) *cursor++ = ',';
       *cursor++ = '[';
-      put(labels[static_cast<std::size_t>(m.src)]);
-      *cursor++ = ',';
-      put(labels[static_cast<std::size_t>(m.dst)]);
-      *cursor++ = ']';
-      *cursor++ = ',';
+      if (first == last) {
+        *cursor++ = ']';
+        ++phase;
+        continue;
+      }
+      cursor = put_message(cursor, messages[message++]);
     }
-    if (!phase.empty()) --cursor;  // the last comma becomes the ']'
-    *cursor++ = ']';
-    *cursor++ = ',';
+    // A comma and a message advance the cursor by at most kMaxMessage,
+    // so this many more start at or before last_start.
+    while (message < last && cursor <= last_start) {
+      const std::int64_t stop = std::min<std::int64_t>(
+          last, message + 1 + (last_start - cursor) / kMaxMessage);
+      for (; message < stop; ++message) {
+        *cursor++ = ',';
+        cursor = put_message(cursor, messages[message]);
+      }
+    }
+    if (message == last && cursor <= last_start) {
+      *cursor++ = ']';
+      ++phase;
+    }
   }
-  if (phases > 0) --cursor;
-  *cursor++ = ']';
-  *cursor++ = '}';
-  AAPC_CHECK(cursor == out.data() + begin + size);
-  out.resize(begin + size);
+  at_.phase = phase;
+  at_.message = message;
+  if (phase == phases && !at_.closed && cursor <= last_start) {
+    *cursor++ = ']';
+    *cursor++ = '}';
+    at_.closed = true;
+  }
+  return cursor;
+}
+
+std::size_t ScheduleJsonWriter::write(char* out, std::size_t capacity) {
+  char* cursor = out;
+  char* const end = out + capacity;
+  Position& at = at_;
+  while (cursor != end) {
+    if (at.token_offset < at.token_size) {
+      // The rest of a token that did not fit where the last one ended.
+      const std::size_t n =
+          std::min(static_cast<std::size_t>(at.token_size - at.token_offset),
+                   static_cast<std::size_t>(end - cursor));
+      std::memcpy(cursor, at.token + at.token_offset, n);
+      cursor += n;
+      at.token_offset = static_cast<std::uint8_t>(at.token_offset + n);
+    } else if (at.closed) {
+      break;
+    } else if (static_cast<std::size_t>(end - cursor) >= kTokenRoom) {
+      cursor = emit(cursor, end);
+    } else {
+      // Near the end of the buffer: one token into the Position, from
+      // which the branch above copies what fits.
+      at.token_size =
+          static_cast<std::uint8_t>(emit(at.token, at.token + kTokenRoom) -
+                                    at.token);
+      at.token_offset = 0;
+    }
+  }
+  const auto n = static_cast<std::size_t>(cursor - out);
+  at.written += n;
+  return n;
+}
+
+void append_schedule_json(std::string& out, const Schedule& schedule,
+                          std::int32_t machine_count,
+                          std::span<const Rank> rank_map) {
+  ScheduleJsonWriter writer(schedule, machine_count, rank_map);
+  const std::size_t begin = out.size();
+  out.resize(begin + writer.size());
+  const std::size_t n = writer.write(out.data() + begin, writer.size());
+  AAPC_CHECK(n == writer.size() && writer.done());
 }
 
 std::string schedule_to_json(const Schedule& schedule,

@@ -1,6 +1,7 @@
 // Tests for the JSON schedule serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -253,7 +254,7 @@ TEST(ScheduleIoTest, RankMapJsonEqualsRelabeledScheduleJson) {
 
 // Labels of every width, the widest (INT32_MIN, 11 chars) included, on
 // the last message: pins the exact-size pass and the last full-width
-// label copy, which lands in the slack past the end.
+// label copy, which the writer keeps inside the buffer it fills.
 TEST(ScheduleIoTest, ExtremeLabelsMatchToString) {
   const std::vector<Rank> map = {std::numeric_limits<Rank>::min(),
                                  std::numeric_limits<Rank>::max(), -1, 0,
@@ -283,6 +284,113 @@ TEST(ScheduleIoTest, AppendKeepsThePrefix) {
     append_schedule_json(out, schedule, n, perm);
     EXPECT_EQ(out, prefix + json) << "reserved " << reserved;
   }
+}
+
+/// The same cluster under a fresh machine and switch numbering.
+Topology shuffled_copy(const Topology& topo, Rng& rng) {
+  std::vector<topology::NodeId> order(
+      static_cast<std::size_t>(topo.node_count()));
+  for (std::size_t v = 0; v < order.size(); ++v) {
+    order[v] = static_cast<topology::NodeId>(v);
+  }
+  rng.shuffle(order);
+  Topology out;
+  std::vector<topology::NodeId> new_id(order.size());
+  for (const topology::NodeId old : order) {
+    new_id[static_cast<std::size_t>(old)] =
+        topo.is_machine(old) ? out.add_machine() : out.add_switch();
+  }
+  for (topology::LinkId l = 0; l < topo.link_count(); ++l) {
+    const auto [a, b] = topo.link_endpoints(l);
+    out.add_link(new_id[static_cast<std::size_t>(a)],
+                 new_id[static_cast<std::size_t>(b)]);
+  }
+  out.finalize();
+  return out;
+}
+
+/// Writes `writer`'s document through one reused `chunk`-byte buffer.
+/// With `taken` below 1, each chunk is cut to that share and the writer
+/// moved back to the first byte not kept, as netd does when the socket
+/// takes only part of a chunk.
+std::string write_in_chunks(ScheduleJsonWriter writer, std::size_t chunk,
+                            double taken = 1) {
+  std::string buffer(chunk, '\0');
+  std::string out;
+  while (!writer.done()) {
+    const ScheduleJsonWriter::Position mark = writer.position();
+    const std::size_t n = writer.write(buffer.data(), chunk);
+    EXPECT_GT(n, 0u);
+    const std::size_t kept = std::max<std::size_t>(
+        1, static_cast<std::size_t>(static_cast<double>(n) * taken));
+    if (kept < n) {
+      writer.seek(mark);
+      EXPECT_EQ(writer.write(buffer.data(), kept), kept);
+    }
+    out.append(buffer.data(), kept);
+  }
+  EXPECT_EQ(writer.write(buffer.data(), chunk), 0u);
+  return out;
+}
+
+// netd streams each answer through a fixed chunk buffer, so the writer
+// must give the same bytes whatever the chunk size: every size from 1
+// byte to one past the document on small schedules of every shape, and
+// the sizes around netd's 256 KiB chunk on a served-size schedule. The
+// size pass must equal the bytes written.
+TEST(ScheduleIoTest, EveryChunkSizeWritesTheSameBytes) {
+  Rng rng(31);
+  const Topology small = topology::make_fat_tree(2, 2, 4);
+  const std::int32_t n = small.machine_count();
+  const Topology shuffled = shuffled_copy(small, rng);
+  SparseNeighbors neighbors(static_cast<std::size_t>(n));
+  for (Rank r = 0; r < n; ++r) {
+    neighbors[static_cast<std::size_t>(r)] = {(r + 1) % n, (r + 5) % n};
+  }
+  Schedule empty_phase = Schedule::from_phase_lists(
+      {{Message{0, 1}}, {}, {Message{1, 0}, Message{2, 3}}, {}});
+  empty_phase.kind = CollectiveKind::kSparseAlltoall;
+  const std::vector<std::pair<std::int32_t, Schedule>> cases = {
+      {n, build_aapc_schedule(shuffled)},
+      {n, build_allgather_schedule(small)},
+      {n, build_reduce_scatter_schedule(small)},
+      {n, build_sparse_alltoall_schedule(small, neighbors)},
+      {4, empty_phase},
+      {4, Schedule{}},
+      {0, Schedule::from_phase_lists({})},
+  };
+  for (const auto& [machines, schedule] : cases) {
+    std::vector<Rank> map = identity_map(machines);
+    rng.shuffle(map);
+    std::string expected;
+    append_schedule_json(expected, schedule, machines, map);
+    const ScheduleJsonWriter writer(schedule, machines, map);
+    ASSERT_EQ(writer.size(), expected.size());
+    for (std::size_t chunk = 1; chunk <= expected.size() + 1; ++chunk) {
+      ASSERT_EQ(write_in_chunks(writer, chunk), expected)
+          << collective_kind_name(schedule.kind) << " on " << machines
+          << " ranks, chunk " << chunk;
+    }
+    EXPECT_EQ(write_in_chunks(writer, 7, 0.5), expected);
+  }
+
+  const Topology fat_tree = topology::make_fat_tree(8, 4, 8);
+  const std::int32_t big = fat_tree.machine_count();
+  ASSERT_EQ(big, 256);
+  std::vector<Rank> map = identity_map(big);
+  rng.shuffle(map);
+  const Schedule schedule = build_aapc_schedule(fat_tree);
+  const std::string expected = schedule_to_json(schedule, big, map);
+  const ScheduleJsonWriter writer(schedule, big, map);
+  ASSERT_EQ(writer.size(), expected.size());
+  constexpr std::size_t kNetdChunk = std::size_t{256} << 10;
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096}, kNetdChunk - 1,
+        kNetdChunk, kNetdChunk + 1}) {
+    EXPECT_EQ(write_in_chunks(writer, chunk), expected) << "chunk " << chunk;
+  }
+  // netd's rewind: the socket takes a third of each chunk.
+  EXPECT_EQ(write_in_chunks(writer, kNetdChunk, 1.0 / 3), expected);
 }
 
 TEST(ScheduleIoTest, RankMapMustCoverEveryRank) {
