@@ -14,7 +14,10 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -44,6 +47,42 @@ std::uint32_t to_retry_ms(double seconds) {
   return static_cast<std::uint32_t>(ms) + 1;  // round up: hints are floors
 }
 
+/// An answer's JSON goes to the socket in chunks of this size, written
+/// into one buffer per sending thread (chunk_buffer).
+constexpr std::size_t kChunkBytes = 256 * 1024;
+
+/// This thread's chunk buffer: allocated on its first chunk, reused for
+/// every chunk after. The loop and each dispatcher hold one.
+std::span<char> chunk_buffer() {
+  thread_local const std::unique_ptr<char[]> buffer =
+      std::make_unique_for_overwrite<char[]>(kChunkBytes);
+  return {buffer.get(), kChunkBytes};
+}
+
+enum class SendResult { kAll, kBlocked, kFailed };
+
+/// Sends `bytes` until the socket took them all, would block, or failed;
+/// adds what it took to `sent`.
+SendResult send_bytes(int fd, std::span<const char> bytes, std::size_t& sent) {
+  std::size_t offset = 0;
+  while (offset < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + offset, bytes.size() - offset,
+                             MSG_NOSIGNAL);
+    if (n >= 0) {
+      offset += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EINTR) continue;
+    // EPIPE/ECONNRESET: the peer vanished mid-response. SIGPIPE is
+    // ignored process-wide, so this is a clean error path.
+    sent += offset;
+    return SendResult::kFailed;
+  }
+  sent += offset;
+  return offset == bytes.size() ? SendResult::kAll : SendResult::kBlocked;
+}
+
 /// Frame-size histogram bounds: 64 B .. 16 MiB in powers of four.
 std::vector<double> frame_bytes_bounds() {
   std::vector<double> bounds;
@@ -55,10 +94,35 @@ std::vector<double> frame_bytes_bounds() {
 
 class Dispatcher;
 
+/// One frame a connection owes its peer. `bytes` is a whole frame, or
+/// the prefix of an answer whose schedule JSON `json` writes after it,
+/// chunk by chunk, from the served entry it keeps alive. A pending
+/// answer holds its prefix (4 bytes a rank) and the writer's label table
+/// (12 bytes a rank), never its JSON.
+struct Outgoing {
+  struct Json {
+    service::CompiledEntryPtr entry;  // outlives eviction from the cache
+    core::ScheduleJsonWriter writer;  // reads entry->schedule
+  };
+
+  std::string bytes;
+  std::size_t offset = 0;  // of `bytes`, already sent
+  std::optional<Json> json;
+  /// The socket filled up with this frame at the head of the queue, and
+  /// whether its answer has been counted as resumed since.
+  bool blocked = false;
+  bool resumed = false;
+
+  bool finished() const {
+    return offset == bytes.size() && (!json || json->writer.done());
+  }
+};
+
 /// One accepted socket. The event loop owns its reads and its close().
-/// Any thread with a frame for it appends the frame under `mutex` and
-/// sends what the socket takes; the loop sends the rest on EPOLLOUT. A
-/// thread that must end the connection (a send error, or a drained
+/// Any thread with a frame for it queues the frame under `mutex`, and
+/// unless another thread is sending there, sends until the queue is
+/// empty or the socket would block; the loop sends the rest on EPOLLOUT.
+/// A thread that must end the connection (a send error, or a drained
 /// close-after-flush) shuts the socket down, and the loop closes it on
 /// the hang-up that follows. Once `closed` flips, frames are dropped and
 /// counted — a client that disconnects mid-response costs a counter,
@@ -70,51 +134,72 @@ struct Connection {
   FrameDecoder decoder;
 
   std::mutex mutex;  // guards everything below
-  std::string out;
-  std::size_t out_offset = 0;
+  /// Frames in the order they go out; only the head is ever sent, so
+  /// frames never interleave on the wire.
+  std::deque<Outgoing> queue;
+  /// A thread is sending the queue (with `mutex` released between
+  /// chunks); other threads only add to it.
+  bool sending = false;
   bool closed = false;
   bool close_after_flush = false;
 
-  /// Appends a frame to `out` (mutex held). An idle connection takes
-  /// the frame's buffer as is, so a megabyte response is not copied
-  /// again on its way to the socket.
-  void queue(std::string bytes) {
-    if (out.empty()) {
-      out = std::move(bytes);
-    } else {
-      out.append(bytes);
-    }
-  }
+  /// Whether the peer is still owed bytes: the one test of it, for the
+  /// senders, the shutdown drain and the teardown's drop count.
+  bool owes_output() const { return !queue.empty(); }
 
-  /// Sends pending output until done or EAGAIN (mutex held). Output the
-  /// socket does not take now waits for the loop's next EPOLLOUT.
-  void send_queued() {
-    while (out_offset < out.size()) {
-      const ssize_t n = ::send(fd, out.data() + out_offset,
-                               out.size() - out_offset, MSG_NOSIGNAL);
-      if (n >= 0) {
-        out_offset += static_cast<std::size_t>(n);
+  /// Sends the queue until it is empty, the socket would block, or the
+  /// connection ends (`lock` holds `mutex`). The mutex is released
+  /// between chunks, so it is held for at most one chunk at a time. An
+  /// answer's JSON is written into this thread's chunk buffer; when the
+  /// socket takes only part of a chunk, the writer is moved back to the
+  /// first byte it did not take, so nothing unsent is kept. A thread
+  /// that finds another one sending leaves its frame to that one.
+  void send_queued(std::unique_lock<std::mutex>& lock, obs::Counter& resumes) {
+    if (sending) return;
+    sending = true;
+    while (!closed && owes_output()) {
+      Outgoing& head = queue.front();
+      if (head.finished()) {
+        queue.pop_front();
+        if (!owes_output() && close_after_flush) shut_down();
         continue;
       }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      // EPIPE/ECONNRESET: the peer vanished mid-response. SIGPIPE is
-      // ignored process-wide, so this is a clean error path; the loop's
-      // teardown counts the unsent output as a drop.
-      shut_down();
-      return;
+      std::size_t sent = 0;
+      SendResult result;
+      if (head.offset < head.bytes.size()) {
+        result = send_bytes(
+            fd, std::span<const char>(head.bytes).subspan(head.offset), sent);
+        head.offset += sent;
+      } else {
+        core::ScheduleJsonWriter& writer = head.json->writer;
+        const core::ScheduleJsonWriter::Position mark = writer.position();
+        const std::span<char> chunk = chunk_buffer();
+        const std::size_t n = writer.write(chunk.data(), chunk.size());
+        result = send_bytes(fd, chunk.first(n), sent);
+        if (sent < n) {
+          writer.seek(mark);
+          writer.write(chunk.data(), sent);
+        }
+      }
+      if (sent > 0 && head.blocked && !head.resumed && head.json) {
+        head.resumed = true;
+        resumes.inc();
+      }
+      if (result == SendResult::kBlocked) {
+        head.blocked = true;
+        break;
+      }
+      if (result == SendResult::kFailed) {
+        // The loop's teardown counts the unsent output as a drop.
+        shut_down();
+        break;
+      }
+      if (head.json && !head.finished()) {
+        lock.unlock();
+        lock.lock();
+      }
     }
-    if (out_offset == out.size()) {
-      out.clear();
-      out_offset = 0;
-      if (close_after_flush) shut_down();
-    } else if (out_offset >= out.size() / 2) {
-      // Compacting only at half bounds the memmove by the bytes sent
-      // since the last one, instead of moving a large frame's tail
-      // after every partial send while other senders wait.
-      out.erase(0, out_offset);
-      out_offset = 0;
-    }
+    sending = false;
   }
 
   /// Ends the connection from any thread (mutex held). The fd stays
@@ -149,6 +234,8 @@ struct Server::Impl {
   void close_connection(const ConnectionPtr& conn);
 
   // any thread
+  void deliver(const ConnectionPtr& conn, Outgoing frame,
+               bool close_after = false);
   void deliver(const ConnectionPtr& conn, std::string bytes,
                bool close_after = false);
   void fail_request(const ConnectionPtr& conn, std::uint64_t request_id,
@@ -174,6 +261,7 @@ struct Server::Impl {
   obs::Gauge& connections_active;
   obs::Counter& midframe_disconnects;
   obs::Counter& response_drops;
+  obs::Counter& response_resumes;
   obs::Histogram& request_frame_bytes;
   obs::Histogram& response_frame_bytes;
   obs::Counter& requests;
@@ -344,8 +432,8 @@ void Server::Impl::run_loop() {
       }
       if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) handle_readable(conn);
       if ((ev.events & EPOLLOUT) != 0) {
-        const std::lock_guard<std::mutex> lock(conn->mutex);
-        if (!conn->closed) conn->send_queued();
+        std::unique_lock<std::mutex> lock(conn->mutex);
+        conn->send_queued(lock, response_resumes);
       }
     }
     if (stopping.load(std::memory_order_acquire) && close_drained()) return;
@@ -540,7 +628,7 @@ bool Server::Impl::close_drained() {
     bool sending;
     {
       const std::lock_guard<std::mutex> lock(conn->mutex);
-      sending = !conn->closed && conn->out_offset < conn->out.size();
+      sending = !conn->closed && conn->owes_output();
     }
     if (!sending || late) close_connection(conn);
   }
@@ -555,7 +643,8 @@ void Server::Impl::close_connection(const ConnectionPtr& conn) {
   {
     const std::lock_guard<std::mutex> lock(conn->mutex);
     conn->closed = true;
-    unsent = conn->out_offset < conn->out.size();
+    unsent = conn->owes_output();
+    conn->queue.clear();  // lets go of pending answers' entries now
   }
   if (unsent) response_drops.inc();
   ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
@@ -583,6 +672,10 @@ Server::Impl::Impl(const ServerOptions& opts)
           "Responses dropped: one per connection that closed with "
           "output unsent (reset, hang-up, send error or the shutdown "
           "drain deadline), one per answer for a closed connection")),
+      response_resumes(registry.counter(
+          "aapc_netd_response_resumes_total",
+          "Answers whose remaining chunks were written after the socket "
+          "blocked")),
       request_frame_bytes(registry.histogram(
           "aapc_netd_request_frame_bytes",
           "Size of received request frames (header + payload)",
@@ -593,8 +686,10 @@ Server::Impl::Impl(const ServerOptions& opts)
           frame_bytes_bounds())),
       requests(registry.counter("aapc_netd_requests_total",
                                 "Requests dispatched to the schedule service")),
-      request_seconds(registry.histogram("aapc_netd_request_seconds",
-                                         "Dispatch-to-response latency")),
+      request_seconds(registry.histogram(
+          "aapc_netd_request_seconds",
+          "Arrival to the end of the dispatcher's part: the answer's last "
+          "chunk sent, or the rest left to the socket's next EPOLLOUT")),
       churn_events(registry.counter("aapc_netd_churn_events_total",
                                     "Fabric link events applied")),
       churn_rejects(registry.counter(
@@ -730,16 +825,23 @@ double Server::Impl::overload_retry_hint() const {
 /// sockets are edge-triggered, and one that has been writable all along
 /// raises no new EPOLLOUT, so the thread that queues must try the send.
 /// A frame for a closed connection is dropped and counted.
-void Server::Impl::deliver(const ConnectionPtr& conn, std::string bytes,
+void Server::Impl::deliver(const ConnectionPtr& conn, Outgoing frame,
                            bool close_after) {
-  const std::lock_guard<std::mutex> lock(conn->mutex);
+  std::unique_lock<std::mutex> lock(conn->mutex);
   if (conn->closed) {
     response_drops.inc();
     return;
   }
-  conn->queue(std::move(bytes));
+  conn->queue.push_back(std::move(frame));
   if (close_after) conn->close_after_flush = true;
-  conn->send_queued();
+  conn->send_queued(lock, response_resumes);
+}
+
+void Server::Impl::deliver(const ConnectionPtr& conn, std::string bytes,
+                           bool close_after) {
+  Outgoing frame;
+  frame.bytes = std::move(bytes);
+  deliver(conn, std::move(frame), close_after);
 }
 
 void Server::Impl::fail_request(const ConnectionPtr& conn,
@@ -767,15 +869,28 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
                  std::string("malformed topology: ") + e.what());
     return;
   }
-  requests.inc();
   try {
+    // An answer no frame can carry is refused before anything compiles.
+    const std::uint64_t floor = response_payload_floor(
+        topo.machine_count(), request.kind, request.neighbors);
+    AAPC_REQUIRE(floor <= kMaxPayload,
+                 "a " << core::collective_kind_name(request.kind)
+                      << " answer on " << topo.machine_count()
+                      << " ranks needs at least " << floor
+                      << " payload bytes, above kMaxPayload (" << kMaxPayload
+                      << ")");
+    requests.inc();
     // The caller-labeled JSON is written from the canonical entry
-    // through the permutation, straight into the frame; no relabeled
-    // schedule and no JSON string of its own is built.
+    // through the permutation, chunk by chunk, straight into the socket;
+    // no relabeled schedule, no JSON string and no whole frame is built.
     service::ServedEntry served = service.lookup(
         topo, request.message_bytes, canon, request.kind, request.neighbors);
-    const std::vector<topology::Rank> to_caller =
-        core::invert_permutation(served.to_canonical);
+    Outgoing answer;
+    answer.json.emplace(Outgoing::Json{
+        served.entry,
+        core::ScheduleJsonWriter(served.entry->schedule, topo.machine_count(),
+                                 core::invert_permutation(served.to_canonical))});
+    const std::size_t json_bytes = answer.json->writer.size();
     ResponseFrame response;
     response.request_id = request.request_id;
     response.cache_hit = served.cache_hit;
@@ -783,15 +898,14 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
     response.epoch = served.epoch;
     response.canonical_hash = canon.hash;
     response.to_canonical = std::move(served.to_canonical);
-    std::string bytes = encode_response(response, [&](std::string& frame) {
-      core::append_schedule_json(frame, served.entry->schedule,
-                                 topo.machine_count(), to_caller);
-    });
+    // The exact-size check: throws before anything is sent.
+    answer.bytes = encode_response_prefix(response, json_bytes);
     request_frame_bytes.observe(
         static_cast<double>(item.request_frame_bytes));
-    response_frame_bytes.observe(static_cast<double>(bytes.size()));
+    response_frame_bytes.observe(
+        static_cast<double>(answer.bytes.size() + json_bytes));
+    deliver(item.conn, std::move(answer));
     request_seconds.observe(seconds_since(item.arrival));
-    deliver(item.conn, std::move(bytes));
   } catch (const InvalidArgument& e) {
     reject_counter(ErrorCode::kInvalidRequest).inc();
     fail_request(item.conn, request.request_id, ErrorCode::kInvalidRequest, 0,

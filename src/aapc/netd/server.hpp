@@ -11,13 +11,15 @@
 //                        every close()
 //   M dispatchers        parse topology, canonicalize, run
 //                        ScheduleService::lookup (a miss compiles on
-//                        the dispatcher's own thread), encode the
-//                        response and send it themselves
+//                        the dispatcher's own thread), and send the
+//                        answer themselves: its prefix, then its JSON
+//                        in chunks through one reused buffer
 //
-// Whichever thread has a frame appends it under the connection's mutex
-// and sends until EAGAIN; the loop resumes a partial write on EPOLLOUT.
-// A thread that must end a connection shuts the socket down, and the
-// loop closes it on the hang-up that follows.
+// Whichever thread has a frame queues it under the connection's mutex
+// and, unless another thread is already sending there, sends until
+// EAGAIN; the loop sends the rest on EPOLLOUT. A thread that must end a
+// connection shuts the socket down, and the loop closes it on the
+// hang-up that follows.
 //
 // The server owns one ScheduleService: its cache, compiler pool,
 // in-flight coalescing and topology-epoch feed serve every connection.

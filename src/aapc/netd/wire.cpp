@@ -38,13 +38,23 @@ void patch_u32(std::string& frame, std::size_t at, std::uint32_t value) {
   }
 }
 
-std::string finish_frame(std::string frame) {
-  const std::size_t payload = frame.size() - kHeaderSize;
+/// Patches the payload length of a frame whose payload is what `frame`
+/// holds past the header plus `body_bytes` that the caller sends after
+/// it.
+std::string finish_frame(std::string frame, std::size_t body_bytes = 0) {
+  const std::size_t payload = frame.size() - kHeaderSize + body_bytes;
   AAPC_REQUIRE(payload <= kMaxPayload,
                "frame payload of " << payload << " bytes exceeds kMaxPayload");
   // payload_length is the header's last field.
   patch_u32(frame, kHeaderSize - 4, static_cast<std::uint32_t>(payload));
   return frame;
+}
+
+/// Decimal digits of r >= 0.
+std::uint64_t decimal_digits(std::uint64_t r) {
+  std::uint64_t digits = 1;
+  for (; r >= 10; r /= 10) ++digits;
+  return digits;
 }
 
 /// Re-throws payload parse failures as ProtocolError with context, so
@@ -126,12 +136,9 @@ std::string encode_request_v2(const RequestFrame& request) {
   return finish_frame(w.take());
 }
 
-std::string encode_response(
-    const ResponseFrame& response,
-    const std::function<void(std::string& frame)>& append_json) {
+std::string encode_response_prefix(const ResponseFrame& response,
+                                   std::size_t json_bytes) {
   ByteWriter w = begin_frame(FrameType::kResponse, response.request_id);
-  // Everything before the JSON, so append_json's one growth of the
-  // buffer is the only reallocation.
   w.reserve(kHeaderSize + 32 + 4 * response.to_canonical.size());
   w.u8(response.cache_hit ? 1 : 0);
   w.u8(response.coalesced ? 1 : 0);
@@ -144,21 +151,46 @@ std::string encode_response(
   for (const topology::Rank rank : response.to_canonical) {
     w.u32(static_cast<std::uint32_t>(rank));
   }
-  w.u32(0);  // the JSON's length, patched once it is written
-  std::string frame = w.take();
-  const std::size_t json_begin = frame.size();
-  append_json(frame);
   // A JSON too long for its u32 is past kMaxPayload, which finish_frame
   // rejects.
-  patch_u32(frame, json_begin - 4,
-            static_cast<std::uint32_t>(frame.size() - json_begin));
-  return finish_frame(std::move(frame));
+  w.u32(static_cast<std::uint32_t>(json_bytes));
+  return finish_frame(w.take(), json_bytes);
 }
 
 std::string encode_response(const ResponseFrame& response) {
-  return encode_response(response, [&response](std::string& frame) {
-    frame.append(response.schedule_json);
-  });
+  std::string frame =
+      encode_response_prefix(response, response.schedule_json.size());
+  frame.append(response.schedule_json);
+  return frame;
+}
+
+std::uint64_t response_payload_floor(std::int32_t ranks,
+                                     core::CollectiveKind kind,
+                                     const core::SparseNeighbors& neighbors) {
+  AAPC_REQUIRE(ranks >= 0, "rank count " << ranks << " is negative");
+  const auto n = static_cast<std::uint64_t>(ranks);
+  // The fixed fields, the permutation (a count and 4 bytes a rank) and
+  // the JSON's length; then per message its two labels and at least four
+  // punctuation bytes ("[", ",", "]" and the comma or bracket after it).
+  std::uint64_t bytes = 32 + 4 * n;
+  if (kind == core::CollectiveKind::kSparseAlltoall) {
+    const core::SparseNeighbors sets =
+        core::normalize_neighbors(ranks, neighbors);
+    for (std::uint64_t r = 0; r < n; ++r) {
+      for (const topology::Rank v : sets[r]) {
+        bytes += 4 + decimal_digits(r) +
+                 decimal_digits(static_cast<std::uint64_t>(v));
+      }
+    }
+    return bytes;
+  }
+  // Every rank is the source of n - 1 messages and the destination of
+  // n - 1, so each label appears 2 (n - 1) times whatever the schedule.
+  if (n < 2) return bytes;
+  for (std::uint64_t r = 0; r < n; ++r) {
+    bytes += 2 * (n - 1) * decimal_digits(r);
+  }
+  return bytes + 4 * n * (n - 1);
 }
 
 std::string encode_error(const ErrorFrame& error) {

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -188,18 +187,28 @@ std::string encode_request(const RequestFrame& request);
 /// client puts on the wire. Kept for interoperability tests; requires
 /// an alltoall request with no neighbor sets.
 std::string encode_request_v2(const RequestFrame& request);
-/// The one response encoder: writes the header, the fixed fields,
-/// `to_canonical` and a placeholder for the JSON's length, then calls
-/// `append_json(frame)` to append the schedule JSON to the frame buffer
-/// itself, and patches the lengths. `response.schedule_json` is not read.
-/// netd writes the caller-labeled JSON straight into the frame this way,
-/// so a served answer is written once. Throws when the payload exceeds
-/// kMaxPayload.
-std::string encode_response(
-    const ResponseFrame& response,
-    const std::function<void(std::string& frame)>& append_json);
-/// Encodes `response.schedule_json` through the encoder above.
+/// The bytes of a response frame that come before its schedule JSON:
+/// the header, the fixed fields, `to_canonical` and the JSON's length,
+/// for a JSON of `json_bytes` bytes that the caller sends right after
+/// them. netd sends each answer this way, then writes the JSON in
+/// chunks, so no whole answer frame is built.
+/// `response.schedule_json` is not read. Throws InvalidArgument when the
+/// payload would exceed kMaxPayload.
+std::string encode_response_prefix(const ResponseFrame& response,
+                                   std::size_t json_bytes);
+/// The whole frame: that prefix, then `response.schedule_json`.
 std::string encode_response(const ResponseFrame& response);
+/// A lower bound on the payload of any response to a `kind` request on
+/// `ranks` machines, from the request alone: the fixed fields, the
+/// permutation, and for every message its two labels and four
+/// punctuation bytes. Alltoall, allgather and reduce_scatter make each
+/// rank the source and the destination of n - 1 messages; for
+/// sparse_alltoall the normalized neighbor sets give the messages.
+/// netd refuses a request whose bound exceeds kMaxPayload before it
+/// compiles anything. Throws InvalidArgument on malformed neighbor sets.
+std::uint64_t response_payload_floor(std::int32_t ranks,
+                                     core::CollectiveKind kind,
+                                     const core::SparseNeighbors& neighbors);
 std::string encode_error(const ErrorFrame& error);
 std::string encode_metrics_request(std::uint64_t request_id);
 std::string encode_metrics_response(std::uint64_t request_id,

@@ -2,9 +2,11 @@
 // docs/NETD.md): bit-identity of TCP responses against the in-process
 // ScheduleService, the pressure valves (quota, connection cap,
 // dispatch overload) answering with structured error frames, protocol
-// violations, mid-frame disconnects, resets with answers queued,
-// graceful drain, and concurrent connections. Sizes stay moderate so
-// the suite is TSan-friendly.
+// violations, answers no frame can carry, mid-frame disconnects, resets
+// with answers queued or mid-stream, graceful drain, and concurrent
+// connections. The 1024-rank answers that must block mid-stream share
+// one in-process reference compile; other sizes stay moderate so the
+// suite is TSan-friendly.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -81,6 +83,34 @@ std::string pipelined_requests(const Topology& topo, std::uint64_t count) {
   return bytes;
 }
 
+/// The 1024-rank fat tree (make_fat_tree(16, 8, 8)) whose 10.4 MB answer
+/// is larger than the loopback socket buffers, so its stream blocks.
+const Topology& big_tree() {
+  static const Topology topo = topology::make_fat_tree(16, 8, 8);
+  return topo;
+}
+
+/// The in-process service's JSON for big_tree() at 64 KiB, compiled once
+/// for the whole suite.
+const std::string& big_tree_json() {
+  static const std::string json = [] {
+    service::ScheduleService reference;
+    return core::schedule_to_json(reference.compile(big_tree(), 64_KiB).schedule,
+                                  big_tree().machine_count());
+  }();
+  return json;
+}
+
+/// A request frame for big_tree() at 64 KiB under `request_id`.
+std::string big_tree_request(std::uint64_t request_id) {
+  RequestFrame request;
+  request.request_id = request_id;
+  request.message_bytes = 64_KiB;
+  request.tenant = "pipeline";
+  request.topology_text = topology::serialize_topology(big_tree());
+  return encode_request(request);
+}
+
 /// Waits (60 s at most) until the server has encoded `count` responses,
 /// as its response-frame histogram counts them.
 void wait_for_response_frames(const Server& server, std::uint64_t count) {
@@ -126,13 +156,15 @@ TEST(NetdServerTest, LoopbackResponsesBitIdenticalToInProcessService) {
 }
 
 TEST(NetdServerTest, PipelinedLargeResponsesBitIdenticalToInProcessService) {
-  // Twelve requests pipelined on one connection, alternating two kinds
-  // on a relabeled 256-rank fat tree: ~0.6 MB per response, ~7 MB in
-  // all, more than loopback socket buffers take (~4 MB) while the
-  // client reads nothing. The server queues frames behind a partially
-  // sent one, hits EAGAIN, and compacts its output buffer as the
-  // client drains it.
-  const auto server = start_server();
+  // Fourteen requests pipelined on one connection to two dispatchers:
+  // twelve alternate two kinds on a relabeled 256-rank fat tree (~0.6 MB
+  // answers), and two ask for the 1024-rank tree (10.4 MB each), ~28 MB
+  // in all while the client reads nothing. Each answer streams behind
+  // its prefix; the others queue behind a blocked stream, so frames
+  // that interleaved on the wire would fail to decode.
+  ServerOptions options;
+  options.dispatch_threads = 2;
+  const auto server = start_server(options);
   Client client("127.0.0.1", server->port());
   Rng rng(41);
   const Topology topo = shuffled_copy(topology::make_fat_tree(8, 4, 8), rng);
@@ -151,13 +183,18 @@ TEST(NetdServerTest, PipelinedLargeResponsesBitIdenticalToInProcessService) {
     to_canonical = in_process.to_canonical;
   }
 
-  constexpr std::uint64_t kRequests = 12;
+  constexpr std::uint64_t kRequests = 14;
+  const auto is_big = [](std::uint64_t id) { return id == 3 || id == 8; };
   RequestFrame request;
   request.message_bytes = 64_KiB;
   request.tenant = "pipeline";
   request.topology_text = topology::serialize_topology(topo);
   std::string pipelined;
   for (std::uint64_t id = 0; id < kRequests; ++id) {
+    if (is_big(id)) {
+      pipelined += big_tree_request(id);
+      continue;
+    }
     request.request_id = id;
     request.kind = kinds[id % 2];
     pipelined += encode_request(request);
@@ -174,6 +211,11 @@ TEST(NetdServerTest, PipelinedLargeResponsesBitIdenticalToInProcessService) {
     EXPECT_FALSE(answered[response.request_id])
         << "request " << response.request_id << " answered twice";
     answered[response.request_id] = true;
+    if (is_big(response.request_id)) {
+      EXPECT_EQ(response.schedule_json, big_tree_json())
+          << "request " << response.request_id;
+      continue;
+    }
     EXPECT_EQ(response.schedule_json, expected_json[response.request_id % 2])
         << "request " << response.request_id;
     EXPECT_EQ(response.to_canonical, to_canonical);
@@ -292,6 +334,30 @@ TEST(NetdServerTest, CompilesEveryCollectiveKindOverLoopback) {
   }
   EXPECT_FALSE(
       client.compile(topo, 8_KiB).schedule_json.empty());
+}
+
+TEST(NetdServerTest, AnswerPastMaxPayloadIsRefusedBeforeCompiling) {
+  // A 1536-rank alltoall needs a ~25 MB answer, past kMaxPayload (16 MiB):
+  // refused from the request alone, with nothing compiled or cached.
+  const auto server = start_server();
+  Client client("127.0.0.1", server->port());
+  const Topology topo = topology::make_fat_tree(16, 8, 12);
+  ASSERT_EQ(topo.machine_count(), 1536);
+  try {
+    (void)client.compile(topo, 64_KiB);
+    ADD_FAILURE() << "a 1536-rank answer was served";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidRequest);
+    EXPECT_NE(std::string(e.what()).find("kMaxPayload"), std::string::npos)
+        << e.what();
+  }
+  const obs::RegistrySnapshot snapshot = server->metrics_snapshot();
+  EXPECT_EQ(snapshot.value("aapc_service_cache_misses_total"), 0.0);
+  EXPECT_EQ(snapshot.value("aapc_service_cache_bytes"), 0.0);
+  EXPECT_EQ(snapshot.value("aapc_netd_requests_total"), 0.0);
+  // The connection stays usable.
+  EXPECT_FALSE(client.compile(topology::make_paper_figure1(), 8_KiB)
+                   .schedule_json.empty());
 }
 
 TEST(NetdServerTest, MalformedFrameAnswersProtocolErrorThenCloses) {
@@ -459,10 +525,11 @@ TEST(NetdServerTest, StopDrainsInFlightRequestsGracefully) {
 }
 
 TEST(NetdServerTest, StopFlushesEveryQueuedResponseBeforeClosing) {
-  // Thirty-two ~0.6 MB answers on one connection, all encoded before
-  // stop() and read only once it has begun: ~19 MB, several times what
-  // the loopback socket buffers hold (~4 MB), so stop() must keep
-  // flushing until the client has read every byte.
+  // A 1024-rank answer (10.4 MB) blocked mid-stream, then thirty-two
+  // ~0.6 MB answers queued behind it on the same connection, all encoded
+  // before stop() and read only once it has begun: ~30 MB, several times
+  // what the loopback socket buffers hold (~4 MB), so stop() must keep
+  // streaming until the client has read every byte.
   ServerOptions options;
   options.drain_deadline_seconds = 60;
   const auto server = start_server(options);
@@ -471,9 +538,12 @@ TEST(NetdServerTest, StopFlushesEveryQueuedResponseBeforeClosing) {
   const std::string expected = core::schedule_to_json(
       reference.compile(topo, 64_KiB).schedule, topo.machine_count());
   constexpr std::uint64_t kRequests = 32;
+  constexpr std::uint64_t kBigId = kRequests;
   Client client("127.0.0.1", server->port());
+  client.send_raw(big_tree_request(kBigId));
+  wait_for_response_frames(*server, 1);
   client.send_raw(pipelined_requests(topo, kRequests));
-  wait_for_response_frames(*server, kRequests);
+  wait_for_response_frames(*server, kRequests + 1);
 
   std::thread stopper([&] { server->stop(); });
   // stop() closes the listener first, so a refused connect means the
@@ -486,28 +556,31 @@ TEST(NetdServerTest, StopFlushesEveryQueuedResponseBeforeClosing) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  std::vector<bool> answered(kRequests, false);
+  std::vector<bool> answered(kRequests + 1, false);
   std::uint64_t read = 0;
   try {
-    for (; read < kRequests; ++read) {
+    for (; read < kRequests + 1; ++read) {
       const ResponseFrame response = decode_response(client.read_frame());
-      if (response.request_id >= kRequests ||
-          answered[response.request_id]) {
+      if (response.request_id > kBigId || answered[response.request_id]) {
         ADD_FAILURE() << "unexpected request id " << response.request_id;
         break;
       }
       answered[response.request_id] = true;
-      EXPECT_EQ(response.schedule_json, expected)
+      EXPECT_EQ(response.schedule_json,
+                response.request_id == kBigId ? big_tree_json() : expected)
           << "request " << response.request_id;
     }
   } catch (const Error& e) {
-    ADD_FAILURE() << "after " << read << " of " << kRequests
+    ADD_FAILURE() << "after " << read << " of " << kRequests + 1
                   << " answers: " << e.what();
   }
   stopper.join();
-  EXPECT_EQ(read, kRequests);
-  EXPECT_EQ(server->metrics_snapshot().value("aapc_netd_response_drops_total"),
-            0.0);
+  EXPECT_EQ(read, kRequests + 1);
+  const obs::RegistrySnapshot snapshot = server->metrics_snapshot();
+  EXPECT_EQ(snapshot.value("aapc_netd_response_drops_total"), 0.0);
+  // The 1024-rank answer blocked before the client read a byte, and the
+  // drain wrote the rest of it.
+  EXPECT_GE(snapshot.value("aapc_netd_response_resumes_total"), 1.0);
 }
 
 TEST(NetdServerTest, StopClosesAnUnreadConnectionAtTheDrainDeadline) {
@@ -532,6 +605,52 @@ TEST(NetdServerTest, StopClosesAnUnreadConnectionAtTheDrainDeadline) {
             1.0);
 }
 
+/// A blocking loopback socket connected to `port`.
+int dial_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  return fd;
+}
+
+void send_all(int fd, const std::string& bytes) {
+  for (std::size_t sent = 0; sent < bytes.size();) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// Closes `fd` with a reset (SO_LINGER 0), then waits (10 s at most)
+/// until the server counts `drops` dropped responses and no open
+/// connection; returns the drop count it last read.
+double reset_and_wait(int fd, const Server& server, double drops) {
+  const linger reset{/*l_onoff=*/1, /*l_linger=*/0};
+  EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+            0);
+  ::close(fd);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  double read = 0;
+  double active = -1;
+  while (std::chrono::steady_clock::now() < deadline) {
+    const obs::RegistrySnapshot snapshot = server.metrics_snapshot();
+    read = snapshot.value("aapc_netd_response_drops_total");
+    active = snapshot.value("aapc_netd_connections_active");
+    if (read >= drops && active == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(active, 0.0);
+  return read;
+}
+
 TEST(NetdServerTest, ResetWithAnswersQueuedCountsADropAndKeepsServing) {
   // Sixteen ~0.6 MB answers pipelined on one connection, more than the
   // loopback socket buffers take, then a reset (SO_LINGER 0) before the
@@ -540,47 +659,32 @@ TEST(NetdServerTest, ResetWithAnswersQueuedCountsADropAndKeepsServing) {
   const auto server = start_server();
   const Topology topo = topology::make_fat_tree(8, 4, 8);
   constexpr std::uint64_t kRequests = 16;
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server->port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const std::string requests = pipelined_requests(topo, kRequests);
-  for (std::size_t sent = 0; sent < requests.size();) {
-    const ssize_t n = ::send(fd, requests.data() + sent,
-                             requests.size() - sent, MSG_NOSIGNAL);
-    ASSERT_GT(n, 0);
-    sent += static_cast<std::size_t>(n);
-  }
+  const int fd = dial_loopback(server->port());
+  send_all(fd, pipelined_requests(topo, kRequests));
   wait_for_response_frames(*server, kRequests);
-  const linger reset{/*l_onoff=*/1, /*l_linger=*/0};
-  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
-            0);
-  ::close(fd);
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  double drops = 0;
-  double active = -1;
-  while (std::chrono::steady_clock::now() < deadline) {
-    const obs::RegistrySnapshot snapshot = server->metrics_snapshot();
-    drops = snapshot.value("aapc_netd_response_drops_total");
-    active = snapshot.value("aapc_netd_connections_active");
-    if (drops >= 1 && active == 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  const double drops = reset_and_wait(fd, *server, 1);
   EXPECT_GE(drops, 1.0);
-  EXPECT_EQ(active, 0.0);
+
+  // A reset in the middle of one streamed answer: the client reads the
+  // first bytes of a 1024-rank answer, so its stream has begun and
+  // cannot have ended (10.4 MB), then resets. That is exactly one more
+  // drop.
+  const int mid = dial_loopback(server->port());
+  send_all(mid, big_tree_request(1));
+  char head[kHeaderSize];
+  for (std::size_t got = 0; got < sizeof(head);) {
+    const ssize_t n = ::recv(mid, head + got, sizeof(head) - got, 0);
+    ASSERT_GT(n, 0);
+    got += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(reset_and_wait(mid, *server, drops + 1), drops + 1);
 
   Client fresh("127.0.0.1", server->port());
   service::ScheduleService reference;
   EXPECT_EQ(fresh.compile(topo, 64_KiB).schedule_json,
             core::schedule_to_json(reference.compile(topo, 64_KiB).schedule,
                                    topo.machine_count()));
+  EXPECT_EQ(fresh.compile(big_tree(), 64_KiB).schedule_json, big_tree_json());
 }
 
 TEST(NetdServerTest, ConcurrentConnectionsAllServedExactly) {

@@ -175,9 +175,24 @@ void expect_same_response(const ResponseFrame& a, const ResponseFrame& b) {
   EXPECT_EQ(a.schedule_json, b.schedule_json);
 }
 
-// netd appends the schedule JSON to the frame through a callback; the
-// frame must be the one the string encoder makes of the same JSON.
-TEST(NetdWireTest, AppendingEncoderMatchesTheStringEncoder) {
+/// The frame netd sends for an answer: the prefix, then the schedule
+/// JSON written in `chunk`-byte pieces through one reused buffer.
+std::string streamed_answer(const ResponseFrame& response,
+                            const core::Schedule& schedule, std::int32_t n,
+                            const std::vector<topology::Rank>& to_caller,
+                            std::size_t chunk) {
+  core::ScheduleJsonWriter writer(schedule, n, to_caller);
+  std::string frame = encode_response_prefix(response, writer.size());
+  std::string buffer(chunk, '\0');
+  while (!writer.done()) {
+    frame.append(buffer.data(), writer.write(buffer.data(), chunk));
+  }
+  return frame;
+}
+
+// netd sends the prefix and then streams the schedule JSON; the bytes
+// must be the frame the string encoder makes of the same JSON.
+TEST(NetdWireTest, PrefixEncoderMatchesTheStringEncoder) {
   const topology::Topology fat_tree = topology::make_fat_tree(8, 4, 8);
   const std::int32_t n = fat_tree.machine_count();
   const core::Schedule schedule = core::build_aapc_schedule(fat_tree);
@@ -196,30 +211,28 @@ TEST(NetdWireTest, AppendingEncoderMatchesTheStringEncoder) {
   response.coalesced = true;
   response.canonical_hash = 0x0123456789abcdefull;
   response.epoch = 2;
-  const auto append_string = [&response](std::string& frame) {
-    frame.append(response.schedule_json);
-  };
   for (const std::string& json :
        {std::string(), std::string("{\"machines\":4,\"phases\":[]}")}) {
     response.schedule_json = json;
     const std::string expected = encode_response(response);
-    EXPECT_EQ(encode_response(response, append_string), expected);
+    EXPECT_EQ(encode_response_prefix(response, json.size()) + json, expected);
     expect_same_response(decode_response(decode_single(expected)), response);
   }
 
-  // The served path: a 256-rank answer (0.6 MB) written in the frame.
+  // The served path: a 256-rank answer (0.6 MB) streamed behind its
+  // prefix, in netd's chunk size and in an odd one.
   response.to_canonical = to_canonical;
   response.schedule_json = core::schedule_to_json(schedule, n, to_caller);
   ASSERT_GT(response.schedule_json.size(), 600'000u);
   const std::string expected = encode_response(response);
   ResponseFrame without_json = response;
   without_json.schedule_json.clear();
-  const std::string appended =
-      encode_response(without_json, [&](std::string& frame) {
-        core::append_schedule_json(frame, schedule, n, to_caller);
-      });
-  EXPECT_EQ(appended, expected);
-  expect_same_response(decode_response(decode_single(appended)), response);
+  for (const std::size_t chunk : {std::size_t{256} << 10, std::size_t{4093}}) {
+    const std::string streamed =
+        streamed_answer(without_json, schedule, n, to_caller, chunk);
+    EXPECT_EQ(streamed, expected) << "chunk " << chunk;
+    expect_same_response(decode_response(decode_single(streamed)), response);
+  }
 }
 
 TEST(NetdWireTest, ResponsePastMaxPayloadThrowsFromBothEncoders) {
@@ -228,16 +241,131 @@ TEST(NetdWireTest, ResponsePastMaxPayloadThrowsFromBothEncoders) {
   // The payload before the JSON: 24 bytes of fixed fields, the rank
   // count and three ranks, and the JSON's length.
   const std::size_t fixed = 24 + 4 + 4 * 3 + 4;
-  const auto append_string = [&response](std::string& frame) {
-    frame.append(response.schedule_json);
-  };
   response.schedule_json.assign(kMaxPayload - fixed, 'x');
   EXPECT_EQ(encode_response(response).size(), kHeaderSize + kMaxPayload);
-  EXPECT_EQ(encode_response(response, append_string).size(),
-            kHeaderSize + kMaxPayload);
+  EXPECT_EQ(encode_response_prefix(response, kMaxPayload - fixed).size(),
+            kHeaderSize + fixed);
   response.schedule_json.push_back('x');
   EXPECT_THROW((void)encode_response(response), InvalidArgument);
-  EXPECT_THROW((void)encode_response(response, append_string),
+  EXPECT_THROW((void)encode_response_prefix(response, kMaxPayload - fixed + 1),
+               InvalidArgument);
+}
+
+/// A schedule with the message multiset of a `kind` collective on n ranks
+/// in the fewest phases, so the fewest bytes any schedule of that kind
+/// writes: alltoall sends i -> i + k in phase k - 1, allgather i -> i + 1
+/// and reduce_scatter i -> i - 1 in each of n - 1 phases, and
+/// sparse_alltoall i -> v for v in `neighbors[i]`, in one phase.
+core::Schedule cheapest_schedule(core::CollectiveKind kind, std::int32_t n,
+                                 const core::SparseNeighbors& neighbors) {
+  core::Schedule schedule;
+  schedule.kind = kind;
+  schedule.phase_begin.push_back(0);
+  const auto add = [&](topology::Rank src, topology::Rank dst) {
+    schedule.messages.push_back(core::Message{src, dst});
+  };
+  if (kind == core::CollectiveKind::kSparseAlltoall) {
+    for (topology::Rank r = 0; r < n; ++r) {
+      for (const topology::Rank v : neighbors[static_cast<std::size_t>(r)]) {
+        add(r, v);
+      }
+    }
+    schedule.phase_begin.push_back(schedule.message_count());
+    return schedule;
+  }
+  for (topology::Rank k = 1; k < n; ++k) {
+    for (topology::Rank r = 0; r < n; ++r) {
+      const topology::Rank step =
+          kind == core::CollectiveKind::kAlltoall      ? k
+          : kind == core::CollectiveKind::kAllgather ? 1
+                                                     : n - 1;
+      add(r, (r + step) % n);
+    }
+    schedule.phase_begin.push_back(schedule.message_count());
+  }
+  return schedule;
+}
+
+/// Every rank sends to the next `degree` ranks.
+core::SparseNeighbors ring_neighbors(std::int32_t n, std::int32_t degree) {
+  core::SparseNeighbors neighbors(static_cast<std::size_t>(n));
+  for (topology::Rank r = 0; r < n; ++r) {
+    for (topology::Rank d = 1; d <= degree; ++d) {
+      neighbors[static_cast<std::size_t>(r)].push_back((r + d) % n);
+    }
+  }
+  return neighbors;
+}
+
+/// The largest x in [lo, hi) with floor(x) <= kMaxPayload, for a floor
+/// that grows with x and fits at lo but not at hi.
+template <typename Floor>
+std::int32_t largest_fitting(std::int32_t lo, std::int32_t hi, Floor floor) {
+  while (hi - lo > 1) {
+    const std::int32_t mid = lo + (hi - lo) / 2;
+    (floor(mid) <= kMaxPayload ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+// netd refuses a request whose payload floor is past kMaxPayload before
+// it compiles. So the floor must never exceed an answer's exact payload,
+// or a request that fits would be refused. Checked on both sides of the
+// limit for every kind, against the writer's exact size.
+TEST(NetdWireTest, PayloadFloorNeverExceedsTheExactSize) {
+  const auto exact_payload = [](const core::Schedule& schedule,
+                                std::int32_t n) {
+    std::vector<topology::Rank> identity(static_cast<std::size_t>(n));
+    for (topology::Rank r = 0; r < n; ++r) {
+      identity[static_cast<std::size_t>(r)] = r;
+    }
+    const std::uint64_t json =
+        core::ScheduleJsonWriter(schedule, n, identity).size();
+    return json + 32 + 4 * static_cast<std::uint64_t>(n);
+  };
+  for (const core::CollectiveKind kind :
+       {core::CollectiveKind::kAlltoall, core::CollectiveKind::kAllgather,
+        core::CollectiveKind::kReduceScatter}) {
+    EXPECT_LT(response_payload_floor(1024, kind, {}), kMaxPayload);
+    // The largest n whose floor fits, and the one past it.
+    const std::int32_t fits = largest_fitting(2, 4096, [kind](std::int32_t n) {
+      return response_payload_floor(n, kind, {});
+    });
+    for (const std::int32_t n : {fits, fits + 1}) {
+      const std::uint64_t floor = response_payload_floor(n, kind, {});
+      const std::uint64_t exact =
+          exact_payload(cheapest_schedule(kind, n, {}), n);
+      EXPECT_LE(floor, exact) << core::collective_kind_name(kind) << " " << n;
+      if (n > fits) {
+        EXPECT_GT(exact, kMaxPayload);
+      }
+    }
+  }
+  // Sparse: 2048 ranks, each with `degree` neighbors, plus a duplicate
+  // and a self-entry that normalization drops.
+  constexpr std::int32_t kRanks = 2048;
+  const auto sparse_floor = [](std::int32_t degree) {
+    core::SparseNeighbors neighbors = ring_neighbors(kRanks, degree);
+    for (topology::Rank r = 0; r < kRanks; ++r) {
+      neighbors[static_cast<std::size_t>(r)].push_back(r);
+      neighbors[static_cast<std::size_t>(r)].push_back((r + 1) % kRanks);
+    }
+    return response_payload_floor(
+        kRanks, core::CollectiveKind::kSparseAlltoall, neighbors);
+  };
+  const std::int32_t fits = largest_fitting(1, kRanks - 1, sparse_floor);
+  for (const std::int32_t degree : {fits, fits + 1}) {
+    const core::Schedule schedule =
+        cheapest_schedule(core::CollectiveKind::kSparseAlltoall, kRanks,
+                          ring_neighbors(kRanks, degree));
+    const std::uint64_t exact = exact_payload(schedule, kRanks);
+    EXPECT_LE(sparse_floor(degree), exact) << "degree " << degree;
+    if (degree > fits) {
+      EXPECT_GT(exact, kMaxPayload);
+    }
+  }
+  EXPECT_THROW((void)response_payload_floor(
+                   3, core::CollectiveKind::kSparseAlltoall, {{1}}),
                InvalidArgument);
 }
 
