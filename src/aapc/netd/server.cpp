@@ -148,12 +148,13 @@ struct Connection {
   bool owes_output() const { return !queue.empty(); }
 
   /// Sends the queue until it is empty, the socket would block, or the
-  /// connection ends (`lock` holds `mutex`). The mutex is released
-  /// between chunks, so it is held for at most one chunk at a time. An
-  /// answer's JSON is written into this thread's chunk buffer; when the
-  /// socket takes only part of a chunk, the writer is moved back to the
-  /// first byte it did not take, so nothing unsent is kept. A thread
-  /// that finds another one sending leaves its frame to that one.
+  /// connection ends (`lock` holds `mutex`). A thread that finds another
+  /// one sending leaves its frame to that one, so the queue's head is
+  /// the sender's alone: it writes the head's next JSON chunk into this
+  /// thread's chunk buffer with the mutex released, and holds the mutex
+  /// for one chunk's send at a time. When the socket takes part of a
+  /// chunk, the writer moves back to the first byte it did not take, so
+  /// nothing unsent is kept.
   void send_queued(std::unique_lock<std::mutex>& lock, obs::Counter& resumes) {
     if (sending) return;
     sending = true;
@@ -164,22 +165,25 @@ struct Connection {
         if (!owes_output() && close_after_flush) shut_down();
         continue;
       }
-      std::size_t sent = 0;
-      SendResult result;
-      if (head.offset < head.bytes.size()) {
-        result = send_bytes(
-            fd, std::span<const char>(head.bytes).subspan(head.offset), sent);
-        head.offset += sent;
-      } else {
+      std::span<const char> bytes =
+          std::span<const char>(head.bytes).subspan(head.offset);
+      std::optional<core::ScheduleJsonWriter::Position> mark;
+      if (bytes.empty()) {
         core::ScheduleJsonWriter& writer = head.json->writer;
-        const core::ScheduleJsonWriter::Position mark = writer.position();
+        mark = writer.position();
         const std::span<char> chunk = chunk_buffer();
-        const std::size_t n = writer.write(chunk.data(), chunk.size());
-        result = send_bytes(fd, chunk.first(n), sent);
-        if (sent < n) {
-          writer.seek(mark);
-          writer.write(chunk.data(), sent);
-        }
+        lock.unlock();
+        bytes = chunk.first(writer.write(chunk.data(), chunk.size()));
+        lock.lock();
+        if (closed) break;
+      }
+      std::size_t sent = 0;
+      const SendResult result = send_bytes(fd, bytes, sent);
+      if (!mark) {
+        head.offset += sent;
+      } else if (sent < bytes.size()) {
+        head.json->writer.seek(*mark);
+        head.json->writer.write(chunk_buffer().data(), sent);
       }
       if (sent > 0 && head.blocked && !head.resumed && head.json) {
         head.resumed = true;
@@ -194,12 +198,9 @@ struct Connection {
         shut_down();
         break;
       }
-      if (head.json && !head.finished()) {
-        lock.unlock();
-        lock.lock();
-      }
     }
     sending = false;
+    if (closed) queue.clear();  // lets go of pending answers' entries
   }
 
   /// Ends the connection from any thread (mutex held). The fd stays
@@ -644,7 +645,8 @@ void Server::Impl::close_connection(const ConnectionPtr& conn) {
     const std::lock_guard<std::mutex> lock(conn->mutex);
     conn->closed = true;
     unsent = conn->owes_output();
-    conn->queue.clear();  // lets go of pending answers' entries now
+    // A sender, if one is between chunks, clears the queue itself.
+    if (!conn->sending) conn->queue.clear();
   }
   if (unsent) response_drops.inc();
   ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
