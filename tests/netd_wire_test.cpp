@@ -261,6 +261,10 @@ core::Schedule cheapest_schedule(core::CollectiveKind kind, std::int32_t n,
   core::Schedule schedule;
   schedule.kind = kind;
   schedule.phase_begin.push_back(0);
+  schedule.messages.reserve(
+      kind == core::CollectiveKind::kSparseAlltoall
+          ? static_cast<std::size_t>(n) * neighbors.front().size()
+          : static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1));
   const auto add = [&](topology::Rank src, topology::Rank dst) {
     schedule.messages.push_back(core::Message{src, dst});
   };
@@ -341,25 +345,38 @@ TEST(NetdWireTest, PayloadFloorNeverExceedsTheExactSize) {
       }
     }
   }
-  // Sparse: 2048 ranks, each with `degree` neighbors, plus a duplicate
-  // and a self-entry that normalization drops.
+  // Sparse: 2048 ranks, each sending to the next `degree`. The last
+  // degree whose floor fits is found by summing the floor's terms degree
+  // by degree (a message costs its two labels and four bytes), which
+  // builds no neighbor sets; the floor itself is then computed on sets
+  // that also hold a duplicate and a self-entry, which normalization
+  // drops.
   constexpr std::int32_t kRanks = 2048;
-  const auto sparse_floor = [](std::int32_t degree) {
+  const auto digits = [](std::int64_t r) {
+    return std::uint64_t{r < 10 ? 1u : r < 100 ? 2u : r < 1000 ? 3u : 4u};
+  };
+  std::uint64_t ring_floor = 32 + 4 * kRanks;
+  std::int32_t fits = 0;
+  while (true) {
+    for (topology::Rank r = 0; r < kRanks; ++r) {
+      ring_floor += 4 + digits(r) + digits((r + fits + 1) % kRanks);
+    }
+    if (ring_floor > kMaxPayload) break;
+    ++fits;
+  }
+  for (const std::int32_t degree : {fits, fits + 1}) {
     core::SparseNeighbors neighbors = ring_neighbors(kRanks, degree);
+    const core::Schedule schedule = cheapest_schedule(
+        core::CollectiveKind::kSparseAlltoall, kRanks, neighbors);
     for (topology::Rank r = 0; r < kRanks; ++r) {
       neighbors[static_cast<std::size_t>(r)].push_back(r);
       neighbors[static_cast<std::size_t>(r)].push_back((r + 1) % kRanks);
     }
-    return response_payload_floor(
+    const std::uint64_t floor = response_payload_floor(
         kRanks, core::CollectiveKind::kSparseAlltoall, neighbors);
-  };
-  const std::int32_t fits = largest_fitting(1, kRanks - 1, sparse_floor);
-  for (const std::int32_t degree : {fits, fits + 1}) {
-    const core::Schedule schedule =
-        cheapest_schedule(core::CollectiveKind::kSparseAlltoall, kRanks,
-                          ring_neighbors(kRanks, degree));
     const std::uint64_t exact = exact_payload(schedule, kRanks);
-    EXPECT_LE(sparse_floor(degree), exact) << "degree " << degree;
+    EXPECT_LE(floor, exact) << "degree " << degree;
+    EXPECT_EQ(floor > kMaxPayload, degree > fits) << "degree " << degree;
     if (degree > fits) {
       EXPECT_GT(exact, kMaxPayload);
     }
