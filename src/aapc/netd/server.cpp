@@ -62,25 +62,23 @@ std::span<char> chunk_buffer() {
 enum class SendResult { kAll, kBlocked, kFailed };
 
 /// Sends `bytes` until the socket took them all, would block, or failed;
-/// adds what it took to `sent`.
+/// `sent` is set to what it took.
 SendResult send_bytes(int fd, std::span<const char> bytes, std::size_t& sent) {
-  std::size_t offset = 0;
-  while (offset < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + offset, bytes.size() - offset,
-                             MSG_NOSIGNAL);
+  sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
     if (n >= 0) {
-      offset += static_cast<std::size_t>(n);
+      sent += static_cast<std::size_t>(n);
       continue;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return SendResult::kBlocked;
     if (errno == EINTR) continue;
     // EPIPE/ECONNRESET: the peer vanished mid-response. SIGPIPE is
     // ignored process-wide, so this is a clean error path.
-    sent += offset;
     return SendResult::kFailed;
   }
-  sent += offset;
-  return offset == bytes.size() ? SendResult::kAll : SendResult::kBlocked;
+  return SendResult::kAll;
 }
 
 /// Frame-size histogram bounds: 64 B .. 16 MiB in powers of four.
