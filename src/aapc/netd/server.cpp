@@ -198,7 +198,6 @@ struct Connection {
       }
     }
     sending = false;
-    if (closed) queue.clear();  // lets go of pending answers' entries
   }
 
   /// Ends the connection from any thread (mutex held). The fd stays
@@ -643,7 +642,9 @@ void Server::Impl::close_connection(const ConnectionPtr& conn) {
     const std::lock_guard<std::mutex> lock(conn->mutex);
     conn->closed = true;
     unsent = conn->owes_output();
-    // A sender, if one is between chunks, clears the queue itself.
+    // Lets go of pending answers' entries now, unless a sender between
+    // chunks still holds the head; the queue then goes with the
+    // connection once that sender is done with it.
     if (!conn->sending) conn->queue.clear();
   }
   if (unsent) response_drops.inc();

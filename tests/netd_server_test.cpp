@@ -605,10 +605,17 @@ TEST(NetdServerTest, StopClosesAnUnreadConnectionAtTheDrainDeadline) {
             1.0);
 }
 
-/// A blocking loopback socket connected to `port`.
-int dial_loopback(std::uint16_t port) {
+/// A blocking loopback socket connected to `port`; a nonzero
+/// `receive_buffer` fixes its SO_RCVBUF before the connect, so the
+/// kernel cannot take an answer larger than the two socket buffers.
+int dial_loopback(std::uint16_t port, int receive_buffer = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   EXPECT_GE(fd, 0);
+  if (receive_buffer > 0) {
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                           sizeof(receive_buffer)),
+              0);
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -666,10 +673,11 @@ TEST(NetdServerTest, ResetWithAnswersQueuedCountsADropAndKeepsServing) {
   EXPECT_GE(drops, 1.0);
 
   // A reset in the middle of one streamed answer: the client reads the
-  // first bytes of a 1024-rank answer, so its stream has begun and
-  // cannot have ended (10.4 MB), then resets. That is exactly one more
-  // drop.
-  const int mid = dial_loopback(server->port());
+  // first bytes of a 1024-rank answer, so its stream has begun, and with
+  // a 64 KiB receive buffer it cannot have ended (10.4 MB against at
+  // most 4 MiB of send buffer), then resets. That is exactly one more
+  // drop, whichever thread sees the reset first.
+  const int mid = dial_loopback(server->port(), 64 << 10);
   send_all(mid, big_tree_request(1));
   char head[kHeaderSize];
   for (std::size_t got = 0; got < sizeof(head);) {
