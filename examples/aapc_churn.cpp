@@ -384,9 +384,9 @@ int main(int argc, char** argv) {
   // Post-chaos forensics: execute the schedule the server was serving
   // on the fabric it was serving it for — once healthy, once with the
   // churned trunk held at --factor — with the flight recorder wired
-  // in, and keep both ring dumps. The degraded dump is what an
-  // operator would feed `aapc_analyze --load` when the fabric
-  // misbehaves for real.
+  // in, and keep both ring dumps. `aapc_analyze --load` cannot read
+  // them yet: it assumes its built-in 4+4 fabric, and a dump carries no
+  // topology until ROADMAP item 11 stamps one in.
   if (cli.has("flight")) {
     const std::string dir = cli.get("flight");
     std::filesystem::create_directories(dir);

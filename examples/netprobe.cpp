@@ -255,8 +255,10 @@ int run_metrics_probe() {
 /// Flight probe: the scheduled alltoall on paper topology C with the
 /// flight recorder wired in; writes the ring dump into `dir` and runs
 /// the analyzer on it (a healthy run — the analyzer should stay
-/// silent). The dump is `aapc_analyze --load` / flight::read_dump_file
-/// material.
+/// silent). flight::read_dump_file reads the dump back, but
+/// `aapc_analyze --load` refuses it: the dump carries no topology, and
+/// --load assumes the tool's built-in 4+4 fabric until dumps record
+/// theirs (ROADMAP item 11).
 int run_flight_probe(const std::string& dir) {
   const topology::Topology topo = topology::make_paper_topology_c();
   const core::Schedule schedule = core::build_aapc_schedule(topo);
