@@ -34,6 +34,7 @@
 
 #include "aapc/common/cli.hpp"
 #include "aapc/common/error.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/netd/server.hpp"
 #include "aapc/obs/exposition.hpp"
 #include "aapc/stp/stp.hpp"
@@ -116,12 +117,10 @@ int main(int argc, char** argv) {
     const stp::BridgeId hub = fabric.add_bridge("hub", 0x8000'0000'0001ull);
     for (std::int64_t s = 0; s < fabric_switches; ++s) {
       const stp::BridgeId leaf = fabric.add_bridge(
-          "s" + std::to_string(s),
-          0x8000'0000'0002ull + static_cast<std::uint64_t>(s));
+          str_cat("s", s), 0x8000'0000'0002ull + static_cast<std::uint64_t>(s));
       fabric.add_bridge_link(hub, leaf, 19);  // trunk = bridge link s
       for (std::int64_t m = 0; m < fabric_machines; ++m) {
-        fabric.add_machine("m" + std::to_string(s) + "_" + std::to_string(m),
-                           leaf);
+        fabric.add_machine(str_cat("m", s, "_", m), leaf);
       }
     }
     options.fabric =

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/faults/fault_plan.hpp"
 #include "aapc/faults/repair.hpp"
@@ -27,10 +28,10 @@ stp::BridgeNetwork make_redundant_pair(std::int32_t machines_per_switch) {
   net.add_bridge_link(s0, s1, 19);  // 0: primary
   net.add_bridge_link(s0, s1, 19);  // 1: backup
   for (std::int32_t m = 0; m < machines_per_switch; ++m) {
-    net.add_machine("a" + std::to_string(m), s0);
+    net.add_machine(str_cat("a", m), s0);
   }
   for (std::int32_t m = 0; m < machines_per_switch; ++m) {
-    net.add_machine("b" + std::to_string(m), s1);
+    net.add_machine(str_cat("b", m), s1);
   }
   return net;
 }

@@ -24,6 +24,7 @@
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/rng.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/core/schedule_io.hpp"
 #include "aapc/netd/client.hpp"
@@ -788,8 +789,8 @@ std::shared_ptr<stp::BridgeNetwork> make_fabric(bool redundant_trunk = true) {
   fabric->add_bridge_link(s0, s1, 19);
   if (redundant_trunk) fabric->add_bridge_link(s0, s1, 38);
   for (int m = 0; m < 3; ++m) {
-    fabric->add_machine("a" + std::to_string(m), s0);
-    fabric->add_machine("b" + std::to_string(m), s1);
+    fabric->add_machine(str_cat("a", m), s0);
+    fabric->add_machine(str_cat("b", m), s1);
   }
   return fabric;
 }

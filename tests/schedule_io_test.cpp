@@ -11,6 +11,7 @@
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/rng.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/schedule_io.hpp"
 #include "aapc/core/scheduler.hpp"
@@ -184,9 +185,8 @@ std::string reference_json(const Schedule& schedule, std::int32_t machines,
     const PhaseSpan phase = schedule.phase(p);
     for (std::size_t i = 0; i < phase.size(); ++i) {
       if (i > 0) out += ",";
-      out += "[" + std::to_string(map[static_cast<std::size_t>(phase[i].src)]) +
-             "," + std::to_string(map[static_cast<std::size_t>(phase[i].dst)]) +
-             "]";
+      out += str_cat("[", map[static_cast<std::size_t>(phase[i].src)], ",",
+                     map[static_cast<std::size_t>(phase[i].dst)], "]");
     }
     out += "]";
   }

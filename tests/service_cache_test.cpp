@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "aapc/common/strings.hpp"
 #include "aapc/service/schedule_cache.hpp"
 #include "aapc/service/service.hpp"
 #include "aapc/topology/generators.hpp"
@@ -234,8 +235,8 @@ TEST(ScheduleCacheTest, ConcurrentMixedAccess) {
     threads.emplace_back([&cache, &hits, &wrong, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int k = (t * 31 + i) % 96;
-        const CacheKey key = key_of(static_cast<std::uint64_t>(k % 8),
-                                    "F" + std::to_string(k));
+        const CacheKey key =
+            key_of(static_cast<std::uint64_t>(k % 8), str_cat("F", k));
         ScheduleCache::Claim claim = cache.claim(key);
         CompiledEntryPtr entry = claim.entry;
         if (claim.leader()) {

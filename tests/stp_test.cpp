@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
 #include "aapc/stp/stp.hpp"
@@ -142,7 +143,7 @@ TEST(StpTest, ElectedTreeFeedsTheScheduler) {
   }
   for (int i = 0; i < 4; ++i) {
     for (int m = 0; m < 3; ++m) {
-      net.add_machine("n" + std::to_string(3 * i + m), bridges[i]);
+      net.add_machine(str_cat("n", 3 * i + m), bridges[i]);
     }
   }
   const SpanningTree tree = compute_spanning_tree(net);
