@@ -74,9 +74,9 @@ VerifyReport verify_schedule_pattern(const topology::Topology& topo,
 /// demands, so it also accepts partial schedules (resilience
 /// prefix/remainder legs) and deliberately non-optimal baselines.
 /// O(total path length); the lowering pipeline runs it on every
-/// schedule it lowers (LoweringOptions::verify_schedule), so a
-/// corrupted or mis-repaired schedule fails loudly at execution time
-/// instead of silently producing contended timings.
+/// schedule it lowers, so a corrupted or mis-repaired schedule fails
+/// loudly at execution time instead of silently producing contended
+/// timings.
 void require_contention_free(const topology::Topology& topo,
                              const Schedule& schedule,
                              const TaskRunner& runner = nullptr);

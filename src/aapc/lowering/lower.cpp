@@ -106,10 +106,9 @@ ProgramSet lower_programs(const topology::Topology& topo,
 
   // Runtime schedule invariant (satellite of the §4 conditions): any
   // intra-phase directed-edge sharing means the schedule the caller is
-  // about to execute is corrupted — fail now, with the edge named.
-  if (options.verify_schedule) {
-    core::require_contention_free(topo, schedule);
-  }
+  // about to execute is corrupted — fail now, with the edge named. The
+  // check is O(total path length), cheap next to the lowering.
+  core::require_contention_free(topo, schedule);
 
   if (options.sync == SyncMode::kBarrier) {
     return lower_barrier_mode(topo, schedule, options, info);
@@ -250,7 +249,7 @@ ProgramSet lower_schedule(const topology::Topology& topo,
   AAPC_REQUIRE(msize >= 1, "message size must be positive");
   ProgramSet set = lower_programs(topo, schedule, options, info);
   set.data_bytes = msize;
-  set.token_bytes = options.sync_message_bytes;
+  set.token_bytes = kSyncTokenBytes;
   return set;
 }
 
@@ -267,7 +266,7 @@ ProgramSet lower_schedule_irregular(const topology::Topology& topo,
                                                   << size_matrix.size());
   ProgramSet set = lower_programs(topo, schedule, options, info);
   set.name += "-irregular";
-  set.token_bytes = options.sync_message_bytes;
+  set.token_bytes = kSyncTokenBytes;
   set.pair_bytes = mpisim::pair_table(size_matrix);
   return set;
 }

@@ -37,19 +37,15 @@ enum class SyncMode {
   kNone,
 };
 
+/// Payload of one synchronization token.
+inline constexpr Bytes kSyncTokenBytes = 4;
+
 struct LoweringOptions {
   SyncMode sync = SyncMode::kPairwise;
-  /// Payload of one synchronization token.
-  Bytes sync_message_bytes = 4;
   /// Remove transitively redundant synchronizations (§5). Ablation knob.
   bool reduce_redundant_syncs = true;
   /// Model the rank's copy of its own AAPC block.
   bool include_self_copy = true;
-  /// Run core::require_contention_free on the schedule before lowering
-  /// (cheap — O(total path length)), so a corrupted or mis-repaired
-  /// schedule fails loudly here instead of executing with silently
-  /// contended phases. On by default in every build type.
-  bool verify_schedule = true;
   /// A sync plan already built for exactly this schedule (kPairwise
   /// only). Non-null skips the internal build_sync_plan call — the
   /// compilation service builds the plan itself, to time the sync stage

@@ -319,7 +319,7 @@ class Dispatcher {
     }
   }
 
-  ~Dispatcher() { stop_and_join(/*abandon_remaining=*/true); }
+  ~Dispatcher() { stop_and_join(); }
 
   bool try_submit(DispatchItem item) {
     {
@@ -339,15 +339,13 @@ class Dispatcher {
 
   /// Stops workers. Items already *executing* always run to completion
   /// (ScheduleService never abandons a compilation mid-future); items
-  /// still queued are failed with kShuttingDown when
-  /// `abandon_remaining` — the caller decides by first waiting out the
-  /// drain deadline.
-  void stop_and_join(bool abandon_remaining) {
+  /// still queued are failed with kShuttingDown (Server::stop waits out
+  /// the drain deadline first).
+  void stop_and_join() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_ && workers_.empty()) return;
       stopping_ = true;
-      abandon_ = abandon_remaining;
     }
     work_available_.notify_all();
     for (std::thread& worker : workers_) {
@@ -360,7 +358,7 @@ class Dispatcher {
   void worker() {
     while (true) {
       DispatchItem item;
-      bool abandon;
+      bool stopping;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         work_available_.wait(lock,
@@ -368,9 +366,9 @@ class Dispatcher {
         if (queue_.empty()) return;  // stopping, nothing left
         item = std::move(queue_.front());
         queue_.pop_front();
-        abandon = abandon_;
+        stopping = stopping_;
       }
-      if (abandon) {
+      if (stopping) {
         server_->reject_counter(ErrorCode::kShuttingDown).inc();
         server_->fail_request(item.conn, item.request.request_id,
                               ErrorCode::kShuttingDown, 1.0,
@@ -389,7 +387,6 @@ class Dispatcher {
   std::condition_variable work_available_;
   std::deque<DispatchItem> queue_;
   bool stopping_ = false;
-  bool abandon_ = false;
   std::vector<std::thread> workers_;
 };
 
@@ -1030,7 +1027,7 @@ void Server::stop() {
   // 3. Join dispatchers: executing items finish, queued items (only
   //    present when the deadline was hit) are failed with structured
   //    kShuttingDown frames instead of silent drops.
-  impl.dispatcher->stop_and_join(/*abandon_remaining=*/true);
+  impl.dispatcher->stop_and_join();
 
   // 4. Stop the event loop: it serves its connections until their
   //    output drains (new requests get kShuttingDown), closing each as

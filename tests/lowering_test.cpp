@@ -147,16 +147,13 @@ TEST(LoweringTest, ReductionToggleChangesTokenCount) {
 TEST(LoweringTest, SyncTokensAreSmall) {
   const Topology topo = make_single_switch(4);
   const core::Schedule schedule = core::build_aapc_schedule(topo);
-  LoweringOptions options;
-  options.sync_message_bytes = 4;
-  const mpisim::ProgramSet set =
-      lower_schedule(topo, schedule, 64_KiB, options);
+  const mpisim::ProgramSet set = lower_schedule(topo, schedule, 64_KiB);
   std::int64_t tokens = 0;
   for (topology::Rank r = 0; r < set.rank_count(); ++r) {
     for (const Op& op : set.programs[static_cast<std::size_t>(r)].ops) {
       if ((op.kind == OpKind::kIsend || op.kind == OpKind::kIrecv) &&
           op.tag() >= mpisim::kSyncTag) {
-        EXPECT_EQ(set.bytes(r, op), 4u);
+        EXPECT_EQ(set.bytes(r, op), kSyncTokenBytes);
         ++tokens;
       }
     }
@@ -190,11 +187,6 @@ TEST(LoweringTest, CorruptedScheduleFailsContentionCheck) {
     EXPECT_NE(what.find("not contention-free"), std::string::npos) << what;
     EXPECT_NE(what.find("phase"), std::string::npos) << what;
   }
-  // The escape hatch: opting out of verification lowers it anyway (for
-  // ablations that intentionally build contended schedules).
-  LoweringOptions lax;
-  lax.verify_schedule = false;
-  EXPECT_NO_THROW(lower_schedule(topo, schedule, 8_KiB, lax));
 }
 
 TEST(LoweringTest, PrecomputedPlanMustBeStrictlySorted) {
@@ -372,7 +364,7 @@ TEST(LoweringSparseTest, RelabeledIrregularSetRunsIdenticallyOnAShuffledCopy) {
     const topology::Rank src = original[static_cast<std::size_t>(m.src)];
     const topology::Rank dst = original[static_cast<std::size_t>(m.dst)];
     EXPECT_EQ(m.bytes, m.is_sync
-                           ? options.sync_message_bytes
+                           ? kSyncTokenBytes
                            : matrix[static_cast<std::size_t>(src * n + dst)])
         << "rank " << src << " -> rank " << dst << " tag " << m.tag;
   }
