@@ -172,8 +172,8 @@ int main(int argc, char** argv) {
 
   // Tenant pool, serialized once per entry (the wire format is the
   // docs/FORMATS.md §1 text). Labelings are fixed per pool entry so
-  // the expected artifact is precomputable; the relabeling path over
-  // the wire is exercised by aapc_serviced --connect.
+  // the expected artifact is precomputable; NetdServerTest sends
+  // relabeled copies over the wire.
   const std::vector<topology::Topology> pool =
       examples::make_tenant_pool(pool_size, seed);
   std::vector<std::string> pool_text;

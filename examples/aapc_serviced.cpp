@@ -1,36 +1,28 @@
 // Schedule-compilation service driver: replays a synthetic multi-tenant
-// workload against the schedule service — in-process by default, or
-// over TCP against a running aapc_netd front-end with --connect — and
-// prints a one-line client-side summary of what it was served.
+// workload against an in-process schedule service and prints a one-line
+// summary of what it was served. The TCP driver of a running aapc_netd
+// is aapc_loadgen.
 //
 // Tenants request AAPC routines for a pool of clusters whose popularity
 // follows a zipfian distribution (a few hot clusters, a long tail), and
 // each request arrives under a fresh rank labeling of its cluster — the
 // situation the canonicalized cache is built for: relabeled isomorphic
-// topologies must coalesce onto one cached artifact. The same replay
-// drives both transports, so the CI hit-rate gate holds the TCP path to
-// the in-process standard.
+// topologies must coalesce onto one cached artifact.
 //
 // Run:  ./aapc_serviced --requests 200 --threads 8
 //       ./aapc_serviced --requests 500 --threads 16 --cache-capacity 4
 //       ./aapc_serviced --requests 200 --threads 8 --min-hit-rate 0.5
-//       ./aapc_serviced --requests 200 --connect 127.0.0.1:18211
 //       ./aapc_serviced --requests 200 --metrics-out metrics.json
 //
 // The summary counts the cache_hit and coalesced flags of the served
-// responses, the same way in both modes; --min-hit-rate makes the exit
-// status assert the cache worked on that hit rate (used by the CI
-// smoke test). --metrics-out writes the full registry snapshot as JSON
-// (obs::to_json — parse back with obs::snapshot_from_json); in
-// --connect mode the snapshot is fetched from the server (its merged
-// front-end + service view).
-#include <algorithm>
+// routines; --min-hit-rate makes the exit status assert the cache
+// worked on that hit rate (used by the CI smoke test). --metrics-out
+// writes the service's registry snapshot as JSON (obs::to_json — parse
+// back with obs::snapshot_from_json).
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,9 +30,7 @@
 #include "aapc/common/cli.hpp"
 #include "aapc/common/error.hpp"
 #include "aapc/common/rng.hpp"
-#include "aapc/common/strings.hpp"
 #include "aapc/common/units.hpp"
-#include "aapc/netd/client.hpp"
 #include "aapc/obs/exposition.hpp"
 #include "aapc/service/service.hpp"
 #include "aapc/topology/io.hpp"
@@ -55,7 +45,6 @@ struct Counters {
   std::atomic<std::int64_t> served{0};
   std::atomic<std::int64_t> hits{0};
   std::atomic<std::int64_t> coalesced{0};
-  std::atomic<std::int64_t> retries{0};
   std::atomic<std::int64_t> compile_errors{0};
 };
 
@@ -74,9 +63,6 @@ int main(int argc, char** argv) {
   cli.add_flag("compiler-threads",
                "compiler pool workers lent to each compile's passes", "4");
   cli.add_flag("seed", "workload rng seed", "1");
-  cli.add_flag("connect",
-               "host:port of a running aapc_netd; drive it over TCP instead "
-               "of the in-process service");
   cli.add_flag("min-hit-rate",
                "exit nonzero unless cache hit rate reaches this", "-1");
   cli.add_flag("metrics-out",
@@ -87,7 +73,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const bool remote = cli.has("connect");
   double zipf_s = 0;
   double min_hit_rate = 0;
   // Integers are read against the width of the field they land in, so
@@ -96,8 +81,6 @@ int main(int argc, char** argv) {
   std::int64_t threads = 0;
   std::size_t pool_size = 0;
   std::uint64_t seed = 0;
-  std::string remote_host = "127.0.0.1";
-  std::uint16_t remote_port = 0;
   service::ServiceOptions options;
   try {
     zipf_s = cli.get_double("zipf", 1.1);
@@ -114,17 +97,6 @@ int main(int argc, char** argv) {
         cli.get_u64("compiler-threads", 4, INT32_MAX));
     AAPC_REQUIRE(options.compiler_threads >= 1,
                  "--compiler-threads must be at least 1");
-    if (remote) {
-      const std::string endpoint = cli.get("connect");
-      const std::size_t colon = endpoint.rfind(':');
-      AAPC_REQUIRE(colon != std::string::npos && colon + 1 < endpoint.size(),
-                   "--connect expects host:port, got \"" << endpoint << "\"");
-      remote_host = endpoint.substr(0, colon);
-      const std::uint64_t port = parse_u64(endpoint.substr(colon + 1));
-      AAPC_REQUIRE(port <= UINT16_MAX,
-                   "--connect port " << port << " is above " << UINT16_MAX);
-      remote_port = static_cast<std::uint16_t>(port);
-    }
   } catch (const InvalidArgument& e) {
     std::cerr << "FAIL: " << e.what() << "\n";
     return 1;
@@ -135,8 +107,7 @@ int main(int argc, char** argv) {
   const examples::ZipfSampler zipf(pool.size(), zipf_s);
   const Bytes sizes[] = {8_KiB, 64_KiB, 256_KiB};
 
-  std::unique_ptr<service::ScheduleService> local;
-  if (!remote) local = std::make_unique<service::ScheduleService>(options);
+  service::ScheduleService local(options);
 
   Counters counters;
   std::vector<std::thread> tenants;
@@ -144,17 +115,6 @@ int main(int argc, char** argv) {
   for (std::int64_t t = 0; t < threads; ++t) {
     tenants.emplace_back([&, t] {
       Rng rng(seed * 104729 + static_cast<std::uint64_t>(t));
-      const std::string tenant_id = "tenant-" + std::to_string(t);
-      std::unique_ptr<netd::Client> client;
-      if (remote) {
-        try {
-          client = std::make_unique<netd::Client>(remote_host, remote_port);
-        } catch (const std::exception& e) {
-          std::cerr << "connect failed: " << e.what() << "\n";
-          counters.compile_errors.fetch_add(1);
-          return;
-        }
-      }
       for (;;) {
         if (counters.issued.fetch_add(1) >= requests) break;
         const Topology& base = pool[zipf.sample(rng)];
@@ -162,37 +122,14 @@ int main(int argc, char** argv) {
         const Topology topo = examples::shuffled_copy(base, rng);
         const Bytes msize =
             sizes[rng.next_below(sizeof(sizes) / sizeof(sizes[0]))];
-        for (;;) {
-          try {
-            if (remote) {
-              const netd::ResponseFrame response =
-                  client->compile(topo, msize, tenant_id);
-              if (response.cache_hit) counters.hits.fetch_add(1);
-              if (response.coalesced) counters.coalesced.fetch_add(1);
-            } else {
-              const service::CompiledRoutine routine =
-                  local->compile(topo, msize);
-              if (routine.cache_hit) counters.hits.fetch_add(1);
-              if (routine.coalesced) counters.coalesced.fetch_add(1);
-            }
-            counters.served.fetch_add(1);
-            break;
-          } catch (const netd::RemoteError& e) {
-            if (e.code() == netd::ErrorCode::kOverloaded ||
-                e.code() == netd::ErrorCode::kQuotaExceeded) {
-              counters.retries.fetch_add(1);
-              std::this_thread::sleep_for(std::chrono::duration<double>(
-                  std::min(std::max(e.retry_after_seconds(), 1e-3), 0.25)));
-            } else {
-              counters.compile_errors.fetch_add(1);
-              std::cerr << "compile failed: " << e.what() << "\n";
-              break;
-            }
-          } catch (const std::exception& e) {
-            counters.compile_errors.fetch_add(1);
-            std::cerr << "compile failed: " << e.what() << "\n";
-            break;
-          }
+        try {
+          const service::CompiledRoutine routine = local.compile(topo, msize);
+          if (routine.cache_hit) counters.hits.fetch_add(1);
+          if (routine.coalesced) counters.coalesced.fetch_add(1);
+          counters.served.fetch_add(1);
+        } catch (const std::exception& e) {
+          counters.compile_errors.fetch_add(1);
+          std::cerr << "compile failed: " << e.what() << "\n";
         }
       }
     });
@@ -206,12 +143,7 @@ int main(int argc, char** argv) {
                  : 0;
   std::cout << "workload: " << requests << " requests, " << threads
             << " tenant threads, " << pool.size() << " clusters (zipf "
-            << zipf_s << "), retries after overload: "
-            << counters.retries.load() << "\n\n";
-  if (remote) {
-    std::cout << "transport: tcp " << remote_host << ":" << remote_port
-              << "\n";
-  }
+            << zipf_s << ")\n\n";
   std::cout << "served " << served << ", cache hits " << counters.hits.load()
             << " (rate " << hit_rate << "), coalesced "
             << counters.coalesced.load() << "\n";
@@ -223,19 +155,7 @@ int main(int argc, char** argv) {
       std::cerr << "FAIL: cannot open metrics output file " << path << "\n";
       return 1;
     }
-    if (remote) {
-      // The server's merged view: front-end series + service series,
-      // already JSON on the wire.
-      try {
-        netd::Client client(remote_host, remote_port);
-        out << client.fetch_metrics_json() << "\n";
-      } catch (const std::exception& e) {
-        std::cerr << "FAIL: metrics fetch failed: " << e.what() << "\n";
-        return 1;
-      }
-    } else {
-      out << obs::to_json(local->metrics_snapshot()) << "\n";
-    }
+    out << obs::to_json(local.metrics_snapshot()) << "\n";
     if (!out.good()) {
       std::cerr << "FAIL: short write to " << path << "\n";
       return 1;

@@ -12,13 +12,10 @@
 //                                            lossy packet backend; exits
 //                                            nonzero on any integrity
 //                                            violation — the CI smoke)
-//       ./netprobe --metrics                (run the scheduled alltoall
-//                                            and print the metrics
-//                                            registry as Prometheus
-//                                            text — docs/OBSERVABILITY.md)
-//       ./netprobe --flight=DIR             (same run with the flight
-//                                            recorder on; writes the
-//                                            ring dump into DIR and
+//       ./netprobe --flight=DIR             (the scheduled alltoall on
+//                                            paper topology C with the
+//                                            flight recorder on; writes
+//                                            the ring dump into DIR and
 //                                            prints the analyzer's
 //                                            verdict — see
 //                                            docs/OBSERVABILITY.md
@@ -39,7 +36,6 @@
 #include "aapc/harness/loss_sweep.hpp"
 #include "aapc/lowering/lower.hpp"
 #include "aapc/mpisim/executor.hpp"
-#include "aapc/obs/exposition.hpp"
 #include "aapc/packetsim/packet_network.hpp"
 #include "aapc/simnet/fluid_network.hpp"
 #include "aapc/sync/sync_plan.hpp"
@@ -226,32 +222,6 @@ int run_loss_sweep_probe() {
   return 0;
 }
 
-/// Metrics probe: one scheduled alltoall on paper topology C with the
-/// executor's metrics sink wired to a registry, exposed as Prometheus
-/// text on stdout (scrape-shaped; also the CI smoke for the text
-/// exporter). The same registry run twice would accumulate — counters
-/// are cumulative across runs by design.
-int run_metrics_probe() {
-  const topology::Topology topo = topology::make_paper_topology_c();
-  const core::Schedule schedule = core::build_aapc_schedule(topo);
-  const mpisim::ProgramSet set =
-      lowering::lower_schedule(topo, schedule, 32_KiB, {});
-
-  obs::Registry registry;
-  const simnet::NetworkParams net;
-  mpisim::ExecutorParams exec;
-  exec.metrics = &registry;
-  mpisim::Executor executor(topo, net, exec);
-  const mpisim::ExecutionResult result = executor.run(set);
-
-  std::cout << obs::to_prometheus_text(registry.snapshot());
-  if (!result.integrity.ok()) {
-    std::cerr << "FAIL: integrity violation in the metrics probe run\n";
-    return 1;
-  }
-  return 0;
-}
-
 /// Flight probe: the scheduled alltoall on paper topology C with the
 /// flight recorder wired in; writes the ring dump into `dir` and runs
 /// the analyzer on it (a healthy run — the analyzer should stay
@@ -308,9 +278,6 @@ int main(int argc, char** argv) {
   cli.add_flag("loss-sweep",
                "run the scheduled alltoall over the lossy packet backend "
                "and audit end-to-end integrity (nonzero exit on violation)");
-  cli.add_flag("metrics",
-               "run the scheduled alltoall with the metrics registry wired "
-               "in and print it as Prometheus text exposition");
   cli.add_flag("flight",
                "run the scheduled alltoall with the flight recorder on and "
                "write the ring dump into this directory");
@@ -320,7 +287,6 @@ int main(int argc, char** argv) {
   }
   if (cli.has("faults")) return run_fault_probe(cli.get("faults"));
   if (cli.has("loss-sweep")) return run_loss_sweep_probe();
-  if (cli.has("metrics")) return run_metrics_probe();
   if (cli.has("flight")) return run_flight_probe(cli.get("flight"));
 
   const simnet::NetworkParams params;  // the calibrated defaults

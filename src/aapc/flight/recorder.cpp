@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "aapc/common/error.hpp"
-#include "aapc/obs/metrics.hpp"
 
 namespace aapc::flight {
 
@@ -89,35 +88,6 @@ std::uint64_t Recorder::snapshot_rank(std::int32_t rank,
   AAPC_REQUIRE(rank >= 0 && rank < rank_count(),
                "flight snapshot of nonexistent rank " << rank);
   return rings_[static_cast<std::size_t>(rank)].snapshot(out);
-}
-
-void Recorder::publish_metrics(obs::Registry& registry) const {
-  std::uint64_t total = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t peak = 0;
-  for (const Ring& ring : rings_) {
-    const std::uint64_t pushed = ring.pushed();
-    total += pushed;
-    const std::uint64_t kept =
-        std::min<std::uint64_t>(pushed, ring.capacity());
-    dropped += pushed - kept;
-    peak = std::max(peak, kept);
-  }
-  registry
-      .counter("aapc_flight_events_total",
-               "Events recorded across all rank rings")
-      .set_total(static_cast<std::int64_t>(total));
-  registry
-      .counter("aapc_flight_dropped_total",
-               "Events lost to ring-buffer overwrite")
-      .set_total(static_cast<std::int64_t>(dropped));
-  registry
-      .gauge("aapc_flight_ring_peak_occupancy",
-             "Most-filled rank ring, in events")
-      .set_max(static_cast<double>(peak));
-  registry
-      .gauge("aapc_flight_rings", "Rank rings allocated by the recorder")
-      .set(static_cast<double>(rank_count()));
 }
 
 }  // namespace aapc::flight

@@ -19,10 +19,6 @@
 #include <memory>
 #include <vector>
 
-namespace aapc::obs {
-class Registry;
-}  // namespace aapc::obs
-
 namespace aapc::flight {
 
 /// What happened. Each kind pairs the event time with a kind-specific
@@ -247,10 +243,6 @@ class Recorder {
 
   /// Snapshot of one rank's ring (see Ring::snapshot).
   std::uint64_t snapshot_rank(std::int32_t rank, std::vector<Event>& out) const;
-
-  /// Exports aapc_flight_* series: events/dropped totals (set to the
-  /// recorder's cumulative counts) and peak ring occupancy.
-  void publish_metrics(obs::Registry& registry) const;
 
   /// The context of the last run written through this recorder. The
   /// executor sets it at the start and end of a run, on its own

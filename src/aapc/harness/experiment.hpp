@@ -19,6 +19,8 @@ namespace aapc::harness {
 
 struct ExperimentConfig {
   simnet::NetworkParams net;
+  /// Executor settings shared by every run; each run's numbers come
+  /// back in the ExperimentReport.
   mpisim::ExecutorParams exec;
   /// The paper's sweep: 8 KB .. 256 KB.
   std::vector<Bytes> msizes = {8_KiB, 16_KiB, 32_KiB, 64_KiB, 128_KiB,
@@ -85,8 +87,7 @@ std::vector<NamedAlgorithm> standard_suite(
     const topology::Topology& topo,
     const lowering::LoweringOptions& ours_options = {});
 
-/// Sweeps every algorithm over config.msizes. Every run exports into
-/// config.exec.metrics when the caller sets it.
+/// Sweeps every algorithm over config.msizes.
 ExperimentReport run_experiment(const topology::Topology& topo,
                                 const std::string& title,
                                 const std::vector<NamedAlgorithm>& algorithms,

@@ -14,9 +14,6 @@
 #include "aapc/flight/recorder.hpp"
 #include "aapc/mpisim/network_backend.hpp"
 #include "aapc/mpisim/post_table.hpp"
-#include "aapc/obs/metrics.hpp"
-#include "aapc/packetsim/metrics.hpp"
-#include "aapc/simnet/metrics.hpp"
 
 namespace aapc::mpisim {
 
@@ -89,8 +86,7 @@ struct FlowBinding {
   std::int32_t attempts = 0;
   /// Integrity-ledger entry stamped when the transfer matched.
   DeliveryLedger::EntryId ledger_entry = -1;
-  /// Flow activation time of this attempt (metrics: per-transfer
-  /// duration).
+  /// Flow activation time of this attempt.
   SimTime start = 0;
 };
 
@@ -187,11 +183,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
   result.rank_finish.assign(static_cast<std::size_t>(ranks), 0);
   result.fault_markers = exec_params_.fault_markers;
 
-  // Pre-resolved metric handles: registration is mutex-guarded, so do
-  // it once up front — the event loop then records through relaxed
-  // atomics only. With metrics == nullptr the loop stays on the
-  // metrics-free path.
-  obs::Registry* const metrics = exec_params_.metrics;
   // Flight recorder (nullptr = the bit-identical recorder-free path).
   // Recording is pure observation — a handful of relaxed stores per
   // event — and never touches simulated state or the jitter streams.
@@ -209,17 +200,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
         static_cast<std::uint8_t>(exec_params_.packet ? 1 : 0),
         net_params_.effective_bandwidth(), net_params_.send_overhead,
         net_params_.recv_overhead};
-  }
-  obs::Histogram* transfer_seconds = nullptr;
-  obs::Histogram* sync_wait_seconds = nullptr;
-  std::int64_t sync_message_count = 0;
-  if (metrics != nullptr) {
-    transfer_seconds = &metrics->histogram(
-        "aapc_executor_transfer_seconds",
-        "Drain time of one transfer attempt (flow activation to drain)");
-    sync_wait_seconds = &metrics->histogram(
-        "aapc_executor_sync_wait_seconds",
-        "Time sync-token receivers spent blocked past their post");
   }
 
   // Transfer watchdog: min-heap of (deadline, flow) over in-flight
@@ -274,7 +254,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
               0, entry);
     result.network_bytes += static_cast<double>(send.bytes);
     ++result.message_count;
-    if (send.tag >= kSyncTag) ++sync_message_count;
   };
 
   auto request_complete = [&](const RankCtx& rank_ctx, RequestId id) {
@@ -560,13 +539,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
         record.end = drained;
         record.delivered = recv.completion;
       }
-      if (transfer_seconds != nullptr) {
-        transfer_seconds->observe(drained - binding.start);
-        if (recv.tag >= kSyncTag) {
-          sync_wait_seconds->observe(
-              std::max(0.0, drained - recv.post_ready));
-        }
-      }
       if (flight != nullptr) {
         flight->record(binding.send_rank, flight::EventKind::kSendComplete,
                        binding.recv_rank, send.tag, send.bytes, drained,
@@ -676,52 +648,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
     if (result.packet) {
       flight->run.retransmissions = result.packet->retransmissions;
       flight->run.segments_lost = result.packet->segments_lost;
-    }
-  }
-  if (metrics != nullptr) {
-    if (flight != nullptr) flight->publish_metrics(*metrics);
-    metrics->counter("aapc_executor_runs_total", "Program-set executions")
-        .inc();
-    const char* messages_help =
-        "Matched point-to-point transfers, by kind (data payload vs "
-        "pair-wise synchronization tokens)";
-    metrics
-        ->counter("aapc_executor_messages_total", messages_help,
-                  {{"kind", "data"}})
-        .inc(result.message_count - sync_message_count);
-    metrics
-        ->counter("aapc_executor_messages_total", messages_help,
-                  {{"kind", "sync"}})
-        .inc(sync_message_count);
-    metrics
-        ->counter("aapc_executor_transfer_timeouts_total",
-                  "Transfers the watchdog timed out")
-        .inc(result.transfer_timeouts);
-    metrics
-        ->counter("aapc_executor_transfer_retries_total",
-                  "Watchdog reposts after a timeout")
-        .inc(result.transfer_retries);
-    metrics
-        ->histogram("aapc_executor_run_seconds",
-                    "Completion time of one program-set execution")
-        .observe(result.completion_time);
-    // The network model's own series, from whichever backend ran.
-    if (result.packet) {
-      packetsim::PacketResult packet;
-      packet.segments_sent = result.packet->segments_sent;
-      packet.segments_dropped = result.packet->segments_dropped;
-      packet.retransmissions = result.packet->retransmissions;
-      packet.segments_lost = result.packet->segments_lost;
-      packet.segments_corrupted = result.packet->segments_corrupted;
-      packet.peak_queue_occupancy = result.packet->peak_queue_occupancy;
-      packet.goodput_bytes_per_sec =
-          result.completion_time > 0
-              ? result.network_bytes / result.completion_time
-              : 0.0;
-      packetsim::publish_packet_result(*metrics, packet);
-    } else {
-      simnet::publish_network_stats(*metrics, result.network_stats,
-                                    result.completion_time);
     }
   }
   return result;

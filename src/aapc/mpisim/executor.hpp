@@ -35,10 +35,6 @@
 #include "aapc/simnet/params.hpp"
 #include "aapc/topology/topology.hpp"
 
-namespace aapc::obs {
-class Registry;
-}  // namespace aapc::obs
-
 namespace aapc::flight {
 class Recorder;
 }  // namespace aapc::flight
@@ -216,14 +212,6 @@ struct ExecutorParams {
   /// watchdog — stuck transfers then surface as ExecutionStalled.
   SimTime transfer_timeout = 0;
   std::int32_t transfer_max_retries = 3;
-
-  /// Optional metrics sink: when set, the run exports the
-  /// aapc_executor_* series (runs, messages by kind, per-transfer and
-  /// sync-wait histograms, watchdog counters) plus the network model's
-  /// series (aapc_simnet_* / aapc_packet_*) into this registry — see
-  /// docs/OBSERVABILITY.md. nullptr (the default) records nothing and
-  /// keeps the event loop on the metrics-free path.
-  obs::Registry* metrics = nullptr;
 
   /// Optional flight recorder: when set, the run appends compact events
   /// (send/recv posts and completions, sync waits/releases, watchdog

@@ -1,6 +1,6 @@
 // Blocking client for the aapc_netd wire protocol (netd/wire.hpp,
 // docs/NETD.md): one TCP connection, synchronous request/response.
-// Used by examples/aapc_loadgen.cpp, aapc_serviced --connect, and the
+// Used by examples/aapc_loadgen.cpp, aapc_churn, aapcperf and the
 // loopback tests. Error frames from the server surface as RemoteError
 // carrying the structured code and retry-after hint, so callers can
 // implement the documented backoff contract.

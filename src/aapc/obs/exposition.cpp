@@ -10,109 +10,6 @@
 
 namespace aapc::obs {
 
-namespace {
-
-/// Prometheus label-value escaping: backslash, double quote, newline.
-std::string escape_label_value(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// HELP-line escaping: backslash and newline only (quotes are legal).
-std::string escape_help(std::string_view help) {
-  std::string out;
-  out.reserve(help.size());
-  for (const char c : help) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// {k="v",...} with an optional extra label appended (histogram `le`).
-std::string label_block(const Labels& labels, std::string_view extra_key = {},
-                        std::string_view extra_value = {}) {
-  if (labels.empty() && extra_key.empty()) return {};
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += k;
-    out += "=\"";
-    out += escape_label_value(v);
-    out += "\"";
-  }
-  if (!extra_key.empty()) {
-    if (!first) out.push_back(',');
-    out += std::string(extra_key) + "=\"" + std::string(extra_value) + "\"";
-  }
-  out.push_back('}');
-  return out;
-}
-
-}  // namespace
-
-std::string to_prometheus_text(const RegistrySnapshot& snapshot) {
-  std::ostringstream os;
-  std::string open_block;  // metric name whose HELP/TYPE was emitted last
-  for (const SeriesSnapshot& s : snapshot.series) {
-    if (s.name != open_block) {
-      if (!s.help.empty()) {
-        os << "# HELP " << s.name << ' ' << escape_help(s.help) << '\n';
-      }
-      os << "# TYPE " << s.name << ' ' << metric_type_name(s.type) << '\n';
-      open_block = s.name;
-    }
-    switch (s.type) {
-      case MetricType::kCounter:
-        os << s.name << label_block(s.labels) << ' ' << s.counter << '\n';
-        break;
-      case MetricType::kGauge:
-        os << s.name << label_block(s.labels) << ' '
-           << format_double_roundtrip(s.gauge) << '\n';
-        break;
-      case MetricType::kHistogram: {
-        std::int64_t cumulative = 0;
-        for (std::size_t i = 0; i < s.histogram.buckets.size(); ++i) {
-          cumulative += s.histogram.buckets[i];
-          const std::string le =
-              i < s.histogram.bounds.size()
-                  ? format_double_roundtrip(s.histogram.bounds[i])
-                  : "+Inf";
-          os << s.name << "_bucket" << label_block(s.labels, "le", le) << ' '
-             << cumulative << '\n';
-        }
-        os << s.name << "_sum" << label_block(s.labels) << ' '
-           << format_double_roundtrip(s.histogram.sum) << '\n';
-        os << s.name << "_count" << label_block(s.labels) << ' '
-           << s.histogram.count << '\n';
-        os << s.name << "_max" << label_block(s.labels) << ' '
-           << format_double_roundtrip(s.histogram.max) << '\n';
-        break;
-      }
-    }
-  }
-  return os.str();
-}
-
 std::string to_json(const RegistrySnapshot& snapshot) {
   std::ostringstream os;
   os << "{\"metrics\":[";

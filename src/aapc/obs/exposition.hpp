@@ -1,8 +1,8 @@
-// Exporters for obs::RegistrySnapshot: Prometheus-style text
-// exposition and a JSON snapshot (plus its parser, so snapshots can be
-// round-tripped by tests and validated by CI smokes).
+// The exporter for obs::RegistrySnapshot: a JSON snapshot and its
+// parser. It is the format netd serves on its metrics frame and the
+// tools write with --metrics-out; tests and CI smokes parse it back.
 //
-// Formats are documented in docs/OBSERVABILITY.md. Both exporters are
+// The format is documented in docs/OBSERVABILITY.md. The exporter is
 // locale-independent: numbers are rendered with the shortest
 // round-tripping decimal form (common/strings.hpp,
 // format_double_roundtrip), so an exported snapshot parses back to
@@ -15,13 +15,6 @@
 #include "aapc/obs/metrics.hpp"
 
 namespace aapc::obs {
-
-/// Prometheus text exposition (format version 0.0.4): one `# HELP` /
-/// `# TYPE` block per metric name, one sample line per series;
-/// histograms expand into cumulative `_bucket{le=...}` samples plus
-/// `_sum` / `_count` (and a non-standard `_max` gauge sample, since
-/// the registry tracks the exact maximum).
-std::string to_prometheus_text(const RegistrySnapshot& snapshot);
 
 /// JSON snapshot: {"metrics":[{"name":...,"type":...,...}]}. Counters
 /// stay integral; histograms carry bounds, cumulative-free per-bucket

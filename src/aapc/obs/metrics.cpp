@@ -167,7 +167,7 @@ HistogramSnapshot Histogram::snapshot_state() const {
 std::vector<double> default_latency_bounds() {
   // Literal decades, not accumulated multiplication: 1e-6 * 10 * ... is
   // off by an ulp from the decimal literal, which would leak as
-  // le="4.9999999999999996e-06" in the text exposition.
+  // 4.9999999999999996e-06 into the exported bounds.
   return {1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4,
           5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1,
           2e-1, 5e-1, 1.0,  2.0,  5.0,  10.0};

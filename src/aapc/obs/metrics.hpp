@@ -12,10 +12,10 @@
 //    lifetime.
 //  * Series identity is the metric name plus its sorted label pairs,
 //    following the Prometheus data model; names and label keys are
-//    validated against the Prometheus charset so the text exposition
-//    (obs/exposition.hpp) is always well-formed.
+//    validated against the Prometheus charset, which also keeps the
+//    series-key separators out of them.
 //  * Reading is snapshot-based: Registry::snapshot() copies every
-//    series into plain structs (RegistrySnapshot) which the exporters
+//    series into plain structs (RegistrySnapshot) which the exporter
 //    and quantile extraction work from. Snapshots of concurrently
 //    updated instruments are internally consistent per atomic word
 //    (counts never go backwards) but are not a cross-series barrier.
@@ -37,8 +37,8 @@ namespace aapc::obs {
 
 enum class MetricType : std::uint8_t { kCounter, kGauge, kHistogram };
 
-/// "counter" / "gauge" / "histogram" (the TYPE line of the text
-/// exposition).
+/// "counter" / "gauge" / "histogram" (the "type" field of the JSON
+/// snapshot).
 const char* metric_type_name(MetricType type);
 
 /// Label pairs of one series, sorted by key (canonical order).
@@ -100,7 +100,7 @@ class Gauge {
 };
 
 /// Plain-data copy of a histogram's state; quantile extraction and the
-/// exporters work from this (also what the JSON snapshot parser
+/// exporter work from this (also what the JSON snapshot parser
 /// produces, so round-tripped snapshots expose the same API).
 struct HistogramSnapshot {
   /// Finite upper bounds, ascending; bucket i counts observations

@@ -124,8 +124,7 @@ class ScheduleService {
 
   /// Snapshot of every aapc_service_* series, with the cache/pool
   /// mirrors freshly synced. Read series with value/total/find, or feed
-  /// it to obs::to_prometheus_text / obs::to_json (the aapc_serviced
-  /// --metrics-out path).
+  /// it to obs::to_json (the aapc_serviced --metrics-out path).
   obs::RegistrySnapshot metrics_snapshot() const;
 
   /// Message sizes are bucketed into power-of-two classes: class c

@@ -19,8 +19,6 @@
 #include "aapc/flight/recorder.hpp"
 #include "aapc/lowering/lower.hpp"
 #include "aapc/mpisim/executor.hpp"
-#include "aapc/obs/exposition.hpp"
-#include "aapc/obs/metrics.hpp"
 #include "aapc/stp/stp.hpp"
 #include "aapc/sync/sync_plan.hpp"
 #include "aapc/topology/generators.hpp"
@@ -131,17 +129,6 @@ TEST(RingTest, ConcurrentSnapshotNeverTearsEntries) {
   ring.snapshot(out);
   ASSERT_EQ(out.size(), 64u);
   EXPECT_DOUBLE_EQ(out.back().time, kTotal - 1);
-}
-
-TEST(RecorderTest, PublishMetricsExportsSeries) {
-  Recorder recorder(2);
-  recorder.record(0, EventKind::kSendPost, 1, 0, 64, 1.0, 0.5);
-  recorder.record(1, EventKind::kRecvPost, 0, 0, 64, 1.0, 0.5);
-  obs::Registry registry;
-  recorder.publish_metrics(registry);
-  const std::string text = obs::to_prometheus_text(registry.snapshot());
-  EXPECT_NE(text.find("aapc_flight_events_total"), std::string::npos);
-  EXPECT_NE(text.find("aapc_flight_dropped_total"), std::string::npos);
 }
 
 FlightDump sample_dump() {

@@ -1,8 +1,7 @@
 // Tests for the observability layer (obs/metrics.hpp,
 // obs/exposition.hpp): instrument semantics, registry identity and
-// type discipline, exporter round-trips, multi-threaded recording, and
-// the subsystem wiring that exports aapc_executor_* / aapc_simnet_* /
-// aapc_packet_* series from real runs.
+// type discipline, the JSON exporter's round trip, and multi-threaded
+// recording.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,13 +10,8 @@
 #include <vector>
 
 #include "aapc/common/error.hpp"
-#include "aapc/core/scheduler.hpp"
-#include "aapc/harness/experiment.hpp"
-#include "aapc/lowering/lower.hpp"
-#include "aapc/mpisim/executor.hpp"
 #include "aapc/obs/exposition.hpp"
 #include "aapc/obs/metrics.hpp"
-#include "aapc/topology/generators.hpp"
 
 namespace aapc::obs {
 namespace {
@@ -135,32 +129,6 @@ TEST(Registry, SnapshotFindValueTotal) {
   EXPECT_EQ(snap.value("aapc_missing"), 0.0);
   EXPECT_EQ(snap.total("aapc_events_total"), 7.0);
   EXPECT_EQ(snap.value("aapc_depth"), 2.5);
-}
-
-TEST(Exposition, PrometheusTextShape) {
-  Registry r;
-  r.counter("aapc_reqs_total", "Requests \"served\"", {{"path", "a\\b\"c\nd"}})
-      .inc(7);
-  r.gauge("aapc_depth", "Current depth").set(1.5);
-  r.histogram("aapc_lat_seconds", "Latency", {1.0, 2.0}).observe(1.5);
-  const std::string text = to_prometheus_text(r.snapshot());
-  EXPECT_NE(text.find("# HELP aapc_reqs_total Requests \"served\"\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE aapc_reqs_total counter\n"), std::string::npos);
-  // Label values escape backslash, quote and newline.
-  EXPECT_NE(text.find("aapc_reqs_total{path=\"a\\\\b\\\"c\\nd\"} 7\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("aapc_depth 1.5\n"), std::string::npos);
-  // Cumulative buckets + sum/count (and the exact-max extension).
-  EXPECT_NE(text.find("aapc_lat_seconds_bucket{le=\"1\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("aapc_lat_seconds_bucket{le=\"2\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("aapc_lat_seconds_bucket{le=\"+Inf\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("aapc_lat_seconds_sum 1.5\n"), std::string::npos);
-  EXPECT_NE(text.find("aapc_lat_seconds_count 1\n"), std::string::npos);
-  EXPECT_NE(text.find("aapc_lat_seconds_max 1.5\n"), std::string::npos);
 }
 
 /// Round trip: registry -> JSON -> snapshot -> JSON must be
@@ -300,92 +268,6 @@ TEST(Concurrency, HammerWithConcurrentSnapshots) {
   EXPECT_EQ(lat->histogram.count, expected);
   EXPECT_EQ(lat->histogram.buckets[0], expected / 2);
   EXPECT_EQ(lat->histogram.buckets[1], expected / 2);
-}
-
-/// `packet` runs the packet backend at its default settings.
-mpisim::ExecutionResult run_scheduled_alltoall(Registry& registry,
-                                               bool packet) {
-  const topology::Topology topo = topology::make_paper_figure1();
-  const core::Schedule schedule = core::build_aapc_schedule(topo);
-  const mpisim::ProgramSet set =
-      lowering::lower_schedule(topo, schedule, 16_KiB, {});
-  const simnet::NetworkParams net;
-  mpisim::ExecutorParams exec;
-  if (packet) exec.packet.emplace();
-  exec.metrics = &registry;
-  mpisim::Executor executor(topo, net, exec);
-  return executor.run(set);
-}
-
-TEST(Wiring, ExecutorExportsExecutorAndSimnetSeries) {
-  Registry registry;
-  const mpisim::ExecutionResult result =
-      run_scheduled_alltoall(registry, false);
-  const RegistrySnapshot snap = registry.snapshot();
-
-  EXPECT_EQ(snap.value("aapc_executor_runs_total"), 1.0);
-  EXPECT_EQ(snap.total("aapc_executor_messages_total"),
-            static_cast<double>(result.message_count));
-  const SeriesSnapshot* transfers =
-      snap.find("aapc_executor_transfer_seconds");
-  ASSERT_NE(transfers, nullptr);
-  EXPECT_GT(transfers->histogram.count, 0);
-  const SeriesSnapshot* runs = snap.find("aapc_executor_run_seconds");
-  ASSERT_NE(runs, nullptr);
-  EXPECT_EQ(runs->histogram.max, result.completion_time);
-
-  // Fluid-model series ride along with consistent values.
-  EXPECT_EQ(snap.value("aapc_simnet_events_total", {{"kind", "completion"}}),
-            static_cast<double>(result.network_stats.completed_flows));
-  EXPECT_EQ(snap.value("aapc_simnet_rate_recomputations_total"),
-            static_cast<double>(result.network_stats.rate_recomputations));
-  EXPECT_GT(result.network_stats.refilled_flows, 0);
-  EXPECT_EQ(snap.value("aapc_simnet_refilled_flows_total"),
-            static_cast<double>(result.network_stats.refilled_flows));
-  EXPECT_EQ(snap.value("aapc_simnet_max_concurrent_flows"),
-            static_cast<double>(result.network_stats.max_concurrent_flows));
-  EXPECT_GT(snap.value("aapc_simnet_busy_row_seconds"), 0.0);
-  // Mean utilization implied by the two gauges is a sane fraction of
-  // the row count.
-  EXPECT_GT(snap.value("aapc_simnet_elapsed_seconds"), 0.0);
-
-  // A second run into the same registry accumulates.
-  run_scheduled_alltoall(registry, false);
-  EXPECT_EQ(registry.snapshot().value("aapc_executor_runs_total"), 2.0);
-}
-
-TEST(Wiring, PacketBackendExportsPacketSeries) {
-  Registry registry;
-  const mpisim::ExecutionResult result =
-      run_scheduled_alltoall(registry, true);
-  ASSERT_TRUE(result.packet.has_value());
-  const RegistrySnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.value("aapc_packet_segments_sent_total"),
-            static_cast<double>(result.packet->segments_sent));
-  EXPECT_GT(snap.value("aapc_packet_segments_sent_total"), 0.0);
-  ASSERT_NE(snap.find("aapc_packet_segments_dropped_total",
-                      {{"mechanism", "queue_overflow"}}),
-            nullptr);
-  EXPECT_EQ(snap.value("aapc_packet_peak_queue_segments"),
-            static_cast<double>(result.packet->peak_queue_occupancy));
-  EXPECT_GT(snap.value("aapc_packet_goodput_bytes_per_second"), 0.0);
-}
-
-TEST(Wiring, ExperimentRunsExportIntoTheCallersRegistry) {
-  const topology::Topology topo = topology::make_paper_figure1();
-  Registry registry;
-  harness::ExperimentConfig config;
-  config.msizes = {8_KiB};
-  config.iterations = 1;
-  config.exec.metrics = &registry;
-  harness::run_experiment(topo, "obs telemetry probe",
-                          harness::standard_suite(topo), config);
-  // 3 algorithms x 1 msize x 1 iteration.
-  const RegistrySnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.value("aapc_executor_runs_total"), 3.0);
-  const SeriesSnapshot* runs = snap.find("aapc_executor_run_seconds");
-  ASSERT_NE(runs, nullptr);
-  EXPECT_EQ(runs->histogram.count, 3);
 }
 
 }  // namespace
