@@ -248,6 +248,32 @@ TEST(PacketSimGoldenTest, ZeroFaultConfigIsBitIdenticalSingleFlow) {
   EXPECT_EQ(result.goodput_bytes_per_sec, 11846174.112223957);
 }
 
+// The lossy counterpart: 1 % Bernoulli loss at the default seed. Each
+// loss is a draw from the seeded fault stream in event order, so a
+// change to which events draw, in what order, or how the transport
+// recovers moves these numbers.
+TEST(PacketSimGoldenTest, BernoulliLossIsBitIdentical) {
+  const Topology topo = make_single_switch(9);
+  PacketNetworkParams params;
+  params.faults.loss_rate = 0.01;
+  std::vector<PacketMessage> messages;
+  for (topology::Rank src = 1; src <= 8; ++src) {
+    messages.push_back(PacketMessage{src, 0, 200'000, 0});
+  }
+  const PacketResult result = simulate_packets(topo, messages, params);
+  EXPECT_EQ(result.makespan, 0.37716128000000054);
+  EXPECT_EQ(result.segments_lost, 14);
+  EXPECT_EQ(result.retransmissions, 271);
+  const std::vector<SimTime> golden = {
+      0.098739920000000009, 0.34478280000000178, 0.26266328000000172,
+      0.37716128000000054,  0.18082463999999909, 0.35056568000000266,
+      0.30624536000000213,  0.35130392000000277};
+  ASSERT_EQ(result.completion.size(), golden.size());
+  for (std::size_t m = 0; m < golden.size(); ++m) {
+    EXPECT_EQ(result.completion[m], golden[m]) << "message " << m;
+  }
+}
+
 // An inert Gilbert-Elliott chain (transition probability zero) must not
 // draw either, even with burst loss rates configured.
 TEST(PacketSimGoldenTest, InertGilbertElliottChainDrawsNothing) {
