@@ -121,9 +121,7 @@ struct PacketNetworkSummary {
   std::int64_t segments_sent = 0;
   std::int64_t segments_dropped = 0;  // queue overflow
   std::int64_t retransmissions = 0;
-  std::int64_t segments_lost = 0;       // stochastic link loss
-  std::int64_t segments_corrupted = 0;  // checksum discards
-  std::int32_t peak_queue_occupancy = 0;
+  std::int64_t segments_lost = 0;  // stochastic link loss
 };
 
 struct ExecutionResult {
@@ -185,9 +183,9 @@ struct ExecutorParams {
   /// (simnet::FluidNetwork) of the NetworkParams the executor was built
   /// with. Set, it uses the segment-level packet model
   /// (packetsim::PacketNetwork) with these settings: finite queues,
-  /// transports, and stochastic loss/corruption/jitter. capacity_events
-  /// are then rejected — the packet model expresses faults via
-  /// packet->faults instead.
+  /// transports, and stochastic segment loss. capacity_events are then
+  /// rejected — the packet model expresses faults via packet->faults
+  /// instead.
   std::optional<packetsim::PacketNetworkParams> packet;
 
   // ---- fault injection (all defaults inert: a run with none of these

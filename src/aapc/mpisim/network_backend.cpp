@@ -76,8 +76,6 @@ void PacketBackend::finish(ExecutionResult& result) const {
   packet.segments_dropped = stats.segments_dropped;
   packet.retransmissions = stats.retransmissions;
   packet.segments_lost = stats.segments_lost;
-  packet.segments_corrupted = stats.segments_corrupted;
-  packet.peak_queue_occupancy = stats.peak_queue_occupancy;
 }
 
 }  // namespace aapc::mpisim

@@ -12,7 +12,7 @@
 //    before this seam existed.
 //  * PacketBackend — packetsim::PacketNetwork, segment-level
 //    store-and-forward with finite queues, transports, and stochastic
-//    loss/corruption/jitter. Slower but first-principles: this is what
+//    segment loss. Slower but first-principles: this is what
 //    lets the paper's scheduled alltoall (phases + pair-wise sync
 //    messages) run over a genuinely lossy network.
 //

@@ -37,14 +37,6 @@ PacketNetwork::PacketNetwork(const topology::Topology& topo,
                  what << " must be in [0, 1), got " << rate);
   };
   check_rate(faults.loss_rate, "loss_rate");
-  check_rate(faults.ge_loss_rate, "ge_loss_rate");
-  check_rate(faults.ge_good_loss_rate, "ge_good_loss_rate");
-  check_rate(faults.corruption_rate, "corruption_rate");
-  AAPC_REQUIRE(faults.ge_p_good_to_bad >= 0.0 && faults.ge_p_good_to_bad <= 1.0,
-               "ge_p_good_to_bad must be in [0, 1]");
-  AAPC_REQUIRE(faults.ge_p_bad_to_good >= 0.0 && faults.ge_p_bad_to_good <= 1.0,
-               "ge_p_bad_to_good must be in [0, 1]");
-  AAPC_REQUIRE(faults.jitter_max >= 0, "jitter_max must be >= 0");
 
   const bool any_edge_override = [&] {
     for (const auto& [edge, rate] : faults.edge_loss) {
@@ -57,10 +49,6 @@ PacketNetwork::PacketNetwork(const topology::Topology& topo,
     return false;
   }();
   loss_active_ = faults.loss_rate > 0 || any_edge_override;
-  ge_active_ = faults.ge_p_good_to_bad > 0 &&
-               (faults.ge_loss_rate > 0 || faults.ge_good_loss_rate > 0);
-  jitter_active_ = faults.jitter_max > 0;
-  corruption_active_ = faults.corruption_rate > 0;
   if (loss_active_) {
     edge_loss_rate_.assign(
         static_cast<std::size_t>(topo.directed_edge_count()),
@@ -68,9 +56,6 @@ PacketNetwork::PacketNetwork(const topology::Topology& topo,
     for (const auto& [edge, rate] : faults.edge_loss) {
       edge_loss_rate_[static_cast<std::size_t>(edge)] = rate;
     }
-  }
-  if (ge_active_) {
-    ge_bad_.assign(static_cast<std::size_t>(topo.directed_edge_count()), 0);
   }
 }
 
@@ -164,40 +149,9 @@ void PacketNetwork::inject(std::int32_t m, std::int32_t s, SimTime time,
                      EventKind::kTimeout, m, s});
 }
 
-bool PacketNetwork::draw_link_loss(topology::EdgeId edge) {
-  bool lost = false;
-  if (loss_active_) {
-    const double rate = edge_loss_rate_[static_cast<std::size_t>(edge)];
-    if (rate > 0 && fault_rng_.next_double() < rate) lost = true;
-  }
-  if (ge_active_) {
-    const auto idx = static_cast<std::size_t>(edge);
-    const bool bad = ge_bad_[idx] != 0;
-    const double rate = bad ? params_.faults.ge_loss_rate
-                            : params_.faults.ge_good_loss_rate;
-    if (rate > 0 && fault_rng_.next_double() < rate) lost = true;
-    // Step the chain once per traversal.
-    if (bad) {
-      if (fault_rng_.next_double() < params_.faults.ge_p_bad_to_good) {
-        ge_bad_[idx] = 0;
-      }
-    } else if (fault_rng_.next_double() < params_.faults.ge_p_good_to_bad) {
-      ge_bad_[idx] = 1;
-    }
-  }
-  return lost;
-}
-
 void PacketNetwork::handle_delivery(const Segment& segment, MessageState& msg,
                                     SimTime arrival,
                                     std::vector<MessageId>& completed) {
-  // Checksum-detected corruption: the receiver discards the segment;
-  // the transport recovers it like a loss.
-  if (corruption_active_ &&
-      fault_rng_.next_double() < params_.faults.corruption_rate) {
-    ++segments_corrupted_;
-    return;
-  }
   // Delivered (duplicates from spurious retransmits are ignored).
   SegmentState& seg_state =
       msg.state[static_cast<std::size_t>(segment.segment)];
@@ -312,15 +266,15 @@ void PacketNetwork::process_event(const Event& event,
 
       MessageState& msg = messages_[static_cast<std::size_t>(segment.message)];
       if (msg.canceled) break;  // canceled mid-flight: segment evaporates
-      // Stochastic link faults strike as the segment leaves the port.
-      if ((loss_active_ || ge_active_) && draw_link_loss(edge)) {
-        ++segments_lost_;  // the RTO (or fast retransmit) recovers it
-        break;
+      // Stochastic loss strikes as the segment leaves the port.
+      if (loss_active_) {
+        const double rate = edge_loss_rate_[static_cast<std::size_t>(edge)];
+        if (rate > 0 && fault_rng_.next_double() < rate) {
+          ++segments_lost_;  // the RTO (or fast retransmit) recovers it
+          break;
+        }
       }
-      SimTime arrival = event.time + params_.link_latency;
-      if (jitter_active_) {
-        arrival += fault_rng_.next_double() * params_.faults.jitter_max;
-      }
+      const SimTime arrival = event.time + params_.link_latency;
       const bool last_hop =
           segment.hop + 1 == static_cast<std::int32_t>(msg.path.size());
       if (!last_hop) {
@@ -442,7 +396,6 @@ PacketResult PacketNetwork::result() const {
   result.segments_dropped = segments_dropped_;
   result.retransmissions = retransmissions_;
   result.segments_lost = segments_lost_;
-  result.segments_corrupted = segments_corrupted_;
   result.goodput_bytes_per_sec =
       makespan_ > 0 ? delivered_payload_ / makespan_ : 0.0;
   result.peak_queue_segments.assign(edge_state_.size(), 0);

@@ -18,13 +18,10 @@
 //     random loss instead of RTO-collapsing.
 //
 // Beyond deterministic queue-overflow drops, the simulator injects
-// *stochastic* network faults driven by the seeded deterministic RNG in
-// common/rng (every run is exactly reproducible from its seed):
-// per-directed-link Bernoulli loss, Gilbert-Elliott burst loss,
-// checksum-detected segment corruption (counted separately from
-// drops/losses), and jitter-induced reordering. A configuration with
-// every rate at zero performs no RNG draws at all and is bit-identical
-// to the fault-free simulator.
+// per-directed-link Bernoulli segment loss driven by the seeded
+// deterministic RNG in common/rng (every run is exactly reproducible
+// from its seed). A configuration with every rate at zero performs no
+// RNG draws at all and is bit-identical to the fault-free simulator.
 //
 // The simulator has two entry points: the batch `simulate_packets`
 // (used by bench_model_validation and tests) and the incremental
@@ -46,12 +43,12 @@
 
 namespace aapc::packetsim {
 
-/// Stochastic network-fault model. All probabilities are per segment
-/// per directed-link traversal; all randomness flows from `seed`
-/// through one deterministic stream, so a (config, seed) pair
-/// reproduces a run bit for bit. Defaults are fully inert: with every
-/// rate at zero no RNG draw is performed and the simulation is
-/// bit-identical to the fault-free model.
+/// Stochastic segment-loss model. Probabilities are per segment per
+/// directed-link traversal; all randomness flows from `seed` through
+/// one deterministic stream, so a (config, seed) pair reproduces a run
+/// bit for bit. Defaults are fully inert: with every rate at zero no
+/// RNG draw is performed and the simulation is bit-identical to the
+/// fault-free model.
 struct PacketFaultParams {
   /// Uniform Bernoulli segment-loss probability per directed-link
   /// traversal, in [0, 1).
@@ -61,41 +58,8 @@ struct PacketFaultParams {
   /// direction.
   std::vector<std::pair<topology::EdgeId, double>> edge_loss;
 
-  /// Gilbert-Elliott burst loss: each directed link carries a two-state
-  /// (good/bad) Markov chain stepped once per segment traversal. The
-  /// chain is active only when `ge_p_good_to_bad > 0`.
-  double ge_p_good_to_bad = 0.0;
-  double ge_p_bad_to_good = 0.1;
-  /// Loss probability while the link is in the bad state (burst) and in
-  /// the good state (background).
-  double ge_loss_rate = 0.0;
-  double ge_good_loss_rate = 0.0;
-
-  /// Probability that a segment arrives at its destination corrupted.
-  /// The receiver's checksum detects it and discards the segment
-  /// (counted in PacketResult::segments_corrupted, separately from
-  /// drops and losses); the transport recovers it like a loss.
-  double corruption_rate = 0.0;
-
-  /// Jitter-induced reordering: every link traversal adds a uniform
-  /// [0, jitter_max) delay on top of link_latency, so segments can
-  /// overtake each other across queues.
-  SimTime jitter_max = 0.0;
-
   /// Seed of the deterministic fault stream.
   std::uint64_t seed = 0x5EEDF00Dull;
-
-  /// True when any mechanism can fire (some rate is nonzero).
-  bool active() const {
-    if (loss_rate > 0 || corruption_rate > 0 || jitter_max > 0) return true;
-    if (ge_p_good_to_bad > 0 && (ge_loss_rate > 0 || ge_good_loss_rate > 0)) {
-      return true;
-    }
-    for (const auto& [edge, rate] : edge_loss) {
-      if (rate > 0) return true;
-    }
-    return false;
-  }
 };
 
 struct PacketNetworkParams {
@@ -140,7 +104,7 @@ struct PacketNetworkParams {
   /// delivery this long after it happens.
   SimTime ack_latency = microseconds(120.0);
 
-  /// Stochastic loss/corruption/reordering model (inert by default).
+  /// Stochastic segment-loss model (inert by default).
   PacketFaultParams faults;
 
   /// Livelock guard: the simulation throws a diagnostic error (naming
@@ -170,11 +134,9 @@ struct PacketResult {
   std::int64_t segments_sent = 0;     // includes retransmissions
   std::int64_t segments_dropped = 0;  // queue-overflow drops
   std::int64_t retransmissions = 0;
-  /// Segments destroyed by the stochastic link-loss model (Bernoulli +
-  /// Gilbert-Elliott), separately from queue overflow.
+  /// Segments destroyed by the stochastic link-loss model, separately
+  /// from queue overflow.
   std::int64_t segments_lost = 0;
-  /// Segments discarded by the receiver's checksum (corruption model).
-  std::int64_t segments_corrupted = 0;
   /// Delivered payload bytes / makespan.
   double goodput_bytes_per_sec = 0;
   /// Retransmissions per message (which flows suffered, not just how
@@ -189,7 +151,7 @@ struct PacketResult {
 };
 
 /// Incremental, event-driven packet simulator. Deterministic: ties are
-/// broken by (event time, sequence); stochastic faults draw from one
+/// broken by (event time, sequence); stochastic loss draws from one
 /// seeded stream in event order. Messages can be added while the
 /// simulation runs (start >= now()), which is what lets the mpisim
 /// executor drive it as a network backend.
@@ -313,9 +275,6 @@ class PacketNetwork {
   void process_event(const Event& event, std::vector<MessageId>& completed);
   void handle_delivery(const Segment& segment, MessageState& msg,
                        SimTime arrival, std::vector<MessageId>& completed);
-  /// True when the stochastic model destroys a segment traversing
-  /// `edge` (Bernoulli draw, then Gilbert-Elliott draw + chain step).
-  bool draw_link_loss(topology::EdgeId edge);
   [[noreturn]] void throw_event_cap_diagnostic() const;
 
   const topology::Topology& topo_;
@@ -335,17 +294,12 @@ class PacketNetwork {
   std::int64_t segments_dropped_ = 0;
   std::int64_t retransmissions_ = 0;
   std::int64_t segments_lost_ = 0;
-  std::int64_t segments_corrupted_ = 0;
-  // Stochastic fault machinery. Inactive mechanisms perform no draws,
-  // so an all-zero config leaves the event stream bit-identical to the
+  // Stochastic loss. With no nonzero rate nothing is drawn, so an
+  // all-zero config leaves the event stream bit-identical to the
   // fault-free simulator.
   Rng fault_rng_;
   bool loss_active_ = false;
-  bool ge_active_ = false;
-  bool jitter_active_ = false;
-  bool corruption_active_ = false;
-  std::vector<double> edge_loss_rate_;   // dense, when loss_active_
-  std::vector<std::uint8_t> ge_bad_;     // Gilbert-Elliott state per edge
+  std::vector<double> edge_loss_rate_;  // dense, when loss_active_
 };
 
 /// Runs the scenario to completion. Deterministic: ties are broken by
