@@ -27,12 +27,6 @@ bool TokenBucket::try_acquire(double now_seconds,
   return false;
 }
 
-double TokenBucket::tokens_at(double now_seconds) const {
-  TokenBucket copy = *this;
-  copy.refill(now_seconds);
-  return copy.tokens_;
-}
-
 AdmissionControl::AdmissionControl(const AdmissionOptions& options)
     : options_(options), epoch_(std::chrono::steady_clock::now()) {
   AAPC_REQUIRE(options.tenant_rate <= 0 || options.tenant_burst >= 0,

@@ -30,8 +30,6 @@ class TokenBucket {
   /// accrued.
   bool try_acquire(double now_seconds, double* retry_after_seconds);
 
-  double tokens_at(double now_seconds) const;
-
  private:
   void refill(double now_seconds);
 

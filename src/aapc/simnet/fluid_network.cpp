@@ -283,8 +283,6 @@ void FluidNetwork::advance_to(SimTime when, std::vector<FlowId>& completed) {
         act_remaining_[i] -= moved;
         total_delivered_bytes_ += moved;
       }
-      stats_.busy_row_seconds +=
-          dt * static_cast<double>(active_rows_.size());
       now_ = step_end;
     }
 
@@ -383,11 +381,6 @@ double FluidNetwork::link_capacity(topology::LinkId link) const {
   AAPC_REQUIRE(link >= 0 && link < topo_.link_count(),
                "bad link id " << link);
   return link_capacity_[static_cast<std::size_t>(link)];
-}
-
-void FluidNetwork::set_link_capacity(topology::LinkId link,
-                                     double bytes_per_sec) {
-  apply_capacity(link, bytes_per_sec);
 }
 
 void FluidNetwork::schedule_capacity_change(SimTime when,

@@ -66,11 +66,6 @@ struct NetworkStats {
   /// Flows that activated (began moving bytes), immediately or from the
   /// pending heap. completed + canceled <= activated.
   std::int64_t flows_activated = 0;
-  /// Integral over time of the active-row count (sum of dt * |active
-  /// rows| per drain step, O(1) per event). Divided by elapsed time it
-  /// is the mean number of simultaneously busy capacity rows — a
-  /// one-number congestion measure of the whole run.
-  double busy_row_seconds = 0;
 };
 
 class FluidNetwork {
@@ -113,16 +108,13 @@ class FluidNetwork {
   /// link right now.
   double link_capacity(topology::LinkId link) const;
 
-  /// Immediately sets a physical link's raw capacity, both directions
-  /// (0 = link down: flows crossing it keep their place but run at rate
-  /// 0 until the link recovers or they are canceled). Machine duplex
-  /// caps derived from the link are updated as well. Rates are
-  /// recomputed lazily, exactly like a flow activation.
-  void set_link_capacity(topology::LinkId link, double bytes_per_sec);
-
-  /// Schedules set_link_capacity(link, bytes_per_sec) at `when` >=
-  /// now(). Scheduled changes are simulation events: advance_to applies
-  /// them in (time, registration order), after completions and
+  /// Sets a physical link's raw capacity, both directions, at `when` >=
+  /// now() (0 = link down: flows crossing it keep their place but run
+  /// at rate 0 until the link recovers or they are canceled). Machine
+  /// duplex caps derived from the link are updated as well. A change at
+  /// now() applies at once; rates are recomputed lazily, exactly like a
+  /// flow activation. Later changes are simulation events: advance_to
+  /// applies them in (time, registration order), after completions and
   /// activations at the same instant, and next_event_time() sees them.
   /// A network with no scheduled changes behaves bit-identically to one
   /// built before this API existed.
@@ -138,8 +130,6 @@ class FluidNetwork {
 
   /// True when no flow is pending or running.
   bool idle() const { return active_count_ == 0 && pending_count_ == 0; }
-
-  std::int64_t active_flow_count() const { return active_count_; }
 
   const NetworkStats& stats() const { return stats_; }
 

@@ -41,16 +41,6 @@ struct NetworkParams {
   /// is only optimal for the uniform model.)
   std::vector<std::pair<std::int32_t, double>> link_bandwidth_overrides;
 
-  /// Raw bandwidth of a specific physical link. O(overrides) — fine for
-  /// one-off queries; anything per-link-per-event must go through
-  /// link_capacities() and index the resulting vector instead.
-  double link_bandwidth(std::int32_t link) const {
-    for (const auto& [id, bandwidth] : link_bandwidth_overrides) {
-      if (id == link) return bandwidth;
-    }
-    return link_bandwidth_bytes_per_sec;
-  }
-
   /// Dense per-link raw capacities with the overrides applied:
   /// O(links + overrides) once, O(1) per query thereafter. This is the
   /// vector FluidNetwork snapshots at construction and the faults layer

@@ -60,14 +60,6 @@ TEST(ExecutorTest, PingTransferTime) {
   EXPECT_NEAR(result.completion_time, 1.0, 1e-9);
   EXPECT_EQ(result.message_count, 1);
   EXPECT_NEAR(result.network_bytes, 12'500'000, 1e-6);
-  // The fluid model's busy-row integral comes back with the result; it
-  // cannot exceed the peak row count held for the whole run.
-  const simnet::NetworkStats& stats = result.network_stats;
-  EXPECT_GT(stats.busy_row_seconds, 0.0);
-  EXPECT_LE(stats.busy_row_seconds,
-            static_cast<double>(stats.max_active_rows) *
-                    result.completion_time +
-                1e-9);
 }
 
 TEST(ExecutorTest, SendOverheadSerializesPosts) {

@@ -63,8 +63,8 @@ TEST(FaultNetworkTest, ImmediateCapacityChangeScalesRate) {
   const SimTime t_healthy = drain(healthy);
 
   FluidNetwork degraded(topo, params);
-  degraded.set_link_capacity(trunk,
-                             params.link_bandwidth_bytes_per_sec / 2.0);
+  degraded.schedule_capacity_change(degraded.now(), trunk,
+                                    params.link_bandwidth_bytes_per_sec / 2.0);
   degraded.add_flow(topo.machine_node(0), topo.machine_node(1), bytes, 0);
   const SimTime t_degraded = drain(degraded);
 
@@ -107,14 +107,15 @@ TEST(FaultNetworkTest, DownLinkStallsAndRecovers) {
   network.advance_to(0, completed);
   EXPECT_GT(network.flow_rate(flow), 0);
 
-  network.set_link_capacity(trunk, 0);
+  network.schedule_capacity_change(network.now(), trunk, 0);
   EXPECT_EQ(network.flow_rate(flow), 0);
   EXPECT_GT(network.flow_remaining(flow), 0);
   EXPECT_FALSE(network.idle());
   // Nothing will ever complete while the link is down.
   EXPECT_EQ(network.next_event_time(), kNever);
 
-  network.set_link_capacity(trunk, params.link_bandwidth_bytes_per_sec);
+  network.schedule_capacity_change(network.now(), trunk,
+                                   params.link_bandwidth_bytes_per_sec);
   EXPECT_GT(network.flow_rate(flow), 0);
   drain(network);
   EXPECT_TRUE(network.idle());
