@@ -84,10 +84,8 @@ int main(int argc, char** argv) {
                                                              result.trace)
               << " (1 = perfectly serialized)\n\n";
 
-    trace::GanttOptions gantt;
-    gantt.width = static_cast<std::int32_t>(cli.get_u64("width", 100));
-    std::cout << trace::ascii_gantt(result.trace, topo.machine_count(),
-                                    gantt)
+    const auto width = static_cast<std::int32_t>(cli.get_u64("width", 100));
+    std::cout << trace::ascii_gantt(result.trace, topo.machine_count(), width)
               << "\nlink utilization\n"
               << trace::link_utilization_report(
                      topo, result.network_stats, net.effective_bandwidth(),

@@ -97,7 +97,6 @@ Executor::Executor(const topology::Topology& topo,
                    const ExecutorParams& exec)
     : topo_(topo), net_params_(net), exec_params_(exec) {
   AAPC_REQUIRE(topo.finalized(), "topology must be finalized");
-  AAPC_REQUIRE(exec.memcpy_bandwidth_bytes_per_sec > 0, "memcpy bw <= 0");
 }
 
 ExecutionResult Executor::run(const ProgramSet& set) {
@@ -380,8 +379,7 @@ ExecutionResult Executor::run(const ProgramSet& set) {
         }
         case OpKind::kCopy: {
           c.clock += static_cast<double>(set.bytes(r, op)) /
-                     exec_params_.memcpy_bandwidth_bytes_per_sec *
-                     cpu_factor(r, c.clock);
+                     kMemcpyBandwidthBytesPerSec * cpu_factor(r, c.clock);
           ++c.pc;
           break;
         }
@@ -526,7 +524,7 @@ ExecutionResult Executor::run(const ProgramSet& set) {
       send.completion = drained;
       recv.complete = true;
       recv.completion = drained + network.extra_delivery_latency(flow);
-      if (recv.bytes <= net_params_.small_message_threshold) {
+      if (recv.bytes <= simnet::kSmallMessageThreshold) {
         recv.completion += net_params_.small_message_extra_latency;
       }
       // Delivery audit, from the *receiver's* request fields: a flow

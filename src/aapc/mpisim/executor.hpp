@@ -159,12 +159,12 @@ struct ExecutionResult {
   }
 };
 
+/// Local-copy bandwidth for kCopy ops (memcpy of the rank's own block);
+/// well above link speed on any real node.
+inline constexpr double kMemcpyBandwidthBytesPerSec = 1.0e9;
+
 /// Extra knobs for the executor beyond the network model.
 struct ExecutorParams {
-  /// Local-copy bandwidth for kCopy ops (memcpy of the rank's own
-  /// block); well above link speed on any real node.
-  double memcpy_bandwidth_bytes_per_sec = 1.0e9;
-
   /// OS wakeup noise: every time a rank resumes from a blocking wait it
   /// pays an extra uniform [0, wakeup_jitter_max) delay, drawn from a
   /// deterministic per-rank stream (runs are exactly reproducible for a

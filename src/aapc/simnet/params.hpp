@@ -17,6 +17,10 @@
 
 namespace aapc::simnet {
 
+/// Messages at or below this size take the small-message path
+/// (NetworkParams::small_message_extra_latency).
+inline constexpr Bytes kSmallMessageThreshold = 256;
+
 /// A scheduled change of one physical link's raw capacity (both
 /// directions): the injectable form of a link fault — degradation,
 /// down (0 bytes/sec), or restoration. Consumed by
@@ -91,9 +95,6 @@ struct NetworkParams {
   /// Store-and-forward latency per switch traversal, applied once per
   /// hop on delivery (latency, not bandwidth).
   SimTime per_hop_latency = microseconds(25.0);
-
-  /// Messages at or below this size take the small-message path.
-  Bytes small_message_threshold = 256;
 
   /// Extra delivery latency for small messages (synchronization tokens):
   /// the end-to-end cost of a tiny TCP send on the paper's era stack —

@@ -82,9 +82,8 @@ std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace,
 }
 
 std::string ascii_gantt(const std::vector<mpisim::MessageTrace>& trace,
-                        std::int32_t rank_count,
-                        const GanttOptions& options) {
-  AAPC_REQUIRE(options.width >= 10, "gantt width too small");
+                        std::int32_t rank_count, std::int32_t width) {
+  AAPC_REQUIRE(width >= 10, "gantt width too small");
   SimTime horizon = 0;
   for (const mpisim::MessageTrace& m : trace) {
     horizon = std::max(horizon, m.end);
@@ -94,17 +93,15 @@ std::string ascii_gantt(const std::vector<mpisim::MessageTrace>& trace,
   std::ostringstream os;
   os << "time 0 .. " << format_double(to_milliseconds(horizon), 2)
      << " ms, one row per sending rank ('#' transfer, digit = overlap)\n";
-  const double scale = static_cast<double>(options.width) / horizon;
+  const double scale = static_cast<double>(width) / horizon;
   for (mpisim::Rank r = 0; r < rank_count; ++r) {
-    std::vector<std::int32_t> cells(static_cast<std::size_t>(options.width),
-                                    0);
+    std::vector<std::int32_t> cells(static_cast<std::size_t>(width), 0);
     for (const mpisim::MessageTrace& m : trace) {
-      if (m.src != r) continue;
-      if (options.data_only && m.is_sync) continue;
+      if (m.src != r || m.is_sync) continue;
       auto begin = static_cast<std::int32_t>(m.start * scale);
       auto end = static_cast<std::int32_t>(m.end * scale);
-      begin = std::clamp(begin, 0, options.width - 1);
-      end = std::clamp(end, begin, options.width - 1);
+      begin = std::clamp(begin, 0, width - 1);
+      end = std::clamp(end, begin, width - 1);
       for (std::int32_t c = begin; c <= end; ++c) {
         cells[static_cast<std::size_t>(c)] += 1;
       }

@@ -32,18 +32,12 @@ std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace);
 std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace,
                            const std::vector<mpisim::FaultMarker>& markers);
 
-struct GanttOptions {
-  /// Total character width of the time axis.
-  std::int32_t width = 100;
-  /// Skip synchronization tokens (usually too small to see).
-  bool data_only = true;
-};
-
-/// Terminal Gantt chart: one row per sending rank; '#' spans a data
-/// transfer, '.' idle. Overlapping transfers on one rank render '2'...
+/// Terminal Gantt chart `width` characters wide: one row per sending
+/// rank; '#' spans a data transfer, '.' idle. Overlapping transfers on
+/// one rank render '2'... Synchronization tokens are skipped (usually
+/// too small to see).
 std::string ascii_gantt(const std::vector<mpisim::MessageTrace>& trace,
-                        std::int32_t rank_count,
-                        const GanttOptions& options = {});
+                        std::int32_t rank_count, std::int32_t width = 100);
 
 /// Per-directed-edge traffic and utilization relative to the effective
 /// bandwidth over [0, completion].

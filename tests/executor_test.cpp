@@ -110,7 +110,6 @@ TEST(ExecutorTest, PerHopLatencyDelaysReceiverOnly) {
 TEST(ExecutorTest, SmallMessageExtraLatency) {
   const Topology topo = make_single_switch(2);
   simnet::NetworkParams net = clean_net();
-  net.small_message_threshold = 256;
   net.small_message_extra_latency = 0.7;
   Executor executor(topo, net, clean_exec());
   const ExecutionResult result = executor.run(two_rank_ping(4));
@@ -146,18 +145,16 @@ TEST(ExecutorTest, BarrierSynchronizesClocks) {
   const Topology topo = make_single_switch(3);
   simnet::NetworkParams net = clean_net();
   net.barrier_latency = 0.25;
-  ExecutorParams exec = clean_exec();
-  exec.memcpy_bandwidth_bytes_per_sec = 1e6;  // 1 MB/s: copies take time
-  Executor slow_copy(topo, net, exec);
+  Executor executor(topo, net, clean_exec());
   ProgramSet set;
   set.name = "barrier";
-  set.data_bytes = 2'000'000;
+  set.data_bytes = 2'000'000'000;  // copied at the fixed 1 GB/s
   Program fast;
   fast.ops = {Op::barrier()};
   Program slow;
   slow.ops = {Op::copy(), Op::barrier()};  // 2 s of copying
   set.programs = {fast, fast, slow};
-  const ExecutionResult result = slow_copy.run(set);
+  const ExecutionResult result = executor.run(set);
   for (const SimTime finish : result.rank_finish) {
     EXPECT_NEAR(finish, 2.25, 1e-9);  // slowest arrival + barrier cost
   }
@@ -165,9 +162,7 @@ TEST(ExecutorTest, BarrierSynchronizesClocks) {
 
 TEST(ExecutorTest, CopyUsesMemcpyBandwidth) {
   const Topology topo = make_single_switch(2);
-  ExecutorParams exec = clean_exec();
-  exec.memcpy_bandwidth_bytes_per_sec = 1e9;
-  Executor executor(topo, clean_net(), exec);
+  Executor executor(topo, clean_net(), clean_exec());
   ProgramSet set;
   set.name = "copy";
   set.data_bytes = 500'000'000;

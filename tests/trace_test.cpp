@@ -152,9 +152,7 @@ TEST(TraceTest, AsciiGanttShape) {
   const Topology topo = make_single_switch(3);
   const mpisim::ExecutionResult result =
       run_traced(topo, baselines::lam_alltoall(3, 64_KiB));
-  GanttOptions options;
-  options.width = 40;
-  const std::string chart = ascii_gantt(result.trace, 3, options);
+  const std::string chart = ascii_gantt(result.trace, 3, 40);
   EXPECT_NE(chart.find('#'), std::string::npos);
   // One header line + 3 rank rows.
   EXPECT_EQ(std::count(chart.begin(), chart.end(), '\n'), 4);
