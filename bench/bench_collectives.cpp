@@ -114,14 +114,14 @@ int main(int argc, char** argv) {
   cli.add_flag("bandwidth-mbps", "link bandwidth in Mbps", "100");
   cli.add_flag("gate", "minimum T_min/T ratio for the ring kinds on (a)-(c)",
                "0.95");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
   Bytes msize = 0;
   double bandwidth = 0;
   double gate = 0;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     msize = cli.get_u64("msize", 256 * 1024);
     bandwidth =
         aapc::mbps_to_bytes_per_sec(cli.get_double("bandwidth-mbps", 100.0));

@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
   cli.add_flag("msize", "message size per rank pair", "64K");
   cli.add_flag("onset-ms", "fault onset time (simulated ms)", "400");
   cli.add_flag("jitter-us", "max OS wakeup jitter in microseconds", "1000");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   harness::ResilienceScenario base;
   SimTime onset = 0;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     base.msize = cli.get_u64("msize", 64 * 1024);
     base.exec.wakeup_jitter_max =
         microseconds(cli.get_double("jitter-us", 1000.0));

@@ -223,16 +223,16 @@ int main(int argc, char** argv) {
                "fail when the recorder-on median exceeds the recorder-off "
                "median by more than this", "2.0");
   cli.add_flag("skip-overhead", "run only the localization sweep");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   bool skip_overhead = false;
   std::int64_t rounds = 0;
   std::int64_t inner = 0;
   double gate = 0;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     skip_overhead = cli.get_bool("skip-overhead", false);
     rounds = static_cast<std::int64_t>(cli.get_u64("rounds", 25, INT64_MAX));
     inner = static_cast<std::int64_t>(cli.get_u64("inner", 20, INT64_MAX));

@@ -114,12 +114,12 @@ int main(int argc, char** argv) {
                "0");
   cli.add_flag("skip-verify",
                "skip the independent O(messages * path) verifier pass");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     const auto ranks = static_cast<std::int32_t>(cli.get_u64("ranks", 4096));
     const std::string shape = cli.get_or("shape", "fat-tree");
     const double max_seconds = cli.get_double("max-seconds", 0.0);

@@ -98,15 +98,15 @@ int main(int argc, char** argv) {
   cli.add_flag("repeats", "cold-compile repetitions (median)", "9");
   cli.add_flag("warm-iters", "cache-hit repetitions (median)", "200");
   cli.add_flag("tenants", "concurrent requests in the coalescing run", "64");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
   // Each count sizes a vector whose median is read, so it starts at 1.
   int repeats = 0;
   int warm_iters = 0;
   int tenants = 0;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     const auto count = [&cli](const std::string& name,
                               std::uint64_t fallback) {
       const std::uint64_t value = cli.get_u64(name, fallback, INT32_MAX);

@@ -25,14 +25,14 @@ inline int run_topology_bench(const std::string& title,
   cli.add_flag("csv", "also print CSV output", "false");
   cli.add_flag("bandwidth-mbps", "link bandwidth in Mbps", "100");
   cli.add_flag("jitter-us", "max OS wakeup jitter in microseconds", "1000");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   harness::ExperimentConfig config;
   bool csv = false;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     config.net.link_bandwidth_bytes_per_sec =
         mbps_to_bytes_per_sec(cli.get_double("bandwidth-mbps", 100.0));
     config.exec.wakeup_jitter_max =

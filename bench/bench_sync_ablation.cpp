@@ -47,14 +47,14 @@ int main(int argc, char** argv) {
   cli.add_flag("topology", "a, b, or c", "a");
   cli.add_flag("msizes", "comma-separated message sizes",
                "8K,32K,64K,256K");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
   std::string which;
   harness::ExperimentConfig config;
   config.msizes.clear();
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     which = cli.get("topology");
     AAPC_REQUIRE(which == "a" || which == "b" || which == "c",
                  "--topology expects a, b or c, got '" << which << "'");

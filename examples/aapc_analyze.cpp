@@ -333,11 +333,11 @@ int main(int argc, char** argv) {
   cli.add_flag("severity", "straggler CPU slowdown factor (default 3.0)");
   cli.add_flag("json", "print the full analysis report as JSON");
   cli.add_flag("out", "directory to write the dump and report into");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     const Bytes msize = parse_size(cli.get_or("msize", "32K"));
     const auto ring_capacity = static_cast<std::uint32_t>(
         cli.get_u64("ring", 4096, flight::kMaxRingCapacity));

@@ -144,10 +144,6 @@ int main(int argc, char** argv) {
                "simulator (healthy, then with the trunk degraded by "
                "--factor) with the flight recorder on and dump the rings "
                "into this directory");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   std::int64_t connections = 0;
   double rps = 0;
@@ -161,6 +157,10 @@ int main(int argc, char** argv) {
   double zipf_s = 0;
   bool verify = true;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     connections = static_cast<std::int64_t>(
         cli.get_u64("connections", 8, INT64_MAX));
     rps = cli.get_double("rps", 300);

@@ -113,12 +113,8 @@ int main(int argc, char** argv) {
                "exit 3 unless cache hit rate reaches this", "-1");
   cli.add_flag("metrics-out",
                "write the client-side obs registry to this file as JSON");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
-  const std::string host = cli.get_or("host", "127.0.0.1");
+  std::string host;
   // Integers are read against the width of the field they land in, so
   // an out-of-range value is an error instead of a truncated setting.
   std::uint16_t port = 0;
@@ -136,6 +132,11 @@ int main(int argc, char** argv) {
   bool verify = true;
   core::CollectiveKind kind = core::CollectiveKind::kAlltoall;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
+    host = cli.get_or("host", "127.0.0.1");
     port = static_cast<std::uint16_t>(cli.get_u64("port", 18211, UINT16_MAX));
     connections = static_cast<std::int64_t>(
         cli.get_u64("connections", 64, INT64_MAX));

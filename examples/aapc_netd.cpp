@@ -74,10 +74,6 @@ int main(int argc, char** argv) {
   cli.add_flag("metrics-out",
                "write the merged registry snapshot (front-end + service "
                "series) to this file as JSON at shutdown");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   // Counts are read against the width of the field they land in, so an
   // out-of-range value is an error instead of a truncated setting.
@@ -87,6 +83,10 @@ int main(int argc, char** argv) {
   std::int64_t fabric_switches = 0;
   std::int64_t fabric_machines = 0;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     options.host = cli.get_or("host", "127.0.0.1");
     options.port =
         static_cast<std::uint16_t>(cli.get_u64("port", 18211, UINT16_MAX));

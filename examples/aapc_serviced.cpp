@@ -68,10 +68,6 @@ int main(int argc, char** argv) {
   cli.add_flag("metrics-out",
                "write the service metrics registry to this file as a JSON "
                "snapshot (docs/OBSERVABILITY.md)");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   double zipf_s = 0;
   double min_hit_rate = 0;
@@ -83,6 +79,10 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0;
   service::ServiceOptions options;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     zipf_s = cli.get_double("zipf", 1.1);
     min_hit_rate = cli.get_double("min-hit-rate", -1);
     requests =

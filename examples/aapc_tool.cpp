@@ -65,12 +65,12 @@ int main(int argc, char** argv) {
   cli.add_flag("msizes", "comma-separated sizes",
                "8K,16K,32K,64K,128K,256K");
   cli.add_flag("schedule-json", "schedule JSON file to validate");
-  if (!cli.parse(argc - 2, argv + 2)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   try {
+    if (!cli.parse(argc - 2, argv + 2)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     const topology::Topology topo = load(topo_spec);
     if (command == "describe") {
       std::cout << topology::describe_topology(topo,

@@ -28,16 +28,16 @@ int main(int argc, char** argv) {
   cli.add_flag("matrix-sizes", "comma-separated N for N x N matrices",
                "1024,2048,4096,8192");
   cli.add_flag("paper", "topology: a, b, or c", "c");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   // A block of (N/P)^2 doubles must count its bytes in 64 bits.
   constexpr std::uint64_t kMaxN = std::uint64_t{1} << 30;
   std::string which;
   std::vector<std::int64_t> sizes;
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     which = cli.get("paper");
     AAPC_REQUIRE(which == "a" || which == "b" || which == "c",
                  "--paper expects a, b or c, got '" << which << "'");

@@ -20,6 +20,7 @@
 //                                            verdict — see
 //                                            docs/OBSERVABILITY.md
 //                                            §flight-recorder)
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -268,7 +269,7 @@ int run_flight_probe(const std::string& dir) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli(
       "Characterizes the simulator's contention curves; with --faults, "
       "replays a scripted link-fault timeline against trunk flows.");
@@ -418,4 +419,7 @@ int main(int argc, char** argv) {
               << table.render();
   }
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "FAIL: " << error.what() << '\n';
+  return 1;
 }

@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
   cli.add_flag("no-reduce", "keep redundant synchronizations", "false");
   cli.add_flag("summary", "print statistics instead of code", "false");
   cli.add_flag("output", "write the C source to this file");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     codegen::CodegenOptions options;
     options.function_name = cli.get("function-name");
     const std::string sync = cli.get("sync");

@@ -27,12 +27,12 @@ int main(int argc, char** argv) {
       "usage: schedule_explorer [<topology-file>] [--paper a|b|c|fig1]");
   cli.add_flag("paper", "use a built-in paper topology", "fig1");
   cli.add_flag("max-phases", "print at most this many phases", "40");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     topology::Topology topo;
     if (!cli.positional().empty()) {
       topo = topology::load_topology_file(cli.positional().front());

@@ -28,12 +28,12 @@ int main(int argc, char** argv) {
   cli.add_flag("width", "gantt chart width", "100");
   cli.add_flag("chrome-json", "write Chrome trace-event JSON here");
   cli.add_flag("csv", "write per-message CSV here");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.help_text();
-    return 0;
-  }
 
   try {
+    if (!cli.parse(argc, argv)) {
+      std::cout << cli.help_text();
+      return 0;
+    }
     topology::Topology topo;
     if (!cli.positional().empty()) {
       topo = topology::load_topology_file(cli.positional().front());
