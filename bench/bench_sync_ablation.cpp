@@ -44,10 +44,11 @@ harness::NamedAlgorithm ours_variant(const topology::Topology& topo,
 
 int main(int argc, char** argv) {
   CliParser cli("Synchronization-mode ablation of the generated routine.");
-  cli.add_flag("topology", "a, b, or c", "a");
+  cli.add_flag("topology", "a, b, c, or fig1", "a");
   cli.add_flag("msizes", "comma-separated message sizes",
                "8K,32K,64K,256K");
   std::string which;
+  topology::Topology topo;
   harness::ExperimentConfig config;
   config.msizes.clear();
   try {
@@ -56,8 +57,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     which = cli.get("topology");
-    AAPC_REQUIRE(which == "a" || which == "b" || which == "c",
-                 "--topology expects a, b or c, got '" << which << "'");
+    topo = topology::make_paper_topology(which);
     for (const std::string& token : split(cli.get("msizes"), ',')) {
       config.msizes.push_back(parse_size(token));
     }
@@ -65,11 +65,6 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: " << e.what() << "\n";
     return 1;
   }
-  const topology::Topology topo =
-      which == "b"   ? topology::make_paper_topology_b()
-      : which == "c" ? topology::make_paper_topology_c()
-                     : topology::make_paper_topology_a();
-
   std::vector<harness::NamedAlgorithm> algorithms;
   algorithms.push_back(
       ours_variant(topo, "pairwise", lowering::SyncMode::kPairwise, true));

@@ -27,11 +27,12 @@ int main(int argc, char** argv) {
   CliParser cli("Distributed matrix transpose via AAPC.");
   cli.add_flag("matrix-sizes", "comma-separated N for N x N matrices",
                "1024,2048,4096,8192");
-  cli.add_flag("paper", "topology: a, b, or c", "c");
+  cli.add_flag("paper", "topology: a, b, c, or fig1", "c");
 
   // A block of (N/P)^2 doubles must count its bytes in 64 bits.
   constexpr std::uint64_t kMaxN = std::uint64_t{1} << 30;
   std::string which;
+  topology::Topology topo;
   std::vector<std::int64_t> sizes;
   try {
     if (!cli.parse(argc, argv)) {
@@ -39,8 +40,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     which = cli.get("paper");
-    AAPC_REQUIRE(which == "a" || which == "b" || which == "c",
-                 "--paper expects a, b or c, got '" << which << "'");
+    topo = topology::make_paper_topology(which);
     for (const std::string& token : split(cli.get("matrix-sizes"), ',')) {
       const std::uint64_t n = parse_u64(token);
       AAPC_REQUIRE(n <= kMaxN,
@@ -51,10 +51,6 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: " << e.what() << "\n";
     return 1;
   }
-  const topology::Topology topo =
-      which == "a"   ? topology::make_paper_topology_a()
-      : which == "b" ? topology::make_paper_topology_b()
-                     : topology::make_paper_topology_c();
   const std::int64_t machines = topo.machine_count();
 
   std::cout << "transposing N x N doubles over " << machines

@@ -102,6 +102,14 @@ Topology make_paper_figure1() {
   return topo;
 }
 
+Topology make_paper_topology(const std::string& name) {
+  if (name == "a") return make_paper_topology_a();
+  if (name == "b") return make_paper_topology_b();
+  if (name == "c") return make_paper_topology_c();
+  if (name == "fig1") return make_paper_figure1();
+  throw InvalidArgument("unknown paper topology '" + name + "'");
+}
+
 Topology make_binary_tree(std::int32_t depth,
                           std::int32_t machines_per_leaf) {
   AAPC_REQUIRE(depth >= 1, "depth >= 1");

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "aapc/common/rng.hpp"
@@ -41,6 +42,11 @@ Topology make_paper_topology_c();
 /// tn5 = {n5} directly attached to the root. Subtree machine counts are
 /// {3, 2, 1}, matching Figure 3 and Table 4.
 Topology make_paper_figure1();
+
+/// The built-in topology called `name`: "a", "b" and "c" for Figure
+/// 5(a)-(c), "fig1" for the Figure-1 example. Throws InvalidArgument on
+/// any other name.
+Topology make_paper_topology(const std::string& name);
 
 /// A complete binary tree of switches with `depth` levels (depth 1 =
 /// a single switch) and `machines_per_leaf` machines on each leaf

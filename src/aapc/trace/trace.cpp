@@ -83,7 +83,7 @@ std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace,
 
 std::string ascii_gantt(const std::vector<mpisim::MessageTrace>& trace,
                         std::int32_t rank_count, std::int32_t width) {
-  AAPC_REQUIRE(width >= 10, "gantt width too small");
+  AAPC_REQUIRE(width >= kMinGanttWidth, "gantt width too small");
   SimTime horizon = 0;
   for (const mpisim::MessageTrace& m : trace) {
     horizon = std::max(horizon, m.end);

@@ -10,6 +10,7 @@
 //  * link report   per-directed-edge bytes and utilization over the run
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,10 +33,13 @@ std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace);
 std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace,
                            const std::vector<mpisim::FaultMarker>& markers);
 
-/// Terminal Gantt chart `width` characters wide: one row per sending
-/// rank; '#' spans a data transfer, '.' idle. Overlapping transfers on
-/// one rank render '2'... Synchronization tokens are skipped (usually
-/// too small to see).
+/// The narrowest chart ascii_gantt draws.
+inline constexpr std::int32_t kMinGanttWidth = 10;
+
+/// Terminal Gantt chart `width` characters wide (at least
+/// kMinGanttWidth): one row per sending rank; '#' spans a data
+/// transfer, '.' idle. Overlapping transfers on one rank render '2'...
+/// Synchronization tokens are skipped (usually too small to see).
 std::string ascii_gantt(const std::vector<mpisim::MessageTrace>& trace,
                         std::int32_t rank_count, std::int32_t width = 100);
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/rng.hpp"
@@ -244,6 +245,23 @@ TEST(TopologyGeneratorTest, PaperFigure1Structure) {
   EXPECT_EQ(topo.machine_count(), 6);
   EXPECT_EQ(topo.switch_count(), 4);
   EXPECT_EQ(topo.aapc_load(), 9);  // (s0,s1): 3 x 3
+}
+
+TEST(TopologyGeneratorTest, PaperTopologyByName) {
+  const std::pair<const char*, Topology> cases[] = {
+      {"a", make_paper_topology_a()},
+      {"b", make_paper_topology_b()},
+      {"c", make_paper_topology_c()},
+      {"fig1", make_paper_figure1()},
+  };
+  for (const auto& [name, expected] : cases) {
+    const Topology topo = make_paper_topology(name);
+    EXPECT_EQ(topo.machine_count(), expected.machine_count()) << name;
+    EXPECT_EQ(topo.switch_count(), expected.switch_count()) << name;
+    EXPECT_EQ(topo.aapc_load(), expected.aapc_load()) << name;
+  }
+  EXPECT_THROW(make_paper_topology("d"), InvalidArgument);
+  EXPECT_THROW(make_paper_topology("paper-a"), InvalidArgument);
 }
 
 TEST(TopologyGeneratorTest, RandomTreeRespectsMinMachines) {
