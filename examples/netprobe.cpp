@@ -105,7 +105,7 @@ int run_fault_probe(const std::string& spec) {
       faults::compile(plan, params, topo.link_count());
   std::cout << "fault probe: 4 flows across the trunk (link "
             << trunk << ") of a 4+4 chain, plan \"" << spec << "\"\n";
-  for (const mpisim::FaultMarker& marker : compiled.markers) {
+  for (const faults::FaultMarker& marker : compiled.markers) {
     std::cout << "  plan: " << format_double(to_milliseconds(marker.time), 1)
               << "ms " << marker.label << '\n';
   }

@@ -134,8 +134,6 @@ void CompiledFaults::apply(mpisim::ExecutorParams& params) const {
                                 capacity_events.end());
   params.rank_faults.insert(params.rank_faults.end(), rank_faults.begin(),
                             rank_faults.end());
-  params.fault_markers.insert(params.fault_markers.end(), markers.begin(),
-                              markers.end());
 }
 
 CompiledFaults compile(const FaultPlan& plan,
@@ -180,19 +178,19 @@ CompiledFaults compile(const FaultPlan& plan,
                 << static_cast<std::int64_t>(event.factor * 100 + 0.5)
                 << "%";
       }
-      out.markers.push_back(mpisim::FaultMarker{event.when, label.str()});
+      out.markers.push_back(FaultMarker{event.when, label.str()});
     } else if (event.kind == FaultKind::kNodeSlowdown) {
       out.rank_faults.push_back(mpisim::RankFault{
           event.rank, event.factor, event.when, simnet::kNever});
       std::ostringstream label;
       label << "rank " << event.rank << " slowdown x" << event.factor;
-      out.markers.push_back(mpisim::FaultMarker{event.when, label.str()});
+      out.markers.push_back(FaultMarker{event.when, label.str()});
     } else {  // kNodeCrash
       out.rank_faults.push_back(
           mpisim::RankFault{event.rank, 1.0, 0, event.when});
       std::ostringstream label;
       label << "rank " << event.rank << " crash";
-      out.markers.push_back(mpisim::FaultMarker{event.when, label.str()});
+      out.markers.push_back(FaultMarker{event.when, label.str()});
     }
   }
   return out;

@@ -12,8 +12,8 @@
 //
 // compile() lowers a plan to the executor's generic fault primitives:
 // simnet::LinkCapacityEvent (time-varying capacities) and
-// mpisim::RankFault (straggler slowdown, crash-stop), plus
-// human-readable FaultMarkers for the Chrome trace.
+// mpisim::RankFault (straggler slowdown, crash-stop), plus a
+// human-readable FaultMarker per event.
 #pragma once
 
 #include <cstdint>
@@ -83,11 +83,19 @@ struct FaultPlan {
   FaultPlan sorted() const;
 };
 
+/// A labeled instant on the simulated timeline: one injected fault
+/// ("link 0 down", "rank 3 slowdown x4").
+struct FaultMarker {
+  SimTime time = 0;
+  std::string label;
+};
+
 /// Executor-ready lowering of a plan.
 struct CompiledFaults {
   std::vector<simnet::LinkCapacityEvent> capacity_events;
   std::vector<mpisim::RankFault> rank_faults;
-  std::vector<mpisim::FaultMarker> markers;
+  /// The plan's events in time order, as labels (netprobe --faults).
+  std::vector<FaultMarker> markers;
 
   /// Appends the compiled faults onto executor params.
   void apply(mpisim::ExecutorParams& params) const;

@@ -180,7 +180,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
 
   ExecutionResult result;
   result.rank_finish.assign(static_cast<std::size_t>(ranks), 0);
-  result.fault_markers = exec_params_.fault_markers;
 
   // Flight recorder (nullptr = the bit-identical recorder-free path).
   // Recording is pure observation — a handful of relaxed stores per
@@ -585,12 +584,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
       if (binding.trace_index >= 0) {
         ++result.trace[static_cast<std::size_t>(binding.trace_index)].retries;
       }
-      std::ostringstream label;
-      label << "retry " << (binding.attempts + 1) << "/"
-            << exec_params_.transfer_max_retries << ": rank "
-            << binding.send_rank << " -> rank " << binding.recv_rank
-            << " tag=" << send.tag;
-      result.fault_markers.push_back(FaultMarker{network.now(), label.str()});
       if (flight != nullptr) {
         flight->record(binding.send_rank, flight::EventKind::kWatchdogRetry,
                        binding.recv_rank, send.tag, send.bytes,
@@ -635,12 +628,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
                                             << set.name << "' violated "
                                             << "data integrity — "
                                             << result.integrity.summary());
-  // Params-supplied markers and watchdog markers in one time-sorted
-  // timeline (stable: registration order among equal times).
-  std::stable_sort(result.fault_markers.begin(), result.fault_markers.end(),
-                   [](const FaultMarker& a, const FaultMarker& b) {
-                     return a.time < b.time;
-                   });
   if (flight != nullptr) {
     flight->run.completion_time = result.completion_time;
     if (result.packet) {

@@ -93,14 +93,6 @@ struct MessageTrace {
   RequestId recv_request = -1;
 };
 
-/// A labeled instant on the simulated timeline — fault injections,
-/// watchdog retries/aborts. Rendered as instant events in the Chrome
-/// trace (trace::to_chrome_json overload).
-struct FaultMarker {
-  SimTime time = 0;
-  std::string label;
-};
-
 /// Degraded behaviour of one rank: CPU slowdown from an onset time
 /// (straggler) and/or crash-stop. A crashed rank stops executing its
 /// program; the run then ends in ExecutionStalled naming it (fail-stop
@@ -143,9 +135,6 @@ struct ExecutionResult {
   std::int64_t transfer_timeouts = 0;
   /// Watchdog reposts after a timeout.
   std::int64_t transfer_retries = 0;
-  /// Timeline markers, sorted by time: ExecutorParams::fault_markers
-  /// plus one marker per watchdog retry.
-  std::vector<FaultMarker> fault_markers;
   /// Exactly-once audit of every matched transfer (always populated;
   /// integrity.ok() must hold for a correct run).
   IntegrityReport integrity;
@@ -198,10 +187,6 @@ struct ExecutorParams {
 
   /// Per-rank degradations (straggler slowdown, crash-stop).
   std::vector<RankFault> rank_faults;
-
-  /// Markers copied into ExecutionResult::fault_markers (normally the
-  /// human-readable timeline of the injected fault plan).
-  std::vector<FaultMarker> fault_markers;
 
   /// Transfer watchdog: a matched transfer that has not drained within
   /// `transfer_timeout` of activating is canceled and reposted with

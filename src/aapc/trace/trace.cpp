@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "aapc/common/error.hpp"
-#include "aapc/common/json.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/common/table.hpp"
 
@@ -23,11 +22,10 @@ std::string to_csv(const std::vector<mpisim::MessageTrace>& trace) {
   return os.str();
 }
 
-namespace {
-
-void append_transfer_events(
-    std::ostringstream& os, const std::vector<mpisim::MessageTrace>& trace,
-    bool& first) {
+std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace) {
+  std::ostringstream os;
+  os << "{\"traceEvents\":[";
+  bool first = true;
   for (const mpisim::MessageTrace& m : trace) {
     if (!first) os << ',';
     first = false;
@@ -48,34 +46,6 @@ void append_transfer_events(
       }
       os << "}}";
     }
-  }
-}
-
-}  // namespace
-
-std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  append_transfer_events(os, trace, first);
-  os << "]}";
-  return os.str();
-}
-
-std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace,
-                           const std::vector<mpisim::FaultMarker>& markers) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  append_transfer_events(os, trace, first);
-  // Faults as process-global instant events on a dedicated track.
-  for (const mpisim::FaultMarker& marker : markers) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":" << json::quote(marker.label)
-       << ",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,"
-       << "\"tid\":\"faults\",\"ts\":"
-       << format_double(to_microseconds(marker.time), 3) << '}';
   }
   os << "]}";
   return os.str();

@@ -27,12 +27,6 @@ std::string to_csv(const std::vector<mpisim::MessageTrace>& trace);
 /// reposted carry a "retries" arg.
 std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace);
 
-/// As above, plus one global instant event per fault marker (fault
-/// injections, watchdog retries — ExecutionResult::fault_markers), so
-/// the fault timeline lines up with the transfers it perturbed.
-std::string to_chrome_json(const std::vector<mpisim::MessageTrace>& trace,
-                           const std::vector<mpisim::FaultMarker>& markers);
-
 /// The narrowest chart ascii_gantt draws.
 inline constexpr std::int32_t kMinGanttWidth = 10;
 

@@ -80,17 +80,9 @@ TEST(ExecutorFaultsTest, WatchdogRetriesThroughTransientOutage) {
   EXPECT_GE(result.transfer_retries, 1);
   EXPECT_EQ(result.transfer_timeouts, result.transfer_retries);
   EXPECT_GT(result.completion_time, 0.100);  // waited out the outage
-  // The trace annotates the reposted transfer with its retry count, and
-  // each retry leaves a timeline marker.
+  // The trace annotates the reposted transfer with its retry count.
   ASSERT_EQ(result.trace.size(), 1u);
   EXPECT_GE(result.trace[0].retries, 1);
-  bool saw_retry_marker = false;
-  for (const FaultMarker& marker : result.fault_markers) {
-    if (marker.label.find("retry") != std::string::npos) {
-      saw_retry_marker = true;
-    }
-  }
-  EXPECT_TRUE(saw_retry_marker);
 }
 
 TEST(ExecutorFaultsTest, DownLinkWithoutWatchdogStallsWithDiagnostic) {
@@ -209,7 +201,6 @@ TEST(ExecutorFaultsTest, EmptyFaultPlanIsBitIdentical) {
   EXPECT_EQ(before.message_count, after.message_count);
   EXPECT_EQ(after.transfer_timeouts, 0);
   EXPECT_EQ(after.transfer_retries, 0);
-  EXPECT_TRUE(after.fault_markers.empty());
   ASSERT_EQ(before.trace.size(), after.trace.size());
   for (std::size_t i = 0; i < before.trace.size(); ++i) {
     EXPECT_EQ(before.trace[i].start, after.trace[i].start);
@@ -241,30 +232,7 @@ TEST(ExecutorFaultsTest, FaultRunsAreDeterministic) {
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     EXPECT_EQ(a.trace[i].start, b.trace[i].start);
     EXPECT_EQ(a.trace[i].end, b.trace[i].end);
-  }
-  ASSERT_EQ(a.fault_markers.size(), b.fault_markers.size());
-  for (std::size_t i = 0; i < a.fault_markers.size(); ++i) {
-    EXPECT_EQ(a.fault_markers[i].time, b.fault_markers[i].time);
-    EXPECT_EQ(a.fault_markers[i].label, b.fault_markers[i].label);
-  }
-}
-
-TEST(ExecutorFaultsTest, MarkersSortedByTime) {
-  const Topology topo = make_chain({1, 1});
-  const topology::LinkId trunk = trunk_link(topo);
-  const simnet::NetworkParams net;
-  ExecutorParams exec;
-  // Deliberately unsorted marker input.
-  exec.fault_markers = {{0.5, "late"}, {0.0, "early"}};
-  exec.capacity_events = {{0.001, trunk, 0.0},
-                          {0.05, trunk, net.link_bandwidth_bytes_per_sec}};
-  exec.transfer_timeout = 0.02;
-  exec.transfer_max_retries = 10;
-  Executor executor(topo, net, exec);
-  const ExecutionResult result = executor.run(one_transfer(100'000));
-  ASSERT_GE(result.fault_markers.size(), 2u);
-  for (std::size_t i = 1; i < result.fault_markers.size(); ++i) {
-    EXPECT_LE(result.fault_markers[i - 1].time, result.fault_markers[i].time);
+    EXPECT_EQ(a.trace[i].retries, b.trace[i].retries);
   }
 }
 
