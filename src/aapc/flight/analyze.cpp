@@ -384,7 +384,6 @@ AnalysisReport analyze(const FlightDump& dump,
     }
     const sync::PlanAdjacency adjacency =
         sync::build_adjacency(*plan, schedule->message_count());
-    report.rank_slack.assign(static_cast<std::size_t>(ranks), 0.0);
     std::int32_t end = -1;
     for (std::size_t i = 0; i < n; ++i) {
       if (completion[i] == kUnobserved) continue;
@@ -398,12 +397,7 @@ AnalysisReport analyze(const FlightDump& dump,
         ready = std::max(ready, completion[static_cast<std::size_t>(pred)]);
       }
       if (ready == kUnobserved) continue;
-      const double slack = std::max(0.0, activation[i] - ready);
-      report.total_slack += slack;
-      const core::Rank sender = schedule->messages[i].src;
-      if (sender >= 0 && sender < ranks) {
-        report.rank_slack[static_cast<std::size_t>(sender)] += slack;
-      }
+      report.total_slack += std::max(0.0, activation[i] - ready);
     }
     // Critical path: walk back from the last completion through the
     // latest-finishing observed predecessor.

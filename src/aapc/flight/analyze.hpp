@@ -109,8 +109,6 @@ struct AnalysisReport {
   double critical_path_span = 0;
   /// Sum over observed messages of activation - ready slack.
   double total_slack = 0;
-  /// Per-rank slack summed over messages the rank sent.
-  std::vector<double> rank_slack;
 
   /// One line per verdict ("straggler_rank: rank 3 ...").
   std::string summary() const;
