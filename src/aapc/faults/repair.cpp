@@ -62,26 +62,15 @@ double aapc_peak_throughput(const topology::Topology& topo,
                                        << " links");
   const std::int32_t machines = topo.machine_count();
   AAPC_REQUIRE(machines >= 2, "peak needs at least two machines");
-  // Per-directed-edge count of AAPC pairs crossing it.
-  std::vector<std::int64_t> crossing(
-      static_cast<std::size_t>(topo.directed_edge_count()), 0);
-  for (topology::Rank src = 0; src < machines; ++src) {
-    for (topology::Rank dst = 0; dst < machines; ++dst) {
-      if (src == dst) continue;
-      for (const topology::EdgeId e :
-           topo.path(topo.machine_node(src), topo.machine_node(dst))) {
-        ++crossing[static_cast<std::size_t>(e)];
-      }
-    }
-  }
   const double pairs =
       static_cast<double>(machines) * static_cast<double>(machines - 1);
   double peak = std::numeric_limits<double>::infinity();
-  for (topology::EdgeId e = 0; e < topo.directed_edge_count(); ++e) {
-    const std::int64_t n = crossing[static_cast<std::size_t>(e)];
+  for (topology::LinkId link = 0; link < topo.link_count(); ++link) {
+    // The AAPC pairs crossing the link, the same count in each direction.
+    const std::int64_t n = topo.aapc_link_load(link);
     if (n == 0) continue;
     const double effective =
-        link_capacity[static_cast<std::size_t>(e / 2)] *
+        link_capacity[static_cast<std::size_t>(link)] *
         params.protocol_efficiency;
     peak = std::min(peak, pairs * effective / static_cast<double>(n));
   }

@@ -39,9 +39,10 @@ stp::SpanningTree elect_residual(const stp::BridgeNetwork& network,
 
 /// Theoretical peak aggregate AAPC throughput (payload bytes/sec) of a
 /// tree whose physical links run at `link_capacity` (raw bytes/sec):
-///   min over directed edges e of  P * capacity(e) * protocol_eff / n_e
-/// where P = |M|(|M|-1) ordered pairs and n_e = pairs whose path
-/// crosses e. This is the link-capacity bound the harness plots as
+///   min over links l of  P * capacity(l) * protocol_eff / n_l
+/// where P = |M|(|M|-1) ordered pairs and n_l = pairs whose path
+/// crosses l in one direction (Topology::aapc_link_load, equal in both
+/// directions). This is the link-capacity bound the harness plots as
 /// "Peak" generalized to heterogeneous (degraded) links; duplex and
 /// fabric caps are deliberately excluded (same convention as the
 /// paper's §3 peak formula). Returns 0 if any loaded link is down.
