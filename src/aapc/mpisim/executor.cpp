@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "aapc/common/error.hpp"
-#include "aapc/common/log.hpp"
 #include "aapc/common/rng.hpp"
 #include "aapc/flight/recorder.hpp"
 #include "aapc/mpisim/network_backend.hpp"

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -22,7 +23,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "aapc/common/log.hpp"
 #include "aapc/core/schedule_io.hpp"
 #include "aapc/faults/fault_plan.hpp"
 #include "aapc/faults/repair.hpp"
@@ -402,7 +402,8 @@ void Server::Impl::run_loop() {
                                static_cast<int>(events.size()),
                                /*timeout ms=*/100);
     if (n < 0 && errno != EINTR) {
-      AAPC_WARN("epoll_wait failed: " << std::strerror(errno));
+      std::fprintf(stderr, "aapc_netd: epoll_wait failed: %s\n",
+                   std::strerror(errno));
       break;
     }
     for (int i = 0; i < std::max(n, 0); ++i) {
@@ -443,7 +444,8 @@ void Server::Impl::accept_connections() {
       // EINVAL: stop() shut the listener down; its hang-up closes it.
       if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR &&
           errno != EINVAL) {
-        AAPC_WARN("accept4 failed: " << std::strerror(errno));
+        std::fprintf(stderr, "aapc_netd: accept4 failed: %s\n",
+                     std::strerror(errno));
       }
       return;
     }
@@ -459,7 +461,8 @@ void Server::Impl::accept_connections() {
     ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      AAPC_WARN("epoll_ctl(ADD) failed: " << std::strerror(errno));
+      std::fprintf(stderr, "aapc_netd: epoll_ctl(ADD) failed: %s\n",
+                   std::strerror(errno));
       ::close(fd);
       admission.release_connection();
       continue;
@@ -989,8 +992,6 @@ void Server::start() {
       &impl, options_.dispatch_threads, options_.dispatch_queue_capacity);
   impl.loop = std::thread([&impl] { impl.run_loop(); });
   running_.store(true, std::memory_order_release);
-  AAPC_INFO("aapc_netd listening on " << options_.host << ":"
-                                      << impl.bound_port);
 }
 
 void Server::stop() {
@@ -1018,10 +1019,10 @@ void Server::stop() {
   const std::int64_t abandoned =
       impl.in_flight_requests.load(std::memory_order_acquire);
   if (abandoned > 0) {
-    AAPC_WARN("drain deadline reached with " << abandoned
-                                             << " requests still queued; "
-                                                "failing them with "
-                                                "kShuttingDown");
+    std::fprintf(stderr,
+                 "aapc_netd: drain deadline reached with %lld requests "
+                 "still queued; failing them with kShuttingDown\n",
+                 static_cast<long long>(abandoned));
   }
 
   // 3. Join dispatchers: executing items finish, queued items (only

@@ -2,11 +2,9 @@
 
 #include <chrono>
 #include <exception>
-#include <sstream>
 #include <utility>
 
 #include "aapc/common/error.hpp"
-#include "aapc/common/log.hpp"
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
@@ -21,18 +19,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::string format_seconds(double seconds) {
-  std::ostringstream os;
-  if (seconds >= 1.0) {
-    os << seconds << " s";
-  } else if (seconds >= 1e-3) {
-    os << seconds * 1e3 << " ms";
-  } else {
-    os << seconds * 1e6 << " us";
-  }
-  return os.str();
 }
 
 }  // namespace
@@ -187,11 +173,7 @@ CompiledEntryPtr ScheduleService::compile_entry(const CacheKey& key) {
                                              class_bytes, lower_options);
   stage_lower_seconds_.observe(seconds_since(stage));
   entry->footprint_bytes = measure_footprint(*entry);
-  const double compile_seconds = seconds_since(start);
-  compile_seconds_.observe(compile_seconds);
-  AAPC_DEBUG("compiled canonical topology ("
-             << entry->canonical_topo.machine_count() << " machines, class "
-             << class_bytes << " B) in " << format_seconds(compile_seconds));
+  compile_seconds_.observe(seconds_since(start));
   return entry;
 }
 

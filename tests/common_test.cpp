@@ -6,12 +6,10 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "aapc/common/cli.hpp"
-#include "aapc/common/log.hpp"
 #include "aapc/common/error.hpp"
 #include "aapc/common/json.hpp"
 #include "aapc/common/rng.hpp"
@@ -39,70 +37,6 @@ TEST(ErrorTest, CheckMessageIncludesExpressionAndDetail) {
 
 TEST(ErrorTest, RequireThrowsInvalidArgument) {
   EXPECT_THROW(AAPC_REQUIRE(false, "bad input"), InvalidArgument);
-}
-
-TEST(LogTest, LevelThresholding) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kWarn);
-  EXPECT_FALSE(log_enabled(LogLevel::kDebug));
-  EXPECT_TRUE(log_enabled(LogLevel::kWarn));
-  EXPECT_TRUE(log_enabled(LogLevel::kError));
-  set_log_level(LogLevel::kOff);
-  EXPECT_FALSE(log_enabled(LogLevel::kError));
-  set_log_level(LogLevel::kTrace);
-  EXPECT_TRUE(log_enabled(LogLevel::kTrace));
-  // The macro path: must not crash and must respect the level.
-  AAPC_DEBUG("debug message " << 42);
-  set_log_level(saved);
-}
-
-TEST(LogTest, ConcurrentLoggersDoNotInterleave) {
-  // Several threads logging at once: every line the sink receives must
-  // be one complete, newline-terminated message — never two partial
-  // lines spliced together. The sink runs under the logger's emission
-  // mutex, so a plain vector is safe here.
-  static std::vector<std::string> captured;
-  captured.clear();
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kWarn);
-  set_log_sink(
-      [](const std::string& line, void*) { captured.push_back(line); },
-      nullptr);
-
-  constexpr int kThreads = 8;
-  constexpr int kLinesPerThread = 200;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
-      for (int i = 0; i < kLinesPerThread; ++i) {
-        AAPC_WARN("thread=" << t << " line=" << i << " end");
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  set_log_sink(nullptr, nullptr);
-  set_log_level(saved);
-
-  ASSERT_EQ(captured.size(),
-            static_cast<std::size_t>(kThreads) * kLinesPerThread);
-  std::set<std::string> bodies;
-  for (const std::string& line : captured) {
-    // Exactly one newline, at the very end.
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.back(), '\n');
-    EXPECT_EQ(line.find('\n'), line.size() - 1) << line;
-    // The payload between "thread=" and " end\n" parses back to a known
-    // message; a torn write would corrupt this structure.
-    const std::size_t start = line.find("thread=");
-    ASSERT_NE(start, std::string::npos) << line;
-    const std::size_t stop = line.rfind(" end");
-    ASSERT_NE(stop, std::string::npos) << line;
-    EXPECT_TRUE(bodies.insert(line.substr(start, stop - start)).second)
-        << "duplicate body in: " << line;
-  }
-  EXPECT_EQ(bodies.size(),
-            static_cast<std::size_t>(kThreads) * kLinesPerThread);
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {
