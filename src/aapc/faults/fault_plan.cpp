@@ -48,14 +48,6 @@ FaultEvent FaultEvent::node_slowdown(SimTime when, Rank rank,
   return event;
 }
 
-FaultEvent FaultEvent::node_crash(SimTime when, Rank rank) {
-  FaultEvent event;
-  event.kind = FaultKind::kNodeCrash;
-  event.when = when;
-  event.rank = rank;
-  return event;
-}
-
 namespace {
 
 bool is_link_event(FaultKind kind) {
@@ -69,7 +61,6 @@ const char* kind_name(FaultKind kind) {
     case FaultKind::kLinkDown: return "link_down";
     case FaultKind::kLinkUp: return "link_up";
     case FaultKind::kNodeSlowdown: return "node_slowdown";
-    case FaultKind::kNodeCrash: return "node_crash";
   }
   return "?";
 }
@@ -108,12 +99,9 @@ void FaultPlan::validate() const {
                                                    << kind_name(event.kind)
                                                    << "): bad rank "
                                                    << event.rank);
-      if (event.kind == FaultKind::kNodeSlowdown) {
-        AAPC_REQUIRE(event.factor >= 1.0,
-                     "fault event " << i
-                                    << ": slowdown multiplier must be >= 1"
-                                    << ", got " << event.factor);
-      }
+      AAPC_REQUIRE(event.factor >= 1.0,
+                   "fault event " << i << ": slowdown multiplier must be >= 1"
+                                  << ", got " << event.factor);
     }
   }
 }
@@ -179,17 +167,11 @@ CompiledFaults compile(const FaultPlan& plan,
                 << "%";
       }
       out.markers.push_back(FaultMarker{event.when, label.str()});
-    } else if (event.kind == FaultKind::kNodeSlowdown) {
-      out.rank_faults.push_back(mpisim::RankFault{
-          event.rank, event.factor, event.when, simnet::kNever});
+    } else {  // kNodeSlowdown
+      out.rank_faults.push_back(
+          mpisim::RankFault{event.rank, event.factor, event.when});
       std::ostringstream label;
       label << "rank " << event.rank << " slowdown x" << event.factor;
-      out.markers.push_back(FaultMarker{event.when, label.str()});
-    } else {  // kNodeCrash
-      out.rank_faults.push_back(
-          mpisim::RankFault{event.rank, 1.0, 0, event.when});
-      std::ostringstream label;
-      label << "rank " << event.rank << " crash";
       out.markers.push_back(FaultMarker{event.when, label.str()});
     }
   }
@@ -211,18 +193,6 @@ std::vector<double> link_factors_at(const FaultPlan& plan, SimTime t,
             : (event.kind == FaultKind::kLinkUp ? 1.0 : event.factor);
   }
   return factors;
-}
-
-std::vector<Rank> ranks_crashed_at(const FaultPlan& plan, SimTime t) {
-  std::vector<Rank> crashed;
-  for (const FaultEvent& event : plan.events) {
-    if (event.kind == FaultKind::kNodeCrash && event.when <= t) {
-      crashed.push_back(event.rank);
-    }
-  }
-  std::sort(crashed.begin(), crashed.end());
-  crashed.erase(std::unique(crashed.begin(), crashed.end()), crashed.end());
-  return crashed;
 }
 
 FaultSummary summarize(const FaultPlan& plan, std::int32_t link_count) {
@@ -247,7 +217,6 @@ FaultSummary summarize(const FaultPlan& plan, std::int32_t link_count) {
       std::unique(summary.straggler_ranks.begin(),
                   summary.straggler_ranks.end()),
       summary.straggler_ranks.end());
-  summary.crashed_ranks = ranks_crashed_at(plan, simnet::kNever);
   return summary;
 }
 
@@ -266,10 +235,8 @@ std::string fault_plan_to_json(const FaultPlan& plan) {
         os << ",\"factor\":" << format_double_roundtrip(event.factor);
       }
     } else {
-      os << ",\"rank\":" << event.rank;
-      if (event.kind == FaultKind::kNodeSlowdown) {
-        os << ",\"factor\":" << format_double_roundtrip(event.factor);
-      }
+      os << ",\"rank\":" << event.rank
+         << ",\"factor\":" << format_double_roundtrip(event.factor);
     }
     os << '}';
   }
@@ -328,9 +295,6 @@ FaultPlan fault_plan_from_json(std::string_view json) {
           event.factor = 1.0;
         } else if (kind == "node_slowdown") {
           event.kind = FaultKind::kNodeSlowdown;
-        } else if (kind == "node_crash") {
-          event.kind = FaultKind::kNodeCrash;
-          event.factor = 1.0;
         } else {
           throw InvalidArgument("fault plan JSON: unknown kind '" + kind +
                                 "'");

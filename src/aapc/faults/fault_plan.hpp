@@ -12,8 +12,8 @@
 //
 // compile() lowers a plan to the executor's generic fault primitives:
 // simnet::LinkCapacityEvent (time-varying capacities) and
-// mpisim::RankFault (straggler slowdown, crash-stop), plus a
-// human-readable FaultMarker per event.
+// mpisim::RankFault (straggler slowdown), plus a human-readable
+// FaultMarker per event.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,6 @@ enum class FaultKind : std::uint8_t {
   kLinkDown,      // link capacity := 0
   kLinkUp,        // link capacity := nominal (restoration)
   kNodeSlowdown,  // rank CPU-time costs *= factor, from `when` on
-  kNodeCrash,     // rank crash-stops at `when`
 };
 
 /// One scripted event. Use the named constructors; only the fields
@@ -56,7 +55,6 @@ struct FaultEvent {
   static FaultEvent link_down(SimTime when, std::int32_t link);
   static FaultEvent link_up(SimTime when, std::int32_t link);
   static FaultEvent node_slowdown(SimTime when, Rank rank, double multiplier);
-  static FaultEvent node_crash(SimTime when, Rank rank);
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
@@ -117,20 +115,16 @@ CompiledFaults compile(const FaultPlan& plan,
 std::vector<double> link_factors_at(const FaultPlan& plan, SimTime t,
                                     std::int32_t link_count);
 
-/// Ranks whose crash time is <= t, ascending.
-std::vector<Rank> ranks_crashed_at(const FaultPlan& plan, SimTime t);
-
 /// The culprits a plan injects, for closed-loop verification against
 /// flight::analyze() verdicts: which links end up degraded (factor in
 /// (0, 1)) or down (factor 0) once the whole timeline has played out,
-/// and which ranks straggle or crash. Links are in plan link space —
+/// and which ranks straggle. Links are in plan link space —
 /// map through the same link_map handed to compile() when comparing
 /// against topology LinkIds.
 struct FaultSummary {
   std::vector<std::int32_t> degraded_links;
   std::vector<std::int32_t> down_links;
   std::vector<Rank> straggler_ranks;
-  std::vector<Rank> crashed_ranks;
 };
 
 /// Summarizes the plan's end state over `link_count` plan links (all
@@ -142,8 +136,7 @@ FaultSummary summarize(const FaultPlan& plan, std::int32_t link_count);
 ///     {"kind":"link_degrade","time_ms":120.0,"link":3,"factor":0.5},
 ///     {"kind":"link_down","time_ms":10,"link":0},
 ///     {"kind":"link_up","time_ms":50,"link":0},
-///     {"kind":"node_slowdown","time_ms":0,"rank":2,"factor":3.0},
-///     {"kind":"node_crash","time_ms":80,"rank":1}]}
+///     {"kind":"node_slowdown","time_ms":0,"rank":2,"factor":3.0}]}
 /// "link" and "rank" are integer literals within int32 (common/json.hpp:
 /// 3.0 and 3e0 are not integers); the reader throws InvalidArgument on
 /// malformed input and validates the plan.

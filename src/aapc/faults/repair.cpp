@@ -1,7 +1,6 @@
 #include "aapc/faults/repair.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -101,7 +100,6 @@ RepairResult repair_schedule(const stp::BridgeNetwork& network,
   AAPC_REQUIRE(splice_phase >= 0 && splice_phase <= schedule.phase_count(),
                "splice phase " << splice_phase << " outside schedule with "
                                << schedule.phase_count() << " phases");
-  const auto wall_start = std::chrono::steady_clock::now();
   RepairResult result;
   result.residual = elect_residual(network, plan, t);
   // The remainder is every message from the splice phase on.
@@ -115,10 +113,6 @@ RepairResult repair_schedule(const stp::BridgeNetwork& network,
     result.remainder =
         core::greedy_schedule(result.residual.topology, remainder_pattern);
   }
-  result.repair_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return result;
 }
 

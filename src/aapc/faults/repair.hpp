@@ -65,10 +65,6 @@ struct RepairResult {
   /// Messages of phases >= splice_phase, rescheduled on the residual
   /// tree by greedy first-fit (contention-free, phase count >= load).
   core::Schedule remainder;
-  /// Wall-clock cost of the re-election + rescheduling — the *measured*
-  /// repair latency, reported separately from the simulated timeline
-  /// so results stay deterministic.
-  double repair_wall_seconds = 0;
 };
 
 /// Repairs `schedule` at a phase boundary: re-elects the residual tree

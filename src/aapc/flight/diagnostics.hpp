@@ -25,7 +25,7 @@ struct PendingRequest {
 /// One non-done rank at the moment the executor declared a deadlock.
 struct BlockedRank {
   std::int32_t rank = -1;
-  /// Executor state name ("wait", "waitall", "crashed", ...).
+  /// Executor state name ("wait", "waitall", "barrier" or "runnable").
   std::string state;
   std::int64_t pc = 0;
   std::int64_t program_size = 0;

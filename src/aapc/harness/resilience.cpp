@@ -6,10 +6,12 @@
 #include <sstream>
 #include <vector>
 
-#include "aapc/common/error.hpp"
 #include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
+#include "aapc/faults/repair.hpp"
 #include "aapc/harness/experiment.hpp"
+#include "aapc/lowering/lower.hpp"
+#include "aapc/simnet/params.hpp"
 
 namespace aapc::harness {
 namespace {
@@ -69,14 +71,14 @@ std::string ResilienceReport::to_string() const {
      << " | repaired " << format_double(repaired_mbps, 1) << "\n";
   os << "  recovered ratio " << format_double(recovered_ratio(), 3)
      << " vs degraded peak ratio " << format_double(degraded_peak_ratio(), 3)
-     << "; repair wall clock "
-     << format_double(repair_wall_seconds * 1e3, 3) << " ms\n";
+     << "\n";
   return os.str();
 }
 
 ResilienceReport run_resilience(const stp::BridgeNetwork& network,
                                 const ResilienceScenario& scenario) {
   scenario.plan.validate();
+  const simnet::NetworkParams net;
   const stp::SpanningTree tree = stp::compute_spanning_tree(network);
   const topology::Topology& topo = tree.topology;
   const core::Schedule schedule = core::build_aapc_schedule(topo);
@@ -91,10 +93,9 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
 
   // Leg 1: healthy baseline.
   const mpisim::ProgramSet programs =
-      lowering::lower_schedule(topo, schedule, scenario.msize,
-                               scenario.lowering);
+      lowering::lower_schedule(topo, schedule, scenario.msize);
   report.healthy_completion =
-      mpisim::Executor(topo, scenario.net, scenario.exec)
+      mpisim::Executor(topo, net, scenario.exec)
           .run(programs)
           .completion_time;
   report.healthy_mbps = mbps(report.healthy_completion);
@@ -102,13 +103,13 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
   // Leg 2: the stale schedule under the fault plan — same programs, the
   // compiled fault timeline injected into the executor.
   const faults::CompiledFaults compiled =
-      faults::compile(scenario.plan, scenario.net, topo.link_count(),
+      faults::compile(scenario.plan, net, topo.link_count(),
                       tree.link_of_bridge_link);
   mpisim::ExecutorParams stale_exec = scenario.exec;
   compiled.apply(stale_exec);
   try {
     report.stale_completion =
-        mpisim::Executor(topo, scenario.net, stale_exec)
+        mpisim::Executor(topo, net, stale_exec)
             .run(programs)
             .completion_time;
     report.stale_completed = true;
@@ -119,72 +120,63 @@ ResilienceReport run_resilience(const stp::BridgeNetwork& network,
     report.stale_failure = stalled.what();
   }
 
-  // Splice phase: scripted, or the first boundary after the fault-onset
-  // fraction of the healthy timeline.
+  // Splice phase: the first boundary after the fault-onset fraction of
+  // the healthy timeline, clamped before the cast so that an onset far
+  // past the run splices at the end instead of overflowing the index.
   const SimTime onset = scenario.plan.onset();
-  std::int32_t splice = scenario.splice_phase;
-  if (splice < 0) {
-    const double fraction = report.healthy_completion > 0
-                                ? onset / report.healthy_completion
-                                : 0.0;
-    splice = static_cast<std::int32_t>(
-        std::ceil(fraction * static_cast<double>(schedule.phase_count())));
-    splice = std::clamp(splice, 1, schedule.phase_count());
-  }
-  AAPC_REQUIRE(splice >= 1 && splice <= schedule.phase_count(),
-               "splice phase " << splice << " outside schedule with "
-                               << schedule.phase_count() << " phases");
+  const double fraction =
+      report.healthy_completion > 0 ? onset / report.healthy_completion : 0.0;
+  const double phases = static_cast<double>(schedule.phase_count());
+  const auto splice = static_cast<std::int32_t>(
+      std::clamp(std::ceil(fraction * phases), 1.0, phases));
   report.splice_phase = splice;
 
   // Leg 3: prefix phases on the healthy tree (the fault bites at the
   // splice boundary in this model).
   const core::Schedule prefix = slice_phases(schedule, 0, splice);
   report.prefix_completion =
-      mpisim::Executor(topo, scenario.net, scenario.exec)
-          .run(lowering::lower_schedule(topo, prefix, scenario.msize,
-                                        scenario.lowering))
+      mpisim::Executor(topo, net, scenario.exec)
+          .run(lowering::lower_schedule(topo, prefix, scenario.msize))
           .completion_time;
 
   // Repair: re-elect on the residual bridge graph, reschedule the tail.
-  const SimTime repair_time = onset + scenario.detection_latency;
+  const SimTime repair_time = onset + kDetectionLatency;
   const faults::RepairResult repair = faults::repair_schedule(
       network, schedule, splice, scenario.plan, repair_time);
-  report.repair_wall_seconds = repair.repair_wall_seconds;
   report.remainder_phases = repair.remainder.phase_count();
 
   // Leg 4: remainder on the residual tree at the capacities in force at
   // repair time (frozen — later scripted recoveries are not credited).
   // The self copy already happened in the prefix.
-  lowering::LoweringOptions remainder_lowering = scenario.lowering;
+  lowering::LoweringOptions remainder_lowering;
   remainder_lowering.include_self_copy = false;
   const mpisim::ProgramSet remainder_programs =
       lowering::lower_schedule(repair.residual.topology, repair.remainder,
                                scenario.msize, remainder_lowering);
   const std::vector<double> residual_caps = faults::residual_link_capacities(
-      repair.residual, scenario.net, scenario.plan, repair_time);
+      repair.residual, net, scenario.plan, repair_time);
   report.remainder_completion =
       mpisim::Executor(repair.residual.topology,
-                       with_link_capacities(scenario.net, residual_caps),
+                       with_link_capacities(net, residual_caps),
                        scenario.exec)
           .run(remainder_programs)
           .completion_time;
   report.repaired_completion = report.prefix_completion +
-                               scenario.detection_latency +
-                               scenario.repair_overhead +
+                               kDetectionLatency + kRepairOverhead +
                                report.remainder_completion;
   report.repaired_mbps = mbps(report.repaired_completion);
 
   // Capacity bounds.
   report.healthy_peak_mbps = bytes_per_sec_to_mbps(faults::aapc_peak_throughput(
-      topo, scenario.net, scenario.net.link_capacities(topo.link_count())));
+      topo, net, net.link_capacities(topo.link_count())));
   report.degraded_peak_mbps =
       bytes_per_sec_to_mbps(faults::aapc_peak_throughput(
-          topo, scenario.net,
-          faults::residual_link_capacities(tree, scenario.net, scenario.plan,
+          topo, net,
+          faults::residual_link_capacities(tree, net, scenario.plan,
                                            repair_time)));
   report.residual_peak_mbps =
       bytes_per_sec_to_mbps(faults::aapc_peak_throughput(
-          repair.residual.topology, scenario.net, residual_caps));
+          repair.residual.topology, net, residual_caps));
   return report;
 }
 

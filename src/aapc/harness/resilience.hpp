@@ -11,24 +11,29 @@
 //   remainder — phases [splice, end) rescheduled by repair_schedule on
 //               the residual tree, run at the residual capacities.
 // The repaired completion is
-//   prefix + detection_latency + repair_overhead + remainder,
+//   prefix + kDetectionLatency + kRepairOverhead + remainder,
 // i.e. a fail-over at a phase boundary with an explicit detection /
-// reconvergence budget. Wall-clock repair cost (the actual re-election
-// plus rescheduling time) is reported separately so the simulated
-// timeline stays deterministic.
+// reconvergence budget. Every leg runs on the default network model
+// and lowering; the splice is the first phase boundary after the
+// fault-onset fraction of the healthy run.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "aapc/common/units.hpp"
 #include "aapc/faults/fault_plan.hpp"
-#include "aapc/faults/repair.hpp"
-#include "aapc/lowering/lower.hpp"
 #include "aapc/mpisim/executor.hpp"
-#include "aapc/simnet/params.hpp"
 #include "aapc/stp/stp.hpp"
 
 namespace aapc::harness {
+
+/// Simulated time between fault onset and the repair decision (failure
+/// detection — STP hello timeouts, transfer watchdogs).
+inline constexpr SimTime kDetectionLatency = milliseconds(2.0);
+/// Simulated reconvergence budget charged to the repaired timeline on
+/// top of detection (e.g. RSTP proposal/agreement).
+inline constexpr SimTime kRepairOverhead = milliseconds(1.0);
 
 struct ResilienceScenario {
   std::string title = "resilience";
@@ -37,18 +42,6 @@ struct ResilienceScenario {
   /// scenario runs on (translated onto each elected tree via
   /// SpanningTree::link_of_bridge_link).
   faults::FaultPlan plan;
-  /// Simulated time between fault onset and the repair decision
-  /// (failure detection — STP hello timeouts, transfer watchdogs).
-  SimTime detection_latency = milliseconds(2.0);
-  /// Extra simulated reconvergence budget charged to the repaired
-  /// timeline (e.g. RSTP proposal/agreement), on top of the measured
-  /// wall-clock repair cost which is reported but not charged.
-  SimTime repair_overhead = milliseconds(1.0);
-  /// Phase boundary where repair splices in; -1 picks the first
-  /// boundary after the fault-onset fraction of the healthy run.
-  std::int32_t splice_phase = -1;
-  lowering::LoweringOptions lowering;
-  simnet::NetworkParams net;
   mpisim::ExecutorParams exec;
 };
 
@@ -65,10 +58,9 @@ struct ResilienceReport {
   std::string stale_failure;
   SimTime prefix_completion = 0;
   SimTime remainder_completion = 0;
-  /// prefix + detection_latency + repair_overhead + remainder.
+  /// prefix + kDetectionLatency + kRepairOverhead + remainder.
   SimTime repaired_completion = 0;
-  // -- repair cost --
-  double repair_wall_seconds = 0;
+  // -- phases --
   std::int32_t splice_phase = 0;
   std::int32_t healthy_phases = 0;
   std::int32_t remainder_phases = 0;

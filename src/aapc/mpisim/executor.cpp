@@ -31,7 +31,6 @@ enum class RankState : std::uint8_t {
   kWaitAll,   // blocked on all requests posted so far
   kBarrier,   // arrived at a barrier
   kDone,
-  kCrashed,   // crash-stop fault: never executes another op
 };
 
 const char* state_name(RankState state) {
@@ -41,7 +40,6 @@ const char* state_name(RankState state) {
     case RankState::kWaitAll: return "waitall";
     case RankState::kBarrier: return "barrier";
     case RankState::kDone: return "done";
-    case RankState::kCrashed: return "crashed";
   }
   return "?";
 }
@@ -141,13 +139,10 @@ ExecutionResult Executor::run(const ProgramSet& set) {
     jitter.emplace_back(exec_params_.jitter_seed +
                         0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(r + 1));
   }
-  // Per-rank fault state (inert defaults: factor exactly 1.0 and an
-  // infinite crash time leave the arithmetic bit-identical to a
-  // fault-free run).
+  // Per-rank fault state (inert default: a factor of exactly 1.0 leaves
+  // the arithmetic bit-identical to a fault-free run).
   std::vector<double> cpu_slowdown(static_cast<std::size_t>(ranks), 1.0);
   std::vector<SimTime> slowdown_onset(static_cast<std::size_t>(ranks), 0.0);
-  std::vector<SimTime> crash_time(static_cast<std::size_t>(ranks),
-                                  simnet::kNever);
   for (const RankFault& fault : exec_params_.rank_faults) {
     AAPC_REQUIRE(fault.rank >= 0 && fault.rank < ranks,
                  "rank fault for nonexistent rank " << fault.rank);
@@ -156,7 +151,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
     const auto idx = static_cast<std::size_t>(fault.rank);
     cpu_slowdown[idx] = fault.cpu_slowdown;
     slowdown_onset[idx] = fault.slowdown_onset;
-    crash_time[idx] = std::min(crash_time[idx], fault.crash_time);
   }
   // Multiplier on rank r's CPU-time costs at local time t.
   auto cpu_factor = [&](Rank r, SimTime t) -> double {
@@ -264,8 +258,7 @@ ExecutionResult Executor::run(const ProgramSet& set) {
     bool progressed = false;
     while (true) {
       // Re-check blocking conditions.
-      if (c.state == RankState::kDone || c.state == RankState::kBarrier ||
-          c.state == RankState::kCrashed) {
+      if (c.state == RankState::kDone || c.state == RankState::kBarrier) {
         return progressed;
       }
       if (c.state == RankState::kWait) {
@@ -285,12 +278,6 @@ ExecutionResult Executor::run(const ProgramSet& set) {
         c.clock = latest + wakeup_jitter(r);
         c.state = RankState::kRunnable;
         progressed = true;
-      }
-      // Crash-stop: once the rank's local clock reaches its crash time
-      // it never executes another op (fail-stop; no failure detection).
-      if (c.clock >= crash_time[static_cast<std::size_t>(r)]) {
-        c.state = RankState::kCrashed;
-        return true;
       }
       const Program& program = set.programs[static_cast<std::size_t>(r)];
       if (c.pc >= program.ops.size()) {
@@ -456,8 +443,8 @@ ExecutionResult Executor::run(const ProgramSet& set) {
     }
     if (next == simnet::kNever) {
       // Every live rank is blocked and no event can unblock any of
-      // them: plain deadlock (mismatched posts), a crashed rank, or
-      // transfers stuck behind a down link with the watchdog disabled.
+      // them: plain deadlock (mismatched posts) or transfers stuck
+      // behind a down link with the watchdog disabled.
       // Build the typed diagnostic (shared with flight::analyze, so
       // stall reports and analyzer verdicts spell transfers the same
       // way); its to_string() is the exception message.

@@ -16,9 +16,9 @@
 // per-rank diagnostic naming the blocked ranks and their pending
 // sends/receives when the program set cannot make progress — whether
 // from a plain deadlock (mismatched sends/receives) or a fault-induced
-// stall (crashed rank, transfers stuck behind a down link with the
-// watchdog disabled). TransferAborted reports a transfer whose
-// watchdog retries were exhausted.
+// stall (transfers stuck behind a down link with the watchdog
+// disabled). TransferAborted reports a transfer whose watchdog retries
+// were exhausted.
 #pragma once
 
 #include <cstdint>
@@ -94,18 +94,13 @@ struct MessageTrace {
 };
 
 /// Degraded behaviour of one rank: CPU slowdown from an onset time
-/// (straggler) and/or crash-stop. A crashed rank stops executing its
-/// program; the run then ends in ExecutionStalled naming it (fail-stop
-/// without failure detection — in-flight transfers it already matched
-/// keep draining).
+/// (straggler).
 struct RankFault {
   Rank rank = -1;
   /// Multiplier (>= 1) on the rank's CPU-time costs — send/recv posting
   /// overheads, local copies, wakeup jitter — from slowdown_onset on.
   double cpu_slowdown = 1.0;
   SimTime slowdown_onset = 0;
-  /// Simulated time at which the rank crash-stops; kNever = healthy.
-  SimTime crash_time = simnet::kNever;
 };
 
 /// Packet-model counters of a run over the packet backend.
@@ -185,7 +180,7 @@ struct ExecutorParams {
   /// the first op executes.
   std::vector<simnet::LinkCapacityEvent> capacity_events;
 
-  /// Per-rank degradations (straggler slowdown, crash-stop).
+  /// Per-rank degradations (straggler slowdown).
   std::vector<RankFault> rank_faults;
 
   /// Transfer watchdog: a matched transfer that has not drained within

@@ -1,6 +1,6 @@
 // Executor under injected faults: transfer watchdog (timeout, retry,
-// abort), crash-stop ranks, stragglers, the named-rank stall
-// diagnostic, and bit-exact zero-fault behaviour.
+// abort), stragglers, the named-rank stall diagnostic, and bit-exact
+// zero-fault behaviour.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -131,22 +131,6 @@ TEST(ExecutorFaultsTest, DeadlockDiagnosticNamesPendingRequests) {
   }
 }
 
-TEST(ExecutorFaultsTest, CrashedRankStallsNamingIt) {
-  const Topology topo = make_single_switch(2);
-  ExecutorParams exec;
-  exec.wakeup_jitter_max = 0;
-  exec.rank_faults = {RankFault{1, 1.0, 0, /*crash_time=*/0.0}};
-  Executor executor(topo, {}, exec);
-  try {
-    executor.run(one_transfer(1'000'000));
-    FAIL() << "expected ExecutionStalled";
-  } catch (const ExecutionStalled& stalled) {
-    EXPECT_NE(std::string(stalled.what()).find("rank 1: crashed"),
-              std::string::npos)
-        << stalled.what();
-  }
-}
-
 TEST(ExecutorFaultsTest, StragglerSlowdownInflatesCompletion) {
   const Topology topo = make_single_switch(4);
   const ProgramSet set = baselines::lam_alltoall(4, 32_KiB);
@@ -156,7 +140,7 @@ TEST(ExecutorFaultsTest, StragglerSlowdownInflatesCompletion) {
   const SimTime t_healthy = healthy.run(set).completion_time;
 
   ExecutorParams slow = exec;
-  slow.rank_faults = {RankFault{0, 20.0, 0.0, simnet::kNever}};
+  slow.rank_faults = {RankFault{0, 20.0, 0.0}};
   Executor straggling(topo, {}, slow);
   const SimTime t_slow = straggling.run(set).completion_time;
   EXPECT_GT(t_slow, 1.5 * t_healthy);
@@ -172,7 +156,7 @@ TEST(ExecutorFaultsTest, SlowdownOnsetOnlyAffectsLaterWork) {
   const SimTime t_healthy = healthy.run(set).completion_time;
 
   ExecutorParams late = exec;
-  late.rank_faults = {RankFault{0, 20.0, /*onset=*/1e6, simnet::kNever}};
+  late.rank_faults = {RankFault{0, 20.0, /*onset=*/1e6}};
   Executor unaffected(topo, {}, late);
   EXPECT_EQ(unaffected.run(set).completion_time, t_healthy);
 }

@@ -407,13 +407,11 @@ TEST(FaultSummaryTest, SummarizesEndState) {
       .add(faults::FaultEvent::link_down(milliseconds(1), 1))
       .add(faults::FaultEvent::link_up(milliseconds(2), 1))  // restored
       .add(faults::FaultEvent::link_down(milliseconds(3), 2))
-      .add(faults::FaultEvent::node_slowdown(0, 2, 3.0))
-      .add(faults::FaultEvent::node_crash(milliseconds(1), 3));
+      .add(faults::FaultEvent::node_slowdown(0, 2, 3.0));
   const faults::FaultSummary summary = faults::summarize(plan, 3);
   EXPECT_EQ(summary.degraded_links, (std::vector<std::int32_t>{0}));
   EXPECT_EQ(summary.down_links, (std::vector<std::int32_t>{2}));
   EXPECT_EQ(summary.straggler_ranks, (std::vector<topology::Rank>{2}));
-  EXPECT_EQ(summary.crashed_ranks, (std::vector<topology::Rank>{3}));
 }
 
 /// Runs the chain alltoall under `plan` with ring capacity `ring` and

@@ -117,7 +117,7 @@ TEST_P(ParserFuzzTest, MutatedValidFaultPlanJson) {
       .add(faults::FaultEvent::link_down(0.01, 0))
       .add(faults::FaultEvent::link_up(0.05, 0))
       .add(faults::FaultEvent::node_slowdown(0.0, 2, 3.0))
-      .add(faults::FaultEvent::node_crash(0.08, 1));
+      .add(faults::FaultEvent::node_slowdown(0.08, 1, 1.5));
   const std::string valid = faults::fault_plan_to_json(plan);
   for (int round = 0; round < 60; ++round) {
     std::string mutated = valid;
@@ -182,7 +182,7 @@ TEST(FaultPlanNumbersTest, OverflowAndLocaleShapedInputsReject) {
   }
   EXPECT_THROW(
       faults::fault_plan_from_json(
-          "{\"events\":[{\"kind\":\"node_crash\",\"time_ms\":1,"
+          "{\"events\":[{\"kind\":\"node_slowdown\",\"time_ms\":1,"
           "\"rank\":2.5}]}"),
       InvalidArgument);
 
@@ -276,7 +276,7 @@ TEST_P(ParserFuzzTest, TruncatedInputsRejectCleanly) {
   const topology::Topology topo = topology::make_single_switch(4);
   faults::FaultPlan plan;
   plan.add(faults::FaultEvent::link_down(0.01, 0))
-      .add(faults::FaultEvent::node_crash(0.08, 1));
+      .add(faults::FaultEvent::node_slowdown(0.08, 1, 1.5));
   const std::vector<std::pair<std::string, int>> inputs = {
       {topology::serialize_topology(topo), 0},
       {core::schedule_to_json(core::build_aapc_schedule(topo),
